@@ -1,30 +1,23 @@
-"""Hot array kernels: numba JIT path with a pure-numpy fallback.
+"""Hot array kernels, vectorized with numpy.
 
 Graphs are batched as int64 bit-rows: ``rows[g, i]`` has bit ``j`` set when
-graph ``g`` contains the edge i -> j (so n <= 62).  The same arrays feed both
-backends; the numba path is selected at import time unless the environment
-variable ``UNCERTAIN_OBJECTIVES_NO_NUMBA`` is set (or numba is missing), in
-which case the vectorized numpy implementations are used.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+graph ``g`` contains the edge i -> j, so a batch holds at most
+``MAX_BIT_NODES`` worlds.  ``constraints`` checks that limit before it
+builds a batch.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = bool(os.environ.get("UNCERTAIN_OBJECTIVES_NO_NUMBA"))
+# The only implementation; kept as a name because benchmark results are
+# stamped with it, and results with different stamps are not compared.
+BACKEND = "numpy"
 
 MAX_BIT_NODES = 62
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def _closure_rows_np(rows: np.ndarray) -> np.ndarray:
+def closure_rows(rows: np.ndarray) -> np.ndarray:
     """Batched Warshall transitive closure over bit-rows, shape (G, n)."""
     closed = rows.copy()
     n = closed.shape[1]
@@ -34,35 +27,22 @@ def _closure_rows_np(rows: np.ndarray) -> np.ndarray:
     return closed
 
 
-def _cyclic_flags_np(closed: np.ndarray) -> np.ndarray:
+def cyclic_flags(closed: np.ndarray) -> np.ndarray:
     n = closed.shape[1]
     diag = (closed >> np.arange(n, dtype=np.int64)) & 1
     return diag.any(axis=1)
 
 
-def _connected_flags_np(rows: np.ndarray) -> np.ndarray:
-    """Weak connectivity over the first n nodes (reachability from node 0)."""
-    g, n = rows.shape
-    und = rows.copy()
-    for i in range(n):
-        for j in range(n):
-            und[:, j] |= ((rows[:, i] >> j) & 1) << i
-    visited = np.ones(g, dtype=np.int64)
-    for _ in range(n):
-        for i in range(n):
-            sel = (visited >> i) & 1
-            visited |= sel * und[:, i]
-    return visited == (1 << n) - 1
-
-
-def _pattern_valid_flags_np(
+def pattern_valid_flags(
     remaining: np.ndarray,
     removed_u: np.ndarray,
     removed_v: np.ndarray,
     removed_len: np.ndarray,
 ) -> np.ndarray:
-    closed = _closure_rows_np(remaining)
-    valid = ~_cyclic_flags_np(closed)
+    """Per row: the kept edges' closure is acyclic and forces neither
+    direction between the first ``removed_len`` removed endpoint pairs."""
+    closed = closure_rows(remaining)
+    valid = ~cyclic_flags(closed)
     g = remaining.shape[0]
     idx = np.arange(g)
     for j in range(removed_u.shape[1]):
@@ -75,28 +55,7 @@ def _pattern_valid_flags_np(
     return valid
 
 
-def _single_edge_pattern_flags_np(rows: np.ndarray) -> np.ndarray:
-    """Whether any single-edge uncertainty pattern is valid, per graph."""
-    g, n = rows.shape
-    any_valid = np.zeros(g, dtype=bool)
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            has_edge = ((rows[:, u] >> v) & 1) == 1
-            if not has_edge.any():
-                continue
-            sub = rows[has_edge].copy()
-            sub[:, u] &= ~np.int64(1 << v)
-            closed = _closure_rows_np(sub)
-            ok = ~_cyclic_flags_np(closed)
-            ok &= ((closed[:, u] >> v) & 1) == 0
-            ok &= ((closed[:, v] >> u) & 1) == 0
-            any_valid[has_edge] |= ok
-    return any_valid
-
-
-def _pairwise_matrix_np(orders: np.ndarray, probs: np.ndarray, n: int) -> np.ndarray:
+def pairwise_matrix(orders: np.ndarray, probs: np.ndarray, n: int) -> np.ndarray:
     """Z[a, b] = total probability of orders ranking a above b.
 
     ``orders`` lists world indices best-first, shape (m, k) with k == n.
@@ -109,7 +68,7 @@ def _pairwise_matrix_np(orders: np.ndarray, probs: np.ndarray, n: int) -> np.nda
     return np.einsum("m,mab->ab", probs, above)
 
 
-def _path_slacks_np(z: np.ndarray, paths: np.ndarray) -> np.ndarray:
+def path_slacks(z: np.ndarray, paths: np.ndarray) -> np.ndarray:
     """Violation slack of the chained-bound check for each path.
 
     ``paths`` holds world indices, shape (P, k); slack > 0 means the span
@@ -121,191 +80,3 @@ def _path_slacks_np(z: np.ndarray, paths: np.ndarray) -> np.ndarray:
     lower = np.maximum(0.0, 1.0 - ((1.0 - step).sum(axis=1)))
     span = z[paths[:, 0], paths[:, -1]]
     return np.maximum(lower - span, span - upper)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same contracts, scalar loops)
-# ---------------------------------------------------------------------------
-
-_HAVE_NUMBA = False
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _closure_inplace(row_buf, n):
-        for k in range(n):
-            bit = np.int64(1) << k
-            for i in range(n):
-                if row_buf[i] & bit:
-                    row_buf[i] |= row_buf[k]
-
-    @njit(cache=True)
-    def _closure_rows_nb(rows):
-        closed = rows.copy()
-        g, n = closed.shape
-        for gi in range(g):
-            _closure_inplace(closed[gi], n)
-        return closed
-
-    @njit(cache=True)
-    def _cyclic_flags_nb(closed):
-        g, n = closed.shape
-        out = np.zeros(g, dtype=np.bool_)
-        for gi in range(g):
-            for i in range(n):
-                if closed[gi, i] & (np.int64(1) << i):
-                    out[gi] = True
-                    break
-        return out
-
-    @njit(cache=True)
-    def _connected_flags_nb(rows):
-        g, n = rows.shape
-        out = np.zeros(g, dtype=np.bool_)
-        und = np.zeros(n, dtype=np.int64)
-        for gi in range(g):
-            for i in range(n):
-                und[i] = rows[gi, i]
-            for i in range(n):
-                for j in range(n):
-                    if rows[gi, i] & (np.int64(1) << j):
-                        und[j] |= np.int64(1) << i
-            visited = np.int64(1)
-            for _ in range(n):
-                for i in range(n):
-                    if visited & (np.int64(1) << i):
-                        visited |= und[i]
-            out[gi] = visited == (np.int64(1) << n) - 1
-        return out
-
-    @njit(cache=True)
-    def _pattern_valid_flags_nb(remaining, removed_u, removed_v, removed_len):
-        g, n = remaining.shape
-        out = np.zeros(g, dtype=np.bool_)
-        buf = np.zeros(n, dtype=np.int64)
-        for gi in range(g):
-            for i in range(n):
-                buf[i] = remaining[gi, i]
-            _closure_inplace(buf, n)
-            ok = True
-            for i in range(n):
-                if buf[i] & (np.int64(1) << i):
-                    ok = False
-                    break
-            if ok:
-                for j in range(removed_len[gi]):
-                    u = removed_u[gi, j]
-                    v = removed_v[gi, j]
-                    if buf[u] & (np.int64(1) << v) or buf[v] & (np.int64(1) << u):
-                        ok = False
-                        break
-            out[gi] = ok
-        return out
-
-    @njit(cache=True)
-    def _single_edge_pattern_flags_nb(rows):
-        g, n = rows.shape
-        out = np.zeros(g, dtype=np.bool_)
-        buf = np.zeros(n, dtype=np.int64)
-        for gi in range(g):
-            found = False
-            for u in range(n):
-                if found:
-                    break
-                for v in range(n):
-                    if u == v or not rows[gi, u] & (np.int64(1) << v):
-                        continue
-                    for i in range(n):
-                        buf[i] = rows[gi, i]
-                    buf[u] &= ~(np.int64(1) << v)
-                    _closure_inplace(buf, n)
-                    ok = True
-                    for i in range(n):
-                        if buf[i] & (np.int64(1) << i):
-                            ok = False
-                            break
-                    if ok and not (
-                        buf[u] & (np.int64(1) << v) or buf[v] & (np.int64(1) << u)
-                    ):
-                        found = True
-                        break
-            out[gi] = found
-        return out
-
-    @njit(cache=True)
-    def _pairwise_matrix_nb(orders, probs, n):
-        m = orders.shape[0]
-        z = np.zeros((n, n), dtype=np.float64)
-        pos = np.zeros(n, dtype=np.int64)
-        for oi in range(m):
-            for r in range(n):
-                pos[orders[oi, r]] = r
-            for a in range(n):
-                for b in range(n):
-                    if pos[a] < pos[b]:
-                        z[a, b] += probs[oi]
-        return z
-
-    @njit(cache=True)
-    def _path_slacks_nb(z, paths):
-        p, k = paths.shape
-        out = np.empty(p, dtype=np.float64)
-        for pi in range(p):
-            total = 0.0
-            comp = 0.0
-            for s in range(k - 1):
-                step = z[paths[pi, s], paths[pi, s + 1]]
-                total += step
-                comp += 1.0 - step
-            upper = min(1.0, total)
-            lower = max(0.0, 1.0 - comp)
-            span = z[paths[pi, 0], paths[pi, -1]]
-            out[pi] = max(lower - span, span - upper)
-        return out
-
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-
-if _HAVE_NUMBA:
-    closure_rows = _closure_rows_nb
-    cyclic_flags = _cyclic_flags_nb
-    connected_flags = _connected_flags_nb
-    pattern_valid_flags = _pattern_valid_flags_nb
-    single_edge_pattern_flags = _single_edge_pattern_flags_nb
-    pairwise_matrix = _pairwise_matrix_nb
-    path_slacks = _path_slacks_nb
-else:
-    closure_rows = _closure_rows_np
-    cyclic_flags = _cyclic_flags_np
-    connected_flags = _connected_flags_np
-    pattern_valid_flags = _pattern_valid_flags_np
-    single_edge_pattern_flags = _single_edge_pattern_flags_np
-    pairwise_matrix = _pairwise_matrix_np
-    path_slacks = _path_slacks_np
-
-NUMPY_IMPLS = {
-    "closure_rows": _closure_rows_np,
-    "cyclic_flags": _cyclic_flags_np,
-    "connected_flags": _connected_flags_np,
-    "pattern_valid_flags": _pattern_valid_flags_np,
-    "single_edge_pattern_flags": _single_edge_pattern_flags_np,
-    "pairwise_matrix": _pairwise_matrix_np,
-    "path_slacks": _path_slacks_np,
-}
-
-ACTIVE_IMPLS = {
-    "closure_rows": closure_rows,
-    "cyclic_flags": cyclic_flags,
-    "connected_flags": connected_flags,
-    "pattern_valid_flags": pattern_valid_flags,
-    "single_edge_pattern_flags": single_edge_pattern_flags,
-    "pairwise_matrix": pairwise_matrix,
-    "path_slacks": path_slacks,
-}

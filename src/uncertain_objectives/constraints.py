@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetExceededError, InvalidPatternError
+from .errors import BudgetExceededError, InvalidPatternError, WorldLimitError
 from .ordering import Verdict
 
 
@@ -80,6 +80,8 @@ class ConstraintGraph:
         return tuple(self.edges[i].label for i in indices)
 
 
+# Single-graph closures use Python ints: one row through the int64 batch
+# kernel costs several times more, and Python ints have no world limit.
 def _closure_bits(rows: list[int]) -> list[int]:
     n = len(rows)
     reach = list(rows)
@@ -130,40 +132,36 @@ def find_cycle(g: ConstraintGraph) -> ImpossibilityCertificate | None:
 
     For each candidate first edge (ascending), a backtracking search extends
     the path with the smallest-index usable edge, so the first cycle found is
-    the lexicographically smallest edge-index sequence overall.  None implies
-    the graph is acyclic and therefore admits a consistent total order.
+    the lexicographically smallest edge-index sequence overall.  The search
+    keeps an explicit stack, so cycle length is not bounded by recursion
+    depth.  None implies the graph is acyclic and therefore admits a
+    consistent total order.
     """
     out: dict[str, list[int]] = {w: [] for w in g.worlds}
     for i, e in enumerate(g.edges):
         out[e.worse].append(i)
-    for start in range(len(g.edges)):
-        first = g.edges[start]
+    for start, first in enumerate(g.edges):
         target = first.worse
         path = [start]
         visited = {first.worse, first.better}
-
-        def extend(cur: str) -> bool:
-            for i in out[cur]:
+        # stack[k] iterates the out-edges of the head of path[k]
+        stack = [iter(out[first.better])]
+        while stack:
+            for i in stack[-1]:
                 if i <= start:
                     continue
                 e = g.edges[i]
                 if e.better == target:
                     path.append(i)
-                    return True
-                if e.better in visited:
-                    continue
-                visited.add(e.better)
-                path.append(i)
-                if extend(e.better):
-                    return True
-                path.pop()
-                visited.remove(e.better)
-            return False
-
-        if first.better == target:  # cannot happen: self-loops are rejected
-            continue
-        if extend(first.better):
-            return ImpossibilityCertificate(tuple(g.edges[i] for i in path))
+                    return ImpossibilityCertificate(tuple(g.edges[j] for j in path))
+                if e.better not in visited:
+                    visited.add(e.better)
+                    path.append(i)
+                    stack.append(iter(out[e.better]))
+                    break
+            else:
+                stack.pop()
+                visited.remove(g.edges[path.pop()].better)
     return None
 
 
@@ -318,6 +316,8 @@ def _subset_batches(g: ConstraintGraph, size: int):
     """Bit-row and removed-pair arrays for every size-``size`` edge subset,
     in lexicographic order of edge indices."""
     n = len(g.worlds)
+    if n > _kernels.MAX_BIT_NODES:
+        raise WorldLimitError(n, _kernels.MAX_BIT_NODES)
     idx = {w: i for i, w in enumerate(g.worlds)}
     subsets = list(itertools.combinations(range(len(g.edges)), size))
     rows = np.zeros((len(subsets), n), dtype=np.int64)
@@ -341,7 +341,8 @@ def valid_uncertainty_patterns(
     """All inclusion-minimal valid patterns of size <= max_size.
 
     Enumerated by size then lexicographic edge order; supersets of an
-    already-found valid pattern are discarded as non-minimal.
+    already-found valid pattern are discarded as non-minimal.  Graphs with
+    more than ``MAX_BIT_NODES`` worlds raise ``WorldLimitError``.
     """
     n_edges = len(g.edges)
     max_size = min(max_size, n_edges)
@@ -373,6 +374,8 @@ def min_uncertainty_size(g: ConstraintGraph, budget: int = 1_000_000) -> int:
     """Size of the smallest valid uncertainty pattern.
 
     0 exactly when the graph is acyclic; at least 2 whenever it has a cycle.
+    Cyclic graphs with more than ``MAX_BIT_NODES`` worlds raise
+    ``WorldLimitError``.
     """
     if not is_cyclic(g):
         return 0

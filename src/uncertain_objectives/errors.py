@@ -33,6 +33,17 @@ class BudgetExceededError(UncertainObjectivesError):
     """Subset enumeration would exceed the configured budget."""
 
 
+class WorldLimitError(UncertainObjectivesError):
+    """A graph has more worlds than the batched pattern search supports."""
+
+    def __init__(self, n: int, limit: int):
+        self.n = n
+        self.limit = limit
+        super().__init__(
+            f"graph has {n} worlds; the pattern search supports at most {limit}"
+        )
+
+
 class InvalidPatternError(UncertainObjectivesError):
     """An uncertainty pattern fails its own consistency requirement."""
 

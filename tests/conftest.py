@@ -100,3 +100,39 @@ def reference_pairwise(d: OrderDistribution) -> dict:
                     Fraction(0),
                 )
     return z
+
+
+def reference_smallest_cycle(graph: ConstraintGraph):
+    """Smallest edge-index sequence over all simple cycles, each cycle written
+    from its smallest edge index; None when the graph is acyclic."""
+    edges = graph.edges
+    best = None
+
+    def walk(path, seen):
+        nonlocal best
+        start, head = edges[path[0]].worse, edges[path[-1]].better
+        if head == start:
+            k = path.index(min(path))
+            seq = path[k:] + path[:k]
+            if best is None or seq < best:
+                best = seq
+            return
+        for i, e in enumerate(edges):
+            if e.worse == head and (e.better == start or e.better not in seen):
+                walk(path + [i], seen | {e.better})
+
+    for i, e in enumerate(edges):
+        walk([i], {e.worse, e.better})
+    return best
+
+
+def reference_path_slacks(z, paths) -> list[float]:
+    """Chained-bound violation slack per path, by a plain scalar loop."""
+    out = []
+    for path in paths:
+        steps = [z[a][b] for a, b in zip(path, path[1:])]
+        upper = min(1.0, sum(steps))
+        lower = max(0.0, 1.0 - sum(1.0 - s for s in steps))
+        span = z[path[0]][path[-1]]
+        out.append(max(lower - span, span - upper))
+    return out

@@ -1,7 +1,8 @@
 """Acceptance suite.
 
 One test per acceptance criterion, each printing a single pass/fail line
-(run pytest with -s or -rA to see them).  Tolerances are pinned here:
+(run pytest with -s or -rA to see them), plus a check of the connectivity
+helper that criterion 3 counts graphs with.  Tolerances are pinned here:
 rational-mode quantities are compared with zero tolerance, runtimes against
 the stated wall-clock budgets, and sampling frequencies at three standard
 errors.
@@ -92,6 +93,45 @@ def test_criterion_2_rotation_edge_value():
 # Criterion 3: every uncertainty pattern of a cyclic graph has >= 2 edges
 # ---------------------------------------------------------------------------
 
+def connected_flags(rows: np.ndarray) -> np.ndarray:
+    """Weak connectivity of each bit-row graph (reachability from node 0)."""
+    g, n = rows.shape
+    und = rows.copy()
+    for i in range(n):
+        for j in range(n):
+            und[:, j] |= ((rows[:, i] >> j) & 1) << i
+    visited = np.ones(g, dtype=np.int64)
+    for _ in range(n):
+        for i in range(n):
+            sel = (visited >> i) & 1
+            visited |= sel * und[:, i]
+    return visited == (1 << n) - 1
+
+
+def test_connected_flags_helper_matches_reference():
+    # Criterion 3 counts graphs with this helper, so it is checked first,
+    # against union-find over every digraph on 3 nodes.
+    n = 3
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    masks = range(1 << len(pairs))
+    rows = np.zeros((len(masks), n), dtype=np.int64)
+    want = []
+    for m in masks:
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for b, (u, v) in enumerate(pairs):
+            if m >> b & 1:
+                rows[m, u] |= 1 << v
+                parent[find(u)] = find(v)
+        want.append(len({find(x) for x in range(n)}) == 1)
+    assert connected_flags(rows).tolist() == want
+
+
 def test_criterion_3_two_constraint_minimum():
     t0 = time.perf_counter()
     total = 0
@@ -113,14 +153,25 @@ def test_criterion_3_two_constraint_minimum():
                 u = edge_u[combos[:, col]]
                 bit = np.int64(1) << edge_v[combos[:, col]]
                 np.bitwise_or.at(rows, (gidx, u), bit)
-            mask = _kernels.connected_flags(rows) & _kernels.cyclic_flags(
+            mask = connected_flags(rows) & _kernels.cyclic_flags(
                 _kernels.closure_rows(rows)
             )
             cyclic_connected += int(mask.sum())
             if mask.any():
                 # A cyclic graph invalidates the empty pattern by definition;
                 # any single-edge pattern must be invalid for the theorem.
-                offenders += int(_kernels.single_edge_pattern_flags(rows[mask]).sum())
+                # One kernel row per (graph, edge): that edge's bit cleared,
+                # its endpoints the removed pair.
+                kept, edges = rows[mask], combos[mask]
+                g = kept.shape[0]
+                single = np.concatenate([kept] * k)
+                ru = edge_u[edges.T.ravel()]
+                rv = edge_v[edges.T.ravel()]
+                single[np.arange(g * k), ru] &= ~(np.int64(1) << rv)
+                flags = _kernels.pattern_valid_flags(
+                    single, ru[:, None], rv[:, None], np.ones(g * k, dtype=np.int64)
+                )
+                offenders += int(flags.reshape(k, g).any(axis=0).sum())
 
     # Pure cycles: exactly the C(n,2) two-edge subsets, all minimal.
     pure_ok = True

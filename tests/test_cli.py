@@ -182,6 +182,21 @@ class TestExitCodes:
         code, _, err = run_cli("bound", str(path))
         assert code == 1 and "acyclic" in err
 
+    def test_analyze_above_world_limit_is_error(self, tmp_path):
+        n = 64
+        doc = {
+            "worlds": {f"w{i}": [[str(i), 1]] for i in range(n)},
+            "constraints": [
+                {"label": f"C{i + 1}", "from": f"w{i}", "to": f"w{(i + 1) % n}"}
+                for i in range(n)
+            ],
+        }
+        path = tmp_path / "ring64.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("analyze", str(path), "--max-pattern-size", "2")
+        assert code == 1 and out == ""
+        assert err == "error: graph has 64 worlds; the pattern search supports at most 62\n"
+
     def test_decide_on_infeasible_matrix_is_error(self, tmp_path):
         doc = {
             "worlds": {"x1": [["1", 1]], "x2": [["1", 1]], "x3": [["1", 1]]},

@@ -17,9 +17,13 @@ from uncertain_objectives import (
     valid_uncertainty_patterns,
     validate_partial_order,
 )
-from uncertain_objectives.errors import BudgetExceededError, InvalidPatternError
+from uncertain_objectives.errors import (
+    BudgetExceededError,
+    InvalidPatternError,
+    WorldLimitError,
+)
 
-from conftest import random_graph, reference_pattern_valid
+from conftest import random_graph, reference_pattern_valid, reference_smallest_cycle
 
 
 def cycle_graph(n: int) -> ConstraintGraph:
@@ -80,6 +84,21 @@ class TestFindCycle:
         g = ConstraintGraph.from_edges([("a", "b", "C1"), ("b", "a", "C2")])
         cert = find_cycle(g)
         assert len(cert) == 2
+
+    def test_long_cycle_has_no_depth_limit(self):
+        cert = find_cycle(cycle_graph(1500))
+        assert cert.labels == tuple(f"C{i + 1}" for i in range(1500))
+
+    def test_smallest_cycle_matches_brute_force(self):
+        rng = random.Random(1729)
+        seen_cyclic = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(2, 5), rng.randint(1, 12))
+            cert = find_cycle(g)
+            got = None if cert is None else [g.edges.index(e) for e in cert.edges]
+            assert got == reference_smallest_cycle(g)
+            seen_cyclic += cert is not None
+        assert seen_cyclic > 100
 
 
 class TestValidatePartialOrder:
@@ -165,6 +184,22 @@ class TestPatterns:
         g = cycle_graph(8)
         with pytest.raises(BudgetExceededError):
             valid_uncertainty_patterns(g, 8, budget=10)
+
+    def test_world_limit_is_a_typed_error(self):
+        g = cycle_graph(64)
+        with pytest.raises(WorldLimitError, match="64 worlds.*at most 62"):
+            valid_uncertainty_patterns(g, 2)
+        with pytest.raises(WorldLimitError):
+            min_uncertainty_size(g)
+        assert len(valid_uncertainty_patterns(cycle_graph(62), 2)) == 62 * 61 // 2
+
+    def test_world_limit_spares_acyclic_and_single_pattern_calls(self):
+        chain = ConstraintGraph.from_edges([(f"w{i}", f"w{i + 1}") for i in range(70)])
+        assert min_uncertainty_size(chain) == 0
+        ring = cycle_graph(64)
+        pattern = UncertaintyPattern((0, 1))
+        assert pattern_is_valid(ring, pattern)
+        assert validate_partial_order(partial_order_from(ring, pattern)) == []
 
     def test_pattern_validity_against_reference_random_graphs(self):
         rng = random.Random(4321)

@@ -1,15 +1,19 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from uncertain_objectives import _kernels
 
-from conftest import random_graph, reference_pattern_valid, reference_reachability
+from conftest import (
+    random_distribution,
+    random_graph,
+    reference_pairwise,
+    reference_path_slacks,
+    reference_pattern_valid,
+    reference_reachability,
+)
 
 
 def random_rows(rng: np.random.Generator, n_graphs: int, n: int) -> np.ndarray:
@@ -22,6 +26,17 @@ def random_rows(rng: np.random.Generator, n_graphs: int, n: int) -> np.ndarray:
     return rows
 
 
+def scalar_closure(row: list[int]) -> list[int]:
+    """Warshall closure of one graph's bit-rows, one pair at a time."""
+    closed = list(row)
+    n = len(closed)
+    for k in range(n):
+        for i in range(n):
+            if closed[i] >> k & 1:
+                closed[i] |= closed[k]
+    return closed
+
+
 @pytest.fixture(scope="module")
 def batch():
     rng = np.random.default_rng(1234)
@@ -29,25 +44,53 @@ def batch():
 
 
 def test_backends_agree_on_closure_and_cycles(batch):
-    np_closed = _kernels._closure_rows_np(batch)
-    active_closed = _kernels.closure_rows(batch)
-    assert np.array_equal(np_closed, active_closed)
-    assert np.array_equal(
-        _kernels._cyclic_flags_np(np_closed), _kernels.cyclic_flags(active_closed)
-    )
-
-
-def test_backends_agree_on_connectivity(batch):
-    assert np.array_equal(
-        _kernels._connected_flags_np(batch), _kernels.connected_flags(batch)
-    )
+    """The batched numpy closure and cycle flags equal a scalar Warshall
+    loop run graph by graph over a dense random batch."""
+    closed = _kernels.closure_rows(batch)
+    cyclic = _kernels.cyclic_flags(closed)
+    n = batch.shape[1]
+    for gi, row in enumerate(batch.tolist()):
+        want = scalar_closure(row)
+        assert closed[gi].tolist() == want
+        assert bool(cyclic[gi]) == any(want[i] >> i & 1 for i in range(n))
 
 
 def test_backends_agree_on_single_edge_patterns(batch):
-    assert np.array_equal(
-        _kernels._single_edge_pattern_flags_np(batch),
-        _kernels.single_edge_pattern_flags(batch),
+    """Whether a graph has a valid single-edge uncertainty pattern, from
+    pattern_valid_flags over every edge of the batch, equals a scalar check."""
+    n = batch.shape[1]
+    owner, rows, ru, rv = [], [], [], []
+    for gi, row in enumerate(batch.tolist()):
+        for u in range(n):
+            for v in range(n):
+                if row[u] >> v & 1:
+                    kept = list(row)
+                    kept[u] &= ~(1 << v)
+                    owner.append(gi)
+                    rows.append(kept)
+                    ru.append([u])
+                    rv.append([v])
+    flags = _kernels.pattern_valid_flags(
+        np.array(rows, dtype=np.int64),
+        np.array(ru, dtype=np.int64),
+        np.array(rv, dtype=np.int64),
+        np.ones(len(rows), dtype=np.int64),
     )
+    got = np.zeros(len(batch), dtype=bool)
+    np.logical_or.at(got, np.array(owner), flags)
+    for gi, row in enumerate(batch.tolist()):
+        want = False
+        for u in range(n):
+            for v in range(n):
+                if not row[u] >> v & 1:
+                    continue
+                kept = list(row)
+                kept[u] &= ~(1 << v)
+                closed = scalar_closure(kept)
+                acyclic = not any(closed[i] >> i & 1 for i in range(n))
+                want |= acyclic and not (closed[u] >> v & 1 or closed[v] >> u & 1)
+        assert bool(got[gi]) == want
+    assert got.any() and not got.all()
 
 
 def test_closure_matches_reference_implementation():
@@ -56,12 +99,14 @@ def test_closure_matches_reference_implementation():
         g = random_graph(rng, rng.randint(2, 6), rng.randint(1, 8))
         idx = {w: i for i, w in enumerate(g.worlds)}
         rows = np.array([g.bit_rows()], dtype=np.int64)
-        closed = _kernels.closure_rows(rows)[0]
+        closed = _kernels.closure_rows(rows)
         reach = reference_reachability(g)
         for a in g.worlds:
             for b in g.worlds:
-                got = bool(closed[idx[a]] >> idx[b] & 1)
+                got = bool(closed[0, idx[a]] >> idx[b] & 1)
                 assert got == ((a, b) in reach)
+        cyclic = any((w, w) in reach for w in g.worlds)
+        assert bool(_kernels.cyclic_flags(closed)[0]) == cyclic
 
 
 def test_pattern_flags_match_reference():
@@ -87,48 +132,28 @@ def test_pattern_flags_match_reference():
             assert bool(got) == reference_pattern_valid(g, subset)
 
 
-def test_pairwise_matrix_backends_agree():
-    rng = np.random.default_rng(77)
-    n = 5
-    orders = np.array(
-        [rng.permutation(n) for _ in range(40)], dtype=np.int64
-    )
-    probs = rng.random(40)
-    probs /= probs.sum()
-    a = _kernels._pairwise_matrix_np(orders, probs, n)
-    b = _kernels.pairwise_matrix(orders, probs, n)
-    assert np.allclose(a, b, atol=1e-12)
+def test_pairwise_matrix_matches_reference():
+    rng = random.Random(77)
+    for _ in range(20):
+        d = random_distribution(rng, rng.randint(2, 5), rng.randint(1, 12))
+        n = len(d.worlds)
+        idx = {w: i for i, w in enumerate(d.worlds)}
+        orders = np.array([[idx[w] for w in o] for o in d.orders], dtype=np.int64)
+        probs = np.array([float(p) for p in d.probs])
+        z = _kernels.pairwise_matrix(orders, probs, n)
+        for (a, b), want in reference_pairwise(d).items():
+            if a != b:
+                assert abs(z[idx[a], idx[b]] - float(want)) < 1e-12
 
 
-def test_path_slacks_backends_agree():
+def test_path_slacks_match_reference():
     rng = np.random.default_rng(78)
     n = 6
     z = rng.random((n, n))
     z = np.triu(z, 1)
     z = z + np.triu(1 - z, 1).T
     np.fill_diagonal(z, 0.5)
-    paths = np.array(list(itertools.permutations(range(n), 4)), dtype=np.int64)
-    a = _kernels._path_slacks_np(z, paths)
-    b = _kernels.path_slacks(z, paths)
-    assert np.allclose(a, b, atol=1e-12)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, UNCERTAIN_OBJECTIVES_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from uncertain_objectives import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_default_backend_is_numba_when_available():
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from uncertain_objectives import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True, text=True,
-        env={k: v for k, v in os.environ.items() if k != "UNCERTAIN_OBJECTIVES_NO_NUMBA"},
-        check=True,
-    )
-    assert out.stdout.strip() == "numba"
+    for k in (2, 3, 4):
+        paths = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64)
+        want = reference_path_slacks(z.tolist(), paths.tolist())
+        assert np.allclose(_kernels.path_slacks(z, paths), want, atol=1e-12)
