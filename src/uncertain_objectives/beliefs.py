@@ -24,6 +24,7 @@ operations require exact inputs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ import numpy as np
 from . import _kernels
 from .errors import DimensionCapError
 from .rationals import as_rational
-from .simplex import solve_lp
+from .simplex import integer_weights, solve_lp
 
 FLOAT_TOL = 1e-9
 DEFAULT_DIMENSION_CAP = 7
@@ -340,17 +341,135 @@ def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> li
 # Exact polytope feasibility and the minimax bound
 # ---------------------------------------------------------------------------
 
-def _all_orders(n: int) -> list[tuple[int, ...]]:
-    """Every strict total order as a best-first index tuple, lexicographic."""
-    return list(itertools.permutations(range(n)))
+class OrderColumns:
+    """The LP columns of all n! strict total orders of 0..n-1, never listed.
+
+    Each LP row is either a pair (a, b), whose entry is 1 in the columns of
+    orders ranking a above b and 0 elsewhere, or None, an entry of 1 in
+    every column.  Orders are best-first index tuples; a column's id is its
+    order's lexicographic rank, the position ``itertools.permutations``
+    gives it.  Pricing (the best-scoring order under integer row weights)
+    is a maximum-weight linear ordering, solved exactly by a DP over subsets
+    in O(2^n * n) integer steps.
+    """
+
+    def __init__(self, n: int, rows):
+        self.n = n
+        self.rows = list(rows)
+        self.size = math.factorial(n)
+
+    def column(self, order) -> list[int]:
+        pos = [0] * self.n
+        for r, w in enumerate(order):
+            pos[w] = r
+        return [1 if row is None or pos[row[0]] < pos[row[1]] else 0 for row in self.rows]
+
+    def rank(self, order) -> int:
+        left = list(range(self.n))
+        out = 0
+        for r, w in enumerate(order):
+            k = left.index(w)
+            out += k * math.factorial(self.n - 1 - r)
+            del left[k]
+        return out
+
+    def _dp(self, weights):
+        pair = [[0] * self.n for _ in range(self.n)]
+        const = 0
+        for row, w in zip(self.rows, weights):
+            if row is None:
+                const += w
+            else:
+                pair[row[0]][row[1]] += w
+        return _OrderDP(pair, const)
+
+    def best(self, weights) -> tuple[int, tuple[int, ...]]:
+        return self._dp(weights).best()
+
+    def first_above(self, weights, threshold: int):
+        return self._dp(weights).first_above(threshold)
 
 
-def _ranks_above(order: tuple[int, ...]) -> list[list[bool]]:
-    n = len(order)
-    pos = [0] * n
-    for r, w in enumerate(order):
-        pos[w] = r
-    return [[pos[a] < pos[b] for b in range(n)] for a in range(n)]
+class _OrderDP:
+    """Best scores of strict total orders, where ranking a above b earns
+    pair[a][b] and every order earns ``const``.
+
+    top[s] is the best score of an order of the item set s (bit i = item i);
+    gain[w][s] is what ranking w above every item of s earns.  An order of s
+    that starts with w scores at most gain[w][s - w] + top[s - w], so
+    choosing, best-first, the smallest item that can still reach a target
+    builds the lexicographically smallest order reaching it.
+    """
+
+    def __init__(self, pair, const: int):
+        n = len(pair)
+        size = 1 << n
+        gain = []
+        for w in range(n):
+            row = pair[w]
+            g = [0] * size
+            for s in range(1, size):
+                low = s & -s
+                g[s] = g[s ^ low] + row[low.bit_length() - 1]
+            gain.append(g)
+        top = [0] * size
+        bits = [(w, 1 << w, gain[w]) for w in range(n)]
+        for s in range(1, size):
+            best = None
+            for w, bit, g in bits:
+                if s & bit:
+                    rest = s ^ bit
+                    v = g[rest] + top[rest]
+                    if best is None or v > best:
+                        best = v
+            top[s] = best
+        self.n = n
+        self.const = const
+        self.gain = gain
+        self.top = top
+
+    def _build(self, reaches) -> tuple[int, ...]:
+        gain, top = self.gain, self.top
+        s = (1 << self.n) - 1
+        acc = self.const
+        order = []
+        while s:
+            for w in range(self.n):
+                bit = 1 << w
+                if s & bit:
+                    rest = s ^ bit
+                    if reaches(acc + gain[w][rest] + top[rest]):
+                        order.append(w)
+                        acc += gain[w][rest]
+                        s = rest
+                        break
+        return tuple(order)
+
+    def best(self) -> tuple[int, tuple[int, ...]]:
+        """The best score and the lexicographically smallest order with it."""
+        value = self.const + self.top[-1]
+        return value, self._build(lambda v: v == value)
+
+    def first_above(self, threshold: int):
+        """The lexicographically smallest order scoring above ``threshold``."""
+        if self.const + self.top[-1] <= threshold:
+            return None
+        return self._build(lambda v: v > threshold)
+
+
+def _membership_rows(m: BeliefMatrix):
+    """Labels, order-column rows and right-hand sides of the membership LP."""
+    n = len(m.worlds)
+    labels, rows, rhs = [], [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            labels.append(f"above({m.worlds[i]},{m.worlds[j]})")
+            rows.append((i, j))
+            rhs.append(m.z[i][j])
+    labels.append("total")
+    rows.append(None)
+    rhs.append(ONE)
+    return labels, rows, rhs
 
 
 @dataclass(frozen=True)
@@ -363,6 +482,38 @@ class FeasibilityResult:
     def __bool__(self) -> bool:
         return self.feasible
 
+    def verify(self, m: BeliefMatrix) -> bool:
+        """Check this answer against ``m`` in exact arithmetic.
+
+        A witness must reproduce every entry of Z.  Farkas multipliers y
+        over the membership rows must have y.b > 0 while y.A <= 0 on every
+        order's column, which one maximisation over all orders decides.
+        """
+        if self.feasible:
+            d = self.distribution
+            return (
+                d is not None
+                and d.is_exact
+                and set(d.orders[0]) == set(m.worlds)
+                and matrix_from_distribution(d, worlds=m.worlds).z == m.z
+            )
+        labels, rows, rhs = _membership_rows(m)
+        cert = self.certificate or {}
+        if not set(cert) <= set(labels):
+            return False
+        y = [Fraction(cert.get(label, 0)) for label in labels]
+        if sum(yi * bi for yi, bi in zip(y, rhs)) <= 0:
+            return False
+        weights, _ = integer_weights(y)
+        return OrderColumns(len(m.worlds), rows).best(weights)[0] <= 0
+
+
+def _distribution(worlds, support) -> OrderDistribution:
+    return OrderDistribution(
+        orders=[tuple(worlds[i] for i in o) for o, _ in support],
+        probs=[p for _, p in support],
+    )
+
 
 def exact_feasibility(
     m: BeliefMatrix, cap: int = DEFAULT_DIMENSION_CAP
@@ -371,9 +522,11 @@ def exact_feasibility(
 
     Solves the linear-ordering-polytope membership LP with one variable per
     total order: for every pair a != b the mass of orders ranking a above b
-    must equal Z(a, b).  Feasible results carry one realizing distribution
-    (generically not unique); infeasible results carry Farkas multipliers
-    over the constraint rows certifying that no distribution exists.
+    must equal Z(a, b).  The order columns are priced implicitly
+    (``OrderColumns``), so the n! orders are never listed.  Feasible
+    results carry one realizing distribution (generically not unique);
+    infeasible results carry Farkas multipliers over the constraint rows
+    certifying that no distribution exists.
     """
     n = len(m.worlds)
     if n > cap:
@@ -382,20 +535,10 @@ def exact_feasibility(
         raise ValueError(
             "exact_feasibility needs an exact matrix; use exactified() first"
         )
-    orders = _all_orders(n)
-    labels: list[str] = []
-    a_eq: list[list[Fraction]] = []
-    b_eq: list[Fraction] = []
-    above = [_ranks_above(o) for o in orders]
-    for i in range(n):
-        for j in range(i + 1, n):
-            labels.append(f"above({m.worlds[i]},{m.worlds[j]})")
-            a_eq.append([ONE if ab[i][j] else ZERO for ab in above])
-            b_eq.append(m.z[i][j])
-    labels.append("total")
-    a_eq.append([ONE] * len(orders))
-    b_eq.append(ONE)
-    res = solve_lp(c=[ZERO] * len(orders), a_eq=a_eq, b_eq=b_eq)
+    labels, rows, b_eq = _membership_rows(m)
+    res = solve_lp(
+        c=[], a_eq=[[] for _ in rows], b_eq=b_eq, implicit=OrderColumns(n, rows)
+    )
     if res.status == "infeasible":
         cert = {
             label: y for label, y in zip(labels, res.certificate) if y != 0
@@ -406,16 +549,9 @@ def exact_feasibility(
             certificate=cert,
             note="Farkas multipliers over pairwise-marginal rows",
         )
-    support = [
-        (orders[k], x) for k, x in enumerate(res.x) if x > 0
-    ]
-    dist = OrderDistribution(
-        orders=[tuple(m.worlds[i] for i in o) for o, _ in support],
-        probs=[p for _, p in support],
-    )
     return FeasibilityResult(
         feasible=True,
-        distribution=dist,
+        distribution=_distribution(m.worlds, res.support),
         certificate=None,
         note="witness distribution is one of possibly many realizing the matrix",
     )
@@ -446,37 +582,27 @@ def minimax_cycle_bound(
     """The smallest achievable worst-case constraint-violation probability.
 
     min over distributions p of max_i P_p(violate C_i), solved exactly as an
-    LP over all n! orders with an auxiliary level variable.  The optimum for
-    an n-cycle is exactly 1/n.
+    LP over all n! orders (priced implicitly) with an auxiliary level
+    variable t.  The optimum for an n-cycle is exactly 1/n.
     """
     n = spec.n
     if n > cap:
         raise DimensionCapError(n, cap)
-    orders = _all_orders(n)
     idx = {w: i for i, w in enumerate(spec.worlds)}
-    n_orders = len(orders)
-    # Variables: p_0..p_{m-1}, then t.
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for better, worse in spec.constraint_pairs():
-        bi, wi = idx[better], idx[worse]
-        row = []
-        for o in orders:
-            row.append(ONE if o.index(wi) < o.index(bi) else ZERO)
-        row.append(-ONE)
-        a_ub.append(row)
-        b_ub.append(ZERO)
-    a_eq = [[ONE] * n_orders + [ZERO]]
-    b_eq = [ONE]
-    c = [ZERO] * n_orders + [ONE]
-    res = solve_lp(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    # Constraint i's row counts the orders ranking its worse world above its
+    # better one, minus t; the last row is the total mass.
+    rows = [(idx[worse], idx[better]) for better, worse in spec.constraint_pairs()]
+    res = solve_lp(
+        c=[ONE],
+        a_ub=[[-ONE] for _ in rows],
+        b_ub=[ZERO] * n,
+        a_eq=[[ZERO]],
+        b_eq=[ONE],
+        implicit=OrderColumns(n, rows + [None]),
+    )
     if res.status != "optimal":
         raise RuntimeError(f"minimax LP unexpectedly {res.status}")
-    support = [(orders[k], x) for k, x in enumerate(res.x[:n_orders]) if x > 0]
-    witness = OrderDistribution(
-        orders=[tuple(spec.worlds[i] for i in o) for o, _ in support],
-        probs=[p for _, p in support],
-    )
+    witness = _distribution(spec.worlds, res.support)
     return MinimaxBound(bound=res.objective, witness=witness, spec=spec)
 
 

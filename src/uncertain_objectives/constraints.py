@@ -341,9 +341,15 @@ def valid_uncertainty_patterns(
     """All inclusion-minimal valid patterns of size <= max_size.
 
     Enumerated by size then lexicographic edge order; supersets of an
-    already-found valid pattern are discarded as non-minimal.  Graphs with
-    more than ``MAX_BIT_NODES`` worlds raise ``WorldLimitError``.
+    already-found valid pattern are discarded as non-minimal.  An acyclic
+    graph's only minimal pattern is the empty one, returned without a
+    search.  Cyclic graphs with more than ``MAX_BIT_NODES`` worlds raise
+    ``WorldLimitError``, before the budget is checked.
     """
+    if not is_cyclic(g):
+        return [UncertaintyPattern(())]
+    if len(g.worlds) > _kernels.MAX_BIT_NODES:
+        raise WorldLimitError(len(g.worlds), _kernels.MAX_BIT_NODES)
     n_edges = len(g.edges)
     max_size = min(max_size, n_edges)
     total = sum(comb(n_edges, k) for k in range(max_size + 1))

@@ -61,6 +61,14 @@ class DimensionCapError(UncertainObjectivesError):
         super().__init__(f"n={n} exceeds the dimension cap {cap} (n! variables)")
 
 
+class PivotCapError(UncertainObjectivesError):
+    """The simplex method passed its pivot cap without finishing."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        super().__init__(f"simplex exceeded its cap of {cap} pivots")
+
+
 class SchemaError(UncertainObjectivesError):
     """A document does not match the scenario/matrix schema."""
 

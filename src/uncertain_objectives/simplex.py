@@ -1,21 +1,33 @@
-"""Exact two-phase simplex over Fractions.
+"""Exact two-phase revised simplex.
 
 Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0  with exact
-rational arithmetic.  Built for the shapes used here: a handful of rows and
-up to a few thousand columns (one per total order), where pivots stay cheap
-and denominators stay small.
+rational arithmetic.  Only the m x m basis inverse (integer numerators over
+one common denominator) and the basic values and duals (Fractions) are
+stored; a column is built when it is priced or enters the basis.  Besides
+the explicit columns of ``c``/``a_ub``/``a_eq``, a caller may pass an
+*implicit* family of zero-cost columns too large to list (one per total
+order, say) as a ``ColumnSource``: its pricing is a maximisation the source
+solves in integers, against the duals scaled to their common denominator.
 
-Pivoting is deterministic: Dantzig's rule (most negative reduced cost,
-smallest column index on ties) with an automatic, permanent switch to
-Bland's rule if the objective stalls, which guarantees termination.  On
-infeasibility the phase-1 duals are returned as a Farkas certificate:
-y_ub <= 0, y.A <= 0 componentwise, and y.b > 0.
+Column ids fix every choice: implicit columns take ids 0..size-1, explicit
+columns follow, then one slack per ub row, then one artificial per eq or
+negative-rhs row.  Pivoting is deterministic: Dantzig's rule (most negative
+reduced cost, smallest id on ties) with an automatic, permanent switch to
+Bland's rule (smallest id with a negative reduced cost) if the objective
+stalls, which guarantees termination; ratio-test ties go to the smaller
+basic id.  On infeasibility the phase-1 duals are returned as a Farkas
+certificate: y_ub <= 0, y.A <= 0 componentwise, and y.b > 0.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, Protocol
+
+from .errors import PivotCapError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -23,114 +35,203 @@ _STALL_LIMIT = 25
 _MAX_PIVOTS = 200_000
 
 
+class ColumnSource(Protocol):
+    """Zero-cost columns with ids 0..size-1, identified by hashable keys."""
+
+    size: int
+
+    def column(self, key) -> list[int]:
+        """Integer entries of the column on every row, ub rows then eq rows."""
+
+    def rank(self, key) -> int:
+        """The column's id."""
+
+    def best(self, weights: list[int]) -> tuple[int, Any]:
+        """Largest weights.column, and the smallest-id key attaining it."""
+
+    def first_above(self, weights: list[int], threshold: int):
+        """Smallest-id key with weights.column > threshold, or None."""
+
+
 @dataclass
 class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
-    x: list[Fraction] | None = None
+    x: list[Fraction] | None = None  # explicit columns
     objective: Fraction | None = None
     certificate: list[Fraction] | None = None  # Farkas y, ub rows then eq rows
     pivots: int = 0
+    support: list[tuple[Any, Fraction]] | None = None  # positive implicit columns, by id
 
 
-def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LpResult:
+def integer_weights(values: list[Fraction]) -> tuple[list[int], int]:
+    """The values times their common denominator, and that denominator."""
+    den = math.lcm(*(v.denominator for v in values)) if values else 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | None = None) -> LpResult:
     c = [Fraction(v) for v in c]
     n = len(c)
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    senses: list[str] = []
+    n_ub = 0
     for row, b in zip(a_ub, b_ub):
         rows.append([Fraction(v) for v in row])
         rhs.append(Fraction(b))
-        senses.append("ub")
+        n_ub += 1
     for row, b in zip(a_eq, b_eq):
         rows.append([Fraction(v) for v in row])
         rhs.append(Fraction(b))
-        senses.append("eq")
     m = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError("constraint row length does not match objective")
 
-    flip = [_ONE] * m
+    sign = [1] * m
     for i in range(m):
         if rhs[i] < 0:
-            flip[i] = -_ONE
+            sign[i] = -1
             rhs[i] = -rhs[i]
-            rows[i] = [-v for v in rows[i]]
 
-    # Column layout: x columns, then one slack per ub row, then artificials.
-    slack_col = {}
-    col_count = n
+    # Explicit columns of the sign-flipped system, by id minus ``base`` (x
+    # columns, slacks, then artificials): each is its nonzero (row, integer)
+    # entries and a denominator q, the column being those entries / q.
+    base = implicit.size if implicit is not None else 0
+    cols = []
+    for j in range(n):
+        nz = [(i, sign[i] * row[j]) for i, row in enumerate(rows) if row[j]]
+        ints, q = integer_weights([v for _, v in nz])
+        cols.append(([(i, v) for (i, _), v in zip(nz, ints)], q))
+    basis: list[int] = [0] * m
+    for i in range(n_ub):
+        if sign[i] > 0:
+            basis[i] = base + len(cols)
+        cols.append(([(i, sign[i])], 1))
+    artificial: set[int] = set()
     for i in range(m):
-        if senses[i] == "ub":
-            slack_col[i] = col_count
-            col_count += 1
-    art_col = {}
-    basis: list[int] = []
-    for i in range(m):
-        if senses[i] == "ub" and flip[i] == _ONE:
-            basis.append(slack_col[i])
-        else:
-            art_col[i] = col_count
-            col_count += 1
-            basis.append(art_col[i])
+        if i >= n_ub or sign[i] < 0:
+            basis[i] = base + len(cols)
+            artificial.add(basis[i])
+            cols.append(([(i, 1)], 1))
+    keys: dict[int, Any] = {}  # key of every implicit column that entered
 
-    tableau = []
-    for i in range(m):
-        row = rows[i] + [_ZERO] * (col_count - n)
-        if i in slack_col:
-            row[slack_col[i]] = flip[i]
-        if i in art_col:
-            row[art_col[i]] = _ONE
-        tableau.append(row)
+    # The basis inverse is inv / den: integer numerators over one positive
+    # denominator, in lowest terms.  b holds the basic values.
+    inv = [[int(r == i) for r in range(m)] for i in range(m)]
+    den = 1
     b = rhs[:]
-
-    artificial = set(art_col.values())
     pivots = 0
+
+    def int_column(j):
+        if j >= base:
+            return cols[j - base]
+        col = implicit.column(keys[j])
+        return [(r, s * v) for r, (s, v) in enumerate(zip(sign, col)) if v], 1
+
+    def ftran(col):
+        """Numerators of B^-1 times a column: its image is these / (den * q)."""
+        return [sum(row[r] * v for r, v in col) for row in inv]
+
+    def pivot(leave, d, q):
+        """Make basic, in row ``leave``, the column whose image is d / (den * q)."""
+        nonlocal den
+        p = d[leave]
+        t = b[leave] / p
+        for i in range(m):
+            if d[i] and i != leave:
+                b[i] -= d[i] * t
+        b[leave] = t * (den * q)
+        prow = inv[leave]
+        new = []
+        for i, row in enumerate(inv):
+            f = d[i]
+            if i == leave:
+                new.append([v * q * den for v in prow])
+            elif f:
+                new.append([v * p - f * w for v, w in zip(row, prow)])
+            else:
+                new.append([v * p for v in row])
+        den *= p
+        g = math.gcd(den, *itertools.chain.from_iterable(new))
+        if den < 0:
+            g = -g
+        if g != 1:
+            den //= g
+            new = [[v // g for v in row] for row in new]
+        inv[:] = new
+
+    def add_row(u, f, row):
+        return [x + f * v if v else x for x, v in zip(u, row)]
+
+    def enter_implicit(key, weights, wden):
+        j = implicit.rank(key)
+        keys[j] = key
+        score = sum(w * v for w, v in zip(weights, implicit.column(key)))
+        return j, Fraction(-score, wden)
+
+    def price(u, cost, blocked, bland):
+        """Entering column id and its reduced cost, or None at optimality."""
+
+        def reduced(j):
+            col, q = cols[j - base]
+            return cost(j) - sum((u[r] * v for r, v in col), _ZERO) / q
+
+        if implicit is not None:
+            weights, wden = integer_weights([x if s > 0 else -x for x, s in zip(u, sign)])
+        if bland:
+            if implicit is not None:
+                key = implicit.first_above(weights, 0)
+                if key is not None:
+                    return enter_implicit(key, weights, wden)
+            for j in range(base, base + len(cols)):
+                if j not in blocked:
+                    red = reduced(j)
+                    if red < 0:
+                        return j, red
+            return None
+        enter = None
+        best = _ZERO
+        if implicit is not None:
+            top, key = implicit.best(weights)
+            if top > 0:
+                enter = enter_implicit(key, weights, wden)
+                best = enter[1]
+        for j in range(base, base + len(cols)):
+            if j not in blocked:
+                red = reduced(j)
+                if red < best:
+                    best = red
+                    enter = j, red
+        return enter
 
     def run_phase(cost, blocked):
         nonlocal pivots
-        ncols = col_count
-        red = list(cost)
+        # Invariant: u = c_B B^-1 (the duals), so column j's reduced cost is
+        # cost(j) - u.column(j); z is the negated objective of the basis.
+        u = [_ZERO] * m
         z = _ZERO
         for i, bc in enumerate(basis):
-            cb = cost[bc]
+            cb = cost(bc)
             if cb:
                 z -= cb * b[i]
-                trow = tableau[i]
-                for j in range(ncols):
-                    if trow[j]:
-                        red[j] -= cb * trow[j]
-        # Invariant: red[j] is the reduced cost of column j and z is the
-        # negated objective value of the current basis.
+                u = add_row(u, cb / den, inv[i])
         bland = False
         stall = 0
         last_z = z
         while True:
-            enter = -1
-            if bland:
-                for j in range(ncols):
-                    if j in blocked:
-                        continue
-                    if red[j] < 0:
-                        enter = j
-                        break
-            else:
-                best = _ZERO
-                for j in range(ncols):
-                    if j in blocked:
-                        continue
-                    if red[j] < best:
-                        best = red[j]
-                        enter = j
-            if enter < 0:
-                return "optimal", red, -z
+            chosen = price(u, cost, blocked, bland)
+            if chosen is None:
+                return "optimal", u, -z
+            enter, red = chosen
+            col, q = int_column(enter)
+            d = ftran(col)
+            # Every image entry shares the positive divisor den * q, so
+            # comparing b[i] / d[i] orders the true ratios, ties included.
             leave = -1
             best_ratio = None
             for i in range(m):
-                a = tableau[i][enter]
-                if a > 0:
-                    ratio = b[i] / a
+                if d[i] > 0:
+                    ratio = b[i] / d[i]
                     if (
                         best_ratio is None
                         or ratio < best_ratio
@@ -139,34 +240,13 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LpResult:
                         best_ratio = ratio
                         leave = i
             if leave < 0:
-                return "unbounded", red, -z
+                return "unbounded", u, -z
             pivots += 1
             if pivots > _MAX_PIVOTS:
-                raise RuntimeError("simplex exceeded pivot cap")
-            prow = tableau[leave]
-            pval = prow[enter]
-            if pval != 1:
-                inv = _ONE / pval
-                for j in range(ncols):
-                    if prow[j]:
-                        prow[j] *= inv
-                b[leave] *= inv
-            for i in range(m):
-                if i == leave:
-                    continue
-                factor = tableau[i][enter]
-                if factor:
-                    trow = tableau[i]
-                    for j in range(ncols):
-                        if prow[j]:
-                            trow[j] -= factor * prow[j]
-                    b[i] -= factor * b[leave]
-            factor = red[enter]
-            if factor:
-                for j in range(ncols):
-                    if prow[j]:
-                        red[j] -= factor * prow[j]
-                z -= factor * b[leave]
+                raise PivotCapError(_MAX_PIVOTS)
+            pivot(leave, d, q)
+            u = add_row(u, red / den, inv[leave])
+            z -= red * b[leave]
             basis[leave] = enter
             if not bland:
                 if z == last_z:
@@ -179,62 +259,69 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LpResult:
 
     # Phase 1: drive the artificials to zero.
     if artificial:
-        cost1 = [_ZERO] * col_count
-        for j in artificial:
-            cost1[j] = _ONE
-        status, red1, obj1 = run_phase(cost1, blocked=frozenset())
+
+        def cost1(j):
+            return _ONE if j in artificial else _ZERO
+
+        status, u1, obj1 = run_phase(cost1, blocked=frozenset())
         if status != "optimal":  # phase-1 objective is bounded below by 0
             raise RuntimeError("phase 1 cannot be unbounded")
         if obj1 > 0:
-            y = [None] * m
-            for i in range(m):
-                if i in art_col:
-                    y[i] = _ONE - red1[art_col[i]]
-                else:
-                    y[i] = -flip[i] * red1[slack_col[i]]
-            cert = [flip[i] * y[i] for i in range(m)]
+            cert = [y if s > 0 else -y for s, y in zip(sign, u1)]
             return LpResult(status="infeasible", certificate=cert, pivots=pivots)
-        # Pivot surviving artificials out of the basis; drop redundant rows.
-        drop = []
+        # Pivot surviving artificials out of the basis on the first
+        # non-artificial column with a nonzero entry in their row.  A row
+        # with none is redundant: its artificial stays basic at zero, and
+        # since every column that can still enter has a zero entry there,
+        # the row never takes part in a pivot again.
         for i in range(m):
-            if basis[i] in artificial:
-                enter = -1
-                for j in range(col_count):
-                    if j not in artificial and tableau[i][j] != 0:
+            if basis[i] not in artificial:
+                continue
+            row = inv[i]
+            enter = None
+            if implicit is not None:
+                weights = [s * v for s, v in zip(sign, row)]
+                found = [
+                    key
+                    for key in (
+                        implicit.first_above(weights, 0),
+                        implicit.first_above([-w for w in weights], 0),
+                    )
+                    if key is not None
+                ]
+                if found:
+                    key = min(found, key=implicit.rank)
+                    enter = implicit.rank(key)
+                    keys[enter] = key
+            if enter is None:
+                for j in range(base, base + len(cols)):
+                    if j not in artificial and sum(row[r] * v for r, v in cols[j - base][0]):
                         enter = j
                         break
-                if enter < 0:
-                    drop.append(i)
-                    continue
-                prow = tableau[i]
-                pval = prow[enter]
-                inv = _ONE / pval
-                for j in range(col_count):
-                    if prow[j]:
-                        prow[j] *= inv
-                b[i] *= inv
-                for k in range(m):
-                    if k == i:
-                        continue
-                    factor = tableau[k][enter]
-                    if factor:
-                        trow = tableau[k]
-                        for j in range(col_count):
-                            if prow[j]:
-                                trow[j] -= factor * prow[j]
-                        b[k] -= factor * b[i]
-                basis[i] = enter
-        if drop:
-            for i in reversed(drop):
-                del tableau[i], b[i], basis[i]
-            m = len(tableau)
+            if enter is None:
+                continue
+            col, q = int_column(enter)
+            pivot(i, ftran(col), q)
+            basis[i] = enter
 
-    cost2 = c + [_ZERO] * (col_count - n)
+    def cost2(j):
+        return c[j - base] if base <= j < base + n else _ZERO
+
     status, _, obj2 = run_phase(cost2, blocked=frozenset(artificial))
     if status == "unbounded":
         return LpResult(status="unbounded", pivots=pivots)
     x = [_ZERO] * n
+    support = []
     for i, bc in enumerate(basis):
-        if bc < n:
-            x[bc] = b[i]
-    return LpResult(status="optimal", x=x, objective=obj2, pivots=pivots)
+        if base <= bc < base + n:
+            x[bc - base] = b[i]
+        elif bc < base and b[i] > 0:
+            support.append((bc, keys[bc], b[i]))
+    support.sort(key=lambda s: s[0])
+    return LpResult(
+        status="optimal",
+        x=x,
+        objective=obj2,
+        pivots=pivots,
+        support=[(key, v) for _, key, v in support] if implicit is not None else None,
+    )

@@ -235,7 +235,8 @@ def test_criterion_4_path_bound_soundness():
         m, breach = _adversarial_matrix(rng)
         violations = uo.check_path_coherence(m)
         adversarial_ok &= any(v.slack >= F(1, 1000) for v in violations)
-        adversarial_ok &= not uo.exact_feasibility(m).feasible
+        res = uo.exact_feasibility(m)
+        adversarial_ok &= not res.feasible and res.verify(m)
 
     ok = coherent_ok and adversarial_ok
     _verdict(

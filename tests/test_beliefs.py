@@ -1,9 +1,13 @@
 import itertools
+import math
 import random
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+import conftest
 from uncertain_objectives import (
     BeliefMatrix,
     CycleSpec,
@@ -16,9 +20,11 @@ from uncertain_objectives import (
     rotation_mixture,
     violation_probabilities,
 )
+from uncertain_objectives import beliefs, simplex
+from uncertain_objectives.beliefs import OrderColumns
 from uncertain_objectives.errors import DimensionCapError
 
-from conftest import random_distribution, reference_pairwise
+from conftest import dense_solve_lp, random_distribution, reference_pairwise
 
 
 def matrix3(z12, z13, z23, **kw):
@@ -179,6 +185,7 @@ class TestExactFeasibility:
             m = matrix_from_distribution(d)
             res = exact_feasibility(m)
             assert res.feasible
+            assert res.verify(m)
             again = matrix_from_distribution(res.distribution, worlds=m.worlds)
             assert again.z == m.z
 
@@ -187,6 +194,7 @@ class TestExactFeasibility:
         # sum_i y_i * (orders ranking a above b) <= 0 for every order column
         # while sum_i y_i * z_i > 0.
         res = exact_feasibility(FORCED_VIOLATION)
+        assert res.verify(FORCED_VIOLATION)
         cert = res.certificate
         worlds = FORCED_VIOLATION.worlds
         pairs = [(i, j) for i in range(3) for j in range(i + 1, 3)]
@@ -215,6 +223,34 @@ class TestExactFeasibility:
         with pytest.raises(DimensionCapError):
             exact_feasibility(m, cap=7)
 
+    def test_verify_rejects_wrong_answers(self):
+        m = matrix_from_distribution(rotation_mixture(3), worlds=("x1", "x2", "x3"))
+        res = exact_feasibility(m)
+        assert res.verify(m)
+        assert not res.verify(FORCED_VIOLATION)
+        orders = res.distribution.orders
+        moved = OrderDistribution(orders, [F(1)] + [F(0)] * (len(orders) - 1))
+        assert not replace(res, distribution=moved).verify(m)
+        assert not replace(res, distribution=None).verify(m)
+
+        bad = exact_feasibility(FORCED_VIOLATION)
+        cert = bad.certificate
+        assert not bad.verify(m)  # no multipliers refute a realizable matrix
+        assert not replace(bad, certificate={k: -v for k, v in cert.items()}).verify(FORCED_VIOLATION)
+        assert not replace(bad, certificate={}).verify(FORCED_VIOLATION)
+        assert not replace(bad, certificate={**cert, "above(x1,x9)": F(1)}).verify(FORCED_VIOLATION)
+        # Raising the total row lifts y.A above zero on some order.
+        lifted = {**cert, "total": cert.get("total", F(0)) + 1}
+        assert not replace(bad, certificate=lifted).verify(FORCED_VIOLATION)
+
+    def test_feasibility_at_eight_worlds(self):
+        # 8! = 40320 orders: the order columns are priced, never listed.
+        d = random_distribution(random.Random(8), 8, 12)
+        m = matrix_from_distribution(d)
+        res = exact_feasibility(m, cap=8)
+        assert res.feasible
+        assert res.verify(m)
+
     def test_float_matrix_rejected(self):
         m = BeliefMatrix(("a", "b"), [[0.5, 0.7], [0.3, 0.5]])
         with pytest.raises(ValueError):
@@ -228,6 +264,19 @@ class TestMinimax:
         res = minimax_cycle_bound(spec)
         assert res.bound == F(1, n)
         assert max(violation_probabilities(res.witness, spec)) == F(1, n)
+
+    def test_bound_at_nine_worlds_without_listing_orders(self):
+        spec = CycleSpec(tuple(f"x{i + 1}" for i in range(9)))
+        tracemalloc.start()
+        try:
+            res = minimax_cycle_bound(spec, cap=9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.bound == F(1, 9)
+        assert max(violation_probabilities(res.witness, spec)) == F(1, 9)
+        # A bare list with one pointer per order would already take more.
+        assert peak < math.factorial(9) * 8
 
     def test_random_search_never_beats_the_bound(self):
         # Oracle cross-check: 10^4 random distributions over the 4-cycle all
@@ -304,3 +353,105 @@ class TestMonotoneNecessity:
                 grid[b][a] = 1 - v
             m = BeliefMatrix(worlds, grid)
             assert not exact_feasibility(m).feasible
+
+
+class TestOrderColumns:
+    """The subset DP that prices order columns, against all n! orders."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dp_matches_brute_force(self, n):
+        rng = random.Random(100 + n)
+        orders = list(itertools.permutations(range(n)))
+        choices = [(a, b) for a in range(n) for b in range(n) if a != b] + [None]
+        for _ in range(20 if n == 6 else 40):
+            rows = [rng.choice(choices) for _ in range(rng.randint(1, n * n))]
+            # Small weights, so that many orders tie.
+            weights = [rng.randint(-2, 2) for _ in rows]
+            src = OrderColumns(n, rows)
+            cols = [
+                [1 if r is None or o.index(r[0]) < o.index(r[1]) else 0 for r in rows]
+                for o in orders
+            ]
+            scores = [sum(w * v for w, v in zip(weights, col)) for col in cols]
+            top = max(scores)
+            assert src.best(weights) == (top, orders[scores.index(top)])
+            for t in sorted(set(scores)) + [min(scores) - 1]:
+                want = next((o for o, s in zip(orders, scores) if s > t), None)
+                assert src.first_above(weights, t) == want
+            for k in rng.sample(range(len(orders)), min(12, len(orders))):
+                assert src.rank(orders[k]) == k
+                assert src.column(orders[k]) == cols[k]
+        assert src.size == len(orders)
+
+
+@pytest.fixture
+def dense_checked(monkeypatch):
+    """Solve every LP of ``beliefs`` twice, by the library and by the dense
+    reference simplex with all n! order columns written out, and require
+    the same status, x, objective, certificate and pivot count."""
+    solve = beliefs.solve_lp
+    pivots = []
+
+    def checked(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        ref = dense_solve_lp(*args, **kwargs)
+        assert (res.status, res.x, res.objective, res.certificate, res.pivots, res.support) == (
+            ref.status, ref.x, ref.objective, ref.certificate, ref.pivots, ref.support
+        )
+        pivots.append(res.pivots)
+        return res
+
+    monkeypatch.setattr(beliefs, "solve_lp", checked)
+    return pivots
+
+
+def _random_matrix(rng, n):
+    den = rng.choice((2, 3, 4, 6))
+    grid = [[F(1, 2)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = F(rng.randint(0, den), den)
+            grid[i][j] = v
+            grid[j][i] = 1 - v
+    return BeliefMatrix(tuple(f"w{i}" for i in range(n)), grid)
+
+
+def _seeded_matrices(seed, count, sizes):
+    rng = random.Random(seed)
+    for k in range(count):
+        n = sizes[k % len(sizes)]
+        if k % 2:
+            yield matrix_from_distribution(random_distribution(rng, n, rng.randint(1, 8)))
+        else:
+            yield _random_matrix(rng, n)
+
+
+class TestDenseReference:
+    def test_membership_matches_dense_simplex(self, dense_checked):
+        # 300 matrices, half marginals and half random entries; six at
+        # n = 6, where the dense reference takes about a second per LP.
+        sizes = [3, 4, 5] * 16 + [6]
+        verdicts = set()
+        for m in _seeded_matrices(2024, 300, sizes):
+            res = exact_feasibility(m)
+            assert res.verify(m)
+            verdicts.add(res.feasible)
+        assert verdicts == {True, False}
+        assert len(dense_checked) == 300
+
+    def test_minimax_matches_dense_simplex(self, dense_checked):
+        for n in range(3, 7):
+            spec = CycleSpec(tuple(f"x{i + 1}" for i in range(n)))
+            assert minimax_cycle_bound(spec).bound == F(1, n)
+        assert len(dense_checked) == 4
+
+    def test_blands_rule_matches_dense_simplex(self, dense_checked, monkeypatch):
+        # With no stall allowance both solvers switch to Bland's rule at the
+        # first degenerate pivot, so its order pricing is compared too.
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
+        monkeypatch.setattr(conftest, "_STALL_LIMIT", 0)
+        for m in _seeded_matrices(7, 60, [3, 4, 5]):
+            assert exact_feasibility(m).verify(m)
+        for n in range(3, 6):
+            spec = CycleSpec(tuple(f"x{i + 1}" for i in range(n)))
+            assert minimax_cycle_bound(spec).bound == F(1, n)

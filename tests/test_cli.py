@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from uncertain_objectives import simplex
 from uncertain_objectives.cli import main
 
 from conftest import GOLDEN, SCENARIOS
@@ -15,6 +16,18 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, buf.getvalue(), err.getvalue()
+
+
+def path_graph_doc(n, closed):
+    """Scenario with constraints w0 -> w1 -> ... -> w(n-1), and back to w0
+    when ``closed``."""
+    return {
+        "worlds": {f"w{i}": [[str(i), 1]] for i in range(n)},
+        "constraints": [
+            {"label": f"C{i + 1}", "from": f"w{i}", "to": f"w{(i + 1) % n}"}
+            for i in range(n if closed else n - 1)
+        ],
+    }
 
 
 GOLDEN_CASES = {
@@ -183,19 +196,43 @@ class TestExitCodes:
         assert code == 1 and "acyclic" in err
 
     def test_analyze_above_world_limit_is_error(self, tmp_path):
-        n = 64
-        doc = {
-            "worlds": {f"w{i}": [[str(i), 1]] for i in range(n)},
-            "constraints": [
-                {"label": f"C{i + 1}", "from": f"w{i}", "to": f"w{(i + 1) % n}"}
-                for i in range(n)
-            ],
-        }
         path = tmp_path / "ring64.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(path_graph_doc(64, closed=True)))
         code, out, err = run_cli("analyze", str(path), "--max-pattern-size", "2")
         assert code == 1 and out == ""
         assert err == "error: graph has 64 worlds; the pattern search supports at most 62\n"
+
+    def test_analyze_above_world_limit_at_default_budget(self, tmp_path):
+        # 2^64 candidate subsets, but the world limit is reported: raising
+        # the budget would not help.
+        path = tmp_path / "ring64.json"
+        path.write_text(json.dumps(path_graph_doc(64, closed=True)))
+        code, out, err = run_cli("analyze", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: graph has 64 worlds; the pattern search supports at most 62\n"
+
+    def test_analyze_acyclic_chain_above_world_limit(self, tmp_path):
+        path = tmp_path / "chain64.json"
+        path.write_text(json.dumps(path_graph_doc(64, closed=False)))
+        code, out, _ = run_cli("analyze", str(path))
+        assert code == 0
+        findings = json.loads(out)["findings"]
+        assert findings["certificate"] is None
+        assert findings["min_uncertainty_size"] == 0
+        assert findings["minimal_patterns"] == [{"indices": [], "labels": []}]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coherence", str(SCENARIOS / "rotation_matrix.json"), "--exact"),
+            ("bound", "--n", "4"),
+        ],
+    )
+    def test_pivot_cap_is_error(self, argv, monkeypatch):
+        monkeypatch.setattr(simplex, "_MAX_PIVOTS", 1)
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == ""
+        assert err == "error: simplex exceeded its cap of 1 pivots\n"
 
     def test_decide_on_infeasible_matrix_is_error(self, tmp_path):
         doc = {

@@ -23,7 +23,12 @@ from uncertain_objectives.errors import (
     WorldLimitError,
 )
 
-from conftest import random_graph, reference_pattern_valid, reference_smallest_cycle
+from conftest import (
+    random_graph,
+    reference_minimal_patterns,
+    reference_pattern_valid,
+    reference_smallest_cycle,
+)
 
 
 def cycle_graph(n: int) -> ConstraintGraph:
@@ -189,9 +194,28 @@ class TestPatterns:
         g = cycle_graph(64)
         with pytest.raises(WorldLimitError, match="64 worlds.*at most 62"):
             valid_uncertainty_patterns(g, 2)
+        with pytest.raises(WorldLimitError):  # before the 2^64-subset budget
+            valid_uncertainty_patterns(g, 64)
         with pytest.raises(WorldLimitError):
             min_uncertainty_size(g)
         assert len(valid_uncertainty_patterns(cycle_graph(62), 2)) == 62 * 61 // 2
+
+    def test_acyclic_graph_has_only_the_empty_pattern(self):
+        chain = ConstraintGraph.from_edges([(f"w{i}", f"w{i + 1}") for i in range(63)])
+        assert valid_uncertainty_patterns(chain, 63) == [UncertaintyPattern(())]
+        rng = random.Random(97)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            rank = list(range(n))
+            rng.shuffle(rank)
+            # Every edge points up the random ranking, so no cycle exists.
+            pairs = [(f"n{a}", f"n{b}") for a in range(n) for b in range(n) if rank[a] < rank[b]]
+            chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
+            g = ConstraintGraph.from_edges(
+                [(u, v, f"E{i}") for i, (u, v) in enumerate(chosen)],
+                worlds=tuple(f"n{i}" for i in range(n)),
+            )
+            assert valid_uncertainty_patterns(g, len(g.edges)) == reference_minimal_patterns(g)
 
     def test_world_limit_spares_acyclic_and_single_pattern_calls(self):
         chain = ConstraintGraph.from_edges([(f"w{i}", f"w{i + 1}") for i in range(70)])

@@ -1,11 +1,28 @@
 from fractions import Fraction as F
 
+import pytest
+
+from uncertain_objectives import simplex
+from uncertain_objectives.errors import PivotCapError, UncertainObjectivesError
 from uncertain_objectives.simplex import solve_lp
+
+from conftest import reference_solve_lp
+
+
+def solve(**lp):
+    """``solve_lp``, checked against the dense reference simplex: same
+    status, x, objective, certificate and pivot count."""
+    res = solve_lp(**lp)
+    ref = reference_solve_lp(**lp)
+    assert (res.status, res.x, res.objective, res.certificate, res.pivots) == (
+        ref.status, ref.x, ref.objective, ref.certificate, ref.pivots
+    )
+    return res
 
 
 def test_simple_minimization():
     # min x + 2y  s.t.  x + y >= 1 (as -x - y <= -1), x,y >= 0 -> x=1, y=0
-    res = solve_lp(c=[F(1), F(2)], a_ub=[[F(-1), F(-1)]], b_ub=[F(-1)])
+    res = solve(c=[F(1), F(2)], a_ub=[[F(-1), F(-1)]], b_ub=[F(-1)])
     assert res.status == "optimal"
     assert res.objective == 1
     assert res.x == [F(1), F(0)]
@@ -13,7 +30,7 @@ def test_simple_minimization():
 
 def test_equality_constraints():
     # min 3x + y  s.t.  x + y = 2, x - y = 0 -> x = y = 1
-    res = solve_lp(
+    res = solve(
         c=[F(3), F(1)],
         a_eq=[[F(1), F(1)], [F(1), F(-1)]],
         b_eq=[F(2), F(0)],
@@ -25,13 +42,27 @@ def test_equality_constraints():
 
 def test_exact_rational_optimum():
     # min -x  s.t.  3x <= 1  -> x = 1/3 exactly
-    res = solve_lp(c=[F(-1)], a_ub=[[F(3)]], b_ub=[F(1)])
+    res = solve(c=[F(-1)], a_ub=[[F(3)]], b_ub=[F(1)])
     assert res.x == [F(1, 3)]
     assert res.objective == F(-1, 3)
 
 
+def test_fractional_coefficients_and_negative_rhs():
+    # min x + y  s.t.  x/2 + y/3 >= 1 (as -x/2 - y/3 <= -1),  x - y = -1/2
+    res = solve(
+        c=[F(1), F(1)],
+        a_ub=[[F(-1, 2), F(-1, 3)]],
+        b_ub=[F(-1)],
+        a_eq=[[F(1), F(-1)]],
+        b_eq=[F(-1, 2)],
+    )
+    assert res.status == "optimal"
+    assert res.x == [F(1), F(3, 2)]
+    assert res.objective == F(5, 2)
+
+
 def test_unbounded():
-    res = solve_lp(c=[F(-1)], a_ub=[[F(-1)]], b_ub=[F(0)])
+    res = solve(c=[F(-1)], a_ub=[[F(-1)]], b_ub=[F(0)])
     assert res.status == "unbounded"
 
 
@@ -39,7 +70,7 @@ def test_infeasible_with_farkas_certificate():
     # x >= 2 and x <= 1 cannot hold together.
     a_ub = [[F(-1)], [F(1)]]
     b_ub = [F(-2), F(1)]
-    res = solve_lp(c=[F(0)], a_ub=a_ub, b_ub=b_ub)
+    res = solve(c=[F(0)], a_ub=a_ub, b_ub=b_ub)
     assert res.status == "infeasible"
     y = res.certificate
     # y_ub <= 0, y.A <= 0 componentwise, y.b > 0
@@ -53,7 +84,7 @@ def test_infeasible_equalities_certificate():
     # x + y = 1 and x + y = 2.
     a_eq = [[F(1), F(1)], [F(1), F(1)]]
     b_eq = [F(1), F(2)]
-    res = solve_lp(c=[F(0), F(0)], a_eq=a_eq, b_eq=b_eq)
+    res = solve(c=[F(0), F(0)], a_eq=a_eq, b_eq=b_eq)
     assert res.status == "infeasible"
     y = res.certificate
     for j in range(2):
@@ -63,7 +94,7 @@ def test_infeasible_equalities_certificate():
 
 def test_redundant_equalities():
     # Duplicate rows must not break phase 2.
-    res = solve_lp(
+    res = solve(
         c=[F(1), F(1)],
         a_eq=[[F(1), F(1)], [F(2), F(2)]],
         b_eq=[F(1), F(2)],
@@ -77,6 +108,14 @@ def test_degenerate_problem_terminates():
     n = 6
     a_ub = [[F(1)] * n for _ in range(8)]
     b_ub = [F(1)] * 8
-    res = solve_lp(c=[F(-1)] * n, a_ub=a_ub, b_ub=b_ub)
+    res = solve(c=[F(-1)] * n, a_ub=a_ub, b_ub=b_ub)
     assert res.status == "optimal"
     assert res.objective == -1
+
+
+def test_pivot_cap_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(simplex, "_MAX_PIVOTS", 1)
+    with pytest.raises(PivotCapError, match="cap of 1 pivots") as err:
+        solve_lp(c=[F(3), F(1)], a_eq=[[F(1), F(1)], [F(1), F(-1)]], b_eq=[F(2), F(0)])
+    assert err.value.cap == 1
+    assert isinstance(err.value, UncertainObjectivesError)
