@@ -68,15 +68,18 @@ def pairwise_matrix(orders: np.ndarray, probs: np.ndarray, n: int) -> np.ndarray
     return np.einsum("m,mab->ab", probs, above)
 
 
-def path_slacks(z: np.ndarray, paths: np.ndarray) -> np.ndarray:
+def path_slacks(z: np.ndarray, paths: np.ndarray, one=1.0) -> np.ndarray:
     """Violation slack of the chained-bound check for each path.
 
     ``paths`` holds world indices, shape (P, k); slack > 0 means the span
     probability z[first, last] lies outside [lower, upper] by that amount.
+    ``z`` holds probabilities in units of ``one``: float64 with ``one = 1.0``,
+    or integer numerators (int64 or object arrays of Python ints) over a
+    common denominator ``one``, whose slacks are then exact numerators.
     """
     step = z[paths[:, :-1], paths[:, 1:]]
     total = step.sum(axis=1)
-    upper = np.minimum(1.0, total)
-    lower = np.maximum(0.0, 1.0 - ((1.0 - step).sum(axis=1)))
+    upper = np.minimum(one, total)
+    lower = np.maximum(one - one, one - ((one - step).sum(axis=1)))
     span = z[paths[:, 0], paths[:, -1]]
     return np.maximum(lower - span, span - upper)

@@ -9,21 +9,24 @@ these pairwise marginals, i.e. when Z lies in the linear ordering polytope.
 
 Two checkers are provided.  ``check_path_coherence`` applies the chained
 necessary condition along every simple path: the span probability must lie
-within [1 - sum(1 - z_i), sum(z_i)].  ``exact_feasibility`` decides polytope
-membership exactly at small n by solving an LP with one variable per total
-order.  ``minimax_cycle_bound`` minimizes, over all distributions, the worst
+within [1 - sum(1 - z_i), sum(z_i)].  It grows paths a world at a time and
+drops the prefixes no extension of which can break its bound.
+``exact_feasibility`` decides polytope membership exactly by solving an LP
+with one variable per total order, priced without listing the orders.
+``minimax_cycle_bound`` minimizes, over all distributions, the worst
 violation probability among the constraints of an n-step cycle; the optimum
 is exactly 1/n, achieved by the uniform mixture of cyclic rotations.
 
 Default arithmetic is exact rationals.  Matrices and distributions may also
 carry floats ("float mode") for larger randomized work, with a 1e-9
-tolerance on their validation and kernel-backed scans; the LP-based
-operations require exact inputs.
+tolerance on their validation and path scans; the LP-based operations
+require exact inputs.  The path scan is one code path for both: exact
+matrices run on integer numerators over a common denominator, float ones on
+float64, and results carry ``Fraction``s or floats to match.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -287,54 +290,92 @@ class PathViolation:
         }
 
 
+def _scan_numbers(m: BeliefMatrix):
+    """The matrix in the scan's number type: (z, one, value).
+
+    Exact matrices become integer numerators over the LCM ``one`` of their
+    denominators, int64 while no sum along a path can overflow and Python
+    ints past that; float matrices stay float64 with ``one = 1.0``.
+    ``value`` turns a scan number back into the matrix's own type.
+    """
+    if not m.is_exact:
+        return m.as_float_array(), 1.0, float
+    n = len(m.worlds)
+    d = math.lcm(*(v.denominator for row in m.z for v in row))
+    dtype = np.int64 if n * d < 1 << 62 else object
+    z = np.array([[v.numerator * (d // v.denominator) for v in row] for row in m.z], dtype=dtype)
+    return z, d, lambda x: Fraction(x, d)
+
+
+# Prefixes grown at once are capped near this many rows, which bounds the
+# scan's memory; larger frontiers are grown a block at a time.
+_SCAN_BLOCK_ROWS = 1 << 16
+
+
 def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> list[PathViolation]:
     """Report every simple path whose span probability breaks its chained bound.
 
     Paths of up to ``max_path_len`` worlds (default: all of them) are scanned;
-    two-world paths cannot violate and are skipped.  An empty list on every
+    two-world paths cannot violate and are skipped.  Violations come by path
+    length, then in ``itertools.permutations`` order.  An empty list on every
     matrix derived from an actual order distribution is a theorem, so a
     non-empty result certifies that no distribution realizes the matrix.
+
+    The scan grows simple paths one world at a time and drops a prefix once
+    both its step sum S and its complement sum C reach one: every extension
+    then has upper bound 1 and lower bound 0, which no span breaks.  Float
+    matrices prune only with a margin of (n + 1) * FLOAT_TOL, and never below
+    a first world whose row leaves [0, 1] by more than FLOAT_TOL, so every
+    path with slack above FLOAT_TOL is still visited.
     """
     n = len(m.worlds)
     limit = n if max_path_len is None else min(max_path_len, n)
-    violations: list[PathViolation] = []
     if limit < 3:
-        return violations
-    if m.is_exact:
-        for k in range(3, limit + 1):
-            for path in itertools.permutations(range(n), k):
-                chain = [m.z[path[s]][path[s + 1]] for s in range(k - 1)]
-                lower, upper = path_bounds(chain)
-                span = m.z[path[0]][path[-1]]
-                if span < lower or span > upper:
-                    violations.append(
-                        PathViolation(
-                            tuple(m.worlds[i] for i in path),
-                            span,
-                            lower,
-                            upper,
-                            max(lower - span, span - upper),
-                        )
-                    )
-        return violations
-    z = m.as_float_array()
-    for k in range(3, limit + 1):
-        paths = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64)
-        slacks = _kernels.path_slacks(z, paths)
-        for row, slack in zip(paths, slacks):
-            if slack > FLOAT_TOL:
-                chain = [z[row[s], row[s + 1]] for s in range(k - 1)]
-                lower, upper = path_bounds(chain)
-                violations.append(
+        return []
+    z, one, value = _scan_numbers(m)
+    zl = z.tolist()
+    zero = one - one
+    tol = zero if m.is_exact else FLOAT_TOL
+    reach = one + (n + 1) * tol
+    unprunable = np.maximum(z - one, -z).max(axis=1) > tol
+    found: list[list[PathViolation]] = [[] for _ in range(limit + 1)]
+    # Blocks of j-world prefixes, next block last.  A block's extensions are
+    # reported and then grown further before the next block's, so every
+    # length's violations stay in lexicographic order.
+    stack = [(np.arange(n).reshape(n, 1), np.eye(n, dtype=bool), np.zeros(n, dtype=z.dtype))]
+    while stack:
+        paths, used, sums = stack.pop()
+        j = paths.shape[1]
+        rows, nxt = np.nonzero(~used)
+        sums = sums[rows] + z[paths[rows, -1], nxt]
+        paths = np.column_stack((paths[rows], nxt))
+        used = used[rows]
+        used[np.arange(len(rows)), nxt] = True
+        live = (sums < reach) | (j * one - sums < reach) | unprunable[paths[:, 0]]
+        paths, used, sums = paths[live], used[live], sums[live]
+        k = j + 1
+        if k >= 3 and len(paths):
+            slacks = _kernels.path_slacks(z, paths, one)
+            flagged = slacks > tol
+            for path, slack in zip(paths[flagged].tolist(), slacks[flagged].tolist()):
+                chain = [zl[a][b] for a, b in zip(path, path[1:])]
+                found[k].append(
                     PathViolation(
-                        tuple(m.worlds[i] for i in row),
-                        z[row[0], row[-1]],
-                        lower,
-                        upper,
-                        float(slack),
+                        tuple(m.worlds[i] for i in path),
+                        value(zl[path[0]][path[-1]]),
+                        value(max(zero, one - sum(one - s for s in chain))),
+                        value(min(one, sum(chain))),
+                        value(slack),
                     )
                 )
-    return violations
+        if k < limit:
+            block = max(1, _SCAN_BLOCK_ROWS // (n - k))
+            starts = range(0, len(paths), block)
+            stack.extend(
+                (paths[lo : lo + block], used[lo : lo + block], sums[lo : lo + block])
+                for lo in reversed(starts)
+            )
+    return [pv for level in found for pv in level]
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +603,23 @@ class MinimaxBound:
     bound: Fraction
     witness: OrderDistribution
     spec: CycleSpec
+
+    def verify(self) -> bool:
+        """Check that the witness attains the bound in exact arithmetic.
+
+        The witness must be an exact distribution over orders of the cycle's
+        worlds, summing to 1, whose worst constraint-violation probability
+        equals ``bound``.  Optimality (no distribution does better) is the
+        LP's claim and is not re-derived here.
+        """
+        d = self.witness
+        return (
+            isinstance(self.bound, Fraction)
+            and d.is_exact
+            and sum(d.probs) == ONE
+            and set(d.orders[0]) == set(self.spec.worlds)
+            and max(violation_probabilities(d, self.spec)) == self.bound
+        )
 
 
 def violation_probabilities(d: OrderDistribution, spec: CycleSpec) -> list:

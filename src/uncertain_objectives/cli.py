@@ -191,8 +191,15 @@ def _load_matrix(path: str):
 
 
 def _cmd_coherence(args) -> tuple[dict, bool]:
+    if args.max_path_len is not None and args.max_path_len < 2:
+        raise UncertainObjectivesError(
+            f"--max-path-len must be at least 2 (a path has two or more worlds), "
+            f"got {args.max_path_len}"
+        )
     matrix, digest = _load_matrix(args.matrix)
-    violations = check_path_coherence(matrix, args.max_path_len)
+    n = len(matrix.worlds)
+    max_path_len = n if args.max_path_len is None else min(args.max_path_len, n)
+    violations = check_path_coherence(matrix, max_path_len)
     exact_part = None
     infeasible = False
     if args.exact:
@@ -211,7 +218,7 @@ def _cmd_coherence(args) -> tuple[dict, bool]:
     findings = {
         "worlds": list(matrix.worlds),
         "evidence_tag": matrix.evidence_tag,
-        "max_path_len": args.max_path_len or len(matrix.worlds),
+        "max_path_len": max_path_len,
         "path_violations": [pv.to_json() for pv in violations],
         "exact": exact_part,
     }

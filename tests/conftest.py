@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uncertain_objectives import (
@@ -19,6 +20,8 @@ from uncertain_objectives import (
     Population,
     UncertaintyPattern,
 )
+from uncertain_objectives import _kernels
+from uncertain_objectives.beliefs import FLOAT_TOL, PathViolation, path_bounds
 from uncertain_objectives.simplex import LpResult
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -144,16 +147,63 @@ def reference_smallest_cycle(graph: ConstraintGraph):
     return best
 
 
-def reference_path_slacks(z, paths) -> list[float]:
-    """Chained-bound violation slack per path, by a plain scalar loop."""
+def reference_path_slacks(z, paths, one=1.0) -> list:
+    """Chained-bound violation slack per path, by a plain scalar loop over
+    probabilities in units of ``one``."""
     out = []
     for path in paths:
         steps = [z[a][b] for a, b in zip(path, path[1:])]
-        upper = min(1.0, sum(steps))
-        lower = max(0.0, 1.0 - sum(1.0 - s for s in steps))
+        upper = min(one, sum(steps))
+        lower = max(one - one, one - sum(one - s for s in steps))
         span = z[path[0]][path[-1]]
         out.append(max(lower - span, span - upper))
     return out
+
+
+def reference_path_violations(m, max_path_len=None) -> list:
+    """The path scan the library used before its pruned scan, kept verbatim
+    as an oracle: every simple path, one ``Fraction`` bound per path on
+    exact matrices and the kernel over all permutations on float ones."""
+    n = len(m.worlds)
+    limit = n if max_path_len is None else min(max_path_len, n)
+    violations: list[PathViolation] = []
+    if limit < 3:
+        return violations
+    if m.is_exact:
+        for k in range(3, limit + 1):
+            for path in itertools.permutations(range(n), k):
+                chain = [m.z[path[s]][path[s + 1]] for s in range(k - 1)]
+                lower, upper = path_bounds(chain)
+                span = m.z[path[0]][path[-1]]
+                if span < lower or span > upper:
+                    violations.append(
+                        PathViolation(
+                            tuple(m.worlds[i] for i in path),
+                            span,
+                            lower,
+                            upper,
+                            max(lower - span, span - upper),
+                        )
+                    )
+        return violations
+    z = m.as_float_array()
+    for k in range(3, limit + 1):
+        paths = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64)
+        slacks = _kernels.path_slacks(z, paths)
+        for row, slack in zip(paths, slacks):
+            if slack > FLOAT_TOL:
+                chain = [z[row[s], row[s + 1]] for s in range(k - 1)]
+                lower, upper = path_bounds(chain)
+                violations.append(
+                    PathViolation(
+                        tuple(m.worlds[i] for i in row),
+                        z[row[0], row[-1]],
+                        lower,
+                        upper,
+                        float(slack),
+                    )
+                )
+    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,120 @@ class TestPathCoherence:
         }
 
 
+def random_entry_matrix(rng, n, den, as_float=False):
+    worlds = tuple(f"w{i}" for i in range(n))
+    z = [[F(1, 2)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = F(rng.randint(0, den), den)
+            z[i][j], z[j][i] = v, 1 - v
+    if as_float:
+        z = [[float(v) for v in row] for row in z]
+    return BeliefMatrix(worlds, z)
+
+
+def float_matrix(n, entries):
+    """Float matrix with z[i][j] = v and z[j][i] = 1 - v for each (i, j): v
+    in ``entries``, and 1/2 elsewhere."""
+    z = [[0.5] * n for _ in range(n)]
+    for (i, j), v in entries.items():
+        z[i][j], z[j][i] = v, 1.0 - v
+    return BeliefMatrix(tuple(f"w{i}" for i in range(n)), z)
+
+
+class TestPathScanMatchesReference:
+    """The pruned scan against the full scan it replaced, element for element
+    (exact values are ``Fraction``s, float values are the old floats)."""
+
+    @staticmethod
+    def assert_same(m):
+        # The reference scans lengths 3, 4, ... in turn, so a limit only
+        # truncates its full list.
+        n = len(m.worlds)
+        full = conftest.reference_path_violations(m)
+        for limit in [None, *range(n + 2)]:
+            got = check_path_coherence(m, limit)
+            assert got == [pv for pv in full if len(pv.path) <= (n if limit is None else limit)]
+            if m.is_exact:
+                assert all(
+                    type(v) is F for pv in got for v in (pv.span, pv.lower, pv.upper, pv.slack)
+                )
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_exact_feasible_class(self, n):
+        rng = random.Random(500 + n)
+        for _ in range(1 if n == 7 else 4):
+            self.assert_same(matrix_from_distribution(random_distribution(rng, n, rng.randint(1, 8))))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_exact_random_entries(self, n):
+        rng = random.Random(600 + n)
+        for _ in range(1 if n == 7 else 4):
+            self.assert_same(random_entry_matrix(rng, n, rng.choice((2, 3, 4, 6, 10))))
+
+    def test_float_random_entries(self):
+        rng = random.Random(700)
+        for n in (3, 4, 5, 6):
+            self.assert_same(random_entry_matrix(rng, n, 12, as_float=True))
+
+    def test_float_entries_at_the_tolerance_edges(self):
+        # An entry of -FLOAT_TOL puts 1 + FLOAT_TOL (as rounded) at its
+        # complement, whose excess over 1 is itself a slack above FLOAT_TOL.
+        tol = beliefs.FLOAT_TOL
+        m = float_matrix(5, {(1, 0): -tol, (1, 2): -tol, (3, 2): -tol, (3, 4): -tol, (0, 4): -tol})
+        self.assert_same(m)
+        for seed in range(5):
+            rng = random.Random(seed)
+            entries = {
+                rng.choice(((i, j), (j, i))): rng.choice((-tol, 0.0, 0.25, 0.5, 1.0))
+                for i in range(6) for j in range(i + 1, 6)
+            }
+            self.assert_same(float_matrix(6, entries))
+
+    def test_float_slack_just_above_and_below_tolerance(self):
+        tol = beliefs.FLOAT_TOL
+        for delta, flagged in ((1e-12, True), (-1e-12, False)):
+            m = float_matrix(4, {(0, 1): 0.3, (1, 2): 0.3, (0, 2): 0.6 + tol + delta})
+            self.assert_same(m)
+            paths = {pv.path for pv in check_path_coherence(m)}
+            assert (("w0", "w1", "w2") in paths) is flagged
+
+    def test_float_prefix_past_one_still_extends(self):
+        # The steps along w0..w3 sum to 1 + FLOAT_TOL (the complements to
+        # 2 - FLOAT_TOL), so a prune without its margin would drop that
+        # prefix; three steps at -FLOAT_TOL then bring the seven-world path
+        # 2e-9 below its span of 1.
+        tol = beliefs.FLOAT_TOL
+        steps = [0.5, 0.5 + tol, 0.0, -tol, -tol, -tol]
+        entries = {(i, i + 1): v for i, v in enumerate(steps)}
+        m = float_matrix(7, {**entries, (0, 6): 1.0})
+        self.assert_same(m)
+        path = tuple(f"w{i}" for i in range(7))
+        assert any(pv.path == path for pv in check_path_coherence(m))
+
+    def test_python_int_fallback(self):
+        # Denominators whose LCM times n passes 2^62 leave int64.
+        dens = (10**9 + 7, 10**9 + 9, 998_244_353, 754_974_721, 167_772_161, 469_762_049)
+        rng = random.Random(800)
+        z = [[F(1, 2)] * 4 for _ in range(4)]
+        for (i, j), d in zip(itertools.combinations(range(4), 2), dens):
+            v = F(rng.randint(0, d), d)
+            z[i][j], z[j][i] = v, 1 - v
+        m = BeliefMatrix(("a", "b", "c", "d"), z)
+        assert beliefs._scan_numbers(m)[0].dtype == object
+        self.assert_same(m)
+        assert check_path_coherence(m)
+
+    def test_seventy_float_worlds_at_three(self):
+        rng = random.Random(900)
+        n = 70
+        entries = {(i, j): rng.uniform(0.25, 0.75) for i in range(n) for j in range(i + 1, n)}
+        m = float_matrix(n, entries)
+        got = check_path_coherence(m, 3)
+        assert got == conftest.reference_path_violations(m, 3)
+        assert got
+
+
 class TestExactFeasibility:
     def test_point_mass_matrix_feasible_and_roundtrips(self):
         d = OrderDistribution(orders=[("x3", "x2", "x1")], probs=[F(1)])
@@ -277,6 +391,24 @@ class TestMinimax:
         assert max(violation_probabilities(res.witness, spec)) == F(1, 9)
         # A bare list with one pointer per order would already take more.
         assert peak < math.factorial(9) * 8
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_result_verifies(self, n):
+        spec = CycleSpec(tuple(f"x{i + 1}" for i in range(n)))
+        res = minimax_cycle_bound(spec, cap=9)
+        assert res.bound == F(1, n)
+        assert res.verify()
+
+    def test_verify_rejects_a_witness_off_the_bound(self):
+        spec = CycleSpec(("x1", "x2", "x3", "x4"))
+        res = minimax_cycle_bound(spec)
+        assert not replace(res, bound=F(1, 5)).verify()
+        point = OrderDistribution(orders=[spec.worlds], probs=[F(1)])
+        assert not replace(res, witness=point).verify()
+        floats = OrderDistribution(res.witness.orders, [float(p) for p in res.witness.probs])
+        assert not replace(res, witness=floats).verify()
+        other = CycleSpec(("x1", "x2", "x3", "y4"))
+        assert not replace(res, spec=other).verify()
 
     def test_random_search_never_beats_the_bound(self):
         # Oracle cross-check: 10^4 random distributions over the 4-cycle all

@@ -107,6 +107,23 @@ class TestFindings:
         assert f["exact"]["feasible"] is False
         assert f["exact"]["certificate"]
 
+    @pytest.mark.parametrize("value", ["2", "3", "99"])
+    def test_coherence_reports_the_length_it_scanned(self, value):
+        matrix = str(SCENARIOS / "incoherent_matrix.json")
+        code, out, _ = run_cli("coherence", matrix, "--max-path-len", value)
+        assert code == 0
+        f = json.loads(out)["findings"]
+        assert f["max_path_len"] == min(int(value), 3)
+        assert len(f["path_violations"]) == (0 if value == "2" else 6)
+
+    @pytest.mark.parametrize("value", ["1", "0", "-3"])
+    def test_coherence_path_length_below_two_is_error(self, value):
+        matrix = str(SCENARIOS / "incoherent_matrix.json")
+        code, out, err = run_cli("coherence", matrix, "--max-path-len", value)
+        assert code == 1
+        assert out == ""
+        assert "--max-path-len must be at least 2" in err and value in err
+
     def test_decide_margin_abstains_on_rotations(self):
         _, out, _ = run_cli(*GOLDEN_CASES["decide_rotations_margin"])
         f = json.loads(out)["findings"]

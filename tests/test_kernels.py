@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -157,3 +158,24 @@ def test_path_slacks_match_reference():
         paths = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64)
         want = reference_path_slacks(z.tolist(), paths.tolist())
         assert np.allclose(_kernels.path_slacks(z, paths), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_path_slacks_on_integer_numerators(dtype):
+    # Numerators over one = d give exact slacks: slack / d is the Fraction
+    # reference's slack.
+    rng = random.Random(79)
+    n = 6
+    for d in (1, 4, 12, 60):
+        frac = [[Fraction(1, 2)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = Fraction(rng.randint(0, d), d)
+                frac[i][j], frac[j][i] = v, 1 - v
+        one = 2 * d  # a common denominator, 1/2 included
+        z = np.array([[int(v * one) for v in row] for row in frac], dtype=dtype)
+        for k in (2, 3, 4, 5):
+            paths = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64)
+            want = reference_path_slacks(frac, paths.tolist(), one=Fraction(1))
+            got = _kernels.path_slacks(z, paths, one)
+            assert [Fraction(int(g), one) for g in got] == want
