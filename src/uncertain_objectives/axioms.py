@@ -28,23 +28,37 @@ classic conclusions that every total ordering must otherwise accept:
   negative welfare.
 
 Informal magnitudes ("very high", "very low positive", "horribly tortured")
-are explicit rational thresholds carried by each instance; the structural
-premise of every instance is checked at construction.  Universally
+are explicit rational thresholds carried by each instance.  Universally
 quantified conditions are audited by bounded exhaustive search over a welfare
 grid, so a clean audit certifies only the searched space.
+
+Each condition is written once, as one ``AxiomRow`` of the ``AXIOMS`` table:
+its strictness, its scenario fields, its premise as clauses that each name
+the components (populations and thresholds) they read, and its audit's
+component streams, each with a closed-form size.  Instance construction
+checks every clause; ``scenario`` parses a constraint by reading the row's
+fields; ``audit_swf`` walks the streams in nested lexicographic order and
+runs each clause at the first depth that binds all of its components,
+leaving to construction only the clauses on worlds a factory derives.
 """
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
-from typing import Callable, Iterable, Iterator
+from math import comb, prod
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .constraints import ConstraintGraph, Edge
-from .errors import BoundsTooLargeError, ConflictingWorldIdsError, InvalidInstanceError
+from .errors import (
+    BoundsTooLargeError,
+    ConflictingWorldIdsError,
+    InvalidInstanceError,
+    InvalidValueError,
+)
 from .ordering import Verdict
 from .populations import (
     EMPTY_POPULATION,
@@ -72,9 +86,6 @@ class AxiomId(enum.Enum):
     PRIORITY_COMPENSATION = "priority_compensation"
 
 
-STRICT_AXIOMS = frozenset({AxiomId.EGALITARIAN_DOMINANCE, AxiomId.AVOID_VERY_ANTI_EGALITARIAN})
-
-
 class CheckResult(enum.Enum):
     SATISFIED = "satisfied"
     VIOLATED = "violated"
@@ -82,6 +93,95 @@ class CheckResult(enum.Enum):
 
 
 OrderFn = Callable[[World, World], Verdict]
+
+# Scenario field kinds: a declared world the factory takes, and literal values.
+WORLD, POPULATION, RATIONAL, COUNT = "world", "population", "rational", "count"
+
+
+class WorldId(NamedTuple):
+    """Field kind of a declared world the factory derives: only its id is
+    passed, as the keyword argument ``keyword``."""
+
+    keyword: str
+
+
+class Clause(NamedTuple):
+    """One premise condition: ``test`` of the components named by ``reads``;
+    ``holds(env)`` applies it to a dict of components."""
+
+    reads: tuple[str, ...]
+    test: Callable[..., bool]
+    message: str
+    holds: Callable[[dict], bool]
+
+
+def _clauses(*specs) -> tuple[Clause, ...]:
+    """Clauses from (space-separated reads, test, message) triples."""
+    return tuple(
+        Clause(tuple(reads.split()), test, message, _holds(reads.split(), test))
+        for reads, test, message in specs
+    )
+
+
+def _holds(reads: list[str], test: Callable[..., bool]) -> Callable[[dict], bool]:
+    # Audits run clauses once per binding.  Reading one or two components
+    # directly, not through star-arguments, keeps the sub-millisecond audits
+    # as fast as the hand-written loops they replace.
+    if len(reads) == 1:
+        (a,) = reads
+        return lambda env: test(env[a])
+    if len(reads) == 2:
+        a, b = reads
+        return lambda env: test(env[a], env[b])
+    return lambda env: test(*[env[r] for r in reads])
+
+
+def _require_all(clauses: Iterable[Clause], env: dict):
+    for clause in clauses:
+        if not clause.holds(env):
+            raise InvalidInstanceError(clause.message)
+
+
+# The clauses left to check while an audit builds an instance from a binding
+# its walk has already checked: those on worlds the factory derives.  Outside
+# audits (None) construction checks every clause.  So every clause runs once
+# per audited instance, not twice.
+_UNCHECKED = contextvars.ContextVar("unchecked", default=None)
+
+
+class Stream(NamedTuple):
+    """An audit component's candidates in enumeration order and their number
+    in closed form.  ``items`` may instead be a function of the outer
+    components' binding (a dict) that gives the candidates for it."""
+
+    size: int
+    items: Iterable | Callable[[dict], Iterable]
+
+
+@dataclass(frozen=True)
+class AxiomRow:
+    """One adequacy condition, declared once.
+
+    ``roles`` names the populations of the claim's (worse, better) worlds,
+    then of the gate's (world, baseline) for a gated axiom; instance params
+    are components under their own names.  ``fields`` maps each scenario
+    field, in document order, to its kind; ``factory`` takes the fields in
+    that order, a ``WorldId`` field as its keyword.  ``streams(bounds,
+    **thresholds)``, given the grid's effective ``thresholds``, gives the
+    audit's components outermost first: a ``Stream`` is enumerated, any
+    other value is fixed.  ``build`` makes an instance from one binding.
+    ``search`` replaces the universal search for the two existential axioms.
+    """
+
+    strict: bool
+    roles: tuple[str, ...]
+    fields: dict
+    factory: Callable[..., AxiomInstance]
+    clauses: tuple[Clause, ...]
+    streams: Callable[..., dict]
+    build: Callable[..., AxiomInstance]
+    thresholds: tuple[str, ...] = ()
+    search: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -108,11 +208,21 @@ class AxiomInstance:
             raise InvalidInstanceError(f"duplicate world ids in instance: {ids}")
         if self.claim_worse not in ids or self.claim_better not in ids:
             raise InvalidInstanceError("claim endpoints must be premise worlds")
-        if self.strict != (self.axiom in STRICT_AXIOMS):
+        row = AXIOMS[self.axiom]
+        if self.strict != row.strict:
             raise InvalidInstanceError(
-                f"{self.axiom.value} must be {'strict' if self.axiom in STRICT_AXIOMS else 'non-strict'}"
+                f"{self.axiom.value} must be {'strict' if row.strict else 'non-strict'}"
             )
-        _VALIDATORS[self.axiom](self)
+        role_ids = (self.claim_worse, self.claim_better) + (self.gate or ())
+        if len(role_ids) < len(row.roles):
+            raise InvalidInstanceError(f"{self.axiom.value} instances carry a gate comparison")
+        clauses = _UNCHECKED.get()
+        if clauses is None:
+            clauses = row.clauses
+        if clauses:
+            env = dict(self.params)
+            env.update((role, self.world(wid).population) for role, wid in zip(row.roles, role_ids))
+            _require_all(clauses, env)
 
     def world(self, world_id: str) -> World:
         for w in self.worlds:
@@ -141,241 +251,50 @@ class AxiomInstance:
         }
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise InvalidInstanceError(message)
-
-
-def _validate_quality(inst: AxiomInstance):
-    high = inst.world(inst.claim_better).population
-    low = inst.world(inst.claim_worse).population
-    very_high = inst.params["very_high"]
-    very_low = inst.params["very_low"]
-    _require(Fraction(0) < very_low < very_high, "thresholds need 0 < very_low < very_high")
-    _require(high.size > 0, "high population must be nonempty")
-    _require(len(high.groups) == 1, "high population must be perfectly equal")
-    _require(high.min_level() >= very_high, "high population must sit at or above very_high")
-    _require(low.size > 0, "low population must be nonempty")
-    _require(low.min_level() > 0, "low population must have positive welfare")
-    _require(low.max_level() <= very_low, "low population must sit at or below very_low")
-
-
-def _validate_inequality_aversion(inst: AxiomInstance):
-    mixed = inst.world(inst.claim_worse).population
-    equal = inst.world(inst.claim_better).population
-    _require(len(mixed.groups) == 2, "mixed population must have exactly two welfare tiers")
-    (c_level, c_count), (a_level, a_count) = mixed.groups
-    _require(c_count > a_count, "lower tier must be larger than upper tier")
-    _require(len(equal.groups) == 1, "equal population must be perfectly equal")
-    b_level = equal.min_level()
-    _require(c_level < b_level < a_level, "equal level must lie strictly between the tiers")
-    _require(equal.size == mixed.size, "equal population must match the mixed size")
-
-
-def _validate_egalitarian_dominance(inst: AxiomInstance):
-    better = inst.world(inst.claim_better).population
-    worse = inst.world(inst.claim_worse).population
-    _require(better.size > 0, "populations must be nonempty")
-    _require(better.size == worse.size, "populations must have equal size")
-    _require(len(better.groups) == 1, "dominating population must be perfectly equal")
-    _require(
-        better.min_level() > worse.max_level(),
-        "every member of the equal population must be strictly happier",
-    )
-
-
-def _validate_dominance_addition(inst: AxiomInstance):
-    base = inst.world(inst.claim_worse).population
-    augmented = inst.world(inst.claim_better).population
-    raised = inst.params["raised"]
-    added = inst.params["added"]
-    _require(raised.size == base.size, "raised part must match the base population size")
-    _require(
-        pointwise_dominates(raised, base, strict=False),
-        "raised part must weakly dominate the base pointwise",
-    )
-    _require(added.size > 0, "added part must be nonempty")
-    _require(added.min_level() > 0, "added lives must have positive welfare")
-    _require(
-        population_union(raised, added) == augmented,
-        "augmented world must equal raised part plus added lives",
-    )
-
-
-def _validate_avoid_repugnant(inst: AxiomInstance):
-    high = inst.world(inst.claim_better).population
-    crowd = inst.world(inst.claim_worse).population
-    very_high = inst.params["very_high"]
-    very_low = inst.params["very_low"]
-    _require(Fraction(0) < very_low < very_high, "thresholds need 0 < very_low < very_high")
-    _require(high.size > 0, "high population must be nonempty")
-    _require(high.min_level() >= very_high, "high population must sit at or above very_high")
-    _require(crowd.size > high.size, "crowd must outnumber the high population")
-    _require(crowd.min_level() > 0, "crowd welfare must be positive")
-    _require(crowd.max_level() <= very_low, "crowd welfare must sit at or below very_low")
-
-
-def _validate_avoid_sadistic(inst: AxiomInstance):
-    base = inst.params["base"]
-    tortured = inst.params["tortured"]
-    positive = inst.params["positive"]
-    very_high = inst.params["very_high"]
-    torture_max = inst.params["torture_max"]
-    _require(torture_max < 0, "torture threshold must be negative")
-    _require(base.size > 0, "base population must be nonempty")
-    _require(base.min_level() >= very_high, "base population must be very happy")
-    _require(tortured.size > 0, "tortured addition must be nonempty")
-    _require(tortured.max_level() <= torture_max, "tortured lives must sit at or below torture_max")
-    _require(positive.size > 0, "positive addition must be nonempty")
-    _require(positive.min_level() > 0, "positive addition must have positive welfare")
-    _require(tortured.size < positive.size, "tortured addition must be the smaller one")
-    _require(
-        inst.world(inst.claim_worse).population == population_union(base, tortured),
-        "tortured world must equal base plus tortured addition",
-    )
-    _require(
-        inst.world(inst.claim_better).population == population_union(base, positive),
-        "positive world must equal base plus positive addition",
-    )
-
-
-def _validate_avoid_very_anti_egalitarian(inst: AxiomInstance):
-    better = inst.world(inst.claim_better).population
-    worse = inst.world(inst.claim_worse).population
-    _require(better.size >= 2, "needs at least two people")
-    _require(better.size == worse.size, "populations must have equal size")
-    _require(len(better.groups) == 1, "reference population must have uniform happiness")
-    _require(len(worse.groups) > 1, "rival population must be unequal")
-    _require(
-        total_welfare(worse) < total_welfare(better),
-        "rival population must have lower total (hence average) welfare",
-    )
-
-
-def _validate_dominance(inst: AxiomInstance):
-    better = inst.world(inst.claim_better).population
-    worse = inst.world(inst.claim_worse).population
-    _require(better.size > 0, "populations must be nonempty")
-    _require(
-        pointwise_dominates(better, worse, strict=True),
-        "dominating population must be pointwise strictly happier at equal size",
-    )
-
-
-def _validate_addition(inst: AxiomInstance):
-    base = inst.world(inst.params["base_world"]).population
-    b_part = inst.params["b"]
-    c_part = inst.params["c"]
-    _require(base.size > 0, "base population must be nonempty")
-    _require(b_part.size > 0, "group b must be nonempty")
-    _require(b_part.max_level() < base.min_level(), "group b must be worse off than the base")
-    _require(c_part.size > b_part.size, "group c must be larger than group b")
-    _require(c_part.max_level() < b_part.min_level(), "group c must be worse off than group b")
-    _require(
-        inst.world(inst.claim_better).population == population_union(base, b_part),
-        "b-added world must equal base plus group b",
-    )
-    _require(
-        inst.world(inst.claim_worse).population == population_union(base, c_part),
-        "c-added world must equal base plus group c",
-    )
-    _require(inst.gate is not None, "addition instances carry a gate comparison")
-
-
-def _validate_priority_compensation(inst: AxiomInstance):
-    base = inst.params["base"]
-    low = inst.params["low_level"]
-    neg = inst.params["negative_level"]
-    high = inst.params["high_level"]
-    count = inst.params["count"]
-    very_high = inst.params["very_high"]
-    very_low = inst.params["very_low"]
-    _require(Fraction(0) < low <= very_low, "lowered person must start at very low positive welfare")
-    _require(neg < 0, "lowered person must end slightly below zero")
-    _require(high >= very_high, "created lives must have very high welfare")
-    _require(isinstance(count, int) and count >= 1, "must create at least one life")
-    _require(
-        inst.world(inst.claim_worse).population
-        == population_union(base, Population([(low, 1)])),
-        "before-world must equal base plus the very-low-positive person",
-    )
-    _require(
-        inst.world(inst.claim_better).population
-        == population_union(base, Population([(neg, 1), (high, count)])),
-        "after-world must equal base plus the lowered person plus the created lives",
-    )
-
-
-_VALIDATORS = {
-    AxiomId.QUALITY: _validate_quality,
-    AxiomId.INEQUALITY_AVERSION: _validate_inequality_aversion,
-    AxiomId.EGALITARIAN_DOMINANCE: _validate_egalitarian_dominance,
-    AxiomId.DOMINANCE_ADDITION: _validate_dominance_addition,
-    AxiomId.AVOID_REPUGNANT: _validate_avoid_repugnant,
-    AxiomId.AVOID_SADISTIC: _validate_avoid_sadistic,
-    AxiomId.AVOID_VERY_ANTI_EGALITARIAN: _validate_avoid_very_anti_egalitarian,
-    AxiomId.DOMINANCE: _validate_dominance,
-    AxiomId.ADDITION: _validate_addition,
-    AxiomId.PRIORITY_COMPENSATION: _validate_priority_compensation,
-}
-
-
 # ---------------------------------------------------------------------------
 # Instance factories
 # ---------------------------------------------------------------------------
 
-def quality_instance(high: World, low: World, very_high, very_low) -> AxiomInstance:
+def _instance(axiom: AxiomId, worlds, worse: World, better: World, gate=None, **params):
+    """An instance whose strictness is the axiom's row's."""
     return AxiomInstance(
-        axiom=AxiomId.QUALITY,
-        worlds=(high, low),
-        claim_worse=low.id,
-        claim_better=high.id,
-        strict=False,
-        params={"very_high": as_rational(very_high), "very_low": as_rational(very_low)},
+        axiom=axiom,
+        worlds=worlds,
+        claim_worse=worse.id,
+        claim_better=better.id,
+        strict=AXIOMS[axiom].strict,
+        params=params,
+        gate=gate,
+    )
+
+
+def quality_instance(high: World, low: World, very_high, very_low) -> AxiomInstance:
+    return _instance(
+        AxiomId.QUALITY, (high, low), low, high,
+        very_high=as_rational(very_high), very_low=as_rational(very_low),
     )
 
 
 def inequality_aversion_instance(mixed: World, equal: World) -> AxiomInstance:
-    return AxiomInstance(
-        axiom=AxiomId.INEQUALITY_AVERSION,
-        worlds=(mixed, equal),
-        claim_worse=mixed.id,
-        claim_better=equal.id,
-        strict=False,
-    )
+    return _instance(AxiomId.INEQUALITY_AVERSION, (mixed, equal), mixed, equal)
 
 
 def egalitarian_dominance_instance(better: World, worse: World) -> AxiomInstance:
-    return AxiomInstance(
-        axiom=AxiomId.EGALITARIAN_DOMINANCE,
-        worlds=(better, worse),
-        claim_worse=worse.id,
-        claim_better=better.id,
-        strict=True,
-    )
+    return _instance(AxiomId.EGALITARIAN_DOMINANCE, (better, worse), worse, better)
 
 
 def dominance_addition_instance(
     base: World, augmented: World, raised: Population, added: Population
 ) -> AxiomInstance:
-    return AxiomInstance(
-        axiom=AxiomId.DOMINANCE_ADDITION,
-        worlds=(base, augmented),
-        claim_worse=base.id,
-        claim_better=augmented.id,
-        strict=False,
-        params={"raised": raised, "added": added},
+    return _instance(
+        AxiomId.DOMINANCE_ADDITION, (base, augmented), base, augmented, raised=raised, added=added
     )
 
 
 def avoid_repugnant_instance(high: World, crowd: World, very_high, very_low) -> AxiomInstance:
-    return AxiomInstance(
-        axiom=AxiomId.AVOID_REPUGNANT,
-        worlds=(high, crowd),
-        claim_worse=crowd.id,
-        claim_better=high.id,
-        strict=False,
-        params={"very_high": as_rational(very_high), "very_low": as_rational(very_low)},
+    return _instance(
+        AxiomId.AVOID_REPUGNANT, (high, crowd), crowd, high,
+        very_high=as_rational(very_high), very_low=as_rational(very_low),
     )
 
 
@@ -390,40 +309,19 @@ def avoid_sadistic_instance(
 ) -> AxiomInstance:
     tortured_world = World(tortured_id, population_union(base, tortured))
     positive_world = World(positive_id, population_union(base, positive))
-    return AxiomInstance(
-        axiom=AxiomId.AVOID_SADISTIC,
-        worlds=(tortured_world, positive_world),
-        claim_worse=tortured_world.id,
-        claim_better=positive_world.id,
-        strict=False,
-        params={
-            "base": base,
-            "tortured": tortured,
-            "positive": positive,
-            "very_high": as_rational(very_high),
-            "torture_max": as_rational(torture_max),
-        },
+    return _instance(
+        AxiomId.AVOID_SADISTIC, (tortured_world, positive_world), tortured_world, positive_world,
+        base=base, tortured=tortured, positive=positive,
+        very_high=as_rational(very_high), torture_max=as_rational(torture_max),
     )
 
 
 def avoid_very_anti_egalitarian_instance(better: World, worse: World) -> AxiomInstance:
-    return AxiomInstance(
-        axiom=AxiomId.AVOID_VERY_ANTI_EGALITARIAN,
-        worlds=(better, worse),
-        claim_worse=worse.id,
-        claim_better=better.id,
-        strict=True,
-    )
+    return _instance(AxiomId.AVOID_VERY_ANTI_EGALITARIAN, (better, worse), worse, better)
 
 
 def dominance_instance(better: World, worse: World) -> AxiomInstance:
-    return AxiomInstance(
-        axiom=AxiomId.DOMINANCE,
-        worlds=(better, worse),
-        claim_worse=worse.id,
-        claim_better=better.id,
-        strict=False,
-    )
+    return _instance(AxiomId.DOMINANCE, (better, worse), worse, better)
 
 
 def addition_instance(
@@ -433,14 +331,9 @@ def addition_instance(
 ) -> AxiomInstance:
     b_world = World(b_added_id, population_union(base.population, b_part))
     c_world = World(c_added_id, population_union(base.population, c_part))
-    return AxiomInstance(
-        axiom=AxiomId.ADDITION,
-        worlds=(base, b_world, c_world),
-        claim_worse=c_world.id,
-        claim_better=b_world.id,
-        strict=False,
-        params={"base_world": base.id, "b": b_part, "c": c_part},
-        gate=(b_world.id, base.id),
+    return _instance(
+        AxiomId.ADDITION, (base, b_world, c_world), c_world, b_world, gate=(b_world.id, base.id),
+        base_world=base.id, b=b_part, c=c_part,
     )
 
 
@@ -460,21 +353,10 @@ def priority_compensation_instance(
     high = as_rational(high_level)
     before = World(before_id, population_union(base, Population([(low, 1)])))
     after = World(after_id, population_union(base, Population([(neg, 1), (high, count)])))
-    return AxiomInstance(
-        axiom=AxiomId.PRIORITY_COMPENSATION,
-        worlds=(before, after),
-        claim_worse=before.id,
-        claim_better=after.id,
-        strict=False,
-        params={
-            "base": base,
-            "low_level": low,
-            "negative_level": neg,
-            "high_level": high,
-            "count": count,
-            "very_high": as_rational(very_high),
-            "very_low": as_rational(very_low),
-        },
+    return _instance(
+        AxiomId.PRIORITY_COMPENSATION, (before, after), before, after,
+        base=base, low_level=low, negative_level=neg, high_level=high, count=count,
+        very_high=as_rational(very_high), very_low=as_rational(very_low),
     )
 
 
@@ -515,15 +397,6 @@ def check_instance(instance: AxiomInstance, order: OrderFn) -> CheckResult:
     return CheckResult.SATISFIED
 
 
-def order_from_partial(po) -> OrderFn:
-    """Adapt a PartialOrder over ids into a World-level comparison function."""
-
-    def order(u: World, v: World) -> Verdict:
-        return po.verdict(u.id, v.id)
-
-    return order
-
-
 # ---------------------------------------------------------------------------
 # Bounded audits
 # ---------------------------------------------------------------------------
@@ -548,30 +421,18 @@ class SearchBounds:
     torture_max: Fraction | None = None
     base: Population | None = None
 
-    def __init__(
-        self,
-        levels,
-        max_count,
-        max_groups=2,
-        budget=1_000_000,
-        very_high=None,
-        very_low=None,
-        torture_max=None,
-        base=None,
-    ):
-        lv = tuple(sorted({as_rational(x) for x in levels}))
-        if not lv:
-            raise ValueError("bounds need at least one welfare level")
-        if max_count < 1 or max_groups < 1:
-            raise ValueError("max_count and max_groups must be at least 1")
-        object.__setattr__(self, "levels", lv)
-        object.__setattr__(self, "max_count", int(max_count))
-        object.__setattr__(self, "max_groups", int(max_groups))
-        object.__setattr__(self, "budget", int(budget))
-        object.__setattr__(self, "very_high", as_rational(very_high) if very_high is not None else None)
-        object.__setattr__(self, "very_low", as_rational(very_low) if very_low is not None else None)
-        object.__setattr__(self, "torture_max", as_rational(torture_max) if torture_max is not None else None)
-        object.__setattr__(self, "base", base)
+    def __post_init__(self):
+        levels = tuple(sorted({as_rational(x) for x in self.levels}))
+        if not levels:
+            raise InvalidValueError("bounds need at least one welfare level")
+        if self.max_count < 1 or self.max_groups < 1:
+            raise InvalidValueError("max_count and max_groups must be at least 1")
+        object.__setattr__(self, "levels", levels)
+        for name in ("max_count", "max_groups", "budget"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("very_high", "very_low", "torture_max"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, as_rational(value) if value is not None else None)
 
     def eff_very_high(self) -> Fraction:
         if self.very_high is not None:
@@ -583,14 +444,14 @@ class SearchBounds:
             return self.very_low
         positive = [l for l in self.levels if l > 0]
         if not positive:
-            raise ValueError("no positive level in the grid to act as very_low")
+            raise InvalidValueError("no positive level in the grid to act as very_low")
         return positive[0]
 
     def eff_torture_max(self) -> Fraction:
         if self.torture_max is not None:
             return self.torture_max
         if self.levels[0] >= 0:
-            raise ValueError("no negative level in the grid to act as torture_max")
+            raise InvalidValueError("no negative level in the grid to act as torture_max")
         return self.levels[0]
 
     def to_json(self) -> dict:
@@ -600,29 +461,72 @@ class SearchBounds:
             "max_groups": self.max_groups,
             "budget": self.budget,
             "very_high": format_rational(self.eff_very_high()),
-            "very_low": self.very_low and format_rational(self.very_low),
-            "torture_max": self.torture_max and format_rational(self.torture_max),
+            "very_low": format_rational(self.very_low) if self.very_low is not None else None,
+            "torture_max": (
+                format_rational(self.torture_max) if self.torture_max is not None else None
+            ),
             "base": self.base.to_json() if self.base else None,
         }
 
 
-def _pop_space(levels: tuple[Fraction, ...], bounds: SearchBounds, min_groups: int = 1) -> int:
-    return sum(
-        comb(len(levels), k) * bounds.max_count**k
-        for k in range(min_groups, bounds.max_groups + 1)
+def _kept(bounds: SearchBounds, keep) -> tuple[Fraction, ...]:
+    return tuple(l for l in bounds.levels if keep is None or keep(l))
+
+
+def _levels(bounds: SearchBounds, keep) -> Stream:
+    levels = _kept(bounds, keep)
+    return Stream(len(levels), levels)
+
+
+def _populations(bounds: SearchBounds, keep=None, min_groups: int = 1) -> Stream:
+    """All populations over the kept levels, lexicographic: group count,
+    then level combination, then per-group counts (each ascending)."""
+    levels = _kept(bounds, keep)
+    groups = range(min_groups, bounds.max_groups + 1)
+    counts = range(1, bounds.max_count + 1)
+    return Stream(
+        sum(comb(len(levels), k) * bounds.max_count**k for k in groups),
+        (
+            Population(zip(combo, per_group))
+            for k in groups
+            for combo in itertools.combinations(levels, k)
+            for per_group in itertools.product(counts, repeat=k)
+        ),
     )
 
 
-def _populations(
-    levels: Iterable[Fraction], bounds: SearchBounds, min_groups: int = 1
-) -> Iterator[Population]:
-    """All populations over the level subset, lexicographic: group count,
-    then level combination, then per-group counts (each ascending)."""
-    levels = tuple(levels)
-    for k in range(min_groups, bounds.max_groups + 1):
-        for combo in itertools.combinations(levels, k):
-            for counts in itertools.product(range(1, bounds.max_count + 1), repeat=k):
-                yield Population(zip(combo, counts))
+def _uniform(bounds: SearchBounds, keep=None, least: int = 1) -> Stream:
+    """Perfectly equal populations of least..max_count people, level-major."""
+    levels = _kept(bounds, keep)
+    counts = range(least, bounds.max_count + 1)
+    return Stream(
+        len(levels) * len(counts), (Population([(l, c)]) for l in levels for c in counts)
+    )
+
+
+def _two_tier(bounds: SearchBounds) -> dict:
+    """inequality_aversion's streams: two-tier populations with the lower
+    tier larger (tier levels descending, then counts), then the perfectly
+    equal populations of the same size at every level."""
+    levels, mc = bounds.levels, bounds.max_count
+    equal_at: dict[int, list[Population]] = {}  # built once per size
+
+    def equal(env):
+        size = env["mixed"].size
+        if size not in equal_at:
+            equal_at[size] = [Population([(l, size)]) for l in levels]
+        return equal_at[size]
+
+    mixed = (
+        Population([(c_level, c_count), (a_level, a_count)])
+        for a_level, c_level in itertools.combinations(reversed(levels), 2)
+        for a_count in range(1, mc + 1)
+        for c_count in range(a_count + 1, mc + 1)
+    )
+    return {
+        "mixed": Stream(comb(len(levels), 2) * comb(mc, 2), mixed),
+        "equal": Stream(len(levels), equal),
+    }
 
 
 @dataclass(frozen=True)
@@ -654,266 +558,384 @@ class ViolationWitness:
         }
 
 
-def _check_budget(estimate: int, bounds: SearchBounds):
-    if estimate > bounds.budget:
-        raise BoundsTooLargeError(estimate, bounds.budget)
-
-
-def _first_violation(instances: Iterator[AxiomInstance], swf: SwfKind, axiom: AxiomId, note=""):
-    order = swf_order(swf)
-    for inst in instances:
-        if check_instance(inst, order) is CheckResult.VIOLATED:
-            worse = inst.world(inst.claim_worse)
-            better = inst.world(inst.claim_better)
-            return ViolationWitness(
-                swf=swf, axiom=axiom, instance=inst, observed=order(worse, better), note=note
-            )
-    return None
-
-
 def audit_swf(swf: SwfKind, axiom: AxiomId, bounds: SearchBounds) -> ViolationWitness | None:
     """Exhaustively search the bounded grid for a violation of one axiom.
 
     Returns the first witness under a fixed deterministic enumeration order
     (nested lexicographic component streams), or None, which certifies only
-    the searched space.  The two existentially quantified axioms (quality,
-    priority_compensation) return a witness only when every candidate the
-    grid offers fails, and the witness note records that the claim is
-    bounded.
+    the searched space.  Premise clauses that read only fixed components
+    (thresholds, a pinned base) run once, before the budget check; every
+    other clause runs once per binding: at the first depth that binds all it
+    reads, or, on a world the factory derives, when the instance is built.
+    The two existentially quantified axioms (quality, priority_compensation)
+    return a witness only when every candidate the grid offers fails, and
+    the witness note records that the claim is bounded.
     """
-    return _AUDITS[axiom](swf, bounds)
-
-
-def _audit_avoid_repugnant(swf, bounds):
-    vh, vl = bounds.eff_very_high(), bounds.eff_very_low()
-    hi_levels = tuple(l for l in bounds.levels if l >= vh)
-    lo_levels = tuple(l for l in bounds.levels if 0 < l <= vl)
-    _check_budget(_pop_space(hi_levels, bounds) * _pop_space(lo_levels, bounds), bounds)
-
-    def instances():
-        for a in _populations(hi_levels, bounds):
-            for z in _populations(lo_levels, bounds):
-                if z.size > a.size:
-                    yield avoid_repugnant_instance(World("a", a), World("z", z), vh, vl)
-
-    return _first_violation(instances(), swf, AxiomId.AVOID_REPUGNANT)
-
-
-def _audit_avoid_sadistic(swf, bounds):
-    vh = bounds.eff_very_high()
-    tm = bounds.eff_torture_max()
-    hi_levels = tuple(l for l in bounds.levels if l >= vh)
-    torture_levels = tuple(l for l in bounds.levels if l <= tm)
-    pos_levels = tuple(l for l in bounds.levels if l > 0)
-    bases = [bounds.base] if bounds.base is not None else None
-    base_space = 1 if bases else _pop_space(hi_levels, bounds)
-    _check_budget(
-        base_space * _pop_space(torture_levels, bounds) * _pop_space(pos_levels, bounds),
-        bounds,
-    )
-
-    def instances():
-        base_stream = bases if bases else _populations(hi_levels, bounds)
-        for b in base_stream:
-            for t in _populations(torture_levels, bounds):
-                for p in _populations(pos_levels, bounds):
-                    if t.size < p.size:
-                        yield avoid_sadistic_instance(b, t, p, vh, tm)
-
-    return _first_violation(instances(), swf, AxiomId.AVOID_SADISTIC)
-
-
-def _audit_avoid_very_anti_egalitarian(swf, bounds):
-    uniform_space = len(bounds.levels) * bounds.max_count
-    _check_budget(uniform_space * _pop_space(bounds.levels, bounds, min_groups=2), bounds)
-
-    def instances():
-        for level in bounds.levels:
-            for count in range(2, bounds.max_count + 1):
-                a = Population([(level, count)])
-                for b in _populations(bounds.levels, bounds, min_groups=2):
-                    if b.size == a.size and total_welfare(b) < total_welfare(a):
-                        yield avoid_very_anti_egalitarian_instance(World("a", a), World("b", b))
-
-    return _first_violation(instances(), swf, AxiomId.AVOID_VERY_ANTI_EGALITARIAN)
-
-
-def _audit_dominance(swf, bounds):
-    space = _pop_space(bounds.levels, bounds)
-    _check_budget(space * space, bounds)
-
-    def instances():
-        for a in _populations(bounds.levels, bounds):
-            for b in _populations(bounds.levels, bounds):
-                if a.size == b.size and pointwise_dominates(a, b, strict=True):
-                    yield dominance_instance(World("a", a), World("b", b))
-
-    return _first_violation(instances(), swf, AxiomId.DOMINANCE)
-
-
-def _audit_egalitarian_dominance(swf, bounds):
-    uniform_space = len(bounds.levels) * bounds.max_count
-    _check_budget(uniform_space * _pop_space(bounds.levels, bounds), bounds)
-
-    def instances():
-        for level in bounds.levels:
-            for count in range(1, bounds.max_count + 1):
-                a = Population([(level, count)])
-                for b in _populations(bounds.levels, bounds):
-                    if b.size == count and b.max_level() < level:
-                        yield egalitarian_dominance_instance(World("a", a), World("b", b))
-
-    return _first_violation(instances(), swf, AxiomId.EGALITARIAN_DOMINANCE)
-
-
-def _audit_dominance_addition(swf, bounds):
-    pos_levels = tuple(l for l in bounds.levels if l > 0)
-    space = _pop_space(bounds.levels, bounds)
-    _check_budget(space * space * _pop_space(pos_levels, bounds), bounds)
-
-    def instances():
-        for a in _populations(bounds.levels, bounds):
-            for raised in _populations(bounds.levels, bounds):
-                if raised.size != a.size or not pointwise_dominates(raised, a, strict=False):
-                    continue
-                for added in _populations(pos_levels, bounds):
-                    yield dominance_addition_instance(
-                        World("a", a),
-                        World("a_plus", population_union(raised, added)),
-                        raised,
-                        added,
-                    )
-
-    return _first_violation(instances(), swf, AxiomId.DOMINANCE_ADDITION)
-
-
-def _audit_inequality_aversion(swf, bounds):
-    n_levels = len(bounds.levels)
-    _check_budget(
-        comb(n_levels, 2) * bounds.max_count**2 * n_levels, bounds
-    )
-
-    def instances():
-        for a_level, c_level in itertools.combinations(reversed(bounds.levels), 2):
-            for a_count in range(1, bounds.max_count + 1):
-                for c_count in range(a_count + 1, bounds.max_count + 1):
-                    mixed = Population([(a_level, a_count), (c_level, c_count)])
-                    for b_level in bounds.levels:
-                        if c_level < b_level < a_level:
-                            equal = Population([(b_level, a_count + c_count)])
-                            yield inequality_aversion_instance(
-                                World("mixed", mixed), World("equal", equal)
-                            )
-
-    return _first_violation(instances(), swf, AxiomId.INEQUALITY_AVERSION)
-
-
-def _audit_addition(swf, bounds):
-    space = _pop_space(bounds.levels, bounds)
-    _check_budget(space**3, bounds)
-
-    def instances():
-        for a in _populations(bounds.levels, bounds):
-            for b in _populations(bounds.levels, bounds):
-                if b.max_level() >= a.min_level():
-                    continue
-                for c in _populations(bounds.levels, bounds):
-                    if c.size > b.size and c.max_level() < b.min_level():
-                        yield addition_instance(World("a", a), b, c)
-
-    return _first_violation(instances(), swf, AxiomId.ADDITION)
-
-
-def _audit_quality(swf, bounds):
-    vh, vl = bounds.eff_very_high(), bounds.eff_very_low()
-    hi_levels = tuple(l for l in bounds.levels if l >= vh)
-    lo_levels = tuple(l for l in bounds.levels if 0 < l <= vl)
-    hi_space = len(hi_levels) * bounds.max_count
-    _check_budget(hi_space * _pop_space(lo_levels, bounds), bounds)
+    row = AXIOMS[axiom]
+    fixed = {name: getattr(bounds, f"eff_{name}")() for name in row.thresholds}
+    streams = []
+    for name, value in row.streams(bounds, **fixed).items():
+        if isinstance(value, Stream):
+            streams.append((name, value))
+        else:
+            fixed[name] = value
+    reads = [(clause, set(clause.reads)) for clause in row.clauses]
+    _require_all([c for c, needs in reads if fixed.keys() >= needs], fixed)
+    estimate = prod(stream.size for _, stream in streams)
+    if estimate > bounds.budget:
+        raise BoundsTooLargeError(estimate, bounds.budget)
+    plan, bound = [], set(fixed)
+    for depth, (name, (_, items)) in enumerate(streams):
+        bound.add(name)
+        checks = [c for c, needs in reads if name in needs and bound >= needs]
+        if callable(items):  # candidates depend on outer components
+            candidates = items
+        elif depth:  # inner streams are built once and replayed
+            candidates = _replay(iter(items))
+        else:  # the outermost stream is walked once
+            candidates = lambda env, items=items: items
+        plan.append((name, candidates, checks))
     order = swf_order(swf)
-    first_witness = None
-    candidates = 0
-    for level in hi_levels:
-        for count in range(1, bounds.max_count + 1):
-            candidates += 1
-            high = World("a", Population([(level, count)]))
-            beaten = None
-            for low_pop in _populations(lo_levels, bounds):
-                inst = quality_instance(high, World("z", low_pop), vh, vl)
-                if check_instance(inst, order) is CheckResult.VIOLATED:
-                    beaten = inst
-                    break
-            if beaten is None:
-                return None  # this candidate survives, so the axiom holds here
-            if first_witness is None:
-                first_witness = beaten
-    if first_witness is None:
-        return None
-    worse = first_witness.world(first_witness.claim_worse)
-    better = first_witness.world(first_witness.claim_better)
+    token = _UNCHECKED.set([c for c, needs in reads if not bound >= needs])
+    try:
+        if row.search:
+            return row.search(swf, row, fixed, plan, order, bounds)
+        first = next(_violations(row, fixed, plan, order), None)
+        return first and _witness(swf, first, order)
+    finally:
+        _UNCHECKED.reset(token)
+
+
+def _replay(items: Iterator) -> Callable[[dict], Iterator]:
+    """Candidates built on the first pass and replayed on later ones, so an
+    inner stream is built once per audit, and only as far as it is walked.
+    A pass may stop early, but passes never interleave."""
+    built: list = []
+
+    def candidates(env):
+        yield from built
+        for item in items:
+            built.append(item)
+            yield item
+
+    return candidates
+
+
+def _walk(env: dict, plan: list) -> Iterator[dict]:
+    """Bindings of the plan's streams on top of ``env``, in nested
+    lexicographic order, in ``env`` itself; a partial binding that fails a
+    clause is skipped with all of its extensions."""
+    (name, candidates, checks), rest = plan[0], plan[1:]
+    for item in candidates(env):
+        env[name] = item
+        for clause in checks:
+            if not clause.holds(env):
+                break
+        else:
+            if rest:
+                yield from _walk(env, rest)
+            else:
+                yield env
+
+
+def _violations(row, env, plan, order) -> Iterator[AxiomInstance]:
+    for binding in _walk(dict(env), plan):
+        inst = row.build(**binding)
+        if check_instance(inst, order) is CheckResult.VIOLATED:
+            yield inst
+
+
+def _witness(swf, inst: AxiomInstance, order: OrderFn, note: str = "") -> ViolationWitness:
+    worse = inst.world(inst.claim_worse)
+    better = inst.world(inst.claim_better)
     return ViolationWitness(
-        swf=swf,
-        axiom=AxiomId.QUALITY,
-        instance=first_witness,
-        observed=order(worse, better),
-        note=(
-            f"all {candidates} perfectly equal very-high candidates in the grid are "
-            "beaten by some very-low-positive population (bounded claim)"
-        ),
+        swf=swf, axiom=inst.axiom, instance=inst, observed=order(worse, better), note=note
     )
 
 
-def _audit_priority_compensation(swf, bounds):
-    vh, vl = bounds.eff_very_high(), bounds.eff_very_low()
-    base = bounds.base if bounds.base is not None else EMPTY_POPULATION
-    low_levels = tuple(l for l in bounds.levels if 0 < l <= vl)
-    neg_levels = tuple(l for l in bounds.levels if l < 0)
-    hi_levels = tuple(l for l in bounds.levels if l >= vh)
-    _check_budget(
-        len(low_levels) * len(neg_levels) * len(hi_levels) * bounds.max_count, bounds
+def _search_quality(swf, row, fixed, plan, order, bounds):
+    """Violated only when every very-high candidate is beaten by some
+    very-low-positive population; the witness is the first one's first."""
+    beaten = []
+    for env in _walk(dict(fixed), plan[:1]):
+        beaten.append(next(_violations(row, env, plan[1:], order), None))
+        if beaten[-1] is None:
+            return None  # this candidate survives, so the axiom holds here
+    note = (
+        f"all {len(beaten)} perfectly equal very-high candidates in the grid are "
+        "beaten by some very-low-positive population (bounded claim)"
     )
-    order = swf_order(swf)
-    for low in low_levels:
-        for neg in neg_levels:
-            for high in hi_levels:
-                all_fail = True
-                last = None
-                for count in range(1, bounds.max_count + 1):
-                    inst = priority_compensation_instance(
-                        base, low, neg, high, count, vh, vl
-                    )
-                    if check_instance(inst, order) is not CheckResult.VIOLATED:
-                        all_fail = False
-                        break
-                    last = inst
-                if all_fail and last is not None:
-                    worse = last.world(last.claim_worse)
-                    better = last.world(last.claim_better)
-                    return ViolationWitness(
-                        swf=swf,
-                        axiom=AxiomId.PRIORITY_COMPENSATION,
-                        instance=last,
-                        observed=order(worse, better),
-                        note=(
-                            f"no count up to {bounds.max_count} compensates the drop "
-                            f"from {low} to {neg} (bounded claim)"
-                        ),
-                    )
+    return _witness(swf, beaten[0], order, note) if beaten else None
+
+
+def _search_priority(swf, row, fixed, plan, order, bounds):
+    """Violated when, for some drop and created level, no count up to
+    max_count compensates; the largest count is the witness."""
+    for env in _walk(dict(fixed), plan[:-1]):
+        last = None
+        for binding in _walk(dict(env), plan[-1:]):
+            inst = row.build(**binding)
+            if check_instance(inst, order) is not CheckResult.VIOLATED:
+                break
+            last = inst
+        else:
+            if last is not None:
+                note = (
+                    f"no count up to {bounds.max_count} compensates the drop "
+                    f"from {env['low_level']} to {env['negative_level']} (bounded claim)"
+                )
+                return _witness(swf, last, order, note)
     return None
 
 
-_AUDITS = {
-    AxiomId.QUALITY: _audit_quality,
-    AxiomId.INEQUALITY_AVERSION: _audit_inequality_aversion,
-    AxiomId.EGALITARIAN_DOMINANCE: _audit_egalitarian_dominance,
-    AxiomId.DOMINANCE_ADDITION: _audit_dominance_addition,
-    AxiomId.AVOID_REPUGNANT: _audit_avoid_repugnant,
-    AxiomId.AVOID_SADISTIC: _audit_avoid_sadistic,
-    AxiomId.AVOID_VERY_ANTI_EGALITARIAN: _audit_avoid_very_anti_egalitarian,
-    AxiomId.DOMINANCE: _audit_dominance,
-    AxiomId.ADDITION: _audit_addition,
-    AxiomId.PRIORITY_COMPENSATION: _audit_priority_compensation,
-}
+# ---------------------------------------------------------------------------
+# The axiom table
+# ---------------------------------------------------------------------------
+
+_THRESHOLDS = (
+    "very_low very_high",
+    lambda very_low, very_high: Fraction(0) < very_low < very_high,
+    "thresholds need 0 < very_low < very_high",
+)
+
+AXIOMS: dict[AxiomId, AxiomRow] = {}
+
+AXIOMS[AxiomId.QUALITY] = AxiomRow(
+    strict=False, roles=("low", "high"), factory=quality_instance,
+    fields={"high": WORLD, "low": WORLD, "very_high": RATIONAL, "very_low": RATIONAL},
+    clauses=_clauses(
+        _THRESHOLDS,
+        ("high", lambda high: high.size > 0, "high population must be nonempty"),
+        ("high", lambda high: len(high.groups) == 1, "high population must be perfectly equal"),
+        ("high very_high", lambda high, very_high: high.min_level() >= very_high,
+         "high population must sit at or above very_high"),
+        ("low", lambda low: low.size > 0, "low population must be nonempty"),
+        ("low", lambda low: low.min_level() > 0, "low population must have positive welfare"),
+        ("low very_low", lambda low, very_low: low.max_level() <= very_low,
+         "low population must sit at or below very_low"),
+    ),
+    thresholds=("very_high", "very_low"),
+    streams=lambda bounds, very_high, very_low: {
+        "high": _uniform(bounds, lambda l: l >= very_high),
+        "low": _populations(bounds, lambda l: 0 < l <= very_low),
+    },
+    build=lambda high, low, very_high, very_low: quality_instance(
+        World("a", high), World("z", low), very_high, very_low),
+    search=_search_quality,
+)
+
+AXIOMS[AxiomId.INEQUALITY_AVERSION] = AxiomRow(
+    strict=False, roles=("mixed", "equal"), factory=inequality_aversion_instance,
+    fields={"mixed": WORLD, "equal": WORLD},
+    clauses=_clauses(
+        ("mixed", lambda mixed: len(mixed.groups) == 2,
+         "mixed population must have exactly two welfare tiers"),
+        ("mixed", lambda mixed: mixed.groups[0][1] > mixed.groups[1][1],
+         "lower tier must be larger than upper tier"),
+        ("equal", lambda equal: len(equal.groups) == 1,
+         "equal population must be perfectly equal"),
+        ("mixed equal",
+         lambda mixed, equal: mixed.min_level() < equal.min_level() < mixed.max_level(),
+         "equal level must lie strictly between the tiers"),
+        ("mixed equal", lambda mixed, equal: equal.size == mixed.size,
+         "equal population must match the mixed size"),
+    ),
+    streams=_two_tier,
+    build=lambda mixed, equal: inequality_aversion_instance(
+        World("mixed", mixed), World("equal", equal)),
+)
+
+AXIOMS[AxiomId.EGALITARIAN_DOMINANCE] = AxiomRow(
+    strict=True, roles=("worse", "better"), factory=egalitarian_dominance_instance,
+    fields={"better": WORLD, "worse": WORLD},
+    clauses=_clauses(
+        ("better", lambda better: better.size > 0, "populations must be nonempty"),
+        ("better worse", lambda better, worse: better.size == worse.size,
+         "populations must have equal size"),
+        ("better", lambda better: len(better.groups) == 1,
+         "dominating population must be perfectly equal"),
+        ("better worse", lambda better, worse: better.min_level() > worse.max_level(),
+         "every member of the equal population must be strictly happier"),
+    ),
+    streams=lambda bounds: {"better": _uniform(bounds), "worse": _populations(bounds)},
+    build=lambda better, worse: egalitarian_dominance_instance(
+        World("a", better), World("b", worse)),
+)
+
+AXIOMS[AxiomId.DOMINANCE_ADDITION] = AxiomRow(
+    strict=False, roles=("base", "augmented"), factory=dominance_addition_instance,
+    fields={"base": WORLD, "augmented": WORLD, "raised": POPULATION, "added": POPULATION},
+    clauses=_clauses(
+        ("raised base", lambda raised, base: raised.size == base.size,
+         "raised part must match the base population size"),
+        ("raised base", lambda raised, base: pointwise_dominates(raised, base, strict=False),
+         "raised part must weakly dominate the base pointwise"),
+        ("added", lambda added: added.size > 0, "added part must be nonempty"),
+        ("added", lambda added: added.min_level() > 0, "added lives must have positive welfare"),
+        ("raised added augmented", lambda raised, added, augmented: raised | added == augmented,
+         "augmented world must equal raised part plus added lives"),
+    ),
+    streams=lambda bounds: {
+        "base": _populations(bounds),
+        "raised": _populations(bounds),
+        "added": _populations(bounds, lambda l: l > 0),
+    },
+    build=lambda base, raised, added: dominance_addition_instance(
+        World("a", base), World("a_plus", raised | added), raised, added),
+)
+
+AXIOMS[AxiomId.AVOID_REPUGNANT] = AxiomRow(
+    strict=False, roles=("crowd", "high"), factory=avoid_repugnant_instance,
+    fields={"high": WORLD, "crowd": WORLD, "very_high": RATIONAL, "very_low": RATIONAL},
+    clauses=_clauses(
+        _THRESHOLDS,
+        ("high", lambda high: high.size > 0, "high population must be nonempty"),
+        ("high very_high", lambda high, very_high: high.min_level() >= very_high,
+         "high population must sit at or above very_high"),
+        ("crowd high", lambda crowd, high: crowd.size > high.size,
+         "crowd must outnumber the high population"),
+        ("crowd", lambda crowd: crowd.min_level() > 0, "crowd welfare must be positive"),
+        ("crowd very_low", lambda crowd, very_low: crowd.max_level() <= very_low,
+         "crowd welfare must sit at or below very_low"),
+    ),
+    thresholds=("very_high", "very_low"),
+    streams=lambda bounds, very_high, very_low: {
+        "high": _populations(bounds, lambda l: l >= very_high),
+        "crowd": _populations(bounds, lambda l: 0 < l <= very_low),
+    },
+    build=lambda high, crowd, very_high, very_low: avoid_repugnant_instance(
+        World("a", high), World("z", crowd), very_high, very_low),
+)
+
+AXIOMS[AxiomId.AVOID_SADISTIC] = AxiomRow(
+    strict=False, roles=("tortured_world", "positive_world"), factory=avoid_sadistic_instance,
+    fields={
+        "tortured_world": WorldId("tortured_id"), "positive_world": WorldId("positive_id"),
+        "base": POPULATION, "tortured": POPULATION, "positive": POPULATION,
+        "very_high": RATIONAL, "torture_max": RATIONAL,
+    },
+    clauses=_clauses(
+        ("torture_max", lambda torture_max: torture_max < 0,
+         "torture threshold must be negative"),
+        ("base", lambda base: base.size > 0, "base population must be nonempty"),
+        ("base very_high", lambda base, very_high: base.min_level() >= very_high,
+         "base population must be very happy"),
+        ("tortured", lambda tortured: tortured.size > 0, "tortured addition must be nonempty"),
+        ("tortured torture_max", lambda tortured, torture_max: tortured.max_level() <= torture_max,
+         "tortured lives must sit at or below torture_max"),
+        ("positive", lambda positive: positive.size > 0, "positive addition must be nonempty"),
+        ("positive", lambda positive: positive.min_level() > 0,
+         "positive addition must have positive welfare"),
+        ("tortured positive", lambda tortured, positive: tortured.size < positive.size,
+         "tortured addition must be the smaller one"),
+        ("tortured_world base tortured", lambda world, base, tortured: world == base | tortured,
+         "tortured world must equal base plus tortured addition"),
+        ("positive_world base positive", lambda world, base, positive: world == base | positive,
+         "positive world must equal base plus positive addition"),
+    ),
+    thresholds=("very_high", "torture_max"),
+    streams=lambda bounds, very_high, torture_max: {
+        "base": bounds.base if bounds.base is not None else _populations(
+            bounds, lambda l: l >= very_high),
+        "tortured": _populations(bounds, lambda l: l <= torture_max),
+        "positive": _populations(bounds, lambda l: l > 0),
+    },
+    build=avoid_sadistic_instance,
+)
+
+AXIOMS[AxiomId.AVOID_VERY_ANTI_EGALITARIAN] = AxiomRow(
+    strict=True, roles=("worse", "better"), factory=avoid_very_anti_egalitarian_instance,
+    fields={"better": WORLD, "worse": WORLD},
+    clauses=_clauses(
+        ("better", lambda better: better.size >= 2, "needs at least two people"),
+        ("better worse", lambda better, worse: better.size == worse.size,
+         "populations must have equal size"),
+        ("better", lambda better: len(better.groups) == 1,
+         "reference population must have uniform happiness"),
+        ("worse", lambda worse: len(worse.groups) > 1, "rival population must be unequal"),
+        ("worse better", lambda worse, better: total_welfare(worse) < total_welfare(better),
+         "rival population must have lower total (hence average) welfare"),
+    ),
+    streams=lambda bounds: {
+        "better": _uniform(bounds, least=2),
+        "worse": _populations(bounds, min_groups=2),
+    },
+    build=lambda better, worse: avoid_very_anti_egalitarian_instance(
+        World("a", better), World("b", worse)),
+)
+
+AXIOMS[AxiomId.DOMINANCE] = AxiomRow(
+    strict=False, roles=("worse", "better"), factory=dominance_instance,
+    fields={"better": WORLD, "worse": WORLD},
+    clauses=_clauses(
+        ("better", lambda better: better.size > 0, "populations must be nonempty"),
+        ("better worse", lambda better, worse: pointwise_dominates(better, worse, strict=True),
+         "dominating population must be pointwise strictly happier at equal size"),
+    ),
+    streams=lambda bounds: {"better": _populations(bounds), "worse": _populations(bounds)},
+    build=lambda better, worse: dominance_instance(World("a", better), World("b", worse)),
+)
+
+AXIOMS[AxiomId.ADDITION] = AxiomRow(
+    strict=False, roles=("c_added", "b_added", "b_added", "base"), factory=addition_instance,
+    fields={
+        "base_world": WORLD, "b_added_world": WorldId("b_added_id"),
+        "c_added_world": WorldId("c_added_id"), "b": POPULATION, "c": POPULATION,
+    },
+    clauses=_clauses(
+        ("base", lambda base: base.size > 0, "base population must be nonempty"),
+        ("b", lambda b: b.size > 0, "group b must be nonempty"),
+        ("b base", lambda b, base: b.max_level() < base.min_level(),
+         "group b must be worse off than the base"),
+        ("c b", lambda c, b: c.size > b.size, "group c must be larger than group b"),
+        ("c b", lambda c, b: c.max_level() < b.min_level(),
+         "group c must be worse off than group b"),
+        ("b_added base b", lambda b_added, base, b: b_added == base | b,
+         "b-added world must equal base plus group b"),
+        ("c_added base c", lambda c_added, base, c: c_added == base | c,
+         "c-added world must equal base plus group c"),
+    ),
+    streams=lambda bounds: {
+        "base": _populations(bounds), "b": _populations(bounds), "c": _populations(bounds),
+    },
+    build=lambda base, b, c: addition_instance(World("a", base), b, c),
+)
+
+AXIOMS[AxiomId.PRIORITY_COMPENSATION] = AxiomRow(
+    strict=False, roles=("before", "after"), factory=priority_compensation_instance,
+    fields={
+        "before": WorldId("before_id"), "after": WorldId("after_id"), "base": POPULATION,
+        "low_level": RATIONAL, "negative_level": RATIONAL, "high_level": RATIONAL,
+        "count": COUNT, "very_high": RATIONAL, "very_low": RATIONAL,
+    },
+    clauses=_clauses(
+        ("low_level very_low", lambda low_level, very_low: Fraction(0) < low_level <= very_low,
+         "lowered person must start at very low positive welfare"),
+        ("negative_level", lambda negative_level: negative_level < 0,
+         "lowered person must end slightly below zero"),
+        ("high_level very_high", lambda high_level, very_high: high_level >= very_high,
+         "created lives must have very high welfare"),
+        ("count", lambda count: isinstance(count, int) and count >= 1,
+         "must create at least one life"),
+        ("before base low_level",
+         lambda before, base, low_level: before == base | Population([(low_level, 1)]),
+         "before-world must equal base plus the very-low-positive person"),
+        ("after base negative_level high_level count",
+         lambda after, base, negative_level, high_level, count:
+            after == base | Population([(negative_level, 1), (high_level, count)]),
+         "after-world must equal base plus the lowered person plus the created lives"),
+    ),
+    thresholds=("very_high", "very_low"),
+    streams=lambda bounds, very_high, very_low: {
+        "base": bounds.base if bounds.base is not None else EMPTY_POPULATION,
+        "low_level": _levels(bounds, lambda l: 0 < l <= very_low),
+        "negative_level": _levels(bounds, lambda l: l < 0),
+        "high_level": _levels(bounds, lambda l: l >= very_high),
+        "count": Stream(bounds.max_count, range(1, bounds.max_count + 1)),
+    },
+    build=priority_compensation_instance,
+    search=_search_priority,
+)
 
 
 # ---------------------------------------------------------------------------

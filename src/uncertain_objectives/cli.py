@@ -41,7 +41,7 @@ from .decisions import (
     decide_partial,
     decide_quantilized,
 )
-from .errors import UncertainObjectivesError
+from .errors import SchemaError, UncertainObjectivesError
 from .populations import parse_swf, swf_label
 from .rationals import as_rational, format_rational
 from .scenario import (
@@ -73,6 +73,13 @@ def _report(command: str, digest: str, flags: dict, findings: dict) -> dict:
         "inputs": {"digest": digest, "flags": flags},
         "findings": findings,
     }
+
+
+def _json(text, where: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(where, f"invalid JSON: {exc}") from exc
 
 
 def _load_scenario(path: str):
@@ -174,7 +181,7 @@ def _cmd_bound(args) -> tuple[dict, bool]:
 
 def _load_matrix(path: str):
     with open(path, "rb") as fh:
-        doc = json.loads(fh.read().decode("utf-8"))
+        doc = _json(fh.read().decode("utf-8"), "$")
     if isinstance(doc, dict) and "belief_matrix" in doc:
         scenario = parse_scenario(json.dumps(doc))
         if scenario.belief_matrix is None:
@@ -323,7 +330,7 @@ def _cmd_audit(args) -> tuple[dict, bool]:
         raise UncertainObjectivesError(f"unknown axiom id {args.axiom!r}") from None
     base = None
     if args.base:
-        base = parse_population(json.loads(args.base), "--base")
+        base = parse_population(_json(args.base, "--base"), "--base")
     bounds = SearchBounds(
         levels=[as_rational(x) for x in args.levels.split(",")],
         max_count=args.max_count,

@@ -24,7 +24,7 @@ from math import lcm
 
 from .beliefs import OrderDistribution
 from .constraints import PartialOrder
-from .errors import EmptyActionSetError
+from .errors import EmptyActionSetError, InvalidValueError
 from .rationals import format_rational
 
 
@@ -74,6 +74,12 @@ class RuleConfig:
     tau: object = None
     policy: PartialPolicy | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("delta", "tau"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value <= 1:
+                raise InvalidValueError(f"{name} must lie in [0, 1], got {value}")
 
     def to_json(self) -> dict:
         def fmt(v):

@@ -5,6 +5,11 @@ class UncertainObjectivesError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidValueError(UncertainObjectivesError, ValueError):
+    """A value is outside its domain: a malformed rational, an unknown
+    welfare function, or an audit grid that cannot be searched."""
+
+
 class EmptyPopulationError(UncertainObjectivesError):
     """An operation that needs at least one person got an empty population."""
 

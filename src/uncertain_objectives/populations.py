@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import EmptyPopulationError
+from .errors import EmptyPopulationError, InvalidValueError
 from .ordering import Verdict
 from .rationals import as_rational, format_rational
 
@@ -27,23 +27,27 @@ class Population:
 
     Groups are stored sorted by level with equal levels merged and zero or
     negative counts rejected, so structural equality is semantic equality.
+    ``size``, the head count, is fixed at construction.
     """
 
     groups: tuple[tuple[Fraction, int], ...]
 
     def __init__(self, groups: Iterable[tuple] = ()):
-        merged: dict[Fraction, int] = {}
+        pairs = []
         for level, count in groups:
             level = as_rational(level)
             if not isinstance(count, int) or isinstance(count, bool) or count <= 0:
                 raise ValueError(f"group count must be a positive int, got {count!r}")
-            merged[level] = merged.get(level, 0) + count
-        canonical = tuple(sorted(merged.items()))
-        object.__setattr__(self, "groups", canonical)
-
-    @property
-    def size(self) -> int:
-        return sum(count for _, count in self.groups)
+            pairs.append((level, count))
+        # Groups given strictly ascending are already canonical; only others
+        # pay for hashing their levels to merge and sort them.
+        if any(a[0] >= b[0] for a, b in zip(pairs, pairs[1:])):
+            merged: dict[Fraction, int] = {}
+            for level, count in pairs:
+                merged[level] = merged.get(level, 0) + count
+            pairs = sorted(merged.items())
+        object.__setattr__(self, "groups", tuple(pairs))
+        object.__setattr__(self, "size", sum(count for _, count in pairs))
 
     @property
     def levels(self) -> tuple[Fraction, ...]:
@@ -171,10 +175,6 @@ class CriticalLevel:
 SwfKind = TotalWelfare | AverageWelfare | CriticalLevel
 
 
-def swf_score(swf: SwfKind, p: Population) -> Fraction:
-    return swf.score(p)
-
-
 def swf_compare(swf: SwfKind, a: Population, b: Population) -> Verdict:
     """Exact score comparison; a total preorder over populations.
 
@@ -213,4 +213,4 @@ def parse_swf(text: str) -> SwfKind:
         return AverageWelfare()
     if text.startswith("critical:"):
         return CriticalLevel(as_rational(text.split(":", 1)[1]))
-    raise ValueError(f"unknown social welfare function {text!r}")
+    raise InvalidValueError(f"unknown social welfare function {text!r}")

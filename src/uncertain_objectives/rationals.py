@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvalidValueError
+
 Rational = Fraction
 
 
@@ -18,7 +20,7 @@ def as_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
+        raise InvalidValueError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
@@ -28,8 +30,8 @@ def as_rational(value) -> Fraction:
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
-    raise ValueError(f"not a rational: {value!r}")
+            raise InvalidValueError(f"not a rational: {value!r}") from exc
+    raise InvalidValueError(f"not a rational: {value!r}")
 
 
 def format_rational(value: Fraction) -> str:

@@ -9,7 +9,9 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 import pytest
@@ -21,7 +23,35 @@ from uncertain_objectives import (
     UncertaintyPattern,
 )
 from uncertain_objectives import _kernels
+from uncertain_objectives.axioms import (
+    AxiomId,
+    AxiomInstance,
+    CheckResult,
+    SearchBounds,
+    ViolationWitness,
+    addition_instance,
+    avoid_repugnant_instance,
+    avoid_sadistic_instance,
+    avoid_very_anti_egalitarian_instance,
+    check_instance,
+    dominance_addition_instance,
+    dominance_instance,
+    egalitarian_dominance_instance,
+    inequality_aversion_instance,
+    priority_compensation_instance,
+    quality_instance,
+)
 from uncertain_objectives.beliefs import FLOAT_TOL, PathViolation, path_bounds
+from uncertain_objectives.errors import BoundsTooLargeError
+from uncertain_objectives.populations import (
+    EMPTY_POPULATION,
+    SwfKind,
+    World,
+    pointwise_dominates,
+    population_union,
+    swf_order,
+    total_welfare,
+)
 from uncertain_objectives.simplex import LpResult
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -447,3 +477,285 @@ def dense_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit=None):
             res.support = [(k, v) for k, v in zip(keys, res.x) if v > 0]
         res.x = res.x[len(keys):]
     return res
+
+
+# ---------------------------------------------------------------------------
+# Reference audits
+# ---------------------------------------------------------------------------
+# The per-axiom bounded audits the library used before its table-driven
+# driver, kept verbatim as an oracle: one hand-written search per axiom, the
+# premise restated as loop filters and the budget as a formula over the
+# loops.  The library's audits must return the same first witness (or None,
+# or the same error type) on every grid whose budget does not bind.
+
+def reference_audit_swf(swf, axiom, bounds):
+    return _AUDITS[axiom](swf, bounds)
+
+
+def _pop_space(levels: tuple[Fraction, ...], bounds: SearchBounds, min_groups: int = 1) -> int:
+    return sum(
+        comb(len(levels), k) * bounds.max_count**k
+        for k in range(min_groups, bounds.max_groups + 1)
+    )
+
+
+def _populations(
+    levels: Iterable[Fraction], bounds: SearchBounds, min_groups: int = 1
+) -> Iterator[Population]:
+    """All populations over the level subset, lexicographic: group count,
+    then level combination, then per-group counts (each ascending)."""
+    levels = tuple(levels)
+    for k in range(min_groups, bounds.max_groups + 1):
+        for combo in itertools.combinations(levels, k):
+            for counts in itertools.product(range(1, bounds.max_count + 1), repeat=k):
+                yield Population(zip(combo, counts))
+
+
+
+def _check_budget(estimate: int, bounds: SearchBounds):
+    if estimate > bounds.budget:
+        raise BoundsTooLargeError(estimate, bounds.budget)
+
+
+def _first_violation(instances: Iterator[AxiomInstance], swf: SwfKind, axiom: AxiomId, note=""):
+    order = swf_order(swf)
+    for inst in instances:
+        if check_instance(inst, order) is CheckResult.VIOLATED:
+            worse = inst.world(inst.claim_worse)
+            better = inst.world(inst.claim_better)
+            return ViolationWitness(
+                swf=swf, axiom=axiom, instance=inst, observed=order(worse, better), note=note
+            )
+    return None
+
+
+def _audit_avoid_repugnant(swf, bounds):
+    vh, vl = bounds.eff_very_high(), bounds.eff_very_low()
+    hi_levels = tuple(l for l in bounds.levels if l >= vh)
+    lo_levels = tuple(l for l in bounds.levels if 0 < l <= vl)
+    _check_budget(_pop_space(hi_levels, bounds) * _pop_space(lo_levels, bounds), bounds)
+
+    def instances():
+        for a in _populations(hi_levels, bounds):
+            for z in _populations(lo_levels, bounds):
+                if z.size > a.size:
+                    yield avoid_repugnant_instance(World("a", a), World("z", z), vh, vl)
+
+    return _first_violation(instances(), swf, AxiomId.AVOID_REPUGNANT)
+
+
+def _audit_avoid_sadistic(swf, bounds):
+    vh = bounds.eff_very_high()
+    tm = bounds.eff_torture_max()
+    hi_levels = tuple(l for l in bounds.levels if l >= vh)
+    torture_levels = tuple(l for l in bounds.levels if l <= tm)
+    pos_levels = tuple(l for l in bounds.levels if l > 0)
+    bases = [bounds.base] if bounds.base is not None else None
+    base_space = 1 if bases else _pop_space(hi_levels, bounds)
+    _check_budget(
+        base_space * _pop_space(torture_levels, bounds) * _pop_space(pos_levels, bounds),
+        bounds,
+    )
+
+    def instances():
+        base_stream = bases if bases else _populations(hi_levels, bounds)
+        for b in base_stream:
+            for t in _populations(torture_levels, bounds):
+                for p in _populations(pos_levels, bounds):
+                    if t.size < p.size:
+                        yield avoid_sadistic_instance(b, t, p, vh, tm)
+
+    return _first_violation(instances(), swf, AxiomId.AVOID_SADISTIC)
+
+
+def _audit_avoid_very_anti_egalitarian(swf, bounds):
+    uniform_space = len(bounds.levels) * bounds.max_count
+    _check_budget(uniform_space * _pop_space(bounds.levels, bounds, min_groups=2), bounds)
+
+    def instances():
+        for level in bounds.levels:
+            for count in range(2, bounds.max_count + 1):
+                a = Population([(level, count)])
+                for b in _populations(bounds.levels, bounds, min_groups=2):
+                    if b.size == a.size and total_welfare(b) < total_welfare(a):
+                        yield avoid_very_anti_egalitarian_instance(World("a", a), World("b", b))
+
+    return _first_violation(instances(), swf, AxiomId.AVOID_VERY_ANTI_EGALITARIAN)
+
+
+def _audit_dominance(swf, bounds):
+    space = _pop_space(bounds.levels, bounds)
+    _check_budget(space * space, bounds)
+
+    def instances():
+        for a in _populations(bounds.levels, bounds):
+            for b in _populations(bounds.levels, bounds):
+                if a.size == b.size and pointwise_dominates(a, b, strict=True):
+                    yield dominance_instance(World("a", a), World("b", b))
+
+    return _first_violation(instances(), swf, AxiomId.DOMINANCE)
+
+
+def _audit_egalitarian_dominance(swf, bounds):
+    uniform_space = len(bounds.levels) * bounds.max_count
+    _check_budget(uniform_space * _pop_space(bounds.levels, bounds), bounds)
+
+    def instances():
+        for level in bounds.levels:
+            for count in range(1, bounds.max_count + 1):
+                a = Population([(level, count)])
+                for b in _populations(bounds.levels, bounds):
+                    if b.size == count and b.max_level() < level:
+                        yield egalitarian_dominance_instance(World("a", a), World("b", b))
+
+    return _first_violation(instances(), swf, AxiomId.EGALITARIAN_DOMINANCE)
+
+
+def _audit_dominance_addition(swf, bounds):
+    pos_levels = tuple(l for l in bounds.levels if l > 0)
+    space = _pop_space(bounds.levels, bounds)
+    _check_budget(space * space * _pop_space(pos_levels, bounds), bounds)
+
+    def instances():
+        for a in _populations(bounds.levels, bounds):
+            for raised in _populations(bounds.levels, bounds):
+                if raised.size != a.size or not pointwise_dominates(raised, a, strict=False):
+                    continue
+                for added in _populations(pos_levels, bounds):
+                    yield dominance_addition_instance(
+                        World("a", a),
+                        World("a_plus", population_union(raised, added)),
+                        raised,
+                        added,
+                    )
+
+    return _first_violation(instances(), swf, AxiomId.DOMINANCE_ADDITION)
+
+
+def _audit_inequality_aversion(swf, bounds):
+    n_levels = len(bounds.levels)
+    _check_budget(
+        comb(n_levels, 2) * bounds.max_count**2 * n_levels, bounds
+    )
+
+    def instances():
+        for a_level, c_level in itertools.combinations(reversed(bounds.levels), 2):
+            for a_count in range(1, bounds.max_count + 1):
+                for c_count in range(a_count + 1, bounds.max_count + 1):
+                    mixed = Population([(a_level, a_count), (c_level, c_count)])
+                    for b_level in bounds.levels:
+                        if c_level < b_level < a_level:
+                            equal = Population([(b_level, a_count + c_count)])
+                            yield inequality_aversion_instance(
+                                World("mixed", mixed), World("equal", equal)
+                            )
+
+    return _first_violation(instances(), swf, AxiomId.INEQUALITY_AVERSION)
+
+
+def _audit_addition(swf, bounds):
+    space = _pop_space(bounds.levels, bounds)
+    _check_budget(space**3, bounds)
+
+    def instances():
+        for a in _populations(bounds.levels, bounds):
+            for b in _populations(bounds.levels, bounds):
+                if b.max_level() >= a.min_level():
+                    continue
+                for c in _populations(bounds.levels, bounds):
+                    if c.size > b.size and c.max_level() < b.min_level():
+                        yield addition_instance(World("a", a), b, c)
+
+    return _first_violation(instances(), swf, AxiomId.ADDITION)
+
+
+def _audit_quality(swf, bounds):
+    vh, vl = bounds.eff_very_high(), bounds.eff_very_low()
+    hi_levels = tuple(l for l in bounds.levels if l >= vh)
+    lo_levels = tuple(l for l in bounds.levels if 0 < l <= vl)
+    hi_space = len(hi_levels) * bounds.max_count
+    _check_budget(hi_space * _pop_space(lo_levels, bounds), bounds)
+    order = swf_order(swf)
+    first_witness = None
+    candidates = 0
+    for level in hi_levels:
+        for count in range(1, bounds.max_count + 1):
+            candidates += 1
+            high = World("a", Population([(level, count)]))
+            beaten = None
+            for low_pop in _populations(lo_levels, bounds):
+                inst = quality_instance(high, World("z", low_pop), vh, vl)
+                if check_instance(inst, order) is CheckResult.VIOLATED:
+                    beaten = inst
+                    break
+            if beaten is None:
+                return None  # this candidate survives, so the axiom holds here
+            if first_witness is None:
+                first_witness = beaten
+    if first_witness is None:
+        return None
+    worse = first_witness.world(first_witness.claim_worse)
+    better = first_witness.world(first_witness.claim_better)
+    return ViolationWitness(
+        swf=swf,
+        axiom=AxiomId.QUALITY,
+        instance=first_witness,
+        observed=order(worse, better),
+        note=(
+            f"all {candidates} perfectly equal very-high candidates in the grid are "
+            "beaten by some very-low-positive population (bounded claim)"
+        ),
+    )
+
+
+def _audit_priority_compensation(swf, bounds):
+    vh, vl = bounds.eff_very_high(), bounds.eff_very_low()
+    base = bounds.base if bounds.base is not None else EMPTY_POPULATION
+    low_levels = tuple(l for l in bounds.levels if 0 < l <= vl)
+    neg_levels = tuple(l for l in bounds.levels if l < 0)
+    hi_levels = tuple(l for l in bounds.levels if l >= vh)
+    _check_budget(
+        len(low_levels) * len(neg_levels) * len(hi_levels) * bounds.max_count, bounds
+    )
+    order = swf_order(swf)
+    for low in low_levels:
+        for neg in neg_levels:
+            for high in hi_levels:
+                all_fail = True
+                last = None
+                for count in range(1, bounds.max_count + 1):
+                    inst = priority_compensation_instance(
+                        base, low, neg, high, count, vh, vl
+                    )
+                    if check_instance(inst, order) is not CheckResult.VIOLATED:
+                        all_fail = False
+                        break
+                    last = inst
+                if all_fail and last is not None:
+                    worse = last.world(last.claim_worse)
+                    better = last.world(last.claim_better)
+                    return ViolationWitness(
+                        swf=swf,
+                        axiom=AxiomId.PRIORITY_COMPENSATION,
+                        instance=last,
+                        observed=order(worse, better),
+                        note=(
+                            f"no count up to {bounds.max_count} compensates the drop "
+                            f"from {low} to {neg} (bounded claim)"
+                        ),
+                    )
+    return None
+
+
+_AUDITS = {
+    AxiomId.QUALITY: _audit_quality,
+    AxiomId.INEQUALITY_AVERSION: _audit_inequality_aversion,
+    AxiomId.EGALITARIAN_DOMINANCE: _audit_egalitarian_dominance,
+    AxiomId.DOMINANCE_ADDITION: _audit_dominance_addition,
+    AxiomId.AVOID_REPUGNANT: _audit_avoid_repugnant,
+    AxiomId.AVOID_SADISTIC: _audit_avoid_sadistic,
+    AxiomId.AVOID_VERY_ANTI_EGALITARIAN: _audit_avoid_very_anti_egalitarian,
+    AxiomId.DOMINANCE: _audit_dominance,
+    AxiomId.ADDITION: _audit_addition,
+    AxiomId.PRIORITY_COMPENSATION: _audit_priority_compensation,
+}

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -22,7 +24,9 @@ from uncertain_objectives import (
     second_theorem_cycle,
     swf_compare,
 )
+from uncertain_objectives import axioms
 from uncertain_objectives.axioms import (
+    AxiomInstance,
     addition_instance,
     avoid_repugnant_instance,
     avoid_sadistic_instance,
@@ -38,8 +42,12 @@ from uncertain_objectives.errors import (
     BoundsTooLargeError,
     ConflictingWorldIdsError,
     InvalidInstanceError,
+    InvalidValueError,
+    UncertainObjectivesError,
 )
 from uncertain_objectives.populations import swf_order
+
+from conftest import reference_audit_swf
 
 
 def w(name, *groups):
@@ -362,6 +370,76 @@ class TestAudits:
         with pytest.raises(BoundsTooLargeError):
             audit_swf(TotalWelfare(), AxiomId.AVOID_REPUGNANT, bounds)
 
+    @pytest.mark.parametrize(
+        "axiom,threshold",
+        [
+            (AxiomId.QUALITY, {"very_low": 0}),
+            (AxiomId.AVOID_REPUGNANT, {"very_low": 0}),
+            (AxiomId.AVOID_REPUGNANT, {"very_low": 100, "very_high": 100}),
+            (AxiomId.AVOID_SADISTIC, {"torture_max": 0}),
+        ],
+    )
+    def test_invalid_thresholds_refused_before_search(self, axiom, threshold):
+        # Thresholds that break the premise by themselves are refused before
+        # the budget check; a zero very_low would otherwise leave the low
+        # stream empty and report a vacuous clean result.
+        bounds = SearchBounds(levels=(-5, 1, 100), max_count=2, budget=0, **threshold)
+        with pytest.raises(InvalidInstanceError):
+            audit_swf(TotalWelfare(), axiom, bounds)
+
+    def test_derived_worlds_are_checked_inside_audits(self, monkeypatch):
+        # The walk checks every clause its streams bind and leaves the
+        # clauses on worlds a factory derives to construction, which must
+        # still run them during the audit.
+        def wrong_c_world(base, b_part, c_part):
+            b_world = World("with_b", base.population | b_part)
+            c_world = World("with_c", base.population | b_part)  # should add c_part
+            return AxiomInstance(
+                AxiomId.ADDITION, (base, b_world, c_world), "with_c", "with_b", strict=False,
+                params={"base_world": base.id, "b": b_part, "c": c_part},
+                gate=("with_b", base.id),
+            )
+
+        monkeypatch.setattr(axioms, "addition_instance", wrong_c_world)
+        bounds = SearchBounds(levels=(-2, -1, 1), max_count=2, max_groups=1)
+        with pytest.raises(InvalidInstanceError, match="c-added world must equal"):
+            audit_swf(TotalWelfare(), AxiomId.ADDITION, bounds)
+
+    def test_construction_checks_everything_after_a_failed_audit(self, monkeypatch):
+        def broken(instance, order):
+            raise RuntimeError("order failed")
+
+        monkeypatch.setattr(axioms, "check_instance", broken)
+        with pytest.raises(RuntimeError):
+            audit_swf(TotalWelfare(), AxiomId.AVOID_REPUGNANT, SearchBounds((1, 100), 3))
+        base = population((100, 1))
+        with pytest.raises(InvalidInstanceError, match="tortured world must equal"):
+            AxiomInstance(
+                AxiomId.AVOID_SADISTIC,
+                (World("t", base), World("p", population((100, 1), (1, 2)))), "t", "p",
+                strict=False,
+                params={"base": base, "tortured": population((-5, 1)),
+                        "positive": population((1, 2)), "very_high": Fraction(100),
+                        "torture_max": Fraction(-5)},
+            )
+
+    def test_zero_thresholds_serialize(self):
+        bounds = SearchBounds(levels=(1, 2), max_count=1, very_low=0, torture_max=0, very_high=0)
+        doc = bounds.to_json()
+        assert (doc["very_low"], doc["torture_max"], doc["very_high"]) == ("0", "0", "0")
+
+    def test_grid_errors_are_typed(self):
+        for make in (
+            lambda: SearchBounds(levels=(), max_count=1),
+            lambda: SearchBounds(levels=(1,), max_count=0),
+            lambda: SearchBounds(levels=(1,), max_count=1, max_groups=0),
+            lambda: SearchBounds(levels=("x",), max_count=1),
+            lambda: SearchBounds(levels=(-1,), max_count=1).eff_very_low(),
+            lambda: SearchBounds(levels=(1,), max_count=1).eff_torture_max(),
+        ):
+            with pytest.raises(InvalidValueError):
+                make()
+
     def test_spec_canonical_comparisons(self):
         # The canonical instances behind the two classic witnesses.
         assert swf_compare(
@@ -410,3 +488,119 @@ class TestBuildCycle:
         clash = egalitarian_dominance_instance(w("b", (7, 5)), w("c", (6, 5)))
         with pytest.raises(ConflictingWorldIdsError):
             build_cycle([good, clash])
+
+
+def _outcome(audit, swf, axiom, bounds):
+    try:
+        witness = audit(swf, axiom, bounds)
+    except (UncertainObjectivesError, ValueError) as exc:
+        return type(exc)
+    return None if witness is None else witness.to_json()
+
+
+def _estimate(audit, swf, axiom, bounds):
+    """The instance-space estimate an audit checks against its budget."""
+    try:
+        audit(swf, axiom, SearchBounds(**{**_bounds_kwargs(bounds), "budget": -1}))
+    except BoundsTooLargeError as exc:
+        return exc.estimate
+    raise AssertionError("a budget of -1 must bind")
+
+
+def _bounds_kwargs(bounds):
+    return {
+        "levels": bounds.levels, "max_count": bounds.max_count,
+        "max_groups": bounds.max_groups, "budget": bounds.budget,
+        "very_high": bounds.very_high, "very_low": bounds.very_low,
+        "torture_max": bounds.torture_max, "base": bounds.base,
+    }
+
+
+_LEVEL_POOL = [Fraction(x) for x in (-3, -1, "-1/2", 0, "1/2", 1, 2, 5)]
+
+
+def _random_bounds(rng, max_count):
+    kwargs = {
+        "levels": rng.sample(_LEVEL_POOL, rng.randint(1, 4)),
+        "max_count": max_count,
+        "max_groups": rng.randint(1, 2),
+        "budget": 10**7,
+    }
+    for key in ("very_high", "very_low", "torture_max"):
+        if rng.random() < 0.2:
+            kwargs[key] = rng.choice(_LEVEL_POOL)
+    if rng.random() < 0.3:
+        kwargs["base"] = Population(
+            (rng.choice(_LEVEL_POOL), rng.randint(1, 3)) for _ in range(rng.randint(0, 2))
+        )
+    return SearchBounds(**kwargs)
+
+
+def _fixed_premise_fails(axiom, bounds):
+    """True when a premise clause that reads only thresholds (or the pinned
+    base) fails, so the audit must refuse the grid before enumerating."""
+    if axiom in (AxiomId.QUALITY, AxiomId.AVOID_REPUGNANT):
+        return not 0 < bounds.eff_very_low() < bounds.eff_very_high()
+    if axiom is AxiomId.AVOID_SADISTIC:
+        base = bounds.base
+        return bounds.eff_torture_max() >= 0 or (
+            base is not None and (base.size == 0 or base.min_level() < bounds.eff_very_high())
+        )
+    return False
+
+
+class TestAuditMatchesReference:
+    """The table-driven audits against the per-axiom searches they replaced."""
+
+    def test_seeded_sweep(self):
+        rng = random.Random(2000)
+        tally = {"witness": 0, "none": 0, "error": 0, "refused": 0}
+        for case in range(600):
+            axiom = list(AxiomId)[case % len(AxiomId)]
+            swf = rng.choice(
+                [TotalWelfare(), AverageWelfare(), CriticalLevel(rng.choice(_LEVEL_POOL))]
+            )
+            for max_count in (3, 2, 1):
+                bounds = _random_bounds(rng, max_count)
+                try:
+                    if _estimate(reference_audit_swf, swf, axiom, bounds) <= 4000:
+                        break
+                except (ValueError, InvalidInstanceError):
+                    break
+            expected = _outcome(reference_audit_swf, swf, axiom, bounds)
+            got = _outcome(audit_swf, swf, axiom, bounds)
+            if isinstance(got, dict):
+                # Rebuilt outside an audit, the witness passes every clause.
+                witness = audit_swf(swf, axiom, bounds)
+                assert dataclasses.replace(witness.instance) == witness.instance
+            if got is InvalidInstanceError and expected is None:
+                # The parent enumerated nothing and reported a vacuous clean
+                # result; the fixed premise now refuses the grid up front.
+                assert _fixed_premise_fails(axiom, bounds), (axiom, bounds)
+                tally["refused"] += 1
+                continue
+            if isinstance(expected, type):
+                assert isinstance(got, type) and issubclass(got, expected), (axiom, bounds)
+                tally["error"] += 1
+                continue
+            assert got == expected, (axiom, swf, bounds)
+            tally["witness" if expected else "none"] += 1
+        assert min(tally["witness"], tally["none"], tally["error"]) > 0, tally
+
+    @pytest.mark.parametrize("axiom", list(AxiomId))
+    @pytest.mark.parametrize("max_groups", [1, 2])
+    def test_estimates(self, axiom, max_groups):
+        for levels, max_count in (((-2, -1, 1, 2, 3), 3), ((-1, 1, 4, 9), 4)):
+            bounds = SearchBounds(levels=levels, max_count=max_count, max_groups=max_groups)
+            parent = _estimate(reference_audit_swf, TotalWelfare(), axiom, bounds)
+            got = _estimate(audit_swf, TotalWelfare(), axiom, bounds)
+            n = len(levels)
+            space2 = sum(math.comb(n, k) * max_count**k for k in range(2, max_groups + 1))
+            if axiom is AxiomId.AVOID_VERY_ANTI_EGALITARIAN:
+                # uniform populations of 2..max_count people, not 1..max_count
+                assert got == n * (max_count - 1) * space2 <= parent
+            elif axiom is AxiomId.INEQUALITY_AVERSION:
+                # tier counts a < c: C(max_count, 2) pairs, not max_count^2
+                assert got == math.comb(n, 2) * math.comb(max_count, 2) * n < parent
+            else:
+                assert got == parent

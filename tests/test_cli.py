@@ -251,6 +251,60 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: simplex exceeded its cap of 1 pivots\n"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--max-count=0",), "max_count and max_groups must be at least 1"),
+            (("--max-count=2", "--max-groups=0"), "max_count and max_groups must be at least 1"),
+            (("--max-count=2", "--levels=x"), "not a rational: 'x'"),
+            (("--max-count=2", "--swf=bogus"), "unknown social welfare function 'bogus'"),
+            (("--max-count=2", "--base", "[["), "--base: invalid JSON"),
+            (("--max-count=2", "--levels=-4,-3"), "no positive level in the grid"),
+        ],
+    )
+    def test_bad_audit_input_is_error(self, argv, message):
+        defaults = ["--swf=total", "--axiom=avoid_repugnant", "--levels=1,100"]
+        given = {a.split("=")[0] for a in argv}
+        argv = [a for a in defaults if a.split("=")[0] not in given] + list(argv)
+        code, out, err = run_cli("audit", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "axiom,threshold,message",
+        [
+            ("avoid_repugnant", "--very-low=0", "thresholds need 0 < very_low < very_high"),
+            ("avoid_sadistic", "--torture-max=0", "torture threshold must be negative"),
+        ],
+    )
+    def test_invalid_threshold_is_refused_before_search(self, axiom, threshold, message):
+        code, out, err = run_cli(
+            "audit", "--swf=total", f"--axiom={axiom}", "--levels=-5,1,100", "--max-count=3",
+            threshold,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--rule", "margin", "--delta", "x"), "not a rational: 'x'"),
+            (("--rule", "quantilized", "--tau", "2"), "tau must lie in [0, 1], got 2"),
+            (("--rule", "margin", "--delta=-1/2"), "delta must lie in [0, 1], got -1/2"),
+        ],
+    )
+    def test_bad_decide_input_is_error(self, argv, message):
+        code, out, err = run_cli("decide", str(SCENARIOS / "decide_rotations.json"), *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_bad_matrix_json_is_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+        code, out, err = run_cli("coherence", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: $: invalid JSON")
+
     def test_decide_on_infeasible_matrix_is_error(self, tmp_path):
         doc = {
             "worlds": {"x1": [["1", 1]], "x2": [["1", 1]], "x3": [["1", 1]]},

@@ -3,7 +3,27 @@ from fractions import Fraction as F
 
 import pytest
 
-from uncertain_objectives import parse_scenario, serialize_scenario
+from uncertain_objectives import (
+    AxiomId,
+    Edge,
+    World,
+    parse_scenario,
+    population,
+    serialize_scenario,
+)
+from uncertain_objectives.axioms import (
+    AXIOMS,
+    addition_instance,
+    avoid_repugnant_instance,
+    avoid_sadistic_instance,
+    avoid_very_anti_egalitarian_instance,
+    dominance_addition_instance,
+    dominance_instance,
+    egalitarian_dominance_instance,
+    inequality_aversion_instance,
+    priority_compensation_instance,
+    quality_instance,
+)
 from uncertain_objectives.errors import (
     IntegrityError,
     InvalidInstanceError,
@@ -174,3 +194,160 @@ class TestRoundTrip:
         s1 = parse_scenario((SCENARIOS / "three_cycle.json").read_text())
         s2 = parse_scenario(serialize_scenario(s1))
         assert s1.digest() == s2.digest()
+
+
+# One valid structured constraint per axiom: its worlds, its document body
+# and the factory call it must equal.  The three derived-world axioms also
+# name a declared world and a population for it that disagrees with the
+# axiom's construction.
+AXIOM_FORMS = {
+    "quality": (
+        {"h": [["95", 3]], "l": [["1", 50]]},
+        {"high": "h", "low": "l", "very_high": "90", "very_low": "1"},
+        lambda: quality_instance(
+            World("h", population((95, 3))), World("l", population((1, 50))), 90, 1
+        ),
+        None,
+    ),
+    "inequality_aversion": (
+        {"m": [["10", 2], ["1", 5]], "e": [["5", 7]]},
+        {"mixed": "m", "equal": "e"},
+        lambda: inequality_aversion_instance(
+            World("m", population((10, 2), (1, 5))), World("e", population((5, 7)))
+        ),
+        None,
+    ),
+    "egalitarian_dominance": (
+        {"a": [["10", 5]], "b": [["9", 3], ["8", 2]]},
+        {"better": "a", "worse": "b"},
+        lambda: egalitarian_dominance_instance(
+            World("a", population((10, 5))), World("b", population((9, 3), (8, 2)))
+        ),
+        None,
+    ),
+    "dominance_addition": (
+        {"a": [["10", 5]], "ap": [["11", 5], ["1", 100]]},
+        {"base": "a", "augmented": "ap", "raised": [["11", 5]], "added": [["1", 100]]},
+        lambda: dominance_addition_instance(
+            World("a", population((10, 5))),
+            World("ap", population((11, 5), (1, 100))),
+            population((11, 5)),
+            population((1, 100)),
+        ),
+        None,
+    ),
+    "avoid_repugnant": (
+        {"a": [["100", 10]], "z": [["1", 1001]]},
+        {"high": "a", "crowd": "z", "very_high": "100", "very_low": "1"},
+        lambda: avoid_repugnant_instance(
+            World("a", population((100, 10))), World("z", population((1, 1001))), 100, 1
+        ),
+        None,
+    ),
+    "avoid_sadistic": (
+        {"bt": [["100", 10], ["-50", 1]], "bp": [["100", 10], ["1", 1000]]},
+        {
+            "tortured_world": "bt", "positive_world": "bp", "base": [["100", 10]],
+            "tortured": [["-50", 1]], "positive": [["1", 1000]],
+            "very_high": "100", "torture_max": "-50",
+        },
+        lambda: avoid_sadistic_instance(
+            population((100, 10)), population((-50, 1)), population((1, 1000)), 100, -50,
+            tortured_id="bt", positive_id="bp",
+        ),
+        ("bt", [["100", 1]]),
+    ),
+    "avoid_very_anti_egalitarian": (
+        {"a": [["10", 2]], "b": [["15", 1], ["1", 1]]},
+        {"better": "a", "worse": "b"},
+        lambda: avoid_very_anti_egalitarian_instance(
+            World("a", population((10, 2))), World("b", population((15, 1), (1, 1)))
+        ),
+        None,
+    ),
+    "dominance": (
+        {"a": [["10", 2], ["5", 1]], "b": [["9", 2], ["4", 1]]},
+        {"better": "a", "worse": "b"},
+        lambda: dominance_instance(
+            World("a", population((10, 2), (5, 1))), World("b", population((9, 2), (4, 1)))
+        ),
+        None,
+    ),
+    "addition": (
+        {"a": [["10", 3]], "wb": [["10", 3], ["5", 2]], "wc": [["10", 3], ["4", 3]]},
+        {
+            "base_world": "a", "b_added_world": "wb", "c_added_world": "wc",
+            "b": [["5", 2]], "c": [["4", 3]],
+        },
+        lambda: addition_instance(
+            World("a", population((10, 3))), population((5, 2)), population((4, 3)),
+            b_added_id="wb", c_added_id="wc",
+        ),
+        ("wc", [["10", 3], ["4", 4]]),
+    ),
+    "priority_compensation": (
+        {"pb": [["50", 4], ["1", 1]], "pa": [["50", 4], ["-1", 1], ["100", 7]]},
+        {
+            "before": "pb", "after": "pa", "base": [["50", 4]], "low_level": "1",
+            "negative_level": "-1", "high_level": "100", "count": 7,
+            "very_high": "100", "very_low": "1",
+        },
+        lambda: priority_compensation_instance(
+            population((50, 4)), 1, -1, 100, 7, very_high=100, very_low=1,
+            before_id="pb", after_id="pa",
+        ),
+        ("pa", [["50", 4], ["-1", 1], ["100", 6]]),
+    ),
+}
+
+
+def axiom_doc(axiom, worlds=None, drop=None):
+    world_doc, body, _, _ = AXIOM_FORMS[axiom]
+    constraint = {"label": "K", "axiom": axiom, **body}
+    constraint.pop(drop, None)
+    return json.dumps({"worlds": worlds or world_doc, "constraints": [constraint]})
+
+
+class TestAxiomForms:
+    def test_every_axiom_has_a_form(self):
+        assert set(AXIOM_FORMS) == {a.value for a in AxiomId}
+
+    @pytest.mark.parametrize("axiom", sorted(AXIOM_FORMS))
+    def test_valid_constraint(self, axiom):
+        s = parse_scenario(axiom_doc(axiom))
+        (c,) = s.constraints
+        expected = AXIOM_FORMS[axiom][2]()
+        assert c.instance == expected
+        assert c.edge == Edge(worse=expected.claim_worse, better=expected.claim_better, label="K")
+        again = parse_scenario(serialize_scenario(s))
+        assert again == s
+        assert serialize_scenario(again) == serialize_scenario(s)
+
+    @pytest.mark.parametrize(
+        "axiom,field",
+        [(a, f) for a in sorted(AXIOM_FORMS) for f in AXIOM_FORMS[a][1]],
+    )
+    def test_missing_field(self, axiom, field):
+        with pytest.raises(SchemaError) as info:
+            parse_scenario(axiom_doc(axiom, drop=field))
+        assert info.value.path.startswith("constraints[0]")
+        assert repr(field) in str(info.value) or f".{field}:" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "axiom", sorted(a for a, form in AXIOM_FORMS.items() if form[3] is not None)
+    )
+    def test_derived_world_disagrees(self, axiom):
+        world_doc, _, _, (wid, groups) = AXIOM_FORMS[axiom]
+        with pytest.raises(IntegrityError, match=rf"world {wid!r} declares"):
+            parse_scenario(axiom_doc(axiom, worlds={**world_doc, wid: groups}))
+
+
+def test_readme_lists_each_rows_fields():
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    section = readme.split("### Axiom constraint forms", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.split("|")[1:-1]]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            listed[cells[0].strip("`*")] = [f.strip().strip("`") for f in cells[1].split(",")]
+    assert listed == {axiom.value: list(AXIOMS[axiom].fields) for axiom in AxiomId}
