@@ -909,6 +909,8 @@ AXIOMS[AxiomId.PRIORITY_COMPENSATION] = AxiomRow(
         "count": COUNT, "very_high": RATIONAL, "very_low": RATIONAL,
     },
     clauses=_clauses(
+        ("very_low", lambda very_low: very_low > 0,
+         "very_low must be positive, or no level lies in (0, very_low]"),
         ("low_level very_low", lambda low_level, very_low: Fraction(0) < low_level <= very_low,
          "lowered person must start at very low positive welfare"),
         ("negative_level", lambda negative_level: negative_level < 0,

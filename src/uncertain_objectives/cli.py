@@ -182,7 +182,9 @@ def _cmd_bound(args) -> tuple[dict, bool]:
 def _load_matrix(path: str):
     with open(path, "rb") as fh:
         doc = _json(fh.read().decode("utf-8"), "$")
-    if isinstance(doc, dict) and "belief_matrix" in doc:
+    if not isinstance(doc, dict):
+        raise SchemaError("$", "matrix document must be a JSON object")
+    if "belief_matrix" in doc:
         scenario = parse_scenario(json.dumps(doc))
         if scenario.belief_matrix is None:
             raise UncertainObjectivesError("scenario has no belief_matrix")

@@ -312,27 +312,43 @@ def pattern_is_valid(g: ConstraintGraph, pattern: UncertaintyPattern) -> bool:
     return True
 
 
+# Subsets per batch.  A search holds one block's arrays at a time, so its
+# memory does not grow with the pattern size or the budget.
+_BLOCK_ROWS = 1 << 16
+
+
 def _subset_batches(g: ConstraintGraph, size: int):
-    """Bit-row and removed-pair arrays for every size-``size`` edge subset,
-    in lexicographic order of edge indices."""
-    n = len(g.worlds)
-    if n > _kernels.MAX_BIT_NODES:
-        raise WorldLimitError(n, _kernels.MAX_BIT_NODES)
+    """Kernel inputs for every size-``size`` edge subset, in lexicographic
+    order of edge indices, in blocks of at most ``_BLOCK_ROWS`` subsets.
+
+    Each block is ``(subsets, rows, removed_u, removed_v, removed_len)``:
+    the subsets as an index array of shape (B, size), the kept edges'
+    bit-rows, and the removed edges' endpoint pairs.  A bit-row ORs the kept
+    out-edges of its world, so parallel edges stay set while one survives.
+    """
     idx = {w: i for i, w in enumerate(g.worlds)}
-    subsets = list(itertools.combinations(range(len(g.edges)), size))
-    rows = np.zeros((len(subsets), n), dtype=np.int64)
-    removed_u = np.zeros((len(subsets), max(size, 1)), dtype=np.int64)
-    removed_v = np.zeros((len(subsets), max(size, 1)), dtype=np.int64)
-    removed_len = np.full(len(subsets), size, dtype=np.int64)
-    for si, subset in enumerate(subsets):
-        skip = frozenset(subset)
-        for ei, e in enumerate(g.edges):
-            if ei not in skip:
-                rows[si, idx[e.worse]] |= np.int64(1 << idx[e.better])
-        for j, ei in enumerate(subset):
-            removed_u[si, j] = idx[g.edges[ei].worse]
-            removed_v[si, j] = idx[g.edges[ei].better]
-    return subsets, rows, removed_u, removed_v, removed_len
+    n_edges = len(g.edges)
+    worse = np.array([idx[e.worse] for e in g.edges], dtype=np.int64)
+    better = np.array([idx[e.better] for e in g.edges], dtype=np.int64)
+    bits = np.left_shift(np.int64(1), better)
+    out_edges = [(w, np.flatnonzero(worse == w)) for w in set(worse.tolist())]
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n_edges), size))
+    left = comb(n_edges, size)
+    while left:
+        count = min(left, _BLOCK_ROWS)
+        left -= count
+        subsets = np.fromiter(combos, dtype=np.int64, count=count * size).reshape(count, size)
+        keep = np.ones((count, n_edges), dtype=bool)
+        keep[np.arange(count)[:, None], subsets] = False
+        rows = np.zeros((count, len(g.worlds)), dtype=np.int64)
+        for w, cols in out_edges:
+            rows[:, w] = np.bitwise_or.reduce(np.where(keep[:, cols], bits[cols], 0), axis=1)
+        yield subsets, rows, worse[subsets], better[subsets], np.full(count, size, dtype=np.int64)
+
+
+def _check_world_limit(g: ConstraintGraph) -> None:
+    if len(g.worlds) > _kernels.MAX_BIT_NODES:
+        raise WorldLimitError(len(g.worlds), _kernels.MAX_BIT_NODES)
 
 
 def valid_uncertainty_patterns(
@@ -348,8 +364,7 @@ def valid_uncertainty_patterns(
     """
     if not is_cyclic(g):
         return [UncertaintyPattern(())]
-    if len(g.worlds) > _kernels.MAX_BIT_NODES:
-        raise WorldLimitError(len(g.worlds), _kernels.MAX_BIT_NODES)
+    _check_world_limit(g)
     n_edges = len(g.edges)
     max_size = min(max_size, n_edges)
     total = sum(comb(n_edges, k) for k in range(max_size + 1))
@@ -361,18 +376,14 @@ def valid_uncertainty_patterns(
     found: list[UncertaintyPattern] = []
     found_sets: list[frozenset[int]] = []
     for size in range(max_size + 1):
-        subsets, rows, ru, rv, rl = _subset_batches(g, size)
-        if not subsets:
-            continue
-        flags = _kernels.pattern_valid_flags(rows, ru, rv, rl)
-        for subset, ok in zip(subsets, flags):
-            if not ok:
-                continue
-            s = frozenset(subset)
-            if any(f <= s for f in found_sets):
-                continue
-            found.append(UncertaintyPattern(subset))
-            found_sets.append(s)
+        for subsets, rows, ru, rv, rl in _subset_batches(g, size):
+            flags = _kernels.pattern_valid_flags(rows, ru, rv, rl)
+            for subset in subsets[np.flatnonzero(flags)].tolist():
+                s = frozenset(subset)
+                if any(f <= s for f in found_sets):
+                    continue
+                found.append(UncertaintyPattern(subset))
+                found_sets.append(s)
     return found
 
 
@@ -381,10 +392,11 @@ def min_uncertainty_size(g: ConstraintGraph, budget: int = 1_000_000) -> int:
 
     0 exactly when the graph is acyclic; at least 2 whenever it has a cycle.
     Cyclic graphs with more than ``MAX_BIT_NODES`` worlds raise
-    ``WorldLimitError``.
+    ``WorldLimitError``, before the budget is checked.
     """
     if not is_cyclic(g):
         return 0
+    _check_world_limit(g)
     n_edges = len(g.edges)
     seen = 1
     for size in range(1, n_edges + 1):
@@ -393,10 +405,9 @@ def min_uncertainty_size(g: ConstraintGraph, budget: int = 1_000_000) -> int:
             raise BudgetExceededError(
                 f"subset enumeration through size {size} exceeds budget {budget}"
             )
-        subsets, rows, ru, rv, rl = _subset_batches(g, size)
-        flags = _kernels.pattern_valid_flags(rows, ru, rv, rl)
-        if flags.any():
-            return size
+        for _, rows, ru, rv, rl in _subset_batches(g, size):
+            if _kernels.pattern_valid_flags(rows, ru, rv, rl).any():
+                return size
     raise AssertionError("unreachable: removing every edge is always valid")
 
 

@@ -377,6 +377,8 @@ class TestAudits:
             (AxiomId.AVOID_REPUGNANT, {"very_low": 0}),
             (AxiomId.AVOID_REPUGNANT, {"very_low": 100, "very_high": 100}),
             (AxiomId.AVOID_SADISTIC, {"torture_max": 0}),
+            (AxiomId.PRIORITY_COMPENSATION, {"very_low": 0}),
+            (AxiomId.PRIORITY_COMPENSATION, {"very_low": -1}),
         ],
     )
     def test_invalid_thresholds_refused_before_search(self, axiom, threshold):
@@ -541,6 +543,8 @@ def _fixed_premise_fails(axiom, bounds):
     base) fails, so the audit must refuse the grid before enumerating."""
     if axiom in (AxiomId.QUALITY, AxiomId.AVOID_REPUGNANT):
         return not 0 < bounds.eff_very_low() < bounds.eff_very_high()
+    if axiom is AxiomId.PRIORITY_COMPENSATION:
+        return bounds.eff_very_low() <= 0
     if axiom is AxiomId.AVOID_SADISTIC:
         base = bounds.base
         return bounds.eff_torture_max() >= 0 or (

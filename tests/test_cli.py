@@ -275,6 +275,8 @@ class TestExitCodes:
         [
             ("avoid_repugnant", "--very-low=0", "thresholds need 0 < very_low < very_high"),
             ("avoid_sadistic", "--torture-max=0", "torture threshold must be negative"),
+            ("priority_compensation", "--very-low=-1",
+             "very_low must be positive, or no level lies in (0, very_low]"),
         ],
     )
     def test_invalid_threshold_is_refused_before_search(self, axiom, threshold, message):
@@ -304,6 +306,14 @@ class TestExitCodes:
         code, out, err = run_cli("coherence", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: $: invalid JSON")
+
+    @pytest.mark.parametrize("text", ["[1]", "1", '"x"', "null"])
+    def test_matrix_document_that_is_not_an_object_is_error(self, tmp_path, text):
+        path = tmp_path / "matrix.json"
+        path.write_text(text)
+        code, out, err = run_cli("coherence", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: $: matrix document must be a JSON object\n"
 
     def test_decide_on_infeasible_matrix_is_error(self, tmp_path):
         doc = {

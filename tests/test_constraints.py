@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,6 +24,7 @@ from uncertain_objectives.errors import (
     InvalidPatternError,
     WorldLimitError,
 )
+from uncertain_objectives import constraints
 
 from conftest import (
     random_graph,
@@ -29,6 +32,25 @@ from conftest import (
     reference_pattern_valid,
     reference_smallest_cycle,
 )
+
+
+def random_cyclic_graph(rng: random.Random, n_worlds: int, n_edges: int) -> ConstraintGraph:
+    """A graph with a cycle whose edges often repeat an earlier edge
+    (parallel) or reverse one (antiparallel)."""
+    worlds = tuple(f"n{i}" for i in range(n_worlds))
+    while True:
+        pairs = []
+        for _ in range(n_edges):
+            if pairs and rng.random() < 0.3:
+                u, v = rng.choice(pairs)
+                pairs.append((u, v) if rng.random() < 0.5 else (v, u))
+            else:
+                pairs.append(tuple(rng.sample(worlds, 2)))
+        g = ConstraintGraph.from_edges(
+            [(u, v, f"E{i}") for i, (u, v) in enumerate(pairs)], worlds=worlds
+        )
+        if find_cycle(g) is not None:
+            return g
 
 
 def cycle_graph(n: int) -> ConstraintGraph:
@@ -199,6 +221,61 @@ class TestPatterns:
         with pytest.raises(WorldLimitError):
             min_uncertainty_size(g)
         assert len(valid_uncertainty_patterns(cycle_graph(62), 2)) == 62 * 61 // 2
+
+    def test_world_limit_comes_before_the_budget(self):
+        g = cycle_graph(64)
+        with pytest.raises(WorldLimitError):
+            valid_uncertainty_patterns(g, 2, budget=10)
+        with pytest.raises(WorldLimitError):
+            min_uncertainty_size(g, budget=10)
+
+    def test_cyclic_graphs_match_reference(self, monkeypatch):
+        rng = random.Random(2024)
+        graphs = [
+            random_cyclic_graph(rng, rng.randint(2, 6), rng.randint(2, 8)) for _ in range(150)
+        ]
+        assert any(
+            (a.worse, a.better) in ((b.worse, b.better), (b.better, b.worse))
+            for g in graphs
+            for a, b in itertools.combinations(g.edges, 2)
+        )
+        results = []
+        for g in graphs:
+            expected = reference_minimal_patterns(g)
+            got = valid_uncertainty_patterns(g, len(g.edges))
+            assert got == expected
+            assert all(type(i) is int for p in got for i in p.edge_indices)
+            size = min_uncertainty_size(g)
+            assert size == min(len(p) for p in expected)
+            results.append((got, size))
+        # Seven-subset blocks split every size that has more than seven subsets.
+        monkeypatch.setattr(constraints, "_BLOCK_ROWS", 7)
+        for g, result in zip(graphs, results):
+            assert (valid_uncertainty_patterns(g, len(g.edges)), min_uncertainty_size(g)) == result
+
+    def test_search_holds_one_block_at_a_time(self):
+        # A 3-cycle plus forward edges on 12 worlds: the size-6 batch alone
+        # has C(26, 6) = 230,230 subsets, more than three blocks.
+        rng = random.Random(5)
+        forward = [(f"w{i}", f"w{j}") for i in range(12) for j in range(max(i + 1, 3), 12)]
+        pairs = [("w0", "w1"), ("w1", "w2"), ("w2", "w0")] + rng.sample(forward, 23)
+        g = ConstraintGraph.from_edges(
+            [(u, v, f"E{i}") for i, (u, v) in enumerate(pairs)],
+            worlds=tuple(f"w{i}" for i in range(12)),
+        )
+        subsets = math.comb(len(g.edges), 6)
+        assert subsets > 2 * constraints._BLOCK_ROWS
+        tracemalloc.start()
+        try:
+            patterns = valid_uncertainty_patterns(g, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [p.edge_indices for p in patterns] == [(0, 1), (0, 2), (1, 2)]
+        # Built whole, the size-6 inputs alone would take an int64 per
+        # (subset, world) for the bit-rows and three per (subset, removed
+        # edge) for the index array and both endpoint arrays.
+        assert peak < subsets * (12 + 3 * 6) * 8
 
     def test_acyclic_graph_has_only_the_empty_pattern(self):
         chain = ConstraintGraph.from_edges([(f"w{i}", f"w{i + 1}") for i in range(63)])
