@@ -56,8 +56,8 @@ def pattern_valid_flags(
 
 
 def pairwise_matrix(orders: np.ndarray, probs: np.ndarray, n: int) -> np.ndarray:
-    """Z[a, b] = total probability of orders ranking a above b.
-
+    """Z[a, b] = total probability of orders ranking a above b, in the units
+    of ``probs``: float64, or integer numerators as ``path_slacks`` takes them.
     ``orders`` lists world indices best-first, shape (m, k) with k == n.
     """
     m = orders.shape[0]

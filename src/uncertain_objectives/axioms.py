@@ -232,11 +232,7 @@ class AxiomInstance:
 
     def to_json(self) -> dict:
         def fmt(v):
-            if isinstance(v, Fraction):
-                return format_rational(v)
-            if isinstance(v, Population):
-                return v.to_json()
-            return v
+            return v.to_json() if isinstance(v, Population) else format_rational(v)
 
         return {
             "axiom": self.axiom.value,
@@ -461,10 +457,8 @@ class SearchBounds:
             "max_groups": self.max_groups,
             "budget": self.budget,
             "very_high": format_rational(self.eff_very_high()),
-            "very_low": format_rational(self.very_low) if self.very_low is not None else None,
-            "torture_max": (
-                format_rational(self.torture_max) if self.torture_max is not None else None
-            ),
+            "very_low": format_rational(self.very_low),
+            "torture_max": format_rational(self.torture_max),
             "base": self.base.to_json() if self.base else None,
         }
 
@@ -569,7 +563,9 @@ def audit_swf(swf: SwfKind, axiom: AxiomId, bounds: SearchBounds) -> ViolationWi
     reads, or, on a world the factory derives, when the instance is built.
     The two existentially quantified axioms (quality, priority_compensation)
     return a witness only when every candidate the grid offers fails, and
-    the witness note records that the claim is bounded.
+    the witness note records that the claim is bounded.  A grid that leaves
+    some component without a candidate is refused after the budget check,
+    since the search would check nothing and report a vacuous clean result.
     """
     row = AXIOMS[axiom]
     fixed = {name: getattr(bounds, f"eff_{name}")() for name in row.thresholds}
@@ -584,6 +580,9 @@ def audit_swf(swf: SwfKind, axiom: AxiomId, bounds: SearchBounds) -> ViolationWi
     estimate = prod(stream.size for _, stream in streams)
     if estimate > bounds.budget:
         raise BoundsTooLargeError(estimate, bounds.budget)
+    for name, stream in streams:
+        if stream.size == 0:
+            raise InvalidInstanceError(f"no grid candidate for {name}, nothing to audit")
     plan, bound = [], set(fixed)
     for depth, (name, (_, items)) in enumerate(streams):
         bound.add(name)

@@ -18,25 +18,29 @@ violation probability among the constraints of an n-step cycle; the optimum
 is exactly 1/n, achieved by the uniform mixture of cyclic rotations.
 
 Default arithmetic is exact rationals.  Matrices and distributions may also
-carry floats ("float mode") for larger randomized work, with a 1e-9
-tolerance on their validation and path scans; the LP-based operations
-require exact inputs.  The path scan is one code path for both: exact
-matrices run on integer numerators over a common denominator, float ones on
-float64, and results carry ``Fraction``s or floats to match.
+carry floats ("float mode") for larger randomized work; the LP-based
+operations require exact inputs.  The number type is the only difference
+between the two, with one tolerance rule: the tolerance is 0 for exact
+values and FLOAT_TOL (1e-9) for floats; raw values are validated against
+it and stored clamped into [0, 1]; the diagonal, complement and sum checks
+allow it, and the path scan flags a slack only when it exceeds it.  Array
+work (marginals, the path scan) runs on integer numerators over a common
+denominator for exact values and on float64 for floats, and results carry
+``Fraction``s or floats to match.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import _kernels
 from .errors import DimensionCapError
-from .rationals import as_rational
-from .simplex import integer_weights, solve_lp
+from .rationals import as_rational, format_rational, in_units, integer_weights
+from .simplex import solve_lp
 
 FLOAT_TOL = 1e-9
 DEFAULT_DIMENSION_CAP = 7
@@ -46,19 +50,22 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-def _coerce_prob(value):
-    """Fractions/ints/strings stay exact; floats mark the float path."""
-    if isinstance(value, float):
-        return value
-    return as_rational(value)
+def _tolerance(exact: bool):
+    """How far a probability may stray: 0 when exact, FLOAT_TOL in float mode."""
+    return 0 if exact else FLOAT_TOL
 
 
 def _check_unit(value, where: str):
-    if isinstance(value, float):
-        if not -FLOAT_TOL <= value <= 1 + FLOAT_TOL:
-            raise ValueError(f"{where} outside [0, 1]: {value!r}")
-    elif not ZERO <= value <= ONE:
+    """``value`` as a probability: floats stay floats, anything else becomes
+    an exact Fraction.  The raw value must lie within its tolerance of
+    [0, 1]; it is returned clamped into [0, 1], which moves only floats."""
+    exact = not isinstance(value, float)
+    if exact:
+        value = as_rational(value)
+    tol = _tolerance(exact)
+    if not -tol <= value <= 1 + tol:
         raise ValueError(f"{where} outside [0, 1]: {value!r}")
+    return value if exact else min(max(value, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -68,46 +75,35 @@ class BeliefMatrix:
     worlds: tuple[str, ...]
     z: tuple[tuple, ...]
     evidence_tag: str = ""
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __init__(self, worlds, z, evidence_tag: str = ""):
         worlds = tuple(worlds)
         if len(set(worlds)) != len(worlds):
             raise ValueError("duplicate world ids")
         n = len(worlds)
-        grid = tuple(tuple(_coerce_prob(v) for v in row) for row in z)
+        grid = tuple(
+            tuple(_check_unit(v, f"z[{i}][{j}]") for j, v in enumerate(row))
+            for i, row in enumerate(z)
+        )
         if len(grid) != n or any(len(row) != n for row in grid):
             raise ValueError("z must be an n x n grid")
-        exact = all(isinstance(v, Fraction) for row in grid for v in row)
+        exact = not any(isinstance(v, float) for row in grid for v in row)
+        tol = _tolerance(exact)
         for i in range(n):
-            for j in range(n):
-                _check_unit(grid[i][j], f"z[{i}][{j}]")
-        for i in range(n):
-            d = grid[i][i]
-            if exact:
-                if d != HALF:
-                    raise ValueError(f"diagonal z[{i}][{i}] must be 1/2, got {d}")
-            elif abs(float(d) - 0.5) > FLOAT_TOL:
-                raise ValueError(f"diagonal z[{i}][{i}] must be 1/2, got {d}")
+            if abs(grid[i][i] - HALF) > tol:
+                raise ValueError(f"diagonal z[{i}][{i}] must be 1/2, got {grid[i][i]}")
         for i in range(n):
             for j in range(i + 1, n):
-                s = grid[i][j] + grid[j][i]
-                if exact:
-                    if s != ONE:
-                        raise ValueError(
-                            f"complement symmetry fails at ({worlds[i]}, {worlds[j]}): "
-                            f"{grid[i][j]} + {grid[j][i]} != 1"
-                        )
-                elif abs(float(s) - 1.0) > FLOAT_TOL:
+                if abs(grid[i][j] + grid[j][i] - 1) > tol:
                     raise ValueError(
-                        f"complement symmetry fails at ({worlds[i]}, {worlds[j]})"
+                        f"complement symmetry fails at ({worlds[i]}, {worlds[j]}): "
+                        f"{grid[i][j]} + {grid[j][i]} != 1"
                     )
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "z", grid)
         object.__setattr__(self, "evidence_tag", evidence_tag)
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, Fraction) for row in self.z for v in row)
+        object.__setattr__(self, "is_exact", exact)
 
     def index(self, world_id: str) -> int:
         return self.worlds.index(world_id)
@@ -117,20 +113,20 @@ class BeliefMatrix:
         return self.z[self.index(a)][self.index(b)]
 
     def as_float_array(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.z], dtype=np.float64)
+        return np.array(self.z, dtype=np.float64)
 
     def exactified(self, max_denominator: int = 10**9) -> "BeliefMatrix":
         """Rational approximation of a float-mode matrix (lossy bridge).
 
-        Upper-triangle entries are rounded to at most ``max_denominator``;
-        the lower triangle is rebuilt as the exact complement.
+        Upper-triangle entries are rounded to at most ``max_denominator``
+        (exact entries within it stay as they are); the lower triangle is
+        rebuilt as the exact complement.
         """
         n = len(self.worlds)
         grid = [[HALF] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                v = self.z[i][j]
-                v = v if isinstance(v, Fraction) else Fraction(v).limit_denominator(max_denominator)
+                v = Fraction(self.z[i][j]).limit_denominator(max_denominator)
                 grid[i][j] = v
                 grid[j][i] = ONE - v
         return BeliefMatrix(self.worlds, grid, self.evidence_tag)
@@ -141,15 +137,16 @@ class OrderDistribution:
     """Explicit distribution over strict total orders.
 
     Each order lists world ids best-first; probabilities are nonnegative and
-    sum to one (exactly in rational mode, within 1e-9 in float mode).
+    sum to one (exactly in rational mode, within FLOAT_TOL in float mode).
     """
 
     orders: tuple[tuple[str, ...], ...]
     probs: tuple
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __init__(self, orders, probs):
         orders = tuple(tuple(o) for o in orders)
-        probs = tuple(_coerce_prob(p) for p in probs)
+        probs = tuple(_check_unit(p, "probability") for p in probs)
         if len(orders) != len(probs):
             raise ValueError("orders and probabilities differ in length")
         if not orders:
@@ -160,21 +157,13 @@ class OrderDistribution:
         for o in orders:
             if frozenset(o) != base or len(o) != len(orders[0]):
                 raise ValueError("all orders must rank the same world set")
-        exact = all(isinstance(p, Fraction) for p in probs)
-        for p in probs:
-            _check_unit(p, "probability")
+        exact = not any(isinstance(p, float) for p in probs)
         total = sum(probs)
-        if exact:
-            if total != ONE:
-                raise ValueError(f"probabilities sum to {total}, expected 1")
-        elif abs(float(total) - 1.0) > FLOAT_TOL:
+        if abs(total - 1) > _tolerance(exact):
             raise ValueError(f"probabilities sum to {total}, expected 1")
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "probs", probs)
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(p, Fraction) for p in self.probs)
+        object.__setattr__(self, "is_exact", exact)
 
     @property
     def worlds(self) -> tuple[str, ...]:
@@ -184,14 +173,9 @@ class OrderDistribution:
         return [(o, p) for o, p in zip(self.orders, self.probs) if p > 0]
 
     def to_json(self) -> dict:
-        from .rationals import format_rational
-
         return {
             "orders": [list(o) for o in self.orders],
-            "p": [
-                format_rational(p) if isinstance(p, Fraction) else p
-                for p in self.probs
-            ],
+            "p": [format_rational(p) for p in self.probs],
         }
 
 
@@ -229,23 +213,18 @@ def matrix_from_distribution(
         raise ValueError("world list does not match the distribution's worlds")
     n = len(worlds)
     idx = {w: i for i, w in enumerate(worlds)}
-    if d.is_exact:
-        grid = [[HALF if i == j else ZERO for j in range(n)] for i in range(n)]
-        for order, p in zip(d.orders, d.probs):
-            if p == 0:
-                continue
-            ranks = [idx[w] for w in order]
-            for a_pos in range(n):
-                for b_pos in range(a_pos + 1, n):
-                    grid[ranks[a_pos]][ranks[b_pos]] += p
-        return BeliefMatrix(worlds, grid, evidence_tag)
-    order_idx = np.array(
-        [[idx[w] for w in order] for order in d.orders], dtype=np.int64
-    )
-    probs = np.array([float(p) for p in d.probs], dtype=np.float64)
-    z = _kernels.pairwise_matrix(order_idx, probs, n)
-    np.fill_diagonal(z, 0.5)
-    return BeliefMatrix(worlds, z.tolist(), evidence_tag)
+    order_idx = np.array([[idx[w] for w in order] for order in d.orders], dtype=np.int64)
+    probs, one, value = in_units(d.probs)
+    z = _kernels.pairwise_matrix(order_idx, probs, n).tolist()
+    half = value(one) / 2
+    grid = [[half if i == j else value(v) for j, v in enumerate(row)] for i, row in enumerate(z)]
+    return BeliefMatrix(worlds, grid, evidence_tag)
+
+
+def _chain_bounds(steps, one) -> tuple:
+    """The chained bound on steps z in units of ``one``: (lower, upper) =
+    (max(0, one - sum(one - z)), min(one, sum(z)))."""
+    return max(one - one, one - sum(one - z for z in steps)), min(one, sum(steps))
 
 
 def path_bounds(chain) -> tuple:
@@ -254,17 +233,10 @@ def path_bounds(chain) -> tuple:
     For steps z_1..z_{k-1} along a path, the first-to-last comparison must
     lie in [max(0, 1 - sum(1 - z_i)), min(1, sum(z_i))].
     """
-    chain = [_coerce_prob(z) for z in chain]
+    chain = [_check_unit(z, "chain entry") for z in chain]
     if not chain:
         raise ValueError("path_bounds needs at least one step")
-    for z in chain:
-        _check_unit(z, "chain entry")
-    total = sum(chain)
-    one = ONE if all(isinstance(z, Fraction) for z in chain) else 1.0
-    zero = ZERO if isinstance(one, Fraction) else 0.0
-    upper = min(one, total)
-    lower = max(zero, one - sum(one - z for z in chain))
-    return lower, upper
+    return _chain_bounds(chain, type(sum(chain))(1))
 
 
 @dataclass(frozen=True)
@@ -276,35 +248,21 @@ class PathViolation:
     slack: object
 
     def to_json(self) -> dict:
-        from .rationals import format_rational
-
-        def fmt(v):
-            return format_rational(v) if isinstance(v, Fraction) else v
-
         return {
             "path": list(self.path),
-            "span": fmt(self.span),
-            "lower": fmt(self.lower),
-            "upper": fmt(self.upper),
-            "slack": fmt(self.slack),
+            "span": format_rational(self.span),
+            "lower": format_rational(self.lower),
+            "upper": format_rational(self.upper),
+            "slack": format_rational(self.slack),
         }
 
 
 def _scan_numbers(m: BeliefMatrix):
-    """The matrix in the scan's number type: (z, one, value).
-
-    Exact matrices become integer numerators over the LCM ``one`` of their
-    denominators, int64 while no sum along a path can overflow and Python
-    ints past that; float matrices stay float64 with ``one = 1.0``.
-    ``value`` turns a scan number back into the matrix's own type.
-    """
-    if not m.is_exact:
-        return m.as_float_array(), 1.0, float
+    """The matrix in the scan's number type, (z, one, value) as ``in_units``
+    gives them, with int64 kept only while no sum along a path can overflow."""
     n = len(m.worlds)
-    d = math.lcm(*(v.denominator for row in m.z for v in row))
-    dtype = np.int64 if n * d < 1 << 62 else object
-    z = np.array([[v.numerator * (d // v.denominator) for v in row] for row in m.z], dtype=dtype)
-    return z, d, lambda x: Fraction(x, d)
+    z, one, value = in_units([v for row in m.z for v in row], n)
+    return z.reshape(n, n), one, value
 
 
 # Prefixes grown at once are capped near this many rows, which bounds the
@@ -323,10 +281,9 @@ def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> li
 
     The scan grows simple paths one world at a time and drops a prefix once
     both its step sum S and its complement sum C reach one: every extension
-    then has upper bound 1 and lower bound 0, which no span breaks.  Float
-    matrices prune only with a margin of (n + 1) * FLOAT_TOL, and never below
-    a first world whose row leaves [0, 1] by more than FLOAT_TOL, so every
-    path with slack above FLOAT_TOL is still visited.
+    then has upper bound 1 and lower bound 0, which no span breaks, since
+    every stored entry lies in [0, 1].  Exact and float matrices differ only
+    in the tolerance a slack must exceed to be reported.
     """
     n = len(m.worlds)
     limit = n if max_path_len is None else min(max_path_len, n)
@@ -334,10 +291,7 @@ def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> li
         return []
     z, one, value = _scan_numbers(m)
     zl = z.tolist()
-    zero = one - one
-    tol = zero if m.is_exact else FLOAT_TOL
-    reach = one + (n + 1) * tol
-    unprunable = np.maximum(z - one, -z).max(axis=1) > tol
+    tol = _tolerance(m.is_exact)
     found: list[list[PathViolation]] = [[] for _ in range(limit + 1)]
     # Blocks of j-world prefixes, next block last.  A block's extensions are
     # reported and then grown further before the next block's, so every
@@ -351,20 +305,20 @@ def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> li
         paths = np.column_stack((paths[rows], nxt))
         used = used[rows]
         used[np.arange(len(rows)), nxt] = True
-        live = (sums < reach) | (j * one - sums < reach) | unprunable[paths[:, 0]]
+        live = (sums < one) | (j * one - sums < one)
         paths, used, sums = paths[live], used[live], sums[live]
         k = j + 1
         if k >= 3 and len(paths):
             slacks = _kernels.path_slacks(z, paths, one)
             flagged = slacks > tol
             for path, slack in zip(paths[flagged].tolist(), slacks[flagged].tolist()):
-                chain = [zl[a][b] for a, b in zip(path, path[1:])]
+                lower, upper = _chain_bounds([zl[a][b] for a, b in zip(path, path[1:])], one)
                 found[k].append(
                     PathViolation(
                         tuple(m.worlds[i] for i in path),
                         value(zl[path[0]][path[-1]]),
-                        value(max(zero, one - sum(one - s for s in chain))),
-                        value(min(one, sum(chain))),
+                        value(lower),
+                        value(upper),
                         value(slack),
                     )
                 )
@@ -628,7 +582,7 @@ def violation_probabilities(d: OrderDistribution, spec: CycleSpec) -> list:
     for better, worse in spec.constraint_pairs():
         mass = sum(
             (p for o, p in zip(d.orders, d.probs) if o.index(worse) < o.index(better)),
-            ZERO if d.is_exact else 0.0,
+            type(d.probs[0])(0),
         )
         out.append(mass)
     return out

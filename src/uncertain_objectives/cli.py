@@ -21,7 +21,6 @@ import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .axioms import AxiomId, SearchBounds, audit_swf
@@ -52,12 +51,6 @@ from .scenario import (
 )
 
 REPORT_SCHEMA = "uncertain-objectives/report/v1"
-
-
-def _fmt(v):
-    if isinstance(v, Fraction):
-        return format_rational(v)
-    return v
 
 
 def _digest_of(obj) -> str:
@@ -163,11 +156,11 @@ def _cmd_bound(args) -> tuple[dict, bool]:
     findings = {
         "n": spec.n,
         "worlds": list(spec.worlds),
-        "bound": _fmt(result.bound),
+        "bound": format_rational(result.bound),
         "witness": result.witness.to_json(),
-        "witness_max_violation": _fmt(max(violations)),
+        "witness_max_violation": format_rational(max(violations)),
         "constraints": [
-            {"better": better, "worse": worse, "violation_probability": _fmt(v)}
+            {"better": better, "worse": worse, "violation_probability": format_rational(v)}
             for (better, worse), v in zip(spec.constraint_pairs(), violations)
         ],
     }
@@ -193,9 +186,8 @@ def _load_matrix(path: str):
     if schema != MATRIX_SCHEMA:
         raise UncertainObjectivesError(f"expected {MATRIX_SCHEMA!r} document")
     matrix = parse_matrix(doc, "$")
-    digest = _digest_of(
-        {"worlds": list(matrix.worlds), "z": [[_fmt(v) for v in row] for row in matrix.z]}
-    )
+    z = [[format_rational(v) for v in row] for row in matrix.z]
+    digest = _digest_of({"worlds": list(matrix.worlds), "z": z})
     return matrix, digest
 
 
@@ -218,7 +210,7 @@ def _cmd_coherence(args) -> tuple[dict, bool]:
             "feasible": result.feasible,
             "witness": result.distribution.to_json() if result.distribution else None,
             "certificate": (
-                {k: _fmt(v) for k, v in sorted(result.certificate.items())}
+                {k: format_rational(v) for k, v in sorted(result.certificate.items())}
                 if result.certificate
                 else None
             ),

@@ -17,15 +17,15 @@ so outcomes are reproducible bit-for-bit.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .beliefs import OrderDistribution
 from .constraints import PartialOrder
 from .errors import EmptyActionSetError, InvalidValueError
-from .rationals import format_rational
+from .rationals import format_rational, integer_weights
 
 
 class OutcomeKind(enum.Enum):
@@ -50,17 +50,14 @@ class DecisionOutcome:
     probabilities: dict | None = None
 
     def to_json(self) -> dict:
-        def fmt(v):
-            return format_rational(v) if isinstance(v, Fraction) else v
-
         return {
             "outcome": self.kind.value,
             "world": self.world,
             "justification": self.justification,
-            "margin": fmt(self.margin) if self.margin is not None else None,
+            "margin": format_rational(self.margin),
             "candidates": list(self.candidates),
             "prob_best": (
-                {k: fmt(v) for k, v in sorted(self.probabilities.items())}
+                {k: format_rational(v) for k, v in sorted(self.probabilities.items())}
                 if self.probabilities is not None
                 else None
             ),
@@ -82,13 +79,10 @@ class RuleConfig:
                 raise InvalidValueError(f"{name} must lie in [0, 1], got {value}")
 
     def to_json(self) -> dict:
-        def fmt(v):
-            return format_rational(v) if isinstance(v, Fraction) else v
-
         return {
             "kind": self.kind,
-            "delta": fmt(self.delta) if self.delta is not None else None,
-            "tau": fmt(self.tau) if self.tau is not None else None,
+            "delta": format_rational(self.delta),
+            "tau": format_rational(self.tau),
             "policy": self.policy.value if self.policy else None,
             "seed": self.seed,
         }
@@ -111,8 +105,7 @@ def prob_best(d: OrderDistribution, actions) -> dict:
     returned values sum to exactly 1.
     """
     acts = _checked_actions(actions, set(d.worlds))
-    zero = Fraction(0) if d.is_exact else 0.0
-    out = {a: zero for a in acts}
+    out = dict.fromkeys(acts, type(d.probs[0])(0))
     act_set = set(acts)
     for order, p in zip(d.orders, d.probs):
         for w in order:  # best-first: the first candidate hit wins
@@ -158,19 +151,6 @@ def decide_margin(d: OrderDistribution, actions, delta) -> DecisionOutcome:
     )
 
 
-def _weighted_exact_pick(pool: list[tuple[str, Fraction]], rng: random.Random) -> str:
-    denom = lcm(*(p.denominator for _, p in pool))
-    weights = [(a, int(p * denom)) for a, p in pool]
-    total = sum(w for _, w in weights)
-    r = rng.randrange(total)
-    acc = 0
-    for a, w in weights:
-        acc += w
-        if r < acc:
-            return a
-    raise AssertionError("unreachable: weights cover the draw range")
-
-
 def decide_quantilized(d: OrderDistribution, actions, tau, seed: int) -> DecisionOutcome:
     """Sample among actions sufficiently likely to be best.
 
@@ -187,18 +167,10 @@ def decide_quantilized(d: OrderDistribution, actions, tau, seed: int) -> Decisio
             candidates=tuple(probs),
             probabilities=probs,
         )
-    rng = random.Random(seed)
-    if all(isinstance(p, Fraction) for _, p in pool):
-        choice = _weighted_exact_pick(pool, rng)
-    else:
-        r = rng.random() * float(sum(p for _, p in pool))
-        acc = 0.0
-        choice = pool[-1][0]
-        for a, p in pool:
-            acc += float(p)
-            if r < acc:
-                choice = a
-                break
+    # Float probabilities are drawn by their exact binary values.
+    weights, _ = integer_weights([Fraction(p) for _, p in pool])
+    draw = random.Random(seed).randrange(sum(weights))
+    choice = next(a for (a, _), acc in zip(pool, itertools.accumulate(weights)) if draw < acc)
     return DecisionOutcome(
         kind=OutcomeKind.ACT,
         world=choice,

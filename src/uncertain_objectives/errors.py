@@ -18,7 +18,11 @@ class InvalidInstanceError(UncertainObjectivesError):
     """Premise worlds do not satisfy an axiom's structural requirements."""
 
 
-class BoundsTooLargeError(UncertainObjectivesError):
+class BudgetExceededError(UncertainObjectivesError):
+    """A search would exceed its budget: subset enumeration, or an audit."""
+
+
+class BoundsTooLargeError(BudgetExceededError):
     """A bounded audit's instance space exceeds the configured budget."""
 
     def __init__(self, estimate: int, budget: int):
@@ -32,10 +36,6 @@ class BoundsTooLargeError(UncertainObjectivesError):
 
 class ConflictingWorldIdsError(UncertainObjectivesError):
     """The same world id denotes two different populations."""
-
-
-class BudgetExceededError(UncertainObjectivesError):
-    """Subset enumeration would exceed the configured budget."""
 
 
 class WorldLimitError(UncertainObjectivesError):

@@ -1,14 +1,22 @@
-"""Exact rational parsing and formatting.
+"""Exact rational parsing and formatting, and the number types of probabilities.
 
 Welfare levels and probabilities are `fractions.Fraction` throughout the
 exact code paths.  Scenario files carry them as JSON integers, "p/q"
 strings, or decimal strings; floats are converted through their decimal
 repr so `0.5` means one half, not the nearest binary float.
+
+Probabilities may also be floats ("float mode").  The two number types share
+one code path: array work runs on ``in_units``, which gives exact values as
+integer numerators over their common denominator and floats as float64, and
+reports pass either type through ``format_rational``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import InvalidValueError
 
@@ -34,8 +42,33 @@ def as_rational(value) -> Fraction:
     raise InvalidValueError(f"not a rational: {value!r}")
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "p" or "p/q"; round-trips through as_rational."""
+def format_rational(value):
+    """Render a Fraction as "p" or "p/q", which round-trips through
+    as_rational; any other value (a float, None) is returned unchanged."""
+    if not isinstance(value, Fraction):
+        return value
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def integer_weights(values: list[Fraction]) -> tuple[list[int], int]:
+    """The values times their common denominator, and that denominator."""
+    den = math.lcm(*(v.denominator for v in values)) if values else 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def in_units(values, terms: int = 1):
+    """``values`` as one numpy array in units of ``one``: (array, one, value).
+
+    Exact values become integer numerators over their common denominator
+    ``one``: int64 while a sum of ``terms`` entries of at most ``one`` each
+    stays below 2^62, object arrays of Python ints past that.  Any float
+    makes them float64 with ``one = 1.0``.  ``value`` takes an array entry
+    back to the values' own number type.
+    """
+    if any(isinstance(v, float) for v in values):
+        return np.array(values, dtype=np.float64), 1.0, float
+    nums, one = integer_weights(values)
+    dtype = np.int64 if terms * one < 1 << 62 else object
+    return np.array(nums, dtype=dtype), one, lambda x: Fraction(x, one)

@@ -220,10 +220,7 @@ def parse_matrix(doc, path: str = "belief_matrix", worlds=None) -> BeliefMatrix:
 def matrix_to_json(m: BeliefMatrix, embed: bool = False) -> dict:
     doc = {
         "worlds": list(m.worlds),
-        "z": [
-            [format_rational(v) if hasattr(v, "denominator") else v for v in row]
-            for row in m.z
-        ],
+        "z": [[format_rational(v) for v in row] for row in m.z],
     }
     if m.evidence_tag:
         doc["evidence_tag"] = m.evidence_tag

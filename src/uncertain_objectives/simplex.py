@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Any, Protocol
 
 from .errors import PivotCapError
+from .rationals import integer_weights
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -61,12 +62,6 @@ class LpResult:
     certificate: list[Fraction] | None = None  # Farkas y, ub rows then eq rows
     pivots: int = 0
     support: list[tuple[Any, Fraction]] | None = None  # positive implicit columns, by id
-
-
-def integer_weights(values: list[Fraction]) -> tuple[list[int], int]:
-    """The values times their common denominator, and that denominator."""
-    den = math.lcm(*(v.denominator for v in values)) if values else 1
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | None = None) -> LpResult:

@@ -40,6 +40,7 @@ from uncertain_objectives.axioms import (
 )
 from uncertain_objectives.errors import (
     BoundsTooLargeError,
+    BudgetExceededError,
     ConflictingWorldIdsError,
     InvalidInstanceError,
     InvalidValueError,
@@ -370,6 +371,30 @@ class TestAudits:
         with pytest.raises(BoundsTooLargeError):
             audit_swf(TotalWelfare(), AxiomId.AVOID_REPUGNANT, bounds)
 
+    def test_audit_refusal_is_a_budget_error(self):
+        # One except clause catches both the pattern search's and the
+        # audit's refusal.
+        bounds = SearchBounds(levels=(1, 100), max_count=1000, budget=100)
+        with pytest.raises(BudgetExceededError) as info:
+            audit_swf(TotalWelfare(), AxiomId.AVOID_REPUGNANT, bounds)
+        assert isinstance(info.value, BoundsTooLargeError)
+        assert (info.value.estimate, info.value.budget) == (1000 * 1000, 100)
+
+    @pytest.mark.parametrize(
+        "axiom,empty",
+        [
+            (AxiomId.QUALITY, "low"),
+            (AxiomId.AVOID_REPUGNANT, "crowd"),
+            (AxiomId.PRIORITY_COMPENSATION, "low_level"),
+        ],
+    )
+    def test_empty_stream_refused_before_search(self, axiom, empty):
+        # very_low = 1/2 is positive but below every grid level, so no level
+        # lies in (0, very_low] and the search would check nothing.
+        bounds = SearchBounds(levels=(1, 2), max_count=2, very_low=Fraction(1, 2))
+        with pytest.raises(InvalidInstanceError, match=f"no grid candidate for {empty},"):
+            audit_swf(TotalWelfare(), axiom, bounds)
+
     @pytest.mark.parametrize(
         "axiom,threshold",
         [
@@ -538,9 +563,22 @@ def _random_bounds(rng, max_count):
     return SearchBounds(**kwargs)
 
 
+def _some_stream_empty(axiom, bounds):
+    """True when one of the audit's component streams yields no candidate."""
+    row = axioms.AXIOMS[axiom]
+    fixed = {name: getattr(bounds, f"eff_{name}")() for name in row.thresholds}
+    return any(
+        isinstance(s, axioms.Stream) and not callable(s.items) and not any(True for _ in s.items)
+        for s in row.streams(bounds, **fixed).values()
+    )
+
+
 def _fixed_premise_fails(axiom, bounds):
     """True when a premise clause that reads only thresholds (or the pinned
-    base) fails, so the audit must refuse the grid before enumerating."""
+    base) fails, or a component stream is empty, so the audit must refuse
+    the grid before enumerating."""
+    if _some_stream_empty(axiom, bounds):
+        return True
     if axiom in (AxiomId.QUALITY, AxiomId.AVOID_REPUGNANT):
         return not 0 < bounds.eff_very_low() < bounds.eff_very_high()
     if axiom is AxiomId.PRIORITY_COMPENSATION:

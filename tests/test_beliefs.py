@@ -6,6 +6,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest
 from uncertain_objectives import (
@@ -61,6 +63,48 @@ class TestBeliefMatrix:
         assert m.exactified().is_exact
 
 
+class TestToleranceRule:
+    """Float entries within FLOAT_TOL of [0, 1] are accepted and stored
+    clamped into it; the scan then flags only slacks above FLOAT_TOL."""
+
+    def test_entries_just_outside_unit_are_stored_clamped(self):
+        tol = beliefs.FLOAT_TOL
+        m = BeliefMatrix(
+            ("a", "b", "c"), [[0.5, 1 - (-tol), 0.5], [-tol, 0.5, 0.5], [0.5, 0.5, 0.5]]
+        )
+        assert (m.z[0][1], m.z[1][0]) == (1.0, 0.0)
+        assert check_path_coherence(m) == []
+
+    @pytest.mark.parametrize("bad", [-2 * beliefs.FLOAT_TOL, 1 + 2 * beliefs.FLOAT_TOL])
+    def test_entries_beyond_the_tolerance_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            BeliefMatrix(("a", "b"), [[0.5, bad], [1 - bad, 0.5]])
+        with pytest.raises(ValueError, match="outside"):
+            OrderDistribution([("a", "b"), ("b", "a")], [bad, 1 - bad])
+        with pytest.raises(ValueError, match="outside"):
+            path_bounds([0.5, bad])
+
+    def test_distribution_probabilities_are_stored_clamped(self):
+        tol = beliefs.FLOAT_TOL
+        d = OrderDistribution([("a", "b"), ("b", "a")], [1 + tol / 2, -tol / 2])
+        assert d.probs == (1.0, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(3, 6), st.integers(1, 8))
+    def test_perturbed_float_marginals_stay_coherent(self, rng, n, support):
+        # Every path's slack moves by at most n perturbations of at most
+        # FLOAT_TOL / (n + 1) each, which stays below FLOAT_TOL.
+        m = matrix_from_distribution(random_distribution(rng, n, support))
+        step = beliefs.FLOAT_TOL / (n + 1)
+        z = [
+            [float(v) if i == j else float(v) + rng.uniform(-step, step) for j, v in enumerate(row)]
+            for i, row in enumerate(m.z)
+        ]
+        perturbed = BeliefMatrix(m.worlds, z)
+        assert all(0.0 <= v <= 1.0 for row in perturbed.z for v in row)
+        assert check_path_coherence(perturbed) == []
+
+
 class TestMatrixFromDistribution:
     def test_point_mass(self):
         d = OrderDistribution(orders=[("x3", "x2", "x1")], probs=[F(1)])
@@ -92,8 +136,18 @@ class TestMatrixFromDistribution:
 
     def test_matches_reference_on_random_distributions(self):
         rng = random.Random(5)
-        for _ in range(50):
-            d = random_distribution(rng, rng.randint(2, 5), rng.randint(1, 6))
+        dists = [random_distribution(rng, rng.randint(2, 5), rng.randint(1, 6)) for _ in range(50)]
+        # Denominators whose LCM passes 2^62 leave int64 for object arrays.
+        dens = (10**9 + 7, 10**9 + 9, 998_244_353)
+        probs = [F(1, dens[0]), F(1, dens[1]), F(1, dens[2])]
+        dists.append(
+            OrderDistribution(
+                [("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b"), ("a", "c", "b")],
+                probs + [1 - sum(probs)],
+            )
+        )
+        assert math.lcm(*dens) >= 1 << 62
+        for d in dists:
             m = matrix_from_distribution(d)
             ref = reference_pairwise(d)
             for a in m.worlds:
@@ -214,8 +268,8 @@ class TestPathScanMatchesReference:
             self.assert_same(random_entry_matrix(rng, n, 12, as_float=True))
 
     def test_float_entries_at_the_tolerance_edges(self):
-        # An entry of -FLOAT_TOL puts 1 + FLOAT_TOL (as rounded) at its
-        # complement, whose excess over 1 is itself a slack above FLOAT_TOL.
+        # Entries of -FLOAT_TOL and their complements 1 + FLOAT_TOL (as
+        # rounded) are stored as 0.0 and 1.0.
         tol = beliefs.FLOAT_TOL
         m = float_matrix(5, {(1, 0): -tol, (1, 2): -tol, (3, 2): -tol, (3, 4): -tol, (0, 4): -tol})
         self.assert_same(m)
@@ -236,17 +290,25 @@ class TestPathScanMatchesReference:
             assert (("w0", "w1", "w2") in paths) is flagged
 
     def test_float_prefix_past_one_still_extends(self):
-        # The steps along w0..w3 sum to 1 + FLOAT_TOL (the complements to
-        # 2 - FLOAT_TOL), so a prune without its margin would drop that
-        # prefix; three steps at -FLOAT_TOL then bring the seven-world path
-        # 2e-9 below its span of 1.
+        # The steps along w0..w3 sum to 1 + FLOAT_TOL, but their complements
+        # to 1 - FLOAT_TOL, so that prefix is kept and extended.  The three
+        # steps at -FLOAT_TOL are stored as 0.0, which puts the seven-world
+        # path's span of 1 at its upper bound of 1, not above it.
         tol = beliefs.FLOAT_TOL
         steps = [0.5, 0.5 + tol, 0.0, -tol, -tol, -tol]
         entries = {(i, i + 1): v for i, v in enumerate(steps)}
         m = float_matrix(7, {**entries, (0, 6): 1.0})
+        assert [m.z[i][i + 1] for i in range(3, 6)] == [0.0, 0.0, 0.0]
         self.assert_same(m)
         path = tuple(f"w{i}" for i in range(7))
-        assert any(pv.path == path for pv in check_path_coherence(m))
+        assert not any(pv.path == path for pv in check_path_coherence(m))
+        # Steps summing past one, with complements below one, must extend
+        # too: the five-world path breaks its lower bound of 1 - 2 FLOAT_TOL.
+        steps = [1 - tol, 1 - tol, 1.0, 1.0]
+        entries = {(i, i + 1): v for i, v in enumerate(steps)}
+        m = float_matrix(5, {**entries, (0, 4): 0.0})
+        self.assert_same(m)
+        assert ("w0", "w1", "w2", "w3", "w4") in {pv.path for pv in check_path_coherence(m)}
 
     def test_python_int_fallback(self):
         # Denominators whose LCM times n passes 2^62 leave int64.

@@ -288,6 +288,18 @@ class TestExitCodes:
         assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "axiom,empty", [("quality", "low"), ("avoid_repugnant", "crowd"),
+                        ("priority_compensation", "low_level")],
+    )
+    def test_empty_stream_is_refused_before_search(self, axiom, empty):
+        code, out, err = run_cli(
+            "audit", "--swf", "total", f"--axiom={axiom}", "--levels=1,2", "--max-count=2",
+            "--very-low=1/2",
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: no grid candidate for {empty}, nothing to audit\n"
+
+    @pytest.mark.parametrize(
         "argv,message",
         [
             (("--rule", "margin", "--delta", "x"), "not a rational: 'x'"),

@@ -15,10 +15,15 @@ from uncertain_objectives import (
     prob_best,
     rotation_mixture,
 )
+from uncertain_objectives.beliefs import FLOAT_TOL
 from uncertain_objectives.constraints import ConstraintGraph, PartialOrder
 from uncertain_objectives.errors import EmptyActionSetError
 
 from conftest import random_distribution
+
+def as_floats(d):
+    return OrderDistribution(d.orders, [float(p) for p in d.probs])
+
 
 POINT_MASS = OrderDistribution(orders=[("x3", "x2", "x1")], probs=[F(1)])
 ROTATIONS = rotation_mixture(3)
@@ -46,6 +51,16 @@ class TestProbBest:
             d = random_distribution(rng, rng.randint(2, 6), rng.randint(1, 10))
             acts = d.worlds[: rng.randint(1, len(d.worlds))]
             assert sum(prob_best(d, acts).values()) == F(1)
+
+    def test_float_matches_exact_within_tolerance(self):
+        rng = random.Random(32)
+        for _ in range(200):
+            d = random_distribution(rng, rng.randint(2, 6), rng.randint(1, 10))
+            acts = d.worlds[: rng.randint(1, len(d.worlds))]
+            exact = prob_best(d, acts)
+            approx = prob_best(as_floats(d), acts)
+            assert all(type(p) is float for p in approx.values())
+            assert all(abs(approx[a] - exact[a]) <= FLOAT_TOL for a in acts)
 
     def test_empty_actions_rejected(self):
         with pytest.raises(EmptyActionSetError):
@@ -126,10 +141,11 @@ class TestDecideQuantilized:
         }
         assert len(outcomes) == 1
 
-    def test_sampling_frequencies_track_prob_best(self):
+    @pytest.mark.parametrize("number_type", [F, float])
+    def test_sampling_frequencies_track_prob_best(self, number_type):
         d = OrderDistribution(
             orders=[("a", "b", "c"), ("b", "a", "c"), ("c", "b", "a")],
-            probs=[F(1, 2), F(1, 3), F(1, 6)],
+            probs=[number_type(p) for p in (F(1, 2), F(1, 3), F(1, 6))],
         )
         probs = prob_best(d, ("a", "b", "c"))
         n = 10_000
