@@ -34,24 +34,20 @@ def cyclic_flags(closed: np.ndarray) -> np.ndarray:
 
 
 def pattern_valid_flags(
-    remaining: np.ndarray,
-    removed_u: np.ndarray,
-    removed_v: np.ndarray,
-    removed_len: np.ndarray,
+    remaining: np.ndarray, removed_u: np.ndarray, removed_v: np.ndarray
 ) -> np.ndarray:
     """Per row: the kept edges' closure is acyclic and forces neither
-    direction between the first ``removed_len`` removed endpoint pairs."""
+    direction between any of the row's removed endpoint pairs."""
     closed = closure_rows(remaining)
     valid = ~cyclic_flags(closed)
     g = remaining.shape[0]
     idx = np.arange(g)
     for j in range(removed_u.shape[1]):
-        active = j < removed_len
         u = removed_u[:, j]
         v = removed_v[:, j]
         forced_uv = (closed[idx, u] >> v) & 1
         forced_vu = (closed[idx, v] >> u) & 1
-        valid &= ~active | ((forced_uv == 0) & (forced_vu == 0))
+        valid &= (forced_uv == 0) & (forced_vu == 0)
     return valid
 
 

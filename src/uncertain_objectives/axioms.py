@@ -35,16 +35,18 @@ grid, so a clean audit certifies only the searched space.
 Each condition is written once, as one ``AxiomRow`` of the ``AXIOMS`` table:
 its strictness, its scenario fields, its premise as clauses that each name
 the components (populations and thresholds) they read, and its audit's
-component streams, each with a closed-form size.  Instance construction
-checks every clause; ``scenario`` parses a constraint by reading the row's
-fields; ``audit_swf`` walks the streams in nested lexicographic order and
-runs each clause at the first depth that binds all of its components,
-leaving to construction only the clauses on worlds a factory derives.
+component streams, each with a closed-form size.  A premise world built from
+other components (``addition``'s b-added world, say) is a derivation clause,
+whose test computes it.  Instance construction checks every clause;
+``scenario`` parses a constraint by reading the row's fields;
+``audit_swf`` walks the streams in nested lexicographic order, runs each
+clause at the first depth that binds all of its components, and scores the
+populations of each complete binding, deriving worlds there.  It builds one
+instance, the witness, and returns it only once it replays.
 """
 
 from __future__ import annotations
 
-import contextvars
 import enum
 import itertools
 from dataclasses import dataclass, field
@@ -66,7 +68,8 @@ from .populations import (
     SwfKind,
     World,
     pointwise_dominates,
-    population_union,
+    swf_compare,
+    swf_label,
     swf_order,
     total_welfare,
 )
@@ -106,27 +109,36 @@ class WorldId(NamedTuple):
 
 
 class Clause(NamedTuple):
-    """One premise condition: ``test`` of the components named by ``reads``;
-    ``holds(env)`` applies it to a dict of components."""
+    """One premise condition on the components named by ``reads``:
+    ``apply(env)`` runs its test on a dict of components.  A plain clause
+    holds when its test does.  A derivation clause's test computes the world
+    it ``derives`` from the parts it reads, and the clause holds when that
+    world is the one in ``env``.  ``holds(env)`` applies either kind."""
 
     reads: tuple[str, ...]
-    test: Callable[..., bool]
     message: str
+    apply: Callable[[dict], object]
     holds: Callable[[dict], bool]
+    derives: str | None
 
 
 def _clauses(*specs) -> tuple[Clause, ...]:
-    """Clauses from (space-separated reads, test, message) triples."""
-    return tuple(
-        Clause(tuple(reads.split()), test, message, _holds(reads.split(), test))
-        for reads, test, message in specs
-    )
+    """Clauses from (reads, test, message) triples: ``reads`` names the
+    components, space-separated, after ``"world = "`` for a derivation."""
+    clauses = []
+    for reads, test, message in specs:
+        world, _, parts = reads.rpartition(" = ")
+        apply = _holds(parts.split(), test)
+        holds = (lambda env, w=world, apply=apply: env[w] == apply(env)) if world else apply
+        clauses.append(Clause(tuple(parts.split()), message, apply, holds, world or None))
+    return tuple(clauses)
 
 
-def _holds(reads: list[str], test: Callable[..., bool]) -> Callable[[dict], bool]:
-    # Audits run clauses once per binding.  Reading one or two components
-    # directly, not through star-arguments, keeps the sub-millisecond audits
-    # as fast as the hand-written loops they replace.
+def _holds(reads: list[str], test: Callable[..., object]) -> Callable[[dict], object]:
+    # ``test`` of the components ``reads`` names: a condition, or a derived
+    # world.  Audits run clauses once per binding.  Reading one or two
+    # components directly, not through star-arguments, keeps the
+    # sub-millisecond audits as fast as the hand-written loops they replace.
     if len(reads) == 1:
         (a,) = reads
         return lambda env: test(env[a])
@@ -142,11 +154,13 @@ def _require_all(clauses: Iterable[Clause], env: dict):
             raise InvalidInstanceError(clause.message)
 
 
-# The clauses left to check while an audit builds an instance from a binding
-# its walk has already checked: those on worlds the factory derives.  Outside
-# audits (None) construction checks every clause.  So every clause runs once
-# per audited instance, not twice.
-_UNCHECKED = contextvars.ContextVar("unchecked", default=None)
+def _derive(clauses: Iterable[Clause], env: dict) -> dict:
+    """``env`` with each world the derivation clauses among ``clauses``
+    compute from it."""
+    for clause in clauses:
+        if clause.derives:
+            env[clause.derives] = clause.apply(env)
+    return env
 
 
 class Stream(NamedTuple):
@@ -216,13 +230,9 @@ class AxiomInstance:
         role_ids = (self.claim_worse, self.claim_better) + (self.gate or ())
         if len(role_ids) < len(row.roles):
             raise InvalidInstanceError(f"{self.axiom.value} instances carry a gate comparison")
-        clauses = _UNCHECKED.get()
-        if clauses is None:
-            clauses = row.clauses
-        if clauses:
-            env = dict(self.params)
-            env.update((role, self.world(wid).population) for role, wid in zip(row.roles, role_ids))
-            _require_all(clauses, env)
+        env = dict(self.params)
+        env.update((role, self.world(wid).population) for role, wid in zip(row.roles, role_ids))
+        _require_all(row.clauses, env)
 
     def world(self, world_id: str) -> World:
         for w in self.worlds:
@@ -251,17 +261,15 @@ class AxiomInstance:
 # Instance factories
 # ---------------------------------------------------------------------------
 
+def _derived(axiom: AxiomId, **parts) -> dict:
+    """``parts`` with the worlds the axiom's derivation clauses compute."""
+    return _derive(AXIOMS[axiom].clauses, parts)
+
+
 def _instance(axiom: AxiomId, worlds, worse: World, better: World, gate=None, **params):
     """An instance whose strictness is the axiom's row's."""
-    return AxiomInstance(
-        axiom=axiom,
-        worlds=worlds,
-        claim_worse=worse.id,
-        claim_better=better.id,
-        strict=AXIOMS[axiom].strict,
-        params=params,
-        gate=gate,
-    )
+    strict = AXIOMS[axiom].strict
+    return AxiomInstance(axiom, worlds, worse.id, better.id, strict, params, gate)
 
 
 def quality_instance(high: World, low: World, very_high, very_low) -> AxiomInstance:
@@ -303,8 +311,9 @@ def avoid_sadistic_instance(
     tortured_id: str = "with_tortured",
     positive_id: str = "with_positive",
 ) -> AxiomInstance:
-    tortured_world = World(tortured_id, population_union(base, tortured))
-    positive_world = World(positive_id, population_union(base, positive))
+    derived = _derived(AxiomId.AVOID_SADISTIC, base=base, tortured=tortured, positive=positive)
+    tortured_world = World(tortured_id, derived["tortured_world"])
+    positive_world = World(positive_id, derived["positive_world"])
     return _instance(
         AxiomId.AVOID_SADISTIC, (tortured_world, positive_world), tortured_world, positive_world,
         base=base, tortured=tortured, positive=positive,
@@ -325,8 +334,9 @@ def addition_instance(
     b_added_id: str = "with_b",
     c_added_id: str = "with_c",
 ) -> AxiomInstance:
-    b_world = World(b_added_id, population_union(base.population, b_part))
-    c_world = World(c_added_id, population_union(base.population, c_part))
+    derived = _derived(AxiomId.ADDITION, base=base.population, b=b_part, c=c_part)
+    b_world = World(b_added_id, derived["b_added"])
+    c_world = World(c_added_id, derived["c_added"])
     return _instance(
         AxiomId.ADDITION, (base, b_world, c_world), c_world, b_world, gate=(b_world.id, base.id),
         base_world=base.id, b=b_part, c=c_part,
@@ -344,11 +354,13 @@ def priority_compensation_instance(
     before_id: str = "before",
     after_id: str = "after",
 ) -> AxiomInstance:
-    low = as_rational(low_level)
-    neg = as_rational(negative_level)
-    high = as_rational(high_level)
-    before = World(before_id, population_union(base, Population([(low, 1)])))
-    after = World(after_id, population_union(base, Population([(neg, 1), (high, count)])))
+    low, neg, high = as_rational(low_level), as_rational(negative_level), as_rational(high_level)
+    derived = _derived(
+        AxiomId.PRIORITY_COMPENSATION,
+        base=base, low_level=low, negative_level=neg, high_level=high, count=count,
+    )
+    before = World(before_id, derived["before"])
+    after = World(after_id, derived["after"])
     return _instance(
         AxiomId.PRIORITY_COMPENSATION, (before, after), before, after,
         base=base, low_level=low, negative_level=neg, high_level=high, count=count,
@@ -361,7 +373,15 @@ def priority_compensation_instance(
 # ---------------------------------------------------------------------------
 
 def check_instance(instance: AxiomInstance, order: OrderFn) -> CheckResult:
-    """Evaluate the instance's required verdict under a comparison function.
+    """Evaluate the instance's required verdict under a comparison function."""
+    claim = order(instance.world(instance.claim_worse), instance.world(instance.claim_better))
+    gate = instance.gate and order(*map(instance.world, instance.gate))
+    return _result(instance.strict, claim, gate)
+
+
+def _result(strict: bool, claim: Verdict, gate: Verdict | None) -> CheckResult:
+    """The check's result from the claim's verdict (worse vs better) and, for
+    a gated axiom, the gate's (world vs baseline).
 
     The required direction (or equality, for non-strict axioms) is SATISFIED;
     a strict reversal is VIOLATED, as is equality where the axiom demands
@@ -369,13 +389,7 @@ def check_instance(instance: AxiomInstance, order: OrderFn) -> CheckResult:
     addition axiom is violated only when its gate holds and its claim is
     reversed, with incomparability propagating as uncertainty.
     """
-    worse = instance.world(instance.claim_worse)
-    better = instance.world(instance.claim_better)
-    claim = order(worse, better)
-    if instance.gate is not None:
-        gate_world = instance.world(instance.gate[0])
-        baseline = instance.world(instance.gate[1])
-        gate = order(gate_world, baseline)
+    if gate is not None:
         # Three-valued conjunction of "gate holds" and "claim reversed".
         gate_t = {Verdict.LESS: True, Verdict.INCOMPARABLE: None}.get(gate, False)
         rev_t = {Verdict.GREATER: True, Verdict.INCOMPARABLE: None}.get(claim, False)
@@ -388,7 +402,7 @@ def check_instance(instance: AxiomInstance, order: OrderFn) -> CheckResult:
         return CheckResult.UNCERTAINLY_SATISFIED
     if claim is Verdict.GREATER:
         return CheckResult.VIOLATED
-    if claim is Verdict.EQUAL and instance.strict:
+    if claim is Verdict.EQUAL and strict:
         return CheckResult.VIOLATED
     return CheckResult.SATISFIED
 
@@ -533,16 +547,11 @@ class ViolationWitness:
 
     def replay(self) -> bool:
         """Re-run the comparison; True when the violation reproduces."""
-        order = swf_order(self.swf)
-        if check_instance(self.instance, order) is not CheckResult.VIOLATED:
-            return False
-        worse = self.instance.world(self.instance.claim_worse)
-        better = self.instance.world(self.instance.claim_better)
-        return order(worse, better) is self.observed
+        order, inst = swf_order(self.swf), self.instance
+        observed = order(inst.world(inst.claim_worse), inst.world(inst.claim_better))
+        return observed is self.observed and check_instance(inst, order) is CheckResult.VIOLATED
 
     def to_json(self) -> dict:
-        from .populations import swf_label
-
         return {
             "swf": swf_label(self.swf),
             "axiom": self.axiom.value,
@@ -559,8 +568,10 @@ def audit_swf(swf: SwfKind, axiom: AxiomId, bounds: SearchBounds) -> ViolationWi
     (nested lexicographic component streams), or None, which certifies only
     the searched space.  Premise clauses that read only fixed components
     (thresholds, a pinned base) run once, before the budget check; every
-    other clause runs once per binding: at the first depth that binds all it
-    reads, or, on a world the factory derives, when the instance is built.
+    other clause runs once per binding, at the first depth that binds all it
+    reads.  Each complete binding's derived worlds are computed and its
+    populations scored; only the witness is built as an instance, which
+    checks every clause, and it is returned only when it replays.
     The two existentially quantified axioms (quality, priority_compensation)
     return a witness only when every candidate the grid offers fails, and
     the witness note records that the claim is bounded.  A grid that leaves
@@ -575,7 +586,7 @@ def audit_swf(swf: SwfKind, axiom: AxiomId, bounds: SearchBounds) -> ViolationWi
             streams.append((name, value))
         else:
             fixed[name] = value
-    reads = [(clause, set(clause.reads)) for clause in row.clauses]
+    reads = [(clause, set(clause.reads)) for clause in row.clauses if not clause.derives]
     _require_all([c for c, needs in reads if fixed.keys() >= needs], fixed)
     estimate = prod(stream.size for _, stream in streams)
     if estimate > bounds.budget:
@@ -594,15 +605,11 @@ def audit_swf(swf: SwfKind, axiom: AxiomId, bounds: SearchBounds) -> ViolationWi
         else:  # the outermost stream is walked once
             candidates = lambda env, items=items: items
         plan.append((name, candidates, checks))
-    order = swf_order(swf)
-    token = _UNCHECKED.set([c for c, needs in reads if not bound >= needs])
-    try:
-        if row.search:
-            return row.search(swf, row, fixed, plan, order, bounds)
-        first = next(_violations(row, fixed, plan, order), None)
-        return first and _witness(swf, first, order)
-    finally:
-        _UNCHECKED.reset(token)
+    search = row.search or _search_first
+    witness = search(swf, row, fixed, plan, _judge(row, swf), bounds)
+    if witness and not witness.replay():
+        raise InvalidInstanceError(f"{axiom.value} witness does not replay under {swf_label(swf)}")
+    return witness
 
 
 def _replay(items: Iterator) -> Callable[[dict], Iterator]:
@@ -637,53 +644,71 @@ def _walk(env: dict, plan: list) -> Iterator[dict]:
                 yield env
 
 
-def _violations(row, env, plan, order) -> Iterator[AxiomInstance]:
+def _judge(row: AxiomRow, swf: SwfKind) -> Callable[[dict], Verdict | None]:
+    """The claim's verdict on a complete binding that violates the row's
+    axiom under ``swf``, else None.  Derived worlds are computed here, for
+    complete bindings only."""
+    worse, better, *gate = row.roles
+
+    def judge(binding):
+        env = _derive(row.clauses, dict(binding))
+        claim = swf_compare(swf, env[worse], env[better])
+        gated = swf_compare(swf, env[gate[0]], env[gate[1]]) if gate else None
+        return claim if _result(row.strict, claim, gated) is CheckResult.VIOLATED else None
+
+    return judge
+
+
+def _violations(env, plan, judge) -> Iterator[tuple[dict, Verdict]]:
     for binding in _walk(dict(env), plan):
-        inst = row.build(**binding)
-        if check_instance(inst, order) is CheckResult.VIOLATED:
-            yield inst
+        observed = judge(binding)
+        if observed is not None:
+            yield dict(binding), observed
 
 
-def _witness(swf, inst: AxiomInstance, order: OrderFn, note: str = "") -> ViolationWitness:
-    worse = inst.world(inst.claim_worse)
-    better = inst.world(inst.claim_better)
-    return ViolationWitness(
-        swf=swf, axiom=inst.axiom, instance=inst, observed=order(worse, better), note=note
-    )
+def _witness(swf, row: AxiomRow, binding: dict, observed: Verdict, note="") -> ViolationWitness:
+    """The one instance an audit builds, from a violating binding."""
+    inst = row.build(**binding)
+    return ViolationWitness(swf=swf, axiom=inst.axiom, instance=inst, observed=observed, note=note)
 
 
-def _search_quality(swf, row, fixed, plan, order, bounds):
+def _search_first(swf, row, fixed, plan, judge, bounds):
+    """The first violating binding's witness."""
+    found = next(_violations(fixed, plan, judge), None)
+    return found and _witness(swf, row, *found)
+
+
+def _search_quality(swf, row, fixed, plan, judge, bounds):
     """Violated only when every very-high candidate is beaten by some
     very-low-positive population; the witness is the first one's first."""
     beaten = []
     for env in _walk(dict(fixed), plan[:1]):
-        beaten.append(next(_violations(row, env, plan[1:], order), None))
+        beaten.append(next(_violations(env, plan[1:], judge), None))
         if beaten[-1] is None:
             return None  # this candidate survives, so the axiom holds here
     note = (
         f"all {len(beaten)} perfectly equal very-high candidates in the grid are "
         "beaten by some very-low-positive population (bounded claim)"
     )
-    return _witness(swf, beaten[0], order, note) if beaten else None
+    return _witness(swf, row, *beaten[0], note) if beaten else None
 
 
-def _search_priority(swf, row, fixed, plan, order, bounds):
+def _search_priority(swf, row, fixed, plan, judge, bounds):
     """Violated when, for some drop and created level, no count up to
     max_count compensates; the largest count is the witness."""
     for env in _walk(dict(fixed), plan[:-1]):
-        last = None
+        observed = None
         for binding in _walk(dict(env), plan[-1:]):
-            inst = row.build(**binding)
-            if check_instance(inst, order) is not CheckResult.VIOLATED:
+            observed = judge(binding)
+            if observed is None:
                 break
-            last = inst
-        else:
-            if last is not None:
+        else:  # every count fails; the walk leaves the largest bound
+            if observed is not None:
                 note = (
                     f"no count up to {bounds.max_count} compensates the drop "
                     f"from {env['low_level']} to {env['negative_level']} (bounded claim)"
                 )
-                return _witness(swf, last, order, note)
+                return _witness(swf, row, binding, observed, note)
     return None
 
 
@@ -771,7 +796,7 @@ AXIOMS[AxiomId.DOMINANCE_ADDITION] = AxiomRow(
          "raised part must weakly dominate the base pointwise"),
         ("added", lambda added: added.size > 0, "added part must be nonempty"),
         ("added", lambda added: added.min_level() > 0, "added lives must have positive welfare"),
-        ("raised added augmented", lambda raised, added, augmented: raised | added == augmented,
+        ("augmented = raised added", lambda raised, added: raised | added,
          "augmented world must equal raised part plus added lives"),
     ),
     streams=lambda bounds: {
@@ -827,9 +852,9 @@ AXIOMS[AxiomId.AVOID_SADISTIC] = AxiomRow(
          "positive addition must have positive welfare"),
         ("tortured positive", lambda tortured, positive: tortured.size < positive.size,
          "tortured addition must be the smaller one"),
-        ("tortured_world base tortured", lambda world, base, tortured: world == base | tortured,
+        ("tortured_world = base tortured", lambda base, tortured: base | tortured,
          "tortured world must equal base plus tortured addition"),
-        ("positive_world base positive", lambda world, base, positive: world == base | positive,
+        ("positive_world = base positive", lambda base, positive: base | positive,
          "positive world must equal base plus positive addition"),
     ),
     thresholds=("very_high", "torture_max"),
@@ -889,9 +914,9 @@ AXIOMS[AxiomId.ADDITION] = AxiomRow(
         ("c b", lambda c, b: c.size > b.size, "group c must be larger than group b"),
         ("c b", lambda c, b: c.max_level() < b.min_level(),
          "group c must be worse off than group b"),
-        ("b_added base b", lambda b_added, base, b: b_added == base | b,
+        ("b_added = base b", lambda base, b: base | b,
          "b-added world must equal base plus group b"),
-        ("c_added base c", lambda c_added, base, c: c_added == base | c,
+        ("c_added = base c", lambda base, c: base | c,
          "c-added world must equal base plus group c"),
     ),
     streams=lambda bounds: {
@@ -918,12 +943,12 @@ AXIOMS[AxiomId.PRIORITY_COMPENSATION] = AxiomRow(
          "created lives must have very high welfare"),
         ("count", lambda count: isinstance(count, int) and count >= 1,
          "must create at least one life"),
-        ("before base low_level",
-         lambda before, base, low_level: before == base | Population([(low_level, 1)]),
+        ("before = base low_level",
+         lambda base, low_level: base | Population([(low_level, 1)]),
          "before-world must equal base plus the very-low-positive person"),
-        ("after base negative_level high_level count",
-         lambda after, base, negative_level, high_level, count:
-            after == base | Population([(negative_level, 1), (high_level, count)]),
+        ("after = base negative_level high_level count",
+         lambda base, negative_level, high_level, count:
+            base | Population([(negative_level, 1), (high_level, count)]),
          "after-world must equal base plus the lowered person plus the created lives"),
     ),
     thresholds=("very_high", "very_low"),
@@ -998,7 +1023,7 @@ def second_theorem_cycle(
     a = World("a", Population([(a_level, base_size)]))
     raised = Population([(raised_level, base_size)])
     added = Population([(c_level, extra_size)])
-    a_plus = World("a_plus", population_union(raised, added))
+    a_plus = World("a_plus", raised | added)
     z = World("z", Population([(b_level, base_size + extra_size)]))
     a_star = World("a_star", Population([(vh, base_size)]))
     return [

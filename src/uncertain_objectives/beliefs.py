@@ -169,9 +169,6 @@ class OrderDistribution:
     def worlds(self) -> tuple[str, ...]:
         return tuple(sorted(self.orders[0]))
 
-    def support(self):
-        return [(o, p) for o, p in zip(self.orders, self.probs) if p > 0]
-
     def to_json(self) -> dict:
         return {
             "orders": [list(o) for o in self.orders],

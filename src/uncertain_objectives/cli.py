@@ -85,6 +85,10 @@ def _load_scenario(path: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> tuple[dict, bool]:
+    if args.max_pattern_size is not None and args.max_pattern_size < 0:
+        raise UncertainObjectivesError(
+            f"--max-pattern-size must be at least 0, got {args.max_pattern_size}"
+        )
     scenario = _load_scenario(args.scenario)
     graph = scenario.graph()
     certificate = find_cycle(graph)

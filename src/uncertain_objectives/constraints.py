@@ -321,7 +321,7 @@ def _subset_batches(g: ConstraintGraph, size: int):
     """Kernel inputs for every size-``size`` edge subset, in lexicographic
     order of edge indices, in blocks of at most ``_BLOCK_ROWS`` subsets.
 
-    Each block is ``(subsets, rows, removed_u, removed_v, removed_len)``:
+    Each block is ``(subsets, rows, removed_u, removed_v)``:
     the subsets as an index array of shape (B, size), the kept edges'
     bit-rows, and the removed edges' endpoint pairs.  A bit-row ORs the kept
     out-edges of its world, so parallel edges stay set while one survives.
@@ -343,7 +343,7 @@ def _subset_batches(g: ConstraintGraph, size: int):
         rows = np.zeros((count, len(g.worlds)), dtype=np.int64)
         for w, cols in out_edges:
             rows[:, w] = np.bitwise_or.reduce(np.where(keep[:, cols], bits[cols], 0), axis=1)
-        yield subsets, rows, worse[subsets], better[subsets], np.full(count, size, dtype=np.int64)
+        yield subsets, rows, worse[subsets], better[subsets]
 
 
 def _check_world_limit(g: ConstraintGraph) -> None:
@@ -376,8 +376,8 @@ def valid_uncertainty_patterns(
     found: list[UncertaintyPattern] = []
     found_sets: list[frozenset[int]] = []
     for size in range(max_size + 1):
-        for subsets, rows, ru, rv, rl in _subset_batches(g, size):
-            flags = _kernels.pattern_valid_flags(rows, ru, rv, rl)
+        for subsets, rows, ru, rv in _subset_batches(g, size):
+            flags = _kernels.pattern_valid_flags(rows, ru, rv)
             for subset in subsets[np.flatnonzero(flags)].tolist():
                 s = frozenset(subset)
                 if any(f <= s for f in found_sets):
@@ -405,8 +405,8 @@ def min_uncertainty_size(g: ConstraintGraph, budget: int = 1_000_000) -> int:
             raise BudgetExceededError(
                 f"subset enumeration through size {size} exceeds budget {budget}"
             )
-        for _, rows, ru, rv, rl in _subset_batches(g, size):
-            if _kernels.pattern_valid_flags(rows, ru, rv, rl).any():
+        for _, rows, ru, rv in _subset_batches(g, size):
+            if _kernels.pattern_valid_flags(rows, ru, rv).any():
                 return size
     raise AssertionError("unreachable: removing every edge is always valid")
 

@@ -18,8 +18,6 @@ from .errors import EmptyPopulationError, InvalidValueError
 from .ordering import Verdict
 from .rationals import as_rational, format_rational
 
-WelfareLevel = Fraction
-
 
 @dataclass(frozen=True)
 class Population:

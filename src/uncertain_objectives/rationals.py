@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import InvalidValueError
 
-Rational = Fraction
-
 
 def as_rational(value) -> Fraction:
     """Coerce an int, Fraction, "p/q" / decimal string, or float to Fraction."""

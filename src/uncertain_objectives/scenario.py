@@ -91,9 +91,6 @@ class Scenario:
             tuple(sorted(self.worlds)), tuple(c.edge for c in self.constraints)
         )
 
-    def world(self, world_id: str) -> World:
-        return World(world_id, self.worlds[world_id])
-
     def to_json(self) -> dict:
         doc: dict = {
             "$schema": SCENARIO_SCHEMA,
@@ -145,11 +142,11 @@ def _parse_constraint(doc, i, worlds) -> Constraint:
     if "axiom" not in doc:
         for key in ("from", "to"):
             _expect(key in doc, path, f"raw edge needs {key!r}")
-            if doc[key] not in worlds:
-                raise IntegrityError(f"{path}.{key}: undeclared world id {doc[key]!r}")
+        worse, better = (_world_ref(doc, key, path, worlds).id for key in ("from", "to"))
+        _expect(worse != better, path, f"raw edge from {worse!r} to itself")
         return Constraint(
             label=label,
-            edge=Edge(worse=doc["from"], better=doc["to"], label=label),
+            edge=Edge(worse=worse, better=better, label=label),
             instance=None,
             raw=doc,
         )

@@ -168,9 +168,7 @@ def test_criterion_3_two_constraint_minimum():
                 ru = edge_u[edges.T.ravel()]
                 rv = edge_v[edges.T.ravel()]
                 single[np.arange(g * k), ru] &= ~(np.int64(1) << rv)
-                flags = _kernels.pattern_valid_flags(
-                    single, ru[:, None], rv[:, None], np.ones(g * k, dtype=np.int64)
-                )
+                flags = _kernels.pattern_valid_flags(single, ru[:, None], rv[:, None])
                 offenders += int(flags.reshape(k, g).any(axis=0).sum())
 
     # Pure cycles: exactly the C(n,2) two-edge subsets, all minimal.

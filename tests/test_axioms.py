@@ -415,28 +415,25 @@ class TestAudits:
             audit_swf(TotalWelfare(), axiom, bounds)
 
     def test_derived_worlds_are_checked_inside_audits(self, monkeypatch):
-        # The walk checks every clause its streams bind and leaves the
-        # clauses on worlds a factory derives to construction, which must
-        # still run them during the audit.
-        def wrong_c_world(base, b_part, c_part):
-            b_world = World("with_b", base.population | b_part)
-            c_world = World("with_c", base.population | b_part)  # should add c_part
+        # The audit scores the augmented world it derives itself; building
+        # the witness runs every clause on the factory's worlds, so a factory
+        # that derives another augmented world is caught there.
+        def wrong_augmented(base, augmented, raised, added):
             return AxiomInstance(
-                AxiomId.ADDITION, (base, b_world, c_world), "with_c", "with_b", strict=False,
-                params={"base_world": base.id, "b": b_part, "c": c_part},
-                gate=("with_b", base.id),
+                AxiomId.DOMINANCE_ADDITION, (base, World(augmented.id, raised)), base.id,
+                augmented.id, strict=False, params={"raised": raised, "added": added},
             )
 
-        monkeypatch.setattr(axioms, "addition_instance", wrong_c_world)
-        bounds = SearchBounds(levels=(-2, -1, 1), max_count=2, max_groups=1)
-        with pytest.raises(InvalidInstanceError, match="c-added world must equal"):
-            audit_swf(TotalWelfare(), AxiomId.ADDITION, bounds)
+        monkeypatch.setattr(axioms, "dominance_addition_instance", wrong_augmented)
+        bounds = SearchBounds((-2, -1, 1, 2), 2, max_groups=1)
+        with pytest.raises(InvalidInstanceError, match="augmented world must equal"):
+            audit_swf(AverageWelfare(), AxiomId.DOMINANCE_ADDITION, bounds)
 
     def test_construction_checks_everything_after_a_failed_audit(self, monkeypatch):
-        def broken(instance, order):
+        def broken(swf, a, b):
             raise RuntimeError("order failed")
 
-        monkeypatch.setattr(axioms, "check_instance", broken)
+        monkeypatch.setattr(axioms, "swf_compare", broken)
         with pytest.raises(RuntimeError):
             audit_swf(TotalWelfare(), AxiomId.AVOID_REPUGNANT, SearchBounds((1, 100), 3))
         base = population((100, 1))
@@ -449,6 +446,36 @@ class TestAudits:
                         "positive": population((1, 2)), "very_high": Fraction(100),
                         "torture_max": Fraction(-5)},
             )
+
+    @pytest.mark.parametrize(
+        "swf,axiom,bounds,witness",
+        [
+            (TotalWelfare(), AxiomId.DOMINANCE, SearchBounds((0, 1, 2), 3), False),
+            (TotalWelfare(), AxiomId.ADDITION, SearchBounds((-2, -1, 1), 2), False),
+            (TotalWelfare(), AxiomId.QUALITY, SearchBounds((1, 100), 5), False),
+            (AverageWelfare(), AxiomId.DOMINANCE_ADDITION,
+             SearchBounds((-2, -1, 1, 2), 2, max_groups=1), True),
+            (TotalWelfare(), AxiomId.AVOID_REPUGNANT, SearchBounds((1, 100), 120), True),
+            (CriticalLevel(200), AxiomId.PRIORITY_COMPENSATION,
+             SearchBounds((-1, 1, 100), 25), True),
+        ],
+    )
+    def test_audits_build_only_the_witness(self, monkeypatch, swf, axiom, bounds, witness):
+        built = []
+        check = AxiomInstance.__post_init__
+        monkeypatch.setattr(
+            AxiomInstance, "__post_init__", lambda inst: (built.append(inst), check(inst))
+        )
+        found = audit_swf(swf, axiom, bounds)
+        assert built == ([found.instance] if witness else [])
+
+    def test_witness_that_does_not_replay_is_refused(self, monkeypatch):
+        # Replay orders the built instance's worlds; an order that disagrees
+        # with the scores the audit compared is caught before returning.
+        monkeypatch.setattr(axioms, "swf_order", lambda swf: lambda u, v: Verdict.LESS)
+        bounds = SearchBounds((-2, -1, 1, 2), 2, max_groups=1)
+        with pytest.raises(InvalidInstanceError, match="witness does not replay"):
+            audit_swf(AverageWelfare(), AxiomId.DOMINANCE_ADDITION, bounds)
 
     def test_zero_thresholds_serialize(self):
         bounds = SearchBounds(levels=(1, 2), max_count=1, very_low=0, torture_max=0, very_high=0)

@@ -202,6 +202,36 @@ class TestExitCodes:
         assert code == 1
         assert "worlds" in err
 
+    @pytest.mark.parametrize(
+        "edge,message",
+        [
+            ({"from": ["a"], "to": "b"},
+             "constraints[0].from: world reference must be a string id"),
+            ({"from": "a", "to": "a"}, "constraints[0]: raw edge from 'a' to itself"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command", [("analyze",), ("bound",), ("decide", "--rule", "partial")]
+    )
+    def test_bad_raw_edge_is_error(self, tmp_path, edge, message, command):
+        doc = {
+            "worlds": {"a": [["1", 1]], "b": [["2", 1]]},
+            "constraints": [{"label": "C1", **edge}],
+        }
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(command[0], str(path), *command[1:])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["-1", "-5"])
+    def test_negative_pattern_size_is_error(self, value):
+        code, out, err = run_cli(
+            "analyze", str(SCENARIOS / "three_cycle.json"), "--max-pattern-size", value
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: --max-pattern-size must be at least 0, got {value}\n"
+
     def test_bound_requires_cycle(self, tmp_path):
         doc = {
             "worlds": {"a": [["1", 1]], "b": [["2", 1]]},

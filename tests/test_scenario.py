@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uncertain_objectives import (
     AxiomId,
@@ -11,6 +15,7 @@ from uncertain_objectives import (
     population,
     serialize_scenario,
 )
+from uncertain_objectives.cli import main
 from uncertain_objectives.axioms import (
     AXIOMS,
     addition_instance,
@@ -351,3 +356,55 @@ def test_readme_lists_each_rows_fields():
         if len(cells) == 3 and cells[0].startswith("`"):
             listed[cells[0].strip("`*")] = [f.strip().strip("`") for f in cells[1].split(",")]
     assert listed == {axiom.value: list(AXIOMS[axiom].fields) for axiom in AxiomId}
+
+
+# JSON values for mutated fields: wrong types, lists where strings belong,
+# and the ids of declared worlds, so that references stay plausible.
+def _json(world_ids):
+    return st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
+        | st.sampled_from(world_ids),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def _mutated_constraint(draw):
+    """A valid raw-edge or axiom constraint, and its worlds, with one to
+    three fields replaced, copied from another field, dropped, wrapped in a
+    list or added."""
+    axiom = draw(st.sampled_from([None, None, *sorted(AXIOM_FORMS)]))
+    if axiom is None:
+        worlds, body = {"a": [["1", 1]], "b": [["2", 1]]}, {"from": "a", "to": "b"}
+    else:
+        worlds, body = AXIOM_FORMS[axiom][:2]
+        body = {"axiom": axiom, **body}
+    constraint = {"label": "K", **body}
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from([*sorted(constraint), "extra"]))
+        how = draw(st.sampled_from(["replace", "copy", "drop", "wrap"]))
+        if how == "drop":
+            constraint.pop(key, None)
+        elif how == "wrap":
+            constraint[key] = [constraint.get(key)]
+        elif how == "copy":
+            constraint[key] = constraint.get(draw(st.sampled_from(sorted(constraint))))
+        else:
+            constraint[key] = draw(_json(sorted(worlds)))
+    return {"worlds": worlds, "constraints": [constraint]}
+
+
+@settings(
+    derandomize=True, max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_mutated_constraint())
+def test_mutated_constraints_never_escape_the_cli(tmp_path_factory, document):
+    path = tmp_path_factory.getbasetemp() / "fuzz_scenario.json"
+    path.write_text(json.dumps(document))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", str(path)])
+    assert code in (0, 1, 2), (document, err.getvalue())
