@@ -37,9 +37,12 @@ its strictness, its scenario fields, its premise as clauses that each name
 the components (populations and thresholds) they read, and its audit's
 component streams, each with a closed-form size.  A premise world built from
 other components (``addition``'s b-added world, say) is a derivation clause,
-whose test computes it.  Instance construction checks every clause;
-``scenario`` parses a constraint by reading the row's fields;
-``audit_swf`` walks the streams in nested lexicographic order, runs each
+whose test computes it.  One constructor, ``make_instance``, builds every
+instance from its row alone: the fields in the row's order, the claim and
+gate from its roles, derived worlds from its derivation clauses, and every
+clause checked.  The ten ``*_instance`` names bind it to one axiom each;
+``scenario`` parses a constraint by reading the row's fields and calls it,
+and ``audit_swf`` walks the streams in nested lexicographic order, runs each
 clause at the first depth that binds all of its components, and scores the
 populations of each complete binding, deriving worlds there.  It builds one
 instance, the witness, and returns it only once it replays.
@@ -51,6 +54,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb, prod
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -97,15 +101,18 @@ class CheckResult(enum.Enum):
 
 OrderFn = Callable[[World, World], Verdict]
 
-# Scenario field kinds: a declared world the factory takes, and literal values.
-WORLD, POPULATION, RATIONAL, COUNT = "world", "population", "rational", "count"
+# Scenario field kinds of literal values; a world field's kind is a ``WorldField``.
+POPULATION, RATIONAL, COUNT = "population", "rational", "count"
 
 
-class WorldId(NamedTuple):
-    """Field kind of a declared world the factory derives: only its id is
-    passed, as the keyword argument ``keyword``."""
+class WorldField(NamedTuple):
+    """Field kind of a premise world, the component of the same name, whose
+    id in an audit witness is ``id``.  A world that ``make_instance`` derives
+    from other fields has a ``keyword``, which takes its id in place of
+    ``id``."""
 
-    keyword: str
+    id: str
+    keyword: str | None = None
 
 
 class Clause(NamedTuple):
@@ -176,24 +183,21 @@ class Stream(NamedTuple):
 class AxiomRow:
     """One adequacy condition, declared once.
 
-    ``roles`` names the populations of the claim's (worse, better) worlds,
-    then of the gate's (world, baseline) for a gated axiom; instance params
-    are components under their own names.  ``fields`` maps each scenario
-    field, in document order, to its kind; ``factory`` takes the fields in
-    that order, a ``WorldId`` field as its keyword.  ``streams(bounds,
-    **thresholds)``, given the grid's effective ``thresholds``, gives the
-    audit's components outermost first: a ``Stream`` is enumerated, any
-    other value is fixed.  ``build`` makes an instance from one binding.
-    ``search`` replaces the universal search for the two existential axioms.
+    ``fields`` maps each scenario field, in document order, to its kind;
+    every field is the component of the same name, and ``make_instance``
+    takes them in that order.  ``roles`` names the world fields of the
+    claim's (worse, better) worlds, then of the gate's (world, baseline) for
+    a gated axiom.  ``streams(bounds, **thresholds)``, given the grid's
+    effective ``thresholds``, gives the audit's components outermost first:
+    a ``Stream`` is enumerated, any other value is fixed.  ``search``
+    replaces the universal search for the two existential axioms.
     """
 
     strict: bool
     roles: tuple[str, ...]
     fields: dict
-    factory: Callable[..., AxiomInstance]
     clauses: tuple[Clause, ...]
     streams: Callable[..., dict]
-    build: Callable[..., AxiomInstance]
     thresholds: tuple[str, ...] = ()
     search: Callable | None = None
 
@@ -258,114 +262,66 @@ class AxiomInstance:
 
 
 # ---------------------------------------------------------------------------
-# Instance factories
+# Construction
 # ---------------------------------------------------------------------------
 
-def _derived(axiom: AxiomId, **parts) -> dict:
-    """``parts`` with the worlds the axiom's derivation clauses compute."""
-    return _derive(AXIOMS[axiom].clauses, parts)
+def make_instance(axiom: AxiomId, *fields, **named) -> AxiomInstance:
+    """An instance of ``axiom`` built from its row.
+
+    Fields follow the order of ``row.fields``, positionally or by name.  A
+    world field takes a ``World``, or a population, which gets the field's
+    id.  A world the row's clauses derive may be left out; one with a
+    ``keyword`` must be, and that keyword may give its id.  Rational fields
+    go through ``as_rational``, and the fields that are not worlds are the
+    params.  Clauses that read only given fields run before any world is
+    derived, so a bad field fails its own clause.
+    """
+    row = AXIOMS[axiom]
+    keywords = {
+        kind.keyword: key for key, kind in row.fields.items()
+        if isinstance(kind, WorldField) and kind.keyword
+    }
+    names = [key for key in row.fields if key not in keywords.values()]
+    env, ids = dict(zip(names, fields)), {}
+    for name, value in named.items():
+        if name in keywords:
+            ids[keywords[name]] = value
+        elif name in names and name not in env:
+            env[name] = value
+        else:
+            raise TypeError(f"{axiom.value} got an unexpected or repeated field {name!r}")
+    missing = row.fields.keys() - env.keys() - {clause.derives for clause in row.clauses}
+    if missing or len(fields) > len(names):
+        raise TypeError(f"{axiom.value} takes the fields {names}; missing {sorted(missing)}")
+    worlds, params = {}, {}
+    for key, kind in row.fields.items():
+        if not isinstance(kind, WorldField):
+            params[key] = env[key] = as_rational(env[key]) if kind == RATIONAL else env[key]
+        elif key not in env:
+            worlds[key] = None  # derived below
+        else:
+            world = env[key] if isinstance(env[key], World) else World(kind.id, env[key])
+            worlds[key], env[key] = world, world.population
+    if any(world is None for world in worlds.values()):
+        _require_all([c for c in row.clauses if not c.derives and env.keys() >= set(c.reads)], env)
+        _derive(row.clauses, env)
+        for key, world in worlds.items():
+            worlds[key] = world or World(ids.get(key, row.fields[key].id), env[key])
+    worse, better, *gate = (worlds[role].id for role in row.roles)
+    premise = tuple(worlds.values())
+    return AxiomInstance(axiom, premise, worse, better, row.strict, params, tuple(gate) or None)
 
 
-def _instance(axiom: AxiomId, worlds, worse: World, better: World, gate=None, **params):
-    """An instance whose strictness is the axiom's row's."""
-    strict = AXIOMS[axiom].strict
-    return AxiomInstance(axiom, worlds, worse.id, better.id, strict, params, gate)
-
-
-def quality_instance(high: World, low: World, very_high, very_low) -> AxiomInstance:
-    return _instance(
-        AxiomId.QUALITY, (high, low), low, high,
-        very_high=as_rational(very_high), very_low=as_rational(very_low),
-    )
-
-
-def inequality_aversion_instance(mixed: World, equal: World) -> AxiomInstance:
-    return _instance(AxiomId.INEQUALITY_AVERSION, (mixed, equal), mixed, equal)
-
-
-def egalitarian_dominance_instance(better: World, worse: World) -> AxiomInstance:
-    return _instance(AxiomId.EGALITARIAN_DOMINANCE, (better, worse), worse, better)
-
-
-def dominance_addition_instance(
-    base: World, augmented: World, raised: Population, added: Population
-) -> AxiomInstance:
-    return _instance(
-        AxiomId.DOMINANCE_ADDITION, (base, augmented), base, augmented, raised=raised, added=added
-    )
-
-
-def avoid_repugnant_instance(high: World, crowd: World, very_high, very_low) -> AxiomInstance:
-    return _instance(
-        AxiomId.AVOID_REPUGNANT, (high, crowd), crowd, high,
-        very_high=as_rational(very_high), very_low=as_rational(very_low),
-    )
-
-
-def avoid_sadistic_instance(
-    base: Population,
-    tortured: Population,
-    positive: Population,
-    very_high,
-    torture_max,
-    tortured_id: str = "with_tortured",
-    positive_id: str = "with_positive",
-) -> AxiomInstance:
-    derived = _derived(AxiomId.AVOID_SADISTIC, base=base, tortured=tortured, positive=positive)
-    tortured_world = World(tortured_id, derived["tortured_world"])
-    positive_world = World(positive_id, derived["positive_world"])
-    return _instance(
-        AxiomId.AVOID_SADISTIC, (tortured_world, positive_world), tortured_world, positive_world,
-        base=base, tortured=tortured, positive=positive,
-        very_high=as_rational(very_high), torture_max=as_rational(torture_max),
-    )
-
-
-def avoid_very_anti_egalitarian_instance(better: World, worse: World) -> AxiomInstance:
-    return _instance(AxiomId.AVOID_VERY_ANTI_EGALITARIAN, (better, worse), worse, better)
-
-
-def dominance_instance(better: World, worse: World) -> AxiomInstance:
-    return _instance(AxiomId.DOMINANCE, (better, worse), worse, better)
-
-
-def addition_instance(
-    base: World, b_part: Population, c_part: Population,
-    b_added_id: str = "with_b",
-    c_added_id: str = "with_c",
-) -> AxiomInstance:
-    derived = _derived(AxiomId.ADDITION, base=base.population, b=b_part, c=c_part)
-    b_world = World(b_added_id, derived["b_added"])
-    c_world = World(c_added_id, derived["c_added"])
-    return _instance(
-        AxiomId.ADDITION, (base, b_world, c_world), c_world, b_world, gate=(b_world.id, base.id),
-        base_world=base.id, b=b_part, c=c_part,
-    )
-
-
-def priority_compensation_instance(
-    base: Population,
-    low_level,
-    negative_level,
-    high_level,
-    count: int,
-    very_high,
-    very_low,
-    before_id: str = "before",
-    after_id: str = "after",
-) -> AxiomInstance:
-    low, neg, high = as_rational(low_level), as_rational(negative_level), as_rational(high_level)
-    derived = _derived(
-        AxiomId.PRIORITY_COMPENSATION,
-        base=base, low_level=low, negative_level=neg, high_level=high, count=count,
-    )
-    before = World(before_id, derived["before"])
-    after = World(after_id, derived["after"])
-    return _instance(
-        AxiomId.PRIORITY_COMPENSATION, (before, after), before, after,
-        base=base, low_level=low, negative_level=neg, high_level=high, count=count,
-        very_high=as_rational(very_high), very_low=as_rational(very_low),
-    )
+quality_instance = partial(make_instance, AxiomId.QUALITY)
+inequality_aversion_instance = partial(make_instance, AxiomId.INEQUALITY_AVERSION)
+egalitarian_dominance_instance = partial(make_instance, AxiomId.EGALITARIAN_DOMINANCE)
+dominance_addition_instance = partial(make_instance, AxiomId.DOMINANCE_ADDITION)
+avoid_repugnant_instance = partial(make_instance, AxiomId.AVOID_REPUGNANT)
+avoid_sadistic_instance = partial(make_instance, AxiomId.AVOID_SADISTIC)
+avoid_very_anti_egalitarian_instance = partial(make_instance, AxiomId.AVOID_VERY_ANTI_EGALITARIAN)
+dominance_instance = partial(make_instance, AxiomId.DOMINANCE)
+addition_instance = partial(make_instance, AxiomId.ADDITION)
+priority_compensation_instance = partial(make_instance, AxiomId.PRIORITY_COMPENSATION)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +562,7 @@ def audit_swf(swf: SwfKind, axiom: AxiomId, bounds: SearchBounds) -> ViolationWi
             candidates = lambda env, items=items: items
         plan.append((name, candidates, checks))
     search = row.search or _search_first
-    witness = search(swf, row, fixed, plan, _judge(row, swf), bounds)
+    witness = search(swf, axiom, fixed, plan, _judge(row, swf), bounds)
     if witness and not witness.replay():
         raise InvalidInstanceError(f"{axiom.value} witness does not replay under {swf_label(swf)}")
     return witness
@@ -666,19 +622,19 @@ def _violations(env, plan, judge) -> Iterator[tuple[dict, Verdict]]:
             yield dict(binding), observed
 
 
-def _witness(swf, row: AxiomRow, binding: dict, observed: Verdict, note="") -> ViolationWitness:
+def _witness(swf, axiom: AxiomId, binding: dict, observed: Verdict, note="") -> ViolationWitness:
     """The one instance an audit builds, from a violating binding."""
-    inst = row.build(**binding)
-    return ViolationWitness(swf=swf, axiom=inst.axiom, instance=inst, observed=observed, note=note)
+    inst = make_instance(axiom, **binding)
+    return ViolationWitness(swf=swf, axiom=axiom, instance=inst, observed=observed, note=note)
 
 
-def _search_first(swf, row, fixed, plan, judge, bounds):
+def _search_first(swf, axiom, fixed, plan, judge, bounds):
     """The first violating binding's witness."""
     found = next(_violations(fixed, plan, judge), None)
-    return found and _witness(swf, row, *found)
+    return found and _witness(swf, axiom, *found)
 
 
-def _search_quality(swf, row, fixed, plan, judge, bounds):
+def _search_quality(swf, axiom, fixed, plan, judge, bounds):
     """Violated only when every very-high candidate is beaten by some
     very-low-positive population; the witness is the first one's first."""
     beaten = []
@@ -690,10 +646,10 @@ def _search_quality(swf, row, fixed, plan, judge, bounds):
         f"all {len(beaten)} perfectly equal very-high candidates in the grid are "
         "beaten by some very-low-positive population (bounded claim)"
     )
-    return _witness(swf, row, *beaten[0], note) if beaten else None
+    return _witness(swf, axiom, *beaten[0], note) if beaten else None
 
 
-def _search_priority(swf, row, fixed, plan, judge, bounds):
+def _search_priority(swf, axiom, fixed, plan, judge, bounds):
     """Violated when, for some drop and created level, no count up to
     max_count compensates; the largest count is the witness."""
     for env in _walk(dict(fixed), plan[:-1]):
@@ -708,7 +664,7 @@ def _search_priority(swf, row, fixed, plan, judge, bounds):
                     f"no count up to {bounds.max_count} compensates the drop "
                     f"from {env['low_level']} to {env['negative_level']} (bounded claim)"
                 )
-                return _witness(swf, row, binding, observed, note)
+                return _witness(swf, axiom, binding, observed, note)
     return None
 
 
@@ -725,8 +681,11 @@ _THRESHOLDS = (
 AXIOMS: dict[AxiomId, AxiomRow] = {}
 
 AXIOMS[AxiomId.QUALITY] = AxiomRow(
-    strict=False, roles=("low", "high"), factory=quality_instance,
-    fields={"high": WORLD, "low": WORLD, "very_high": RATIONAL, "very_low": RATIONAL},
+    strict=False, roles=("low", "high"),
+    fields={
+        "high": WorldField("a"), "low": WorldField("z"),
+        "very_high": RATIONAL, "very_low": RATIONAL,
+    },
     clauses=_clauses(
         _THRESHOLDS,
         ("high", lambda high: high.size > 0, "high population must be nonempty"),
@@ -743,14 +702,12 @@ AXIOMS[AxiomId.QUALITY] = AxiomRow(
         "high": _uniform(bounds, lambda l: l >= very_high),
         "low": _populations(bounds, lambda l: 0 < l <= very_low),
     },
-    build=lambda high, low, very_high, very_low: quality_instance(
-        World("a", high), World("z", low), very_high, very_low),
     search=_search_quality,
 )
 
 AXIOMS[AxiomId.INEQUALITY_AVERSION] = AxiomRow(
-    strict=False, roles=("mixed", "equal"), factory=inequality_aversion_instance,
-    fields={"mixed": WORLD, "equal": WORLD},
+    strict=False, roles=("mixed", "equal"),
+    fields={"mixed": WorldField("mixed"), "equal": WorldField("equal")},
     clauses=_clauses(
         ("mixed", lambda mixed: len(mixed.groups) == 2,
          "mixed population must have exactly two welfare tiers"),
@@ -765,13 +722,11 @@ AXIOMS[AxiomId.INEQUALITY_AVERSION] = AxiomRow(
          "equal population must match the mixed size"),
     ),
     streams=_two_tier,
-    build=lambda mixed, equal: inequality_aversion_instance(
-        World("mixed", mixed), World("equal", equal)),
 )
 
 AXIOMS[AxiomId.EGALITARIAN_DOMINANCE] = AxiomRow(
-    strict=True, roles=("worse", "better"), factory=egalitarian_dominance_instance,
-    fields={"better": WORLD, "worse": WORLD},
+    strict=True, roles=("worse", "better"),
+    fields={"better": WorldField("a"), "worse": WorldField("b")},
     clauses=_clauses(
         ("better", lambda better: better.size > 0, "populations must be nonempty"),
         ("better worse", lambda better, worse: better.size == worse.size,
@@ -782,13 +737,14 @@ AXIOMS[AxiomId.EGALITARIAN_DOMINANCE] = AxiomRow(
          "every member of the equal population must be strictly happier"),
     ),
     streams=lambda bounds: {"better": _uniform(bounds), "worse": _populations(bounds)},
-    build=lambda better, worse: egalitarian_dominance_instance(
-        World("a", better), World("b", worse)),
 )
 
 AXIOMS[AxiomId.DOMINANCE_ADDITION] = AxiomRow(
-    strict=False, roles=("base", "augmented"), factory=dominance_addition_instance,
-    fields={"base": WORLD, "augmented": WORLD, "raised": POPULATION, "added": POPULATION},
+    strict=False, roles=("base", "augmented"),
+    fields={
+        "base": WorldField("a"), "augmented": WorldField("a_plus"),
+        "raised": POPULATION, "added": POPULATION,
+    },
     clauses=_clauses(
         ("raised base", lambda raised, base: raised.size == base.size,
          "raised part must match the base population size"),
@@ -804,13 +760,14 @@ AXIOMS[AxiomId.DOMINANCE_ADDITION] = AxiomRow(
         "raised": _populations(bounds),
         "added": _populations(bounds, lambda l: l > 0),
     },
-    build=lambda base, raised, added: dominance_addition_instance(
-        World("a", base), World("a_plus", raised | added), raised, added),
 )
 
 AXIOMS[AxiomId.AVOID_REPUGNANT] = AxiomRow(
-    strict=False, roles=("crowd", "high"), factory=avoid_repugnant_instance,
-    fields={"high": WORLD, "crowd": WORLD, "very_high": RATIONAL, "very_low": RATIONAL},
+    strict=False, roles=("crowd", "high"),
+    fields={
+        "high": WorldField("a"), "crowd": WorldField("z"),
+        "very_high": RATIONAL, "very_low": RATIONAL,
+    },
     clauses=_clauses(
         _THRESHOLDS,
         ("high", lambda high: high.size > 0, "high population must be nonempty"),
@@ -827,14 +784,13 @@ AXIOMS[AxiomId.AVOID_REPUGNANT] = AxiomRow(
         "high": _populations(bounds, lambda l: l >= very_high),
         "crowd": _populations(bounds, lambda l: 0 < l <= very_low),
     },
-    build=lambda high, crowd, very_high, very_low: avoid_repugnant_instance(
-        World("a", high), World("z", crowd), very_high, very_low),
 )
 
 AXIOMS[AxiomId.AVOID_SADISTIC] = AxiomRow(
-    strict=False, roles=("tortured_world", "positive_world"), factory=avoid_sadistic_instance,
+    strict=False, roles=("tortured_world", "positive_world"),
     fields={
-        "tortured_world": WorldId("tortured_id"), "positive_world": WorldId("positive_id"),
+        "tortured_world": WorldField("with_tortured", "tortured_id"),
+        "positive_world": WorldField("with_positive", "positive_id"),
         "base": POPULATION, "tortured": POPULATION, "positive": POPULATION,
         "very_high": RATIONAL, "torture_max": RATIONAL,
     },
@@ -864,12 +820,11 @@ AXIOMS[AxiomId.AVOID_SADISTIC] = AxiomRow(
         "tortured": _populations(bounds, lambda l: l <= torture_max),
         "positive": _populations(bounds, lambda l: l > 0),
     },
-    build=avoid_sadistic_instance,
 )
 
 AXIOMS[AxiomId.AVOID_VERY_ANTI_EGALITARIAN] = AxiomRow(
-    strict=True, roles=("worse", "better"), factory=avoid_very_anti_egalitarian_instance,
-    fields={"better": WORLD, "worse": WORLD},
+    strict=True, roles=("worse", "better"),
+    fields={"better": WorldField("a"), "worse": WorldField("b")},
     clauses=_clauses(
         ("better", lambda better: better.size >= 2, "needs at least two people"),
         ("better worse", lambda better, worse: better.size == worse.size,
@@ -884,53 +839,49 @@ AXIOMS[AxiomId.AVOID_VERY_ANTI_EGALITARIAN] = AxiomRow(
         "better": _uniform(bounds, least=2),
         "worse": _populations(bounds, min_groups=2),
     },
-    build=lambda better, worse: avoid_very_anti_egalitarian_instance(
-        World("a", better), World("b", worse)),
 )
 
 AXIOMS[AxiomId.DOMINANCE] = AxiomRow(
-    strict=False, roles=("worse", "better"), factory=dominance_instance,
-    fields={"better": WORLD, "worse": WORLD},
+    strict=False, roles=("worse", "better"),
+    fields={"better": WorldField("a"), "worse": WorldField("b")},
     clauses=_clauses(
         ("better", lambda better: better.size > 0, "populations must be nonempty"),
         ("better worse", lambda better, worse: pointwise_dominates(better, worse, strict=True),
          "dominating population must be pointwise strictly happier at equal size"),
     ),
     streams=lambda bounds: {"better": _populations(bounds), "worse": _populations(bounds)},
-    build=lambda better, worse: dominance_instance(World("a", better), World("b", worse)),
 )
 
 AXIOMS[AxiomId.ADDITION] = AxiomRow(
-    strict=False, roles=("c_added", "b_added", "b_added", "base"), factory=addition_instance,
+    strict=False, roles=("c_added_world", "b_added_world", "b_added_world", "base_world"),
     fields={
-        "base_world": WORLD, "b_added_world": WorldId("b_added_id"),
-        "c_added_world": WorldId("c_added_id"), "b": POPULATION, "c": POPULATION,
+        "base_world": WorldField("a"), "b_added_world": WorldField("with_b", "b_added_id"),
+        "c_added_world": WorldField("with_c", "c_added_id"), "b": POPULATION, "c": POPULATION,
     },
     clauses=_clauses(
-        ("base", lambda base: base.size > 0, "base population must be nonempty"),
+        ("base_world", lambda base: base.size > 0, "base population must be nonempty"),
         ("b", lambda b: b.size > 0, "group b must be nonempty"),
-        ("b base", lambda b, base: b.max_level() < base.min_level(),
+        ("b base_world", lambda b, base: b.max_level() < base.min_level(),
          "group b must be worse off than the base"),
         ("c b", lambda c, b: c.size > b.size, "group c must be larger than group b"),
         ("c b", lambda c, b: c.max_level() < b.min_level(),
          "group c must be worse off than group b"),
-        ("b_added = base b", lambda base, b: base | b,
+        ("b_added_world = base_world b", lambda base, b: base | b,
          "b-added world must equal base plus group b"),
-        ("c_added = base c", lambda base, c: base | c,
+        ("c_added_world = base_world c", lambda base, c: base | c,
          "c-added world must equal base plus group c"),
     ),
     streams=lambda bounds: {
-        "base": _populations(bounds), "b": _populations(bounds), "c": _populations(bounds),
+        "base_world": _populations(bounds), "b": _populations(bounds), "c": _populations(bounds),
     },
-    build=lambda base, b, c: addition_instance(World("a", base), b, c),
 )
 
 AXIOMS[AxiomId.PRIORITY_COMPENSATION] = AxiomRow(
-    strict=False, roles=("before", "after"), factory=priority_compensation_instance,
+    strict=False, roles=("before", "after"),
     fields={
-        "before": WorldId("before_id"), "after": WorldId("after_id"), "base": POPULATION,
-        "low_level": RATIONAL, "negative_level": RATIONAL, "high_level": RATIONAL,
-        "count": COUNT, "very_high": RATIONAL, "very_low": RATIONAL,
+        "before": WorldField("before", "before_id"), "after": WorldField("after", "after_id"),
+        "base": POPULATION, "low_level": RATIONAL, "negative_level": RATIONAL,
+        "high_level": RATIONAL, "count": COUNT, "very_high": RATIONAL, "very_low": RATIONAL,
     },
     clauses=_clauses(
         ("very_low", lambda very_low: very_low > 0,
@@ -941,7 +892,8 @@ AXIOMS[AxiomId.PRIORITY_COMPENSATION] = AxiomRow(
          "lowered person must end slightly below zero"),
         ("high_level very_high", lambda high_level, very_high: high_level >= very_high,
          "created lives must have very high welfare"),
-        ("count", lambda count: isinstance(count, int) and count >= 1,
+        ("count",
+         lambda count: isinstance(count, int) and not isinstance(count, bool) and count >= 1,
          "must create at least one life"),
         ("before = base low_level",
          lambda base, low_level: base | Population([(low_level, 1)]),
@@ -959,7 +911,6 @@ AXIOMS[AxiomId.PRIORITY_COMPENSATION] = AxiomRow(
         "high_level": _levels(bounds, lambda l: l >= very_high),
         "count": Stream(bounds.max_count, range(1, bounds.max_count + 1)),
     },
-    build=priority_compensation_instance,
     search=_search_priority,
 )
 

@@ -248,12 +248,6 @@ def _resolve_rule(args, scenario) -> RuleConfig:
     elif rule and rule.policy:
         policy = rule.policy
     seed = args.seed if args.seed is not None else (rule.seed if rule else 0)
-    if kind == "margin" and delta is None:
-        raise UncertainObjectivesError("margin rule needs --delta")
-    if kind == "quantilized" and tau is None:
-        raise UncertainObjectivesError("quantilized rule needs --tau")
-    if kind == "partial" and policy is None:
-        raise UncertainObjectivesError("partial rule needs --policy")
     return RuleConfig(kind=kind, delta=delta, tau=tau, policy=policy, seed=seed)
 
 

@@ -64,15 +64,26 @@ class DecisionOutcome:
         }
 
 
+# Each rule kind and the parameter it needs.
+_RULE_PARAMETERS = {"margin": "delta", "quantilized": "tau", "partial": "policy"}
+
+
 @dataclass(frozen=True)
 class RuleConfig:
-    kind: str  # "margin" | "quantilized" | "partial"
+    kind: str  # a key of _RULE_PARAMETERS
     delta: object = None
     tau: object = None
     policy: PartialPolicy | None = None
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in _RULE_PARAMETERS:
+            raise InvalidValueError(
+                f"rule kind must be margin, quantilized, or partial, got {self.kind!r}"
+            )
+        needed = _RULE_PARAMETERS[self.kind]
+        if getattr(self, needed) is None:
+            raise InvalidValueError(f"{self.kind} rule needs {needed}")
         for name in ("delta", "tau"):
             value = getattr(self, name)
             if value is not None and not 0 <= value <= 1:

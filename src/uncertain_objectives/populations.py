@@ -35,7 +35,7 @@ class Population:
         for level, count in groups:
             level = as_rational(level)
             if not isinstance(count, int) or isinstance(count, bool) or count <= 0:
-                raise ValueError(f"group count must be a positive int, got {count!r}")
+                raise InvalidValueError(f"group count must be a positive int, got {count!r}")
             pairs.append((level, count))
         # Groups given strictly ascending are already canonical; only others
         # pay for hashing their levels to merge and sort them.

@@ -30,6 +30,8 @@ def as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InvalidValueError(f"not a rational: {value!r}")
         return Fraction(repr(value))
     if isinstance(value, str):
         text = value.strip()

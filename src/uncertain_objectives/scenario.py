@@ -21,10 +21,10 @@ from .axioms import (
     COUNT,
     POPULATION,
     RATIONAL,
-    WORLD,
     AxiomId,
     AxiomInstance,
-    WorldId,
+    WorldField,
+    make_instance,
 )
 from .beliefs import BeliefMatrix, OrderDistribution
 from .constraints import ConstraintGraph, Edge
@@ -153,20 +153,19 @@ def _parse_constraint(doc, i, worlds) -> Constraint:
 
     name = doc["axiom"]
     try:
-        row = AXIOMS[AxiomId(name)]
+        axiom = AxiomId(name)
     except ValueError:
         raise SchemaError(f"{path}.axiom", f"unknown axiom id {name!r}") from None
 
-    args, ids = [], {}
-    for key, kind in row.fields.items():
+    fields = {}
+    for key, kind in AXIOMS[axiom].fields.items():
         _expect(key in doc, path, f"missing required field {key!r}")
-        if kind == WORLD:
-            args.append(_world_ref(doc, key, path, worlds))
-        elif isinstance(kind, WorldId):
-            ids[kind.keyword] = _world_ref(doc, key, path, worlds).id
+        if isinstance(kind, WorldField):
+            world = _world_ref(doc, key, path, worlds)
+            fields[kind.keyword or key] = world.id if kind.keyword else world
         else:
-            args.append(_FIELD_PARSERS[kind](doc[key], f"{path}.{key}"))
-    inst = row.factory(*args, **ids)
+            fields[key] = _FIELD_PARSERS[kind](doc[key], f"{path}.{key}")
+    inst = make_instance(axiom, **fields)
     _check_world_consistency(inst, worlds, path)
     return Constraint(
         label=label,
@@ -252,31 +251,24 @@ def parse_distribution(doc, path: str = "distribution", worlds=None) -> OrderDis
 
 def _parse_rule(doc, path: str = "rule") -> RuleConfig:
     _expect(isinstance(doc, dict), path, "rule must be an object")
-    kind = doc.get("kind")
-    _expect(kind in ("margin", "quantilized", "partial"), f"{path}.kind",
-            "kind must be margin, quantilized, or partial")
     seed = doc.get("seed", 0)
     _expect(isinstance(seed, int) and not isinstance(seed, bool), f"{path}.seed",
             "seed must be an integer")
-    delta = tau = None
-    policy = None
-    if kind == "margin":
-        _expect("delta" in doc, path, "margin rule needs delta")
-        delta = _parse_rational(doc["delta"], f"{path}.delta")
-    elif kind == "quantilized":
-        _expect("tau" in doc, path, "quantilized rule needs tau")
-        tau = _parse_rational(doc["tau"], f"{path}.tau")
-    else:
-        name = doc.get("policy")
+    values = {
+        name: _parse_rational(doc[name], f"{path}.{name}") for name in ("delta", "tau")
+        if name in doc
+    }
+    if "policy" in doc:
+        name = doc["policy"]
         try:
-            policy = PartialPolicy(name)
+            values["policy"] = PartialPolicy(name)
         except ValueError:
             raise SchemaError(
                 f"{path}.policy",
                 f"policy must be one of {[p.value for p in PartialPolicy]}, got {name!r}",
             ) from None
     try:
-        return RuleConfig(kind=kind, delta=delta, tau=tau, policy=policy, seed=seed)
+        return RuleConfig(kind=doc.get("kind"), seed=seed, **values)
     except InvalidValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 

@@ -151,6 +151,40 @@ class TestInstanceConstruction:
                 population((50, 4)), 1, -1, 60, 7, very_high=100, very_low=1
             )
 
+    @pytest.mark.parametrize("count", [0, True, 1.5])
+    def test_priority_compensation_count_fails_its_own_clause(self, count):
+        # The count clause runs before the after-world is built from it.
+        with pytest.raises(InvalidInstanceError, match="must create at least one life"):
+            priority_compensation_instance(
+                population((50, 4)), 1, -1, 100, count, very_high=100, very_low=1
+            )
+
+    def test_make_instance_binds_fields_like_a_call(self):
+        high, low = w("h", (95, 3)), w("l", (1, 50))
+        expected = quality_instance(high, low, 90, 1)
+        got = axioms.make_instance(AxiomId.QUALITY, high, low, very_low=1, very_high=90)
+        assert got == expected
+        for args, kwargs in [
+            ((high, low, 90, 1, 2), {}),  # too many fields
+            ((high, low, 90, 1), {"high": high}),  # a field given twice
+            ((high, low, 90, 1), {"bogus": 1}),  # no such field
+            ((high, low, 90), {}),  # a field missing
+        ]:
+            with pytest.raises(TypeError, match="quality"):
+                axioms.make_instance(AxiomId.QUALITY, *args, **kwargs)
+        with pytest.raises(TypeError):  # a derived world is named by its id keyword
+            addition_instance(w("a", (10, 3)), population((5, 2)), population((4, 3)),
+                              b_added_world=w("with_b", (5, 2), (10, 3)))
+
+    def test_populations_get_the_audit_ids(self):
+        inst = axioms.make_instance(
+            AxiomId.ADDITION, base_world=population((10, 3)), b=population((5, 2)),
+            c=population((4, 3)),
+        )
+        assert [x.id for x in inst.worlds] == ["a", "with_b", "with_c"]
+        assert (inst.claim_worse, inst.claim_better) == ("with_c", "with_b")
+        assert inst.gate == ("with_b", "a")
+
 
 def constant_order(verdict):
     return lambda u, v: verdict
@@ -415,16 +449,17 @@ class TestAudits:
             audit_swf(TotalWelfare(), axiom, bounds)
 
     def test_derived_worlds_are_checked_inside_audits(self, monkeypatch):
-        # The audit scores the augmented world it derives itself; building
-        # the witness runs every clause on the factory's worlds, so a factory
-        # that derives another augmented world is caught there.
-        def wrong_augmented(base, augmented, raised, added):
-            return AxiomInstance(
-                AxiomId.DOMINANCE_ADDITION, (base, World(augmented.id, raised)), base.id,
-                augmented.id, strict=False, params={"raised": raised, "added": added},
-            )
+        # The witness is built by make_instance, which derives the augmented
+        # world and then checks every clause on the worlds it built, so a
+        # derivation that adds the added lives twice is caught there.
+        derive = axioms._derive
 
-        monkeypatch.setattr(axioms, "dominance_addition_instance", wrong_augmented)
+        def added_twice(clauses, env):
+            env = derive(clauses, env)
+            env["augmented"] = env["augmented"] | env["added"]
+            return env
+
+        monkeypatch.setattr(axioms, "_derive", added_twice)
         bounds = SearchBounds((-2, -1, 1, 2), 2, max_groups=1)
         with pytest.raises(InvalidInstanceError, match="augmented world must equal"):
             audit_swf(AverageWelfare(), AxiomId.DOMINANCE_ADDITION, bounds)

@@ -335,12 +335,30 @@ class TestExitCodes:
             (("--rule", "margin", "--delta", "x"), "not a rational: 'x'"),
             (("--rule", "quantilized", "--tau", "2"), "tau must lie in [0, 1], got 2"),
             (("--rule", "margin", "--delta=-1/2"), "delta must lie in [0, 1], got -1/2"),
+            (("--rule", "quantilized"), "quantilized rule needs tau"),
+            (("--rule", "partial"), "partial rule needs policy"),
         ],
     )
     def test_bad_decide_input_is_error(self, argv, message):
         code, out, err = run_cli("decide", str(SCENARIOS / "decide_rotations.json"), *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "rule,message",
+        [
+            ({"kind": "margin"}, "rule: margin rule needs delta"),
+            ({"kind": "vote", "delta": "1/2"},
+             "rule: rule kind must be margin, quantilized, or partial, got 'vote'"),
+        ],
+    )
+    def test_bad_scenario_rule_is_error(self, tmp_path, rule, message):
+        doc = json.loads((SCENARIOS / "decide_rotations.json").read_text())
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps({**doc, "rule": rule}))
+        code, out, err = run_cli("decide", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_bad_matrix_json_is_error(self, tmp_path):
         path = tmp_path / "bad.json"

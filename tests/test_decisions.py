@@ -7,6 +7,7 @@ from uncertain_objectives import (
     OrderDistribution,
     OutcomeKind,
     PartialPolicy,
+    RuleConfig,
     UncertaintyPattern,
     decide_margin,
     decide_partial,
@@ -17,7 +18,7 @@ from uncertain_objectives import (
 )
 from uncertain_objectives.beliefs import FLOAT_TOL
 from uncertain_objectives.constraints import ConstraintGraph, PartialOrder
-from uncertain_objectives.errors import EmptyActionSetError
+from uncertain_objectives.errors import EmptyActionSetError, InvalidValueError
 
 from conftest import random_distribution
 
@@ -230,3 +231,20 @@ class TestDecidePartial:
                     )
                 }
                 assert got == brute
+
+
+class TestRuleConfig:
+    @pytest.mark.parametrize(
+        "kind,parameter,value",
+        [("margin", "delta", F(1, 10)), ("quantilized", "tau", F(1, 2)),
+         ("partial", "policy", PartialPolicy.ABSTAIN)],
+    )
+    def test_each_kind_needs_its_parameter(self, kind, parameter, value):
+        assert getattr(RuleConfig(kind, **{parameter: value}), parameter) == value
+        with pytest.raises(InvalidValueError, match=f"^{kind} rule needs {parameter}$"):
+            RuleConfig(kind)
+
+    @pytest.mark.parametrize("kind", ["vote", "", None, ["margin"]])
+    def test_unknown_kind_is_refused(self, kind):
+        with pytest.raises(InvalidValueError, match="rule kind must be margin, quantilized"):
+            RuleConfig(kind, delta=F(1, 2), tau=F(1, 2), policy=PartialPolicy.ABSTAIN)

@@ -18,7 +18,7 @@ from uncertain_objectives import (
     swf_compare,
     total_welfare,
 )
-from uncertain_objectives.errors import EmptyPopulationError
+from uncertain_objectives.errors import EmptyPopulationError, InvalidValueError
 from uncertain_objectives.populations import parse_swf, pointwise_dominates, swf_label
 
 from conftest import random_population
@@ -42,10 +42,9 @@ class TestPopulation:
         assert p.groups == ((Fraction(1), 2), (Fraction(5), 4))
 
     def test_rejects_nonpositive_counts(self):
-        with pytest.raises(ValueError):
-            Population([(1, 0)])
-        with pytest.raises(ValueError):
-            Population([(1, -2)])
+        for count in (0, -2, True, 1.5):
+            with pytest.raises(InvalidValueError, match="group count must be a positive int"):
+                Population([(1, count)])
 
     def test_size(self):
         assert population((100, 10), (1, 5)).size == 15

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from uncertain_objectives import (
     AxiomId,
+    CriticalLevel,
     Edge,
+    SearchBounds,
     World,
     parse_scenario,
     population,
@@ -32,6 +34,7 @@ from uncertain_objectives.axioms import (
 from uncertain_objectives.errors import (
     IntegrityError,
     InvalidInstanceError,
+    InvalidValueError,
     SchemaError,
 )
 from uncertain_objectives.rationals import as_rational, format_rational
@@ -68,6 +71,15 @@ class TestRationals:
         for bad in ("one", "", "1/0", None, True):
             with pytest.raises(ValueError):
                 as_rational(bad)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), "inf", "nan"])
+    def test_non_finite_values_are_typed_errors(self, bad):
+        with pytest.raises(InvalidValueError, match="not a rational"):
+            as_rational(bad)
+        with pytest.raises(InvalidValueError, match="not a rational"):
+            SearchBounds(levels=(1, bad), max_count=2)
+        with pytest.raises(InvalidValueError, match="not a rational"):
+            CriticalLevel(bad)
 
 
 class TestParse:
@@ -155,6 +167,22 @@ class TestParse:
             parse_scenario(doc(rule={"kind": "margin", "delta": "3/2"}))
         with pytest.raises(SchemaError, match="policy"):
             parse_scenario(doc(rule={"kind": "partial", "policy": "coin_flip"}))
+
+    @pytest.mark.parametrize(
+        "rule,message",
+        [
+            ({"kind": "margin"}, "margin rule needs delta"),
+            ({"kind": "quantilized", "delta": "1/2"}, "quantilized rule needs tau"),
+            ({"kind": "partial"}, "partial rule needs policy"),
+            ({"kind": "vote", "delta": "1/2"}, "rule kind must be margin, quantilized, or partial"),
+            ({"kind": ["margin"], "delta": "1/2"}, "rule kind must be"),
+            ({"delta": "1/2"}, "rule kind must be"),
+        ],
+    )
+    def test_rule_kind_and_its_parameter_are_checked_at_rule(self, rule, message):
+        with pytest.raises(SchemaError, match=message) as info:
+            parse_scenario(doc(rule=rule))
+        assert info.value.path == "rule"
 
     def test_matrix_world_integrity(self):
         with pytest.raises(IntegrityError):
@@ -347,6 +375,110 @@ class TestAxiomForms:
             parse_scenario(axiom_doc(axiom, worlds={**world_doc, wid: groups}))
 
 
+# Each AXIOM_FORMS instance's world order and JSON, gate and claim included.
+PINNED_INSTANCES = {
+    "addition": (
+        ["a", "wb", "wc"],
+        {"axiom": "addition",
+         "claim": {"better": "wb", "strict": False, "worse": "wc"},
+         "gate": ["wb", "a"],
+         "params": {"b": [["5", 2]], "c": [["4", 3]]},
+         "worlds": {"a": [["10", 3]], "wb": [["5", 2], ["10", 3]], "wc": [["4", 3], ["10", 3]]}},
+    ),
+    "avoid_repugnant": (
+        ["a", "z"],
+        {"axiom": "avoid_repugnant",
+         "claim": {"better": "a", "strict": False, "worse": "z"},
+         "gate": None,
+         "params": {"very_high": "100", "very_low": "1"},
+         "worlds": {"a": [["100", 10]], "z": [["1", 1001]]}},
+    ),
+    "avoid_sadistic": (
+        ["bt", "bp"],
+        {"axiom": "avoid_sadistic",
+         "claim": {"better": "bp", "strict": False, "worse": "bt"},
+         "gate": None,
+         "params": {"base": [["100", 10]],
+                    "positive": [["1", 1000]],
+                    "torture_max": "-50",
+                    "tortured": [["-50", 1]],
+                    "very_high": "100"},
+         "worlds": {"bp": [["1", 1000], ["100", 10]], "bt": [["-50", 1], ["100", 10]]}},
+    ),
+    "avoid_very_anti_egalitarian": (
+        ["a", "b"],
+        {"axiom": "avoid_very_anti_egalitarian",
+         "claim": {"better": "a", "strict": True, "worse": "b"},
+         "gate": None,
+         "params": {},
+         "worlds": {"a": [["10", 2]], "b": [["1", 1], ["15", 1]]}},
+    ),
+    "dominance": (
+        ["a", "b"],
+        {"axiom": "dominance",
+         "claim": {"better": "a", "strict": False, "worse": "b"},
+         "gate": None,
+         "params": {},
+         "worlds": {"a": [["5", 1], ["10", 2]], "b": [["4", 1], ["9", 2]]}},
+    ),
+    "dominance_addition": (
+        ["a", "ap"],
+        {"axiom": "dominance_addition",
+         "claim": {"better": "ap", "strict": False, "worse": "a"},
+         "gate": None,
+         "params": {"added": [["1", 100]], "raised": [["11", 5]]},
+         "worlds": {"a": [["10", 5]], "ap": [["1", 100], ["11", 5]]}},
+    ),
+    "egalitarian_dominance": (
+        ["a", "b"],
+        {"axiom": "egalitarian_dominance",
+         "claim": {"better": "a", "strict": True, "worse": "b"},
+         "gate": None,
+         "params": {},
+         "worlds": {"a": [["10", 5]], "b": [["8", 2], ["9", 3]]}},
+    ),
+    "inequality_aversion": (
+        ["m", "e"],
+        {"axiom": "inequality_aversion",
+         "claim": {"better": "e", "strict": False, "worse": "m"},
+         "gate": None,
+         "params": {},
+         "worlds": {"e": [["5", 7]], "m": [["1", 5], ["10", 2]]}},
+    ),
+    "priority_compensation": (
+        ["pb", "pa"],
+        {"axiom": "priority_compensation",
+         "claim": {"better": "pa", "strict": False, "worse": "pb"},
+         "gate": None,
+         "params": {"base": [["50", 4]],
+                    "count": 7,
+                    "high_level": "100",
+                    "low_level": "1",
+                    "negative_level": "-1",
+                    "very_high": "100",
+                    "very_low": "1"},
+         "worlds": {"pa": [["-1", 1], ["50", 4], ["100", 7]], "pb": [["1", 1], ["50", 4]]}},
+    ),
+    "quality": (
+        ["h", "l"],
+        {"axiom": "quality",
+         "claim": {"better": "h", "strict": False, "worse": "l"},
+         "gate": None,
+         "params": {"very_high": "90", "very_low": "1"},
+         "worlds": {"h": [["95", 3]], "l": [["1", 50]]}},
+    ),
+}
+
+
+@pytest.mark.parametrize("axiom", sorted(AXIOM_FORMS))
+def test_instance_json_is_pinned(axiom):
+    order, expected = PINNED_INSTANCES[axiom]
+    inst = AXIOM_FORMS[axiom][2]()
+    assert [w.id for w in inst.worlds] == order
+    assert inst.gate == (tuple(expected["gate"]) if expected["gate"] else None)
+    assert inst.to_json() == expected
+
+
 def test_readme_lists_each_rows_fields():
     readme = (SCENARIOS.parent / "README.md").read_text()
     section = readme.split("### Axiom constraint forms", 1)[1].split("\n## ", 1)[0]
@@ -402,9 +534,88 @@ def _mutated_constraint(draw):
 )
 @given(_mutated_constraint())
 def test_mutated_constraints_never_escape_the_cli(tmp_path_factory, document):
-    path = tmp_path_factory.getbasetemp() / "fuzz_scenario.json"
+    code, err = _run_cli(tmp_path_factory, document, "analyze")
+    assert code in (0, 1, 2), (document, err)
+
+
+def _run_cli(tmp_path_factory, document, command, *flags):
+    """``cli.main``'s exit code and stderr for ``command`` on ``document``."""
+    path = tmp_path_factory.getbasetemp() / "fuzz_document.json"
     path.write_text(json.dumps(document))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["analyze", str(path)])
-    assert code in (0, 1, 2), (document, err.getvalue())
+        code = main([command, str(path), *flags])
+    return code, err.getvalue()
+
+
+def _paths(value, path=()):
+    """The path of every value nested in a JSON document."""
+    if isinstance(value, dict):
+        keys = sorted(value)
+    elif isinstance(value, list):
+        keys = range(len(value))
+    else:
+        return
+    for key in keys:
+        yield path + (key,)
+        yield from _paths(value[key], path + (key,))
+
+
+@st.composite
+def _mutated_document(draw, documents):
+    """One of ``documents`` with one to three nested values replaced,
+    dropped or wrapped in a list.  A mutation draws a depth, then a value at
+    that depth, so top-level fields are not drowned out by the many values
+    nested in populations and matrices."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(documents))))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        depth = draw(st.sampled_from(sorted({len(path) for path in paths})))
+        *outer, key = draw(st.sampled_from([path for path in paths if len(path) == depth]))
+        parent = doc
+        for step in outer:
+            parent = parent[step]
+        how = draw(st.sampled_from(["replace", "drop", "wrap"]))
+        if how == "drop":
+            del parent[key]
+        elif how == "wrap":
+            parent[key] = [parent[key]]
+        else:
+            parent[key] = draw(_json(["x1", "x2", "x3", "a", "b", "c"]))
+    return doc
+
+
+def _fixture(name, **overrides):
+    return {**json.loads((SCENARIOS / name).read_text()), **overrides}
+
+
+MATRIX_DOCUMENTS = [_fixture("rotation_matrix.json"), _fixture("incoherent_matrix.json")]
+
+DECIDE_DOCUMENTS = [
+    _fixture("decide_rotations.json"),
+    _fixture("decide_from_matrix.json"),
+    _fixture("decide_pointmass.json", rule={"kind": "quantilized", "tau": "1/4", "seed": 1}),
+    _fixture("three_cycle.json", rule={"kind": "partial", "policy": "abstain"}),
+]
+
+
+@settings(
+    derandomize=True, max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_mutated_document(MATRIX_DOCUMENTS), st.sampled_from([(), ("--exact",), ("--strict",)]))
+def test_mutated_matrices_never_escape_the_cli(tmp_path_factory, document, flags):
+    code, err = _run_cli(tmp_path_factory, document, "coherence", *flags)
+    assert code in (0, 1, 2), (document, err)
+
+
+@settings(
+    derandomize=True, max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_mutated_document(DECIDE_DOCUMENTS))
+def test_mutated_distributions_and_rules_never_escape_the_cli(tmp_path_factory, document):
+    code, err = _run_cli(tmp_path_factory, document, "decide")
+    assert code in (0, 1, 2), (document, err)
