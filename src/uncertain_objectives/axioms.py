@@ -37,26 +37,29 @@ its strictness, its scenario fields, its premise as clauses that each name
 the components (populations and thresholds) they read, and its audit's
 component streams, each with a closed-form size.  A premise world built from
 other components (``addition``'s b-added world, say) is a derivation clause,
-whose test computes it.  One constructor, ``make_instance``, builds every
-instance from its row alone: the fields in the row's order, the claim and
-gate from its roles, derived worlds from its derivation clauses, and every
-clause checked.  The ten ``*_instance`` names bind it to one axiom each;
-``scenario`` parses a constraint by reading the row's fields and calls it,
-and ``audit_swf`` walks the streams in nested lexicographic order, runs each
-clause at the first depth that binds all of its components, and scores the
-populations of each complete binding, deriving worlds there.  It builds one
-instance, the witness, and returns it only once it replays.
+whose test computes it.  Clauses read populations as count views
+(``populations.Counts``) and rationals in the views' integer unit, so one
+clause checks one instance or masks a block of audit candidates.  One
+constructor, ``make_instance``, builds every instance from its row: the
+fields in the row's order, the claim and gate from its roles, derived worlds
+from its derivation clauses, and every clause checked on one-row views.
+``scenario`` parses a constraint by reading the row's fields.  ``audit_swf``
+runs on integer count matrices, one per stream, in bounded blocks and nested
+lexicographic order; it builds one instance, the witness, and returns it
+only once it replays.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import comb, prod
 from typing import Callable, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .constraints import ConstraintGraph, Edge
 from .errors import (
@@ -65,19 +68,23 @@ from .errors import (
     InvalidInstanceError,
     InvalidValueError,
 )
+from .grids import SearchBounds
 from .ordering import Verdict
 from .populations import (
     EMPTY_POPULATION,
+    Counts,
+    CriticalLevel,
     Population,
     SwfKind,
     World,
-    pointwise_dominates,
-    swf_compare,
+    count_matrix,
+    count_rows,
+    one_row_views,
     swf_label,
     swf_order,
-    total_welfare,
+    swf_signs,
 )
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, format_rational, in_units
 
 
 class AxiomId(enum.Enum):
@@ -117,15 +124,16 @@ class WorldField(NamedTuple):
 
 class Clause(NamedTuple):
     """One premise condition on the components named by ``reads``:
-    ``apply(env)`` runs its test on a dict of components.  A plain clause
-    holds when its test does.  A derivation clause's test computes the world
-    it ``derives`` from the parts it reads, and the clause holds when that
+    ``apply(env)`` runs its test on a dict of components (count views and
+    rationals in their unit).  A plain clause holds when its test does, as a
+    bool or a mask.  A derivation clause's test computes the world it
+    ``derives`` from the parts it reads, and the clause holds when that
     world is the one in ``env``.  ``holds(env)`` applies either kind."""
 
     reads: tuple[str, ...]
     message: str
     apply: Callable[[dict], object]
-    holds: Callable[[dict], bool]
+    holds: Callable[[dict], object]
     derives: str | None
 
 
@@ -136,16 +144,15 @@ def _clauses(*specs) -> tuple[Clause, ...]:
     for reads, test, message in specs:
         world, _, parts = reads.rpartition(" = ")
         apply = _holds(parts.split(), test)
-        holds = (lambda env, w=world, apply=apply: env[w] == apply(env)) if world else apply
+        holds = (lambda env, w=world, apply=apply: env[w].same(apply(env))) if world else apply
         clauses.append(Clause(tuple(parts.split()), message, apply, holds, world or None))
     return tuple(clauses)
 
 
 def _holds(reads: list[str], test: Callable[..., object]) -> Callable[[dict], object]:
     # ``test`` of the components ``reads`` names: a condition, or a derived
-    # world.  Audits run clauses once per binding.  Reading one or two
-    # components directly, not through star-arguments, keeps the
-    # sub-millisecond audits as fast as the hand-written loops they replace.
+    # world.  Reading one or two components directly, not through
+    # star-arguments, keeps one-row checks cheap.
     if len(reads) == 1:
         (a,) = reads
         return lambda env: test(env[a])
@@ -162,21 +169,27 @@ def _require_all(clauses: Iterable[Clause], env: dict):
 
 
 def _derive(clauses: Iterable[Clause], env: dict) -> dict:
-    """``env`` with each world the derivation clauses among ``clauses``
-    compute from it."""
+    """``env`` with each world that the derivation clauses among ``clauses``
+    compute and ``env`` lacks."""
     for clause in clauses:
-        if clause.derives:
+        if clause.derives and clause.derives not in env:
             env[clause.derives] = clause.apply(env)
     return env
 
 
+def _whole(count) -> bool:
+    # A count component: an int that is not a bool, or an audit's count array.
+    return isinstance(count, np.ndarray) or (isinstance(count, int) and not isinstance(count, bool))
+
+
 class Stream(NamedTuple):
-    """An audit component's candidates in enumeration order and their number
-    in closed form.  ``items`` may instead be a function of the outer
-    components' binding (a dict) that gives the candidates for it."""
+    """An audit component's candidates in enumeration order, and how many
+    of them one binding of the outer components can take, in closed form
+    (the budget's factor).  Population candidates are the count rows of a
+    ``_Rows``; level candidates are rationals, count candidates ints."""
 
     size: int
-    items: Iterable | Callable[[dict], Iterable]
+    items: Iterable
 
 
 @dataclass(frozen=True)
@@ -189,8 +202,10 @@ class AxiomRow:
     claim's (worse, better) worlds, then of the gate's (world, baseline) for
     a gated axiom.  ``streams(bounds, **thresholds)``, given the grid's
     effective ``thresholds``, gives the audit's components outermost first:
-    a ``Stream`` is enumerated, any other value is fixed.  ``search``
-    replaces the universal search for the two existential axioms.
+    a ``Stream`` is enumerated, any other value is fixed.  Derivation
+    clauses come last.  ``every`` and ``note`` serve existential axioms'
+    audits (see ``_find``).  The row's field ``names`` (positional), id
+    ``keywords``, ``plain`` clauses and ``derivations`` are computed once.
     """
 
     strict: bool
@@ -199,7 +214,17 @@ class AxiomRow:
     clauses: tuple[Clause, ...]
     streams: Callable[..., dict]
     thresholds: tuple[str, ...] = ()
-    search: Callable | None = None
+    every: str | None = None
+    note: str = ""
+
+    def __post_init__(self):
+        keywords = {kind.keyword: key for key, kind in self.fields.items()
+                    if isinstance(kind, WorldField) and kind.keyword}
+        put = partial(object.__setattr__, self)
+        put("keywords", keywords)
+        put("names", [key for key in self.fields if key not in keywords.values()])
+        put("plain", tuple(c for c in self.clauses if not c.derives))
+        put("derivations", tuple(c for c in self.clauses if c.derives))
 
 
 @dataclass(frozen=True)
@@ -209,7 +234,9 @@ class AxiomInstance:
     The instance requires the verdict "claim_better is at least as good as
     claim_worse" (strictly better for strict axioms).  The addition axiom is
     conditional: its claim only binds when the gate comparison (worse of the
-    gate pair ranked strictly below the better) holds.
+    gate pair ranked strictly below the better) holds.  ``checked`` is for
+    ``make_instance``: the one-row views of a premise whose plain clauses it
+    has run, so that only the derivation clauses run here.
     """
 
     axiom: AxiomId
@@ -219,8 +246,9 @@ class AxiomInstance:
     strict: bool
     params: dict = field(default_factory=dict)
     gate: tuple[str, str] | None = None  # (world, baseline): gate holds when world < baseline
+    checked: InitVar[dict | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
         ids = [w.id for w in self.worlds]
         if len(set(ids)) != len(ids):
             raise InvalidInstanceError(f"duplicate world ids in instance: {ids}")
@@ -234,9 +262,12 @@ class AxiomInstance:
         role_ids = (self.claim_worse, self.claim_better) + (self.gate or ())
         if len(role_ids) < len(row.roles):
             raise InvalidInstanceError(f"{self.axiom.value} instances carry a gate comparison")
-        env = dict(self.params)
-        env.update((role, self.world(wid).population) for role, wid in zip(row.roles, role_ids))
-        _require_all(row.clauses, env)
+        if checked is None:
+            env = dict(self.params)
+            env.update((role, self.world(wid).population) for role, wid in zip(row.roles, role_ids))
+            checked = _views(row, env)[1]
+            _require_all(row.plain, checked)
+        _require_all(row.derivations, checked)
 
     def world(self, world_id: str) -> World:
         for w in self.worlds:
@@ -265,6 +296,17 @@ class AxiomInstance:
 # Construction
 # ---------------------------------------------------------------------------
 
+def _views(row: AxiomRow, env: dict) -> tuple[int, dict]:
+    """``env`` (an instance's fields) as one-row count views, rationals in
+    their unit 1/``one``, and counts as given: (one, views)."""
+    kinds = {key: row.fields[key] for key in env}
+    pops = {k: v for k, v in env.items() if kinds[k] not in (RATIONAL, COUNT)}
+    counts = {k: v for k, v in env.items() if kinds[k] == COUNT}
+    people = 1 + sum(filter(_whole, counts.values())) + sum(p.size for p in pops.values())
+    one, views = one_row_views(pops, {k: v for k, v in env.items() if kinds[k] == RATIONAL}, people)
+    return one, {**views, **counts}
+
+
 def make_instance(axiom: AxiomId, *fields, **named) -> AxiomInstance:
     """An instance of ``axiom`` built from its row.
 
@@ -273,27 +315,23 @@ def make_instance(axiom: AxiomId, *fields, **named) -> AxiomInstance:
     id.  A world the row's clauses derive may be left out; one with a
     ``keyword`` must be, and that keyword may give its id.  Rational fields
     go through ``as_rational``, and the fields that are not worlds are the
-    params.  Clauses that read only given fields run before any world is
-    derived, so a bad field fails its own clause.
+    params.  When a world is derived, the plain clauses run before it is, so
+    a bad field fails its own clause, and the instance then runs only the
+    derivation clauses, on the same views.
     """
     row = AXIOMS[axiom]
-    keywords = {
-        kind.keyword: key for key, kind in row.fields.items()
-        if isinstance(kind, WorldField) and kind.keyword
-    }
-    names = [key for key in row.fields if key not in keywords.values()]
-    env, ids = dict(zip(names, fields)), {}
+    env, ids = dict(zip(row.names, fields)), {}
     for name, value in named.items():
-        if name in keywords:
-            ids[keywords[name]] = value
-        elif name in names and name not in env:
+        if name in row.keywords:
+            ids[row.keywords[name]] = value
+        elif name in row.names and name not in env:
             env[name] = value
         else:
             raise TypeError(f"{axiom.value} got an unexpected or repeated field {name!r}")
-    missing = row.fields.keys() - env.keys() - {clause.derives for clause in row.clauses}
-    if missing or len(fields) > len(names):
-        raise TypeError(f"{axiom.value} takes the fields {names}; missing {sorted(missing)}")
-    worlds, params = {}, {}
+    missing = row.fields.keys() - env.keys() - {c.derives for c in row.derivations}
+    if missing or len(fields) > len(row.names):
+        raise TypeError(f"{axiom.value} takes the fields {row.names}; missing {sorted(missing)}")
+    worlds, params, checked = {}, {}, None
     for key, kind in row.fields.items():
         if not isinstance(kind, WorldField):
             params[key] = env[key] = as_rational(env[key]) if kind == RATIONAL else env[key]
@@ -302,14 +340,19 @@ def make_instance(axiom: AxiomId, *fields, **named) -> AxiomInstance:
         else:
             world = env[key] if isinstance(env[key], World) else World(kind.id, env[key])
             worlds[key], env[key] = world, world.population
-    if any(world is None for world in worlds.values()):
-        _require_all([c for c in row.clauses if not c.derives and env.keys() >= set(c.reads)], env)
-        _derive(row.clauses, env)
+    if None in worlds.values():
+        one, checked = _views(row, env)
+        _require_all(row.plain, checked)
+        _derive(row.derivations, checked)
         for key, world in worlds.items():
-            worlds[key] = world or World(ids.get(key, row.fields[key].id), env[key])
+            worlds[key] = world or World(
+                ids.get(key, row.fields[key].id), checked[key].population(one)
+            )
     worse, better, *gate = (worlds[role].id for role in row.roles)
     premise = tuple(worlds.values())
-    return AxiomInstance(axiom, premise, worse, better, row.strict, params, tuple(gate) or None)
+    return AxiomInstance(
+        axiom, premise, worse, better, row.strict, params, tuple(gate) or None, checked
+    )
 
 
 quality_instance = partial(make_instance, AxiomId.QUALITY)
@@ -367,129 +410,56 @@ def _result(strict: bool, claim: Verdict, gate: Verdict | None) -> CheckResult:
 # Bounded audits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchBounds:
-    """Finite grid an audit quantifies over.
+class _Rows(NamedTuple):
+    """A population stream's count rows over the grid's alphabet, built when
+    the audit asks, after its budget check."""
 
-    ``levels`` is the welfare alphabet; populations draw up to ``max_groups``
-    distinct levels with per-group counts 1..max_count.  Thresholds default
-    to the grid extremes: very_high = max level, very_low = smallest positive
-    level, torture_max = most negative level.  ``base`` pins the background
-    population for the sadistic and priority-compensation audits.
-    """
+    build: Callable[[], np.ndarray]
 
-    levels: tuple[Fraction, ...]
-    max_count: int
-    max_groups: int = 2
-    budget: int = 1_000_000
-    very_high: Fraction | None = None
-    very_low: Fraction | None = None
-    torture_max: Fraction | None = None
-    base: Population | None = None
-
-    def __post_init__(self):
-        levels = tuple(sorted({as_rational(x) for x in self.levels}))
-        if not levels:
-            raise InvalidValueError("bounds need at least one welfare level")
-        if self.max_count < 1 or self.max_groups < 1:
-            raise InvalidValueError("max_count and max_groups must be at least 1")
-        object.__setattr__(self, "levels", levels)
-        for name in ("max_count", "max_groups", "budget"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("very_high", "very_low", "torture_max"):
-            value = getattr(self, name)
-            object.__setattr__(self, name, as_rational(value) if value is not None else None)
-
-    def eff_very_high(self) -> Fraction:
-        if self.very_high is not None:
-            return self.very_high
-        return self.levels[-1]
-
-    def eff_very_low(self) -> Fraction:
-        if self.very_low is not None:
-            return self.very_low
-        positive = [l for l in self.levels if l > 0]
-        if not positive:
-            raise InvalidValueError("no positive level in the grid to act as very_low")
-        return positive[0]
-
-    def eff_torture_max(self) -> Fraction:
-        if self.torture_max is not None:
-            return self.torture_max
-        if self.levels[0] >= 0:
-            raise InvalidValueError("no negative level in the grid to act as torture_max")
-        return self.levels[0]
-
-    def to_json(self) -> dict:
-        return {
-            "levels": [format_rational(l) for l in self.levels],
-            "max_count": self.max_count,
-            "max_groups": self.max_groups,
-            "budget": self.budget,
-            "very_high": format_rational(self.eff_very_high()),
-            "very_low": format_rational(self.very_low),
-            "torture_max": format_rational(self.torture_max),
-            "base": self.base.to_json() if self.base else None,
-        }
-
-
-def _kept(bounds: SearchBounds, keep) -> tuple[Fraction, ...]:
-    return tuple(l for l in bounds.levels if keep is None or keep(l))
+    def __iter__(self):
+        return iter(self.build())
 
 
 def _levels(bounds: SearchBounds, keep) -> Stream:
-    levels = _kept(bounds, keep)
+    levels = tuple(bounds.alphabet[i] for i in bounds.positions(keep))
     return Stream(len(levels), levels)
 
 
 def _populations(bounds: SearchBounds, keep=None, min_groups: int = 1) -> Stream:
     """All populations over the kept levels, lexicographic: group count,
     then level combination, then per-group counts (each ascending)."""
-    levels = _kept(bounds, keep)
-    groups = range(min_groups, bounds.max_groups + 1)
-    counts = range(1, bounds.max_count + 1)
-    return Stream(
-        sum(comb(len(levels), k) * bounds.max_count**k for k in groups),
-        (
-            Population(zip(combo, per_group))
+    width, kept, mc = len(bounds.alphabet), bounds.positions(keep), bounds.max_count
+    groups = range(min_groups, min(bounds.max_groups, len(kept)) + 1)
+
+    def build():
+        return np.concatenate([np.zeros((0, width), np.int64)] + [
+            count_matrix(list(itertools.combinations(kept, k)),
+                         list(itertools.product(range(1, mc + 1), repeat=k)), k, width)
             for k in groups
-            for combo in itertools.combinations(levels, k)
-            for per_group in itertools.product(counts, repeat=k)
-        ),
-    )
+        ])
+
+    return Stream(sum(comb(len(kept), k) * mc**k for k in groups), _Rows(build))
 
 
 def _uniform(bounds: SearchBounds, keep=None, least: int = 1) -> Stream:
     """Perfectly equal populations of least..max_count people, level-major."""
-    levels = _kept(bounds, keep)
+    width, kept = len(bounds.alphabet), bounds.positions(keep)
     counts = range(least, bounds.max_count + 1)
-    return Stream(
-        len(levels) * len(counts), (Population([(l, c)]) for l in levels for c in counts)
-    )
+    return Stream(len(kept) * len(counts), _Rows(lambda: count_matrix(kept, counts, 1, width)))
 
 
 def _two_tier(bounds: SearchBounds) -> dict:
     """inequality_aversion's streams: two-tier populations with the lower
     tier larger (tier levels descending, then counts), then the perfectly
-    equal populations of the same size at every level."""
-    levels, mc = bounds.levels, bounds.max_count
-    equal_at: dict[int, list[Population]] = {}  # built once per size
-
-    def equal(env):
-        size = env["mixed"].size
-        if size not in equal_at:
-            equal_at[size] = [Population([(l, size)]) for l in levels]
-        return equal_at[size]
-
-    mixed = (
-        Population([(c_level, c_count), (a_level, a_count)])
-        for a_level, c_level in itertools.combinations(reversed(levels), 2)
-        for a_count in range(1, mc + 1)
-        for c_count in range(a_count + 1, mc + 1)
-    )
+    equal populations at every level, of every size a two-tier one can
+    have, level-major; the size clause leaves one per level for each."""
+    width, mc, kept = len(bounds.alphabet), bounds.max_count, bounds.positions()
+    tiers = list(itertools.combinations(reversed(kept), 2))
+    counts = list(itertools.combinations(range(1, mc + 1), 2))
     return {
-        "mixed": Stream(comb(len(levels), 2) * comb(mc, 2), mixed),
-        "equal": Stream(len(levels), equal),
+        "mixed": Stream(len(tiers) * len(counts),
+                        _Rows(lambda: count_matrix(tiers, counts, 2, width))),
+        "equal": Stream(len(kept), _Rows(lambda: count_matrix(kept, range(3, 2 * mc), 1, width))),
     }
 
 
@@ -517,155 +487,175 @@ class ViolationWitness:
         }
 
 
+# Audit blocks hold at most _BLOCK elements (bindings times alphabet width);
+# the first holds _FIRST bindings and each next one twice as many.
+_BLOCK = 1 << 14
+_FIRST = 1 << 6
+
+
 def audit_swf(swf: SwfKind, axiom: AxiomId, bounds: SearchBounds) -> ViolationWitness | None:
     """Exhaustively search the bounded grid for a violation of one axiom.
 
-    Returns the first witness under a fixed deterministic enumeration order
-    (nested lexicographic component streams), or None, which certifies only
-    the searched space.  Premise clauses that read only fixed components
-    (thresholds, a pinned base) run once, before the budget check; every
-    other clause runs once per binding, at the first depth that binds all it
-    reads.  Each complete binding's derived worlds are computed and its
-    populations scored; only the witness is built as an instance, which
-    checks every clause, and it is returned only when it replays.
-    The two existentially quantified axioms (quality, priority_compensation)
-    return a witness only when every candidate the grid offers fails, and
-    the witness note records that the claim is bounded.  A grid that leaves
-    some component without a candidate is refused after the budget check,
-    since the search would check nothing and report a vacuous clean result.
+    Returns the first witness in nested lexicographic order of the
+    component streams, or None, which certifies only the searched space.
+    The search runs on integer count rows; only the witness is built as an
+    instance, which checks every clause, and is returned once it replays.
+    The existential axioms (quality, priority_compensation) give a witness
+    only when every candidate the grid offers fails, noted as bounded.
     """
     row = AXIOMS[axiom]
-    fixed = {name: getattr(bounds, f"eff_{name}")() for name in row.thresholds}
-    streams = []
-    for name, value in row.streams(bounds, **fixed).items():
-        if isinstance(value, Stream):
-            streams.append((name, value))
-        else:
-            fixed[name] = value
-    reads = [(clause, set(clause.reads)) for clause in row.clauses if not clause.derives]
-    _require_all([c for c, needs in reads if fixed.keys() >= needs], fixed)
-    estimate = prod(stream.size for _, stream in streams)
-    if estimate > bounds.budget:
-        raise BoundsTooLargeError(estimate, bounds.budget)
-    for name, stream in streams:
-        if stream.size == 0:
-            raise InvalidInstanceError(f"no grid candidate for {name}, nothing to audit")
-    plan, bound = [], set(fixed)
-    for depth, (name, (_, items)) in enumerate(streams):
-        bound.add(name)
-        checks = [c for c, needs in reads if name in needs and bound >= needs]
-        if callable(items):  # candidates depend on outer components
-            candidates = items
-        elif depth:  # inner streams are built once and replayed
-            candidates = _replay(iter(items))
-        else:  # the outermost stream is walked once
-            candidates = lambda env, items=items: items
-        plan.append((name, candidates, checks))
-    search = row.search or _search_first
-    witness = search(swf, axiom, fixed, plan, _judge(row, swf), bounds)
-    if witness and not witness.replay():
+    fixed, env, plan, one, critical = _plan(row, swf, bounds)
+    found = _find(row, swf, critical, _blocks(env, plan, _sizes(len(bounds.alphabet))))
+    if found is None:
+        return None
+    indices, sign, rows = found
+    binding = dict(fixed)
+    for name, items, values, _ in plan:
+        i = int(indices[name])
+        binding[name] = values[i].population(one) if isinstance(values, Counts) else items[i]
+    witness = ViolationWitness(
+        swf=swf, axiom=axiom, instance=make_instance(axiom, **binding),
+        observed=(Verdict.LESS, Verdict.EQUAL, Verdict.GREATER)[sign + 1],
+        note=row.note.format(rows=rows, max_count=bounds.max_count, **binding),
+    )
+    if not witness.replay():
         raise InvalidInstanceError(f"{axiom.value} witness does not replay under {swf_label(swf)}")
     return witness
 
 
-def _replay(items: Iterator) -> Callable[[dict], Iterator]:
-    """Candidates built on the first pass and replayed on later ones, so an
-    inner stream is built once per audit, and only as far as it is walked.
-    A pass may stop early, but passes never interleave."""
-    built: list = []
-
-    def candidates(env):
-        yield from built
-        for item in items:
-            built.append(item)
-            yield item
-
-    return candidates
-
-
-def _walk(env: dict, plan: list) -> Iterator[dict]:
-    """Bindings of the plan's streams on top of ``env``, in nested
-    lexicographic order, in ``env`` itself; a partial binding that fails a
-    clause is skipped with all of its extensions."""
-    (name, candidates, checks), rest = plan[0], plan[1:]
-    for item in candidates(env):
-        env[name] = item
-        for clause in checks:
-            if not clause.holds(env):
-                break
-        else:
-            if rest:
-                yield from _walk(env, rest)
-            else:
-                yield env
-
-
-def _judge(row: AxiomRow, swf: SwfKind) -> Callable[[dict], Verdict | None]:
-    """The claim's verdict on a complete binding that violates the row's
-    axiom under ``swf``, else None.  Derived worlds are computed here, for
-    complete bindings only."""
-    worse, better, *gate = row.roles
-
-    def judge(binding):
-        env = _derive(row.clauses, dict(binding))
-        claim = swf_compare(swf, env[worse], env[better])
-        gated = swf_compare(swf, env[gate[0]], env[gate[1]]) if gate else None
-        return claim if _result(row.strict, claim, gated) is CheckResult.VIOLATED else None
-
-    return judge
-
-
-def _violations(env, plan, judge) -> Iterator[tuple[dict, Verdict]]:
-    for binding in _walk(dict(env), plan):
-        observed = judge(binding)
-        if observed is not None:
-            yield dict(binding), observed
-
-
-def _witness(swf, axiom: AxiomId, binding: dict, observed: Verdict, note="") -> ViolationWitness:
-    """The one instance an audit builds, from a violating binding."""
-    inst = make_instance(axiom, **binding)
-    return ViolationWitness(swf=swf, axiom=axiom, instance=inst, observed=observed, note=note)
-
-
-def _search_first(swf, axiom, fixed, plan, judge, bounds):
-    """The first violating binding's witness."""
-    found = next(_violations(fixed, plan, judge), None)
-    return found and _witness(swf, axiom, *found)
-
-
-def _search_quality(swf, axiom, fixed, plan, judge, bounds):
-    """Violated only when every very-high candidate is beaten by some
-    very-low-positive population; the witness is the first one's first."""
-    beaten = []
-    for env in _walk(dict(fixed), plan[:1]):
-        beaten.append(next(_violations(env, plan[1:], judge), None))
-        if beaten[-1] is None:
-            return None  # this candidate survives, so the axiom holds here
-    note = (
-        f"all {len(beaten)} perfectly equal very-high candidates in the grid are "
-        "beaten by some very-low-positive population (bounded claim)"
+def _plan(row: AxiomRow, swf: SwfKind, bounds: SearchBounds):
+    """An audit's set-up: (fixed components, ``env`` of them in units, the
+    plan, 1/unit, the critical level in units).  Clauses on fixed components
+    run first, then the budget check on the product of the stream sizes; a
+    stream left empty is refused, as its search would be vacuously clean.
+    The plan lists each stream as (name, candidates, their values in units,
+    the clauses first bound at its depth).
+    """
+    fixed = {name: getattr(bounds, f"eff_{name}")() for name in row.thresholds}
+    streams = {}
+    for name, value in row.streams(bounds, **fixed).items():
+        (streams if isinstance(value, Stream) else fixed)[name] = value
+    alphabet, critical = bounds.alphabet, [swf.critical] if isinstance(swf, CriticalLevel) else []
+    most = 2 * bounds.max_groups * bounds.max_count + 1 + (bounds.base.size if bounds.base else 0)
+    nums, one, _ = in_units(
+        [*alphabet, *(v for v in fixed.values() if isinstance(v, Fraction)), *critical], most**2
     )
-    return _witness(swf, axiom, *beaten[0], note) if beaten else None
+    units, scaled = nums[: len(alphabet)], iter(nums[len(alphabet):].tolist())
+    env = {
+        name: Counts(count_rows([v], alphabet)[0], units) if isinstance(v, Population)
+        else next(scaled) for name, v in fixed.items()
+    }
+    reads = [(clause, set(clause.reads)) for clause in row.plain]
+    _require_all([c for c, needs in reads if fixed.keys() >= needs], env)
+    estimate = prod(stream.size for stream in streams.values())
+    if estimate > bounds.budget:
+        raise BoundsTooLargeError(estimate, bounds.budget)
+    plan, bound = [], set(fixed)
+    for name, (size, items) in streams.items():
+        if size == 0:
+            raise InvalidInstanceError(f"no grid candidate for {name}, nothing to audit")
+        bound.add(name)
+        kind = row.fields[name]
+        values = (
+            np.array(items) if kind == COUNT
+            else np.array([v.numerator * (one // v.denominator) for v in items], units.dtype)
+            if kind == RATIONAL else Counts(items.build(), units)
+        )
+        checks = [c for c, needs in reads if name in needs and bound >= needs]
+        plan.append((name, items, values, checks))
+    return fixed, env, plan, one, next(scaled, 0)
 
 
-def _search_priority(swf, axiom, fixed, plan, judge, bounds):
-    """Violated when, for some drop and created level, no count up to
-    max_count compensates; the largest count is the witness."""
-    for env in _walk(dict(fixed), plan[:-1]):
-        observed = None
-        for binding in _walk(dict(env), plan[-1:]):
-            observed = judge(binding)
-            if observed is None:
+def _blocks(env: dict, plan: list, sizes: Iterator[int], depth=0, prefix=None, rows=1):
+    """The plan's bindings in nested lexicographic order, in tiles of rows
+    (bindings that pass the outer depths' clauses) by columns (the depth's
+    candidates): whole rows, or part of one that alone exceeds a tile.
+    Innermost tiles come as (components over rows by columns, mask of the
+    plain clauses, the rows' outer indices, (stream, first column), whether
+    the tile ends its last row).
+    """
+    name, _, stream, checks = plan[depth]
+    values, prefix = {s: v for s, _, v, _ in plan[:depth]}, prefix or {}
+    n, r, c = len(stream), 0, 0
+    while r < rows:
+        limit = next(sizes)
+        if c == 0 and n <= limit:  # whole rows
+            r1, c1 = min(rows, r + limit // n), n
+        else:  # part of one row
+            r1, c1 = r + 1, min(n, c + limit)
+        block = dict(env)
+        for s, idx in prefix.items():
+            block[s] = values[s][idx[r:r1, None]]
+        block[name] = stream[None, c:c1]
+        mask = np.ones((r1 - r, c1 - c), bool)
+        for clause in checks:
+            mask &= clause.apply(block)
+        if depth + 1 < len(plan):
+            rr, cc = np.nonzero(mask)
+            inner = {s: idx[r + rr] for s, idx in prefix.items()}
+            inner[name] = c + cc
+            yield from _blocks(env, plan, sizes, depth + 1, inner, len(rr))
+        else:
+            yield block, mask, {s: idx[r:r1] for s, idx in prefix.items()}, (name, c), c1 == n
+        r, c = (r1, 0) if c1 == n else (r, c1)
+
+
+def _sizes(width: int) -> Iterator[int]:
+    """Block sizes in bindings: _FIRST, doubling up to _BLOCK elements."""
+    cap = max(1, _BLOCK // width)
+    return itertools.chain(
+        itertools.takewhile(cap.__gt__, (_FIRST << i for i in itertools.count())),
+        itertools.repeat(cap),
+    )
+
+
+def _find(row: AxiomRow, swf: SwfKind, critical, blocks):
+    """The witness among ``_blocks``' bindings as (stream indices, claim
+    sign, rows seen), or None.  A binding violates when its claim is
+    reversed (or tied, if strict) and its gate, if any, holds.  Universal
+    axioms take the first violation.  Existential ones reduce each row along
+    the innermost stream: ``every="outer"`` (quality) needs a violation in
+    every row and takes the first; ``every="inner"`` (priority) takes the
+    last binding of the first row that violates wherever its premise holds.
+    """
+    worse, better, *gate = row.roles
+    rows, found, part = 0, None, None
+    for block, mask, prefix, (name, c0), done in blocks:
+        _derive(row.derivations, block)
+        sign = swf_signs(swf, block[worse], block[better], critical)
+        bad = mask & ((sign > 0) | (sign == 0) & row.strict)
+        if gate:
+            bad &= swf_signs(swf, block[gate[0]], block[gate[1]], critical) < 0
+
+        def at(r, c):
+            indices = {**{s: idx[r] for s, idx in prefix.items()}, name: c0 + c}
+            return indices, int(np.broadcast_to(sign, mask.shape)[r, c])
+
+        if row.every is None:
+            if bad.any():
+                return (*at(*divmod(int(bad.argmax()), bad.shape[1])), rows)
+            continue
+        # Each row's first and last violations, and whether some binding
+        # passes without violating; ``part`` carries a row across tiles.
+        some, passed = bad.any(1), (mask & ~bad).any(1)
+        first, last = bad.argmax(1), bad.shape[1] - 1 - bad[:, ::-1].argmax(1)
+        for r in range(len(mask)):
+            part = part or [None, None, False]
+            if some[r]:
+                part[0] = part[0] or at(r, first[r])
+                part[1] = at(r, last[r])
+            part[2] |= passed[r]
+            if r == len(mask) - 1 and not done:
                 break
-        else:  # every count fails; the walk leaves the largest bound
-            if observed is not None:
-                note = (
-                    f"no count up to {bounds.max_count} compensates the drop "
-                    f"from {env['low_level']} to {env['negative_level']} (bounded claim)"
-                )
-                return _witness(swf, axiom, binding, observed, note)
-    return None
+            rows += 1
+            if row.every == "outer":
+                if part[0] is None:
+                    return None  # this candidate survives, so the axiom holds here
+                found = found or part[0]
+            elif part[1] and not part[2]:
+                return (*part[1], rows)
+            part = None
+    return found and (*found, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +664,7 @@ def _search_priority(swf, axiom, fixed, plan, judge, bounds):
 
 _THRESHOLDS = (
     "very_low very_high",
-    lambda very_low, very_high: Fraction(0) < very_low < very_high,
+    lambda very_low, very_high: (0 < very_low) & (very_low < very_high),
     "thresholds need 0 < very_low < very_high",
 )
 
@@ -689,12 +679,12 @@ AXIOMS[AxiomId.QUALITY] = AxiomRow(
     clauses=_clauses(
         _THRESHOLDS,
         ("high", lambda high: high.size > 0, "high population must be nonempty"),
-        ("high", lambda high: len(high.groups) == 1, "high population must be perfectly equal"),
-        ("high very_high", lambda high, very_high: high.min_level() >= very_high,
+        ("high", lambda high: high.groups == 1, "high population must be perfectly equal"),
+        ("high very_high", lambda high, very_high: high.lo >= very_high,
          "high population must sit at or above very_high"),
         ("low", lambda low: low.size > 0, "low population must be nonempty"),
-        ("low", lambda low: low.min_level() > 0, "low population must have positive welfare"),
-        ("low very_low", lambda low, very_low: low.max_level() <= very_low,
+        ("low", lambda low: low.lo > 0, "low population must have positive welfare"),
+        ("low very_low", lambda low, very_low: low.hi <= very_low,
          "low population must sit at or below very_low"),
     ),
     thresholds=("very_high", "very_low"),
@@ -702,21 +692,22 @@ AXIOMS[AxiomId.QUALITY] = AxiomRow(
         "high": _uniform(bounds, lambda l: l >= very_high),
         "low": _populations(bounds, lambda l: 0 < l <= very_low),
     },
-    search=_search_quality,
+    every="outer",
+    note="all {rows} perfectly equal very-high candidates in the grid are "
+         "beaten by some very-low-positive population (bounded claim)",
 )
 
 AXIOMS[AxiomId.INEQUALITY_AVERSION] = AxiomRow(
     strict=False, roles=("mixed", "equal"),
     fields={"mixed": WorldField("mixed"), "equal": WorldField("equal")},
     clauses=_clauses(
-        ("mixed", lambda mixed: len(mixed.groups) == 2,
+        ("mixed", lambda mixed: mixed.groups == 2,
          "mixed population must have exactly two welfare tiers"),
-        ("mixed", lambda mixed: mixed.groups[0][1] > mixed.groups[1][1],
+        ("mixed", lambda mixed: mixed.at_lo > mixed.size - mixed.at_lo,
          "lower tier must be larger than upper tier"),
-        ("equal", lambda equal: len(equal.groups) == 1,
+        ("equal", lambda equal: equal.groups == 1,
          "equal population must be perfectly equal"),
-        ("mixed equal",
-         lambda mixed, equal: mixed.min_level() < equal.min_level() < mixed.max_level(),
+        ("mixed equal", lambda mixed, equal: (mixed.lo < equal.lo) & (equal.lo < mixed.hi),
          "equal level must lie strictly between the tiers"),
         ("mixed equal", lambda mixed, equal: equal.size == mixed.size,
          "equal population must match the mixed size"),
@@ -731,9 +722,9 @@ AXIOMS[AxiomId.EGALITARIAN_DOMINANCE] = AxiomRow(
         ("better", lambda better: better.size > 0, "populations must be nonempty"),
         ("better worse", lambda better, worse: better.size == worse.size,
          "populations must have equal size"),
-        ("better", lambda better: len(better.groups) == 1,
+        ("better", lambda better: better.groups == 1,
          "dominating population must be perfectly equal"),
-        ("better worse", lambda better, worse: better.min_level() > worse.max_level(),
+        ("better worse", lambda better, worse: better.lo > worse.hi,
          "every member of the equal population must be strictly happier"),
     ),
     streams=lambda bounds: {"better": _uniform(bounds), "worse": _populations(bounds)},
@@ -748,10 +739,10 @@ AXIOMS[AxiomId.DOMINANCE_ADDITION] = AxiomRow(
     clauses=_clauses(
         ("raised base", lambda raised, base: raised.size == base.size,
          "raised part must match the base population size"),
-        ("raised base", lambda raised, base: pointwise_dominates(raised, base, strict=False),
+        ("raised base", lambda raised, base: raised.dominates(base, strict=False),
          "raised part must weakly dominate the base pointwise"),
         ("added", lambda added: added.size > 0, "added part must be nonempty"),
-        ("added", lambda added: added.min_level() > 0, "added lives must have positive welfare"),
+        ("added", lambda added: added.lo > 0, "added lives must have positive welfare"),
         ("augmented = raised added", lambda raised, added: raised | added,
          "augmented world must equal raised part plus added lives"),
     ),
@@ -771,12 +762,12 @@ AXIOMS[AxiomId.AVOID_REPUGNANT] = AxiomRow(
     clauses=_clauses(
         _THRESHOLDS,
         ("high", lambda high: high.size > 0, "high population must be nonempty"),
-        ("high very_high", lambda high, very_high: high.min_level() >= very_high,
+        ("high very_high", lambda high, very_high: high.lo >= very_high,
          "high population must sit at or above very_high"),
         ("crowd high", lambda crowd, high: crowd.size > high.size,
          "crowd must outnumber the high population"),
-        ("crowd", lambda crowd: crowd.min_level() > 0, "crowd welfare must be positive"),
-        ("crowd very_low", lambda crowd, very_low: crowd.max_level() <= very_low,
+        ("crowd", lambda crowd: crowd.lo > 0, "crowd welfare must be positive"),
+        ("crowd very_low", lambda crowd, very_low: crowd.hi <= very_low,
          "crowd welfare must sit at or below very_low"),
     ),
     thresholds=("very_high", "very_low"),
@@ -798,13 +789,13 @@ AXIOMS[AxiomId.AVOID_SADISTIC] = AxiomRow(
         ("torture_max", lambda torture_max: torture_max < 0,
          "torture threshold must be negative"),
         ("base", lambda base: base.size > 0, "base population must be nonempty"),
-        ("base very_high", lambda base, very_high: base.min_level() >= very_high,
+        ("base very_high", lambda base, very_high: base.lo >= very_high,
          "base population must be very happy"),
         ("tortured", lambda tortured: tortured.size > 0, "tortured addition must be nonempty"),
-        ("tortured torture_max", lambda tortured, torture_max: tortured.max_level() <= torture_max,
+        ("tortured torture_max", lambda tortured, torture_max: tortured.hi <= torture_max,
          "tortured lives must sit at or below torture_max"),
         ("positive", lambda positive: positive.size > 0, "positive addition must be nonempty"),
-        ("positive", lambda positive: positive.min_level() > 0,
+        ("positive", lambda positive: positive.lo > 0,
          "positive addition must have positive welfare"),
         ("tortured positive", lambda tortured, positive: tortured.size < positive.size,
          "tortured addition must be the smaller one"),
@@ -829,10 +820,10 @@ AXIOMS[AxiomId.AVOID_VERY_ANTI_EGALITARIAN] = AxiomRow(
         ("better", lambda better: better.size >= 2, "needs at least two people"),
         ("better worse", lambda better, worse: better.size == worse.size,
          "populations must have equal size"),
-        ("better", lambda better: len(better.groups) == 1,
+        ("better", lambda better: better.groups == 1,
          "reference population must have uniform happiness"),
-        ("worse", lambda worse: len(worse.groups) > 1, "rival population must be unequal"),
-        ("worse better", lambda worse, better: total_welfare(worse) < total_welfare(better),
+        ("worse", lambda worse: worse.groups > 1, "rival population must be unequal"),
+        ("worse better", lambda worse, better: worse.total < better.total,
          "rival population must have lower total (hence average) welfare"),
     ),
     streams=lambda bounds: {
@@ -846,7 +837,7 @@ AXIOMS[AxiomId.DOMINANCE] = AxiomRow(
     fields={"better": WorldField("a"), "worse": WorldField("b")},
     clauses=_clauses(
         ("better", lambda better: better.size > 0, "populations must be nonempty"),
-        ("better worse", lambda better, worse: pointwise_dominates(better, worse, strict=True),
+        ("better worse", lambda better, worse: better.dominates(worse, strict=True),
          "dominating population must be pointwise strictly happier at equal size"),
     ),
     streams=lambda bounds: {"better": _populations(bounds), "worse": _populations(bounds)},
@@ -861,11 +852,10 @@ AXIOMS[AxiomId.ADDITION] = AxiomRow(
     clauses=_clauses(
         ("base_world", lambda base: base.size > 0, "base population must be nonempty"),
         ("b", lambda b: b.size > 0, "group b must be nonempty"),
-        ("b base_world", lambda b, base: b.max_level() < base.min_level(),
+        ("b base_world", lambda b, base: b.hi < base.lo,
          "group b must be worse off than the base"),
         ("c b", lambda c, b: c.size > b.size, "group c must be larger than group b"),
-        ("c b", lambda c, b: c.max_level() < b.min_level(),
-         "group c must be worse off than group b"),
+        ("c b", lambda c, b: c.hi < b.lo, "group c must be worse off than group b"),
         ("b_added_world = base_world b", lambda base, b: base | b,
          "b-added world must equal base plus group b"),
         ("c_added_world = base_world c", lambda base, c: base | c,
@@ -886,21 +876,19 @@ AXIOMS[AxiomId.PRIORITY_COMPENSATION] = AxiomRow(
     clauses=_clauses(
         ("very_low", lambda very_low: very_low > 0,
          "very_low must be positive, or no level lies in (0, very_low]"),
-        ("low_level very_low", lambda low_level, very_low: Fraction(0) < low_level <= very_low,
+        ("low_level very_low",
+         lambda low_level, very_low: (0 < low_level) & (low_level <= very_low),
          "lowered person must start at very low positive welfare"),
         ("negative_level", lambda negative_level: negative_level < 0,
          "lowered person must end slightly below zero"),
         ("high_level very_high", lambda high_level, very_high: high_level >= very_high,
          "created lives must have very high welfare"),
-        ("count",
-         lambda count: isinstance(count, int) and not isinstance(count, bool) and count >= 1,
-         "must create at least one life"),
-        ("before = base low_level",
-         lambda base, low_level: base | Population([(low_level, 1)]),
+        ("count", lambda count: _whole(count) and count >= 1, "must create at least one life"),
+        ("before = base low_level", lambda base, low_level: base.plus(low_level, 1),
          "before-world must equal base plus the very-low-positive person"),
         ("after = base negative_level high_level count",
          lambda base, negative_level, high_level, count:
-            base | Population([(negative_level, 1), (high_level, count)]),
+            base.plus(negative_level, 1).plus(high_level, count),
          "after-world must equal base plus the lowered person plus the created lives"),
     ),
     thresholds=("very_high", "very_low"),
@@ -911,8 +899,11 @@ AXIOMS[AxiomId.PRIORITY_COMPENSATION] = AxiomRow(
         "high_level": _levels(bounds, lambda l: l >= very_high),
         "count": Stream(bounds.max_count, range(1, bounds.max_count + 1)),
     },
-    search=_search_priority,
+    every="inner",
+    note="no count up to {max_count} compensates the drop "
+         "from {low_level} to {negative_level} (bounded claim)",
 )
+
 
 
 # ---------------------------------------------------------------------------
@@ -965,9 +956,9 @@ def second_theorem_cycle(
     vl = as_rational(very_low)
     a_level = as_rational(base_level)
     if not 0 < vl < vh < a_level:
-        raise ValueError("need 0 < very_low < very_high < base_level")
+        raise InvalidValueError("need 0 < very_low < very_high < base_level")
     if extra_size <= base_size:
-        raise ValueError("the added group must outnumber the base population")
+        raise InvalidValueError("the added group must outnumber the base population")
     raised_level = a_level + 1
     c_level = vl / 2
     b_level = vl

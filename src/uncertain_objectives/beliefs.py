@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionCapError
+from .errors import DimensionCapError, InvalidValueError, SolverError
 from .rationals import as_rational, format_rational, in_units, integer_weights
 from .simplex import solve_lp
 
@@ -64,7 +64,7 @@ def _check_unit(value, where: str):
         value = as_rational(value)
     tol = _tolerance(exact)
     if not -tol <= value <= 1 + tol:
-        raise ValueError(f"{where} outside [0, 1]: {value!r}")
+        raise InvalidValueError(f"{where} outside [0, 1]: {value!r}")
     return value if exact else min(max(value, 0.0), 1.0)
 
 
@@ -80,23 +80,23 @@ class BeliefMatrix:
     def __init__(self, worlds, z, evidence_tag: str = ""):
         worlds = tuple(worlds)
         if len(set(worlds)) != len(worlds):
-            raise ValueError("duplicate world ids")
+            raise InvalidValueError("duplicate world ids")
         n = len(worlds)
         grid = tuple(
             tuple(_check_unit(v, f"z[{i}][{j}]") for j, v in enumerate(row))
             for i, row in enumerate(z)
         )
         if len(grid) != n or any(len(row) != n for row in grid):
-            raise ValueError("z must be an n x n grid")
+            raise InvalidValueError("z must be an n x n grid")
         exact = not any(isinstance(v, float) for row in grid for v in row)
         tol = _tolerance(exact)
         for i in range(n):
             if abs(grid[i][i] - HALF) > tol:
-                raise ValueError(f"diagonal z[{i}][{i}] must be 1/2, got {grid[i][i]}")
+                raise InvalidValueError(f"diagonal z[{i}][{i}] must be 1/2, got {grid[i][i]}")
         for i in range(n):
             for j in range(i + 1, n):
                 if abs(grid[i][j] + grid[j][i] - 1) > tol:
-                    raise ValueError(
+                    raise InvalidValueError(
                         f"complement symmetry fails at ({worlds[i]}, {worlds[j]}): "
                         f"{grid[i][j]} + {grid[j][i]} != 1"
                     )
@@ -148,19 +148,19 @@ class OrderDistribution:
         orders = tuple(tuple(o) for o in orders)
         probs = tuple(_check_unit(p, "probability") for p in probs)
         if len(orders) != len(probs):
-            raise ValueError("orders and probabilities differ in length")
+            raise InvalidValueError("orders and probabilities differ in length")
         if not orders:
-            raise ValueError("a distribution needs at least one order")
+            raise InvalidValueError("a distribution needs at least one order")
         base = frozenset(orders[0])
         if len(base) != len(orders[0]):
-            raise ValueError("orders must not repeat worlds")
+            raise InvalidValueError("orders must not repeat worlds")
         for o in orders:
             if frozenset(o) != base or len(o) != len(orders[0]):
-                raise ValueError("all orders must rank the same world set")
+                raise InvalidValueError("all orders must rank the same world set")
         exact = not any(isinstance(p, float) for p in probs)
         total = sum(probs)
         if abs(total - 1) > _tolerance(exact):
-            raise ValueError(f"probabilities sum to {total}, expected 1")
+            raise InvalidValueError(f"probabilities sum to {total}, expected 1")
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "is_exact", exact)
@@ -186,9 +186,9 @@ class CycleSpec:
     def __init__(self, worlds):
         worlds = tuple(worlds)
         if len(worlds) < 3:
-            raise ValueError("a cycle needs at least 3 worlds")
+            raise InvalidValueError("a cycle needs at least 3 worlds")
         if len(set(worlds)) != len(worlds):
-            raise ValueError("cycle worlds must be distinct")
+            raise InvalidValueError("cycle worlds must be distinct")
         object.__setattr__(self, "worlds", worlds)
 
     @property
@@ -207,7 +207,7 @@ def matrix_from_distribution(
     """Pairwise marginals of a distribution: Z(a,b) = P(a ranked above b)."""
     worlds = tuple(worlds) if worlds is not None else d.worlds
     if set(worlds) != set(d.orders[0]):
-        raise ValueError("world list does not match the distribution's worlds")
+        raise InvalidValueError("world list does not match the distribution's worlds")
     n = len(worlds)
     idx = {w: i for i, w in enumerate(worlds)}
     order_idx = np.array([[idx[w] for w in order] for order in d.orders], dtype=np.int64)
@@ -232,7 +232,7 @@ def path_bounds(chain) -> tuple:
     """
     chain = [_check_unit(z, "chain entry") for z in chain]
     if not chain:
-        raise ValueError("path_bounds needs at least one step")
+        raise InvalidValueError("path_bounds needs at least one step")
     return _chain_bounds(chain, type(sum(chain))(1))
 
 
@@ -524,7 +524,7 @@ def exact_feasibility(
     if n > cap:
         raise DimensionCapError(n, cap)
     if not m.is_exact:
-        raise ValueError(
+        raise InvalidValueError(
             "exact_feasibility needs an exact matrix; use exactified() first"
         )
     labels, rows, b_eq = _membership_rows(m)
@@ -610,7 +610,7 @@ def minimax_cycle_bound(
         implicit=OrderColumns(n, rows + [None]),
     )
     if res.status != "optimal":
-        raise RuntimeError(f"minimax LP unexpectedly {res.status}")
+        raise SolverError(f"minimax LP unexpectedly {res.status}")
     witness = _distribution(spec.worlds, res.support)
     return MinimaxBound(bound=res.objective, witness=witness, spec=spec)
 
@@ -627,7 +627,7 @@ def rotation_mixture(spec_or_n) -> OrderDistribution:
     else:
         n = int(spec_or_n)
         if n < 3:
-            raise ValueError("rotation mixture needs n >= 3")
+            raise InvalidValueError("rotation mixture needs n >= 3")
         worlds = tuple(f"x{i+1}" for i in range(n))
     n = len(worlds)
     orders = [

@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetExceededError, InvalidPatternError, WorldLimitError
+from .errors import BudgetExceededError, InvalidPatternError, InvalidValueError, WorldLimitError
 from .ordering import Verdict
 
 
@@ -46,13 +46,13 @@ class ConstraintGraph:
         seen = set()
         for w in self.worlds:
             if w in seen:
-                raise ValueError(f"duplicate world id {w!r}")
+                raise InvalidValueError(f"duplicate world id {w!r}")
             seen.add(w)
         for e in self.edges:
             if e.worse == e.better:
-                raise ValueError(f"self-loop on {e.worse!r} (edge {e.label!r})")
+                raise InvalidValueError(f"self-loop on {e.worse!r} (edge {e.label!r})")
             if e.worse not in seen or e.better not in seen:
-                raise ValueError(f"edge {e.label!r} references undeclared world")
+                raise InvalidValueError(f"edge {e.label!r} references undeclared world")
 
     @classmethod
     def from_edges(cls, edges, worlds=None) -> "ConstraintGraph":
@@ -110,10 +110,10 @@ class ImpossibilityCertificate:
 
     def __post_init__(self):
         if len(self.edges) < 2:
-            raise ValueError("a certificate needs at least 2 edges")
+            raise InvalidValueError("a certificate needs at least 2 edges")
         for a, b in zip(self.edges, self.edges[1:] + self.edges[:1]):
             if a.better != b.worse:
-                raise ValueError("certificate edges are not consecutive")
+                raise InvalidValueError("certificate edges are not consecutive")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -185,7 +185,7 @@ class PartialOrder:
     def __post_init__(self):
         n = len(self.worlds)
         if len(self.table) != n or any(len(row) != n for row in self.table):
-            raise ValueError("verdict table must be n x n over the world set")
+            raise InvalidValueError("verdict table must be n x n over the world set")
         object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.worlds)})
 
     def verdict(self, a: str, b: str) -> Verdict:
@@ -299,7 +299,7 @@ def pattern_is_valid(g: ConstraintGraph, pattern: UncertaintyPattern) -> bool:
     """Closure of the kept edges is acyclic and forces no removed endpoint pair."""
     skip = frozenset(pattern.edge_indices)
     if any(i < 0 or i >= len(g.edges) for i in skip):
-        raise ValueError("pattern references edges outside the graph")
+        raise InvalidValueError("pattern references edges outside the graph")
     reach = _closure_bits(g.bit_rows(skip))
     if _has_cycle_bits(reach):
         return False

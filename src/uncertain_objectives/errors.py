@@ -18,6 +18,11 @@ class InvalidInstanceError(UncertainObjectivesError):
     """Premise worlds do not satisfy an axiom's structural requirements."""
 
 
+class SolverError(UncertainObjectivesError, RuntimeError):
+    """An exact LP ended in a state its construction rules out: a bug in the
+    solver or its set-up, never a property of the input."""
+
+
 class BudgetExceededError(UncertainObjectivesError):
     """A search would exceed its budget: subset enumeration, or an audit."""
 

@@ -5,18 +5,23 @@ never matters, only how many sit at each exact-rational level.  Welfare 0 is
 the conventional "life not worth living" threshold; the number itself carries
 no further interpretation.
 
-All arithmetic is exact (`Fraction`); there is no float path here.
+All arithmetic is exact (`Fraction`); there is no float path here.  Many
+populations at once are ``Counts``: head counts over one sorted level
+alphabet, with the levels as integers over a common denominator.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from .errors import EmptyPopulationError, InvalidValueError
 from .ordering import Verdict
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, format_rational, integer_weights, unit_dtype
 
 
 @dataclass(frozen=True)
@@ -212,3 +217,167 @@ def parse_swf(text: str) -> SwfKind:
     if text.startswith("critical:"):
         return CriticalLevel(as_rational(text.split(":", 1)[1]))
     raise InvalidValueError(f"unknown social welfare function {text!r}")
+
+
+# ---------------------------------------------------------------------------
+# Count views
+# ---------------------------------------------------------------------------
+
+def count_rows(populations, alphabet) -> np.ndarray:
+    """Each population's head counts over the sorted ``alphabet``, one row
+    each."""
+    rows = np.zeros((len(populations), len(alphabet)), np.int64)
+    for r, p in enumerate(populations):
+        for level, count in p.groups:
+            rows[r, bisect_left(alphabet, level)] = count
+    return rows
+
+
+def count_matrix(index, counts, k: int, width: int) -> np.ndarray:
+    """Count rows over an alphabet of ``width`` levels, ``index``-major: row
+    (p, q) puts counts[q][t] people at alphabet position index[p][t] for
+    each t < k (plain ints where k is 1)."""
+    index = np.asarray(index, np.intp).reshape(-1, k)
+    counts = np.asarray(counts, np.int64).reshape(-1, k)
+    rows = np.zeros((len(index) * len(counts), width), np.int64)
+    cells = np.arange(len(rows)).reshape(len(index), len(counts), 1) * width + index[:, None]
+    rows.ravel()[cells] = counts
+    return rows
+
+
+class _field:
+    """A view field computed on first use and kept; the rows of a view read
+    it from their parent's."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, view, owner=None):
+        if view._parent is None:
+            value = self.compute(view)
+        else:
+            value = getattr(view._parent, self.name)[view._key]
+        view.__dict__[self.name] = value
+        return value
+
+
+class Counts:
+    """Populations as head counts over one sorted level alphabet.
+
+    ``counts`` holds the alphabet on its last axis, under any leading shape:
+    one row for an instance, a block of candidates in an audit.  ``units``
+    holds the alphabet's levels as integers in one unit (``in_units``), so
+    every field is exact and has the leading shape: ``size``; ``total``
+    welfare in units; ``lo`` and ``hi``, the least and greatest level present
+    in units; ``groups``, the number of levels present; ``at_lo``, the head
+    count at ``lo``; and ``cum``, cumulative head counts along the alphabet.
+    An empty population has no ``lo`` or ``hi``; clauses test size first.
+    Fields are computed on first use unless given, and ``view[key]`` (numpy
+    indexing of the leading axes) reads them from the view's own.
+    """
+
+    def __init__(self, counts, units, parent: "Counts | None" = None, key=None, **fields):
+        self.units, self._parent, self._key = units, parent, key
+        if parent is None:
+            self.counts = counts
+        self.__dict__.update(fields)
+
+    def __getitem__(self, key) -> "Counts":
+        return Counts(None, self.units, self, key)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    @_field
+    def counts(self):
+        raise AssertionError("a root view holds its counts")
+
+    @_field
+    def size(self):
+        return self.counts.sum(-1)
+
+    @_field
+    def cum(self):
+        return self.counts.cumsum(-1)
+
+    @_field
+    def total(self):
+        return self.counts @ self.units
+
+    @_field
+    def groups(self):
+        return (self.counts > 0).sum(-1)
+
+    @_field
+    def lo(self):
+        return self.units[(self.cum == 0).sum(-1)]
+
+    @_field
+    def hi(self):
+        return self.units[(self.cum < self.size[..., None]).sum(-1)]
+
+    @_field
+    def at_lo(self):
+        return np.where(self.cum > 0, self.cum, self.size[..., None]).min(-1)
+
+    def dominates(self, other: "Counts", strict: bool):
+        """``pointwise_dominates`` from cumulative counts: at equal size, the
+        i-th worst here beats the i-th worst of ``other`` for every i exactly
+        when, at every level x, no more people here sit at or below x than
+        there sit below x (at or below x, when not ``strict``)."""
+        below = other.cum - other.counts if strict else other.cum
+        return (self.size == other.size) & (self.cum <= below).all(-1)
+
+    def __or__(self, other: "Counts") -> "Counts":
+        return Counts(self.counts + other.counts, self.units)
+
+    def plus(self, level, count) -> "Counts":
+        """These populations with ``count`` more people at ``level`` (units,
+        on the alphabet)."""
+        at = self.units == np.asarray(level)[..., None]
+        return Counts(self.counts + at * np.asarray(count)[..., None], self.units)
+
+    def same(self, other: "Counts"):
+        return (self.counts == other.counts).all(-1)
+
+    def population(self, one: int) -> Population:
+        """The population of a one-row view whose unit is 1/``one``."""
+        return Population(
+            (Fraction(int(u), one), int(c)) for u, c in zip(self.units, self.counts) if c
+        )
+
+
+def swf_signs(swf: SwfKind, a: Counts, b: Counts, critical=0):
+    """``swf_compare`` of count views as signs: -1 LESS, 0 EQUAL, 1 GREATER.
+    Total and critical-level scores are totals less ``critical`` (the
+    critical level in the views' units) per head; average welfare compares
+    totals cross-multiplied by sizes, so no score is ever divided."""
+    if isinstance(swf, AverageWelfare):
+        x, y = a.total * b.size, b.total * a.size
+    else:
+        x, y = a.total - critical * a.size, b.total - critical * b.size
+    return (x > y).astype(np.int8) - (x < y)
+
+
+def one_row_views(populations: dict, rationals: dict, people: int = 1) -> tuple[int, dict]:
+    """One-row count views of ``populations`` over all their levels and the
+    ``rationals``, with the rationals in the views' unit 1/``one``: (one,
+    views), keyed as given.  The unit's integer type allows worlds of up to
+    ``people`` people (``unit_dtype``).  Scalar fields are read off the groups."""
+    nums, one = integer_weights(
+        [*rationals.values(), *(level for p in populations.values() for level in p.levels)]
+    )
+    alphabet = sorted(set(nums))
+    units = np.array(alphabet, unit_dtype(nums, one, people * people))
+    at, scaled = {u: i for i, u in enumerate(alphabet)}, iter(nums)
+    views = {key: next(scaled) for key in rationals}
+    for key, p in populations.items():
+        groups = [(next(scaled), count) for _, count in p.groups]
+        vector = np.zeros(len(units), np.int64)
+        for level, count in groups:
+            vector[at[level]] = count
+        views[key] = Counts(vector, units, size=p.size, groups=len(groups),
+                            total=sum(level * count for level, count in groups))
+        if groups:
+            views[key].__dict__.update(lo=groups[0][0], hi=groups[-1][0], at_lo=groups[0][1])
+    return one, views

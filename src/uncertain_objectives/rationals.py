@@ -62,13 +62,18 @@ def in_units(values, terms: int = 1):
     """``values`` as one numpy array in units of ``one``: (array, one, value).
 
     Exact values become integer numerators over their common denominator
-    ``one``: int64 while a sum of ``terms`` entries of at most ``one`` each
-    stays below 2^62, object arrays of Python ints past that.  Any float
+    ``one``: int64 while a sum of ``terms`` entries, each no larger in
+    magnitude than ``one`` or the largest numerator, stays below 2^62, object
+    arrays of Python ints past that.  Any float
     makes them float64 with ``one = 1.0``.  ``value`` takes an array entry
     back to the values' own number type.
     """
     if any(isinstance(v, float) for v in values):
         return np.array(values, dtype=np.float64), 1.0, float
     nums, one = integer_weights(values)
-    dtype = np.int64 if terms * one < 1 << 62 else object
-    return np.array(nums, dtype=dtype), one, lambda x: Fraction(x, one)
+    return np.array(nums, dtype=unit_dtype(nums, one, terms)), one, lambda x: Fraction(x, one)
+
+
+def unit_dtype(nums: list[int], one: int, terms: int = 1):
+    """``in_units``' integer type for numerators ``nums`` over ``one``."""
+    return np.int64 if terms * max([one, *map(abs, nums)]) < 1 << 62 else object

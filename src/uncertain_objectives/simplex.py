@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Protocol
 
-from .errors import PivotCapError
+from .errors import InvalidValueError, PivotCapError, SolverError
 from .rationals import integer_weights
 
 _ZERO = Fraction(0)
@@ -80,7 +80,7 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
     m = len(rows)
     for row in rows:
         if len(row) != n:
-            raise ValueError("constraint row length does not match objective")
+            raise InvalidValueError("constraint row length does not match objective")
 
     sign = [1] * m
     for i in range(m):
@@ -260,7 +260,7 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
 
         status, u1, obj1 = run_phase(cost1, blocked=frozenset())
         if status != "optimal":  # phase-1 objective is bounded below by 0
-            raise RuntimeError("phase 1 cannot be unbounded")
+            raise SolverError("phase 1 cannot be unbounded")
         if obj1 > 0:
             cert = [y if s > 0 else -y for s, y in zip(sign, u1)]
             return LpResult(status="infeasible", certificate=cert, pivots=pivots)

@@ -465,11 +465,12 @@ class TestAudits:
             audit_swf(AverageWelfare(), AxiomId.DOMINANCE_ADDITION, bounds)
 
     def test_construction_checks_everything_after_a_failed_audit(self, monkeypatch):
-        def broken(swf, a, b):
-            raise RuntimeError("order failed")
+        def broken(swf, a, b, critical=0):
+            raise RuntimeError("scoring failed")
 
-        monkeypatch.setattr(axioms, "swf_compare", broken)
-        with pytest.raises(RuntimeError):
+        # Audits score count views through swf_signs; a failure there propagates.
+        monkeypatch.setattr(axioms, "swf_signs", broken)
+        with pytest.raises(RuntimeError, match="scoring failed"):
             audit_swf(TotalWelfare(), AxiomId.AVOID_REPUGNANT, SearchBounds((1, 100), 3))
         base = population((100, 1))
         with pytest.raises(InvalidInstanceError, match="tortured world must equal"):
@@ -496,13 +497,20 @@ class TestAudits:
         ],
     )
     def test_audits_build_only_the_witness(self, monkeypatch, swf, axiom, bounds, witness):
-        built = []
-        check = AxiomInstance.__post_init__
+        built, populations = [], []
+        make = axioms.make_instance
         monkeypatch.setattr(
-            AxiomInstance, "__post_init__", lambda inst: (built.append(inst), check(inst))
+            axioms, "make_instance", lambda *a, **k: built.append(make(*a, **k)) or built[-1]
+        )
+        init = Population.__init__
+        monkeypatch.setattr(
+            Population, "__init__", lambda p, *a: (populations.append(p), init(p, *a))[1]
         )
         found = audit_swf(swf, axiom, bounds)
         assert built == ([found.instance] if witness else [])
+        # Only the witness's populations are built: none for a clean audit.
+        assert len(populations) <= (len(found.instance.worlds) + len(found.instance.params)
+                                    if witness else 0)
 
     def test_witness_that_does_not_replay_is_refused(self, monkeypatch):
         # Replay orders the built instance's worlds; an order that disagrees
