@@ -11,8 +11,12 @@ Two checkers are provided.  ``check_path_coherence`` applies the chained
 necessary condition along every simple path: the span probability must lie
 within [1 - sum(1 - z_i), sum(z_i)].  It grows paths a world at a time and
 drops the prefixes no extension of which can break its bound.
-``exact_feasibility`` decides polytope membership exactly by solving an LP
-with one variable per total order, priced without listing the orders.
+``exact_feasibility`` decides polytope membership exactly.  It first looks
+for a violated 3-cycle inequality (every distribution keeps
+z_ab + z_bc + z_ca within [1, 2]), whose three rows are a Farkas
+certificate found in O(n^3); only a matrix that satisfies all of them goes
+to an LP with one variable per total order, priced without listing the
+orders.  From n = 6 on, some of those are still infeasible.
 ``minimax_cycle_bound`` minimizes, over all distributions, the worst
 violation probability among the constraints of an n-step cycle; the optimum
 is exactly 1/n, achieved by the uniform mixture of cyclic rotations.
@@ -31,6 +35,7 @@ denominator for exact values and on float64 for floats, and results carry
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -507,18 +512,71 @@ def _distribution(worlds, support) -> OrderDistribution:
     )
 
 
+_FARKAS_NOTE = "Farkas multipliers over pairwise-marginal rows"
+
+
+def _violated_triangle(m: BeliefMatrix) -> dict | None:
+    """Farkas multipliers from the first violated 3-cycle inequality, or None.
+
+    No total order ranks a > b > c > a, so every distribution keeps
+    s = z_ij + z_jk + z_ki within [1, 2] for i < j < k: the 3-cycle
+    inequalities, facets of the linear ordering polytope.  Triples are
+    scanned in ``itertools.combinations`` order on integer numerators.
+    For s > 2 the multipliers are the cycle's own rows less the total row,
+    for s < 1 those of the reverse cycle (whose total multiplier is 0).
+    """
+    n = len(m.worlds)
+    z, one, _ = _scan_numbers(m)
+    z = z.tolist()
+    for i, j, k in itertools.combinations(range(n), 3):
+        s = z[i][j] + z[j][k] + z[k][i]
+        if one <= s <= 2 * one:
+            continue
+        ij, ik, jk = (f"above({m.worlds[a]},{m.worlds[b]})" for a, b in ((i, j), (i, k), (j, k)))
+        if s > 2 * one:
+            return {ij: ONE, ik: -ONE, jk: ONE, "total": -ONE}
+        return {ij: -ONE, ik: ONE, jk: -ONE}
+    return None
+
+
+def _membership_lp(m: BeliefMatrix) -> FeasibilityResult:
+    """Solve the membership LP, with the order columns priced implicitly."""
+    labels, rows, b_eq = _membership_rows(m)
+    res = solve_lp(
+        c=[], a_eq=[[] for _ in rows], b_eq=b_eq, implicit=OrderColumns(len(m.worlds), rows)
+    )
+    if res.status == "infeasible":
+        cert = {
+            label: y for label, y in zip(labels, res.certificate) if y != 0
+        }
+        return FeasibilityResult(
+            feasible=False, distribution=None, certificate=cert, note=_FARKAS_NOTE
+        )
+    return FeasibilityResult(
+        feasible=True,
+        distribution=_distribution(m.worlds, res.support),
+        certificate=None,
+        note="witness distribution is one of possibly many realizing the matrix",
+    )
+
+
 def exact_feasibility(
     m: BeliefMatrix, cap: int = DEFAULT_DIMENSION_CAP
 ) -> FeasibilityResult:
     """Decide whether some order distribution realizes the matrix exactly.
 
-    Solves the linear-ordering-polytope membership LP with one variable per
-    total order: for every pair a != b the mass of orders ranking a above b
-    must equal Z(a, b).  The order columns are priced implicitly
-    (``OrderColumns``), so the n! orders are never listed.  Feasible
-    results carry one realizing distribution (generically not unique);
-    infeasible results carry Farkas multipliers over the constraint rows
-    certifying that no distribution exists.
+    A violated 3-cycle inequality (z_ij + z_jk + z_ki outside [1, 2]) is
+    looked for first, in O(n^3): the first one found is returned as the
+    Farkas certificate.  Only a matrix satisfying every 3-cycle inequality
+    goes to the linear-ordering-polytope membership LP, with one variable
+    per total order: for every pair a != b the mass of orders ranking a
+    above b must equal Z(a, b).  The order columns are priced implicitly
+    (``OrderColumns``), so the n! orders are never listed.  Up to n = 5
+    the 3-cycle inequalities describe the polytope; from n = 6 on some
+    matrices satisfying all of them are still infeasible, and the LP finds
+    those.  Feasible results carry one realizing distribution (generically
+    not unique); infeasible results carry Farkas multipliers over the
+    constraint rows certifying that no distribution exists.
     """
     n = len(m.worlds)
     if n > cap:
@@ -527,26 +585,12 @@ def exact_feasibility(
         raise InvalidValueError(
             "exact_feasibility needs an exact matrix; use exactified() first"
         )
-    labels, rows, b_eq = _membership_rows(m)
-    res = solve_lp(
-        c=[], a_eq=[[] for _ in rows], b_eq=b_eq, implicit=OrderColumns(n, rows)
-    )
-    if res.status == "infeasible":
-        cert = {
-            label: y for label, y in zip(labels, res.certificate) if y != 0
-        }
+    cert = _violated_triangle(m)
+    if cert is not None:
         return FeasibilityResult(
-            feasible=False,
-            distribution=None,
-            certificate=cert,
-            note="Farkas multipliers over pairwise-marginal rows",
+            feasible=False, distribution=None, certificate=cert, note=_FARKAS_NOTE
         )
-    return FeasibilityResult(
-        feasible=True,
-        distribution=_distribution(m.worlds, res.support),
-        certificate=None,
-        note="witness distribution is one of possibly many realizing the matrix",
-    )
+    return _membership_lp(m)
 
 
 @dataclass(frozen=True)

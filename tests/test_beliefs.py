@@ -433,6 +433,135 @@ class TestExactFeasibility:
             exact_feasibility(m)
 
 
+def upper_matrix(rows):
+    """Exact matrix from its upper triangle, given row by row: rows[i]
+    lists z[i][i+1], ..., z[i][n-1]."""
+    n = len(rows) + 1
+    z = [[F(1, 2)] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row, start=i + 1):
+            z[i][j], z[j][i] = F(v), 1 - F(v)
+    return BeliefMatrix(tuple(f"w{i}" for i in range(n)), z)
+
+
+def first_triangle(m):
+    """Reference: the closed-form certificate of the first triple i < j < k
+    with z_ij + z_jk + z_ki outside [1, 2], in Fractions, or None."""
+    z, w = m.z, m.worlds
+    for i, j, k in itertools.combinations(range(len(w)), 3):
+        s = z[i][j] + z[j][k] + z[k][i]
+        ij, ik, jk = f"above({w[i]},{w[j]})", f"above({w[i]},{w[k]})", f"above({w[j]},{w[k]})"
+        if s > 2:
+            return {ij: F(1), jk: F(1), ik: F(-1), "total": F(-1)}
+        if s < 1:
+            return {ik: F(1), ij: F(-1), jk: F(-1)}
+    return None
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Count the LPs ``beliefs`` solves."""
+    solve = beliefs.solve_lp
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["implicit"].n)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(beliefs, "solve_lp", counted)
+    return calls
+
+
+class TestTriangleCertificate:
+    """A violated 3-cycle inequality refutes a matrix before any LP."""
+
+    def test_both_orientations_give_the_closed_form(self, lp_calls):
+        # z12 + z23 + z31 = 3 > 2: the cycle x1 > x2 > x3 > x1 is over-believed.
+        res = exact_feasibility(FORCED_VIOLATION)
+        assert not res.feasible and res.verify(FORCED_VIOLATION)
+        assert res.certificate == {
+            "above(x1,x2)": 1, "above(x1,x3)": -1, "above(x2,x3)": 1, "total": -1
+        }
+        assert res.note == "Farkas multipliers over pairwise-marginal rows"
+        # z12 + z23 + z31 = 0 < 1: the reverse cycle is; its total multiplier is 0.
+        reverse = matrix3(F(0), F(1), F(0))
+        res = exact_feasibility(reverse)
+        assert not res.feasible and res.verify(reverse)
+        assert res.certificate == {"above(x1,x2)": -1, "above(x1,x3)": 1, "above(x2,x3)": -1}
+        assert all(isinstance(v, F) for v in res.certificate.values())
+        assert lp_calls == []
+
+    def test_sums_on_the_bounds_are_not_violations(self, lp_calls):
+        # z12 + z23 + z31 = 2, 1 and 1: point masses and a two-order mixture.
+        for z in ((1, 1, 1), (0, 0, 0), (F(1, 2), 1, F(1, 2))):
+            m = matrix3(*map(F, z))
+            assert exact_feasibility(m).feasible
+        assert len(lp_calls) == 3
+
+    def test_first_violated_triple_is_chosen(self):
+        # (w0, w1, w2) and (w0, w1, w3) hold; (w0, w2, w3) and (w1, w2, w3)
+        # both break: the earlier one in combinations order is reported.
+        m = upper_matrix([[F(1, 2), 1, 0], [1, 0], [1]])
+        res = exact_feasibility(m)
+        assert res.certificate == {
+            "above(w0,w2)": 1, "above(w0,w3)": -1, "above(w2,w3)": 1, "total": -1
+        }
+        rng = random.Random(31)
+        caught = 0
+        for _ in range(200):
+            m = random_entry_matrix(rng, rng.randint(3, 7), rng.choice((2, 3, 4, 6)))
+            want = first_triangle(m)
+            if want is not None:
+                caught += 1
+                assert exact_feasibility(m).certificate == want
+        assert caught > 100
+
+    def test_every_certificate_verifies(self, lp_calls):
+        checked = 0
+        for m in _seeded_matrices(12, 200, [3, 4, 5, 6, 7]):
+            if first_triangle(m) is not None:
+                res = exact_feasibility(m)
+                assert not res.feasible and res.verify(m)
+                checked += 1
+        assert checked > 50
+        assert lp_calls == []
+
+    def test_marginals_never_get_one(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            d = random_distribution(rng, rng.randint(3, 8), rng.randint(1, 10))
+            assert beliefs._violated_triangle(matrix_from_distribution(d)) is None
+
+    def test_lp_never_refutes_a_triangle_clean_matrix_up_to_five_worlds(self):
+        # Trivial and 3-cycle inequalities describe the polytope for n <= 5
+        # (Groetschel, Juenger & Reinelt 1985).
+        rng = random.Random(55)
+        clean = 0
+        while clean < 150:
+            m = random_entry_matrix(rng, rng.randint(3, 5), rng.choice((2, 3, 4, 6)))
+            if beliefs._violated_triangle(m) is None:
+                clean += 1
+                res = beliefs._membership_lp(m)
+                assert res.feasible and res.verify(m)
+
+    def test_triangle_clean_infeasible_matrix_reaches_the_lp(self, lp_calls):
+        h = F(1, 2)
+        m = upper_matrix([[0, 0, 0, h, h], [h, 1, 1, 1], [h, h, 1], [h, h], [1]])
+        assert first_triangle(m) is None
+        res = exact_feasibility(m)
+        assert not res.feasible and res.verify(m)
+        assert lp_calls == [6]
+
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_thirds_past_the_cap_are_refuted_without_the_lp(self, n, seed, lp_calls):
+        # Such matrices took thousands of degenerate pivots in the LP.
+        m = random_entry_matrix(random.Random(seed), n, 3)
+        res = exact_feasibility(m, cap=10)
+        assert not res.feasible and res.verify(m)
+        assert lp_calls == []
+
+
 class TestMinimax:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_bound_is_exactly_one_over_n(self, n):
@@ -620,18 +749,40 @@ def _seeded_matrices(seed, count, sizes):
             yield _random_matrix(rng, n)
 
 
+def _same_verdict_as_the_lp(m, lp, monkeypatch):
+    """``exact_feasibility`` agrees with the membership LP's answer ``lp`` and
+    verifies; it runs the library's LP, outside the dense comparison.  Returns
+    whether a 3-cycle certificate answered."""
+    with monkeypatch.context() as mp:
+        mp.setattr(beliefs, "solve_lp", simplex.solve_lp)
+        res = exact_feasibility(m)
+    assert res.feasible == lp.feasible
+    assert res.verify(m)
+    want = first_triangle(m)
+    if want is not None:
+        assert res.certificate == want
+    return want is not None
+
+
 class TestDenseReference:
-    def test_membership_matches_dense_simplex(self, dense_checked):
+    # The membership LPs are solved through ``_membership_lp`` itself, since
+    # ``exact_feasibility`` answers about a third of these matrices with a
+    # 3-cycle certificate and never reaches the LP.
+
+    def test_membership_matches_dense_simplex(self, dense_checked, monkeypatch):
         # 300 matrices, half marginals and half random entries; six at
         # n = 6, where the dense reference takes about a second per LP.
         sizes = [3, 4, 5] * 16 + [6]
         verdicts = set()
+        triangles = 0
         for m in _seeded_matrices(2024, 300, sizes):
-            res = exact_feasibility(m)
-            assert res.verify(m)
-            verdicts.add(res.feasible)
+            lp = beliefs._membership_lp(m)
+            assert lp.verify(m)
+            verdicts.add(lp.feasible)
+            triangles += _same_verdict_as_the_lp(m, lp, monkeypatch)
         assert verdicts == {True, False}
         assert len(dense_checked) == 300
+        assert triangles == 112
 
     def test_minimax_matches_dense_simplex(self, dense_checked):
         for n in range(3, 7):
@@ -645,7 +796,10 @@ class TestDenseReference:
         monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
         monkeypatch.setattr(conftest, "_STALL_LIMIT", 0)
         for m in _seeded_matrices(7, 60, [3, 4, 5]):
-            assert exact_feasibility(m).verify(m)
+            lp = beliefs._membership_lp(m)
+            assert lp.verify(m)
+            _same_verdict_as_the_lp(m, lp, monkeypatch)
+        assert len(dense_checked) == 60
         for n in range(3, 6):
             spec = CycleSpec(tuple(f"x{i + 1}" for i in range(n)))
             assert minimax_cycle_bound(spec).bound == F(1, n)
