@@ -150,15 +150,7 @@ def _clauses(*specs) -> tuple[Clause, ...]:
 
 
 def _holds(reads: list[str], test: Callable[..., object]) -> Callable[[dict], object]:
-    # ``test`` of the components ``reads`` names: a condition, or a derived
-    # world.  Reading one or two components directly, not through
-    # star-arguments, keeps one-row checks cheap.
-    if len(reads) == 1:
-        (a,) = reads
-        return lambda env: test(env[a])
-    if len(reads) == 2:
-        a, b = reads
-        return lambda env: test(env[a], env[b])
+    # ``test`` of the components ``reads`` names: a condition, or a derived world.
     return lambda env: test(*[env[r] for r in reads])
 
 
@@ -183,13 +175,13 @@ def _whole(count) -> bool:
 
 
 class Stream(NamedTuple):
-    """An audit component's candidates in enumeration order, and how many
-    of them one binding of the outer components can take, in closed form
-    (the budget's factor).  Population candidates are the count rows of a
-    ``_Rows``; level candidates are rationals, count candidates ints."""
+    """How many of an audit component's candidates one binding of the outer
+    components can take, in closed form (the budget's factor), and
+    ``build()``, which makes the candidates in enumeration order after the
+    budget check: count rows over the grid's alphabet, rationals or ints."""
 
     size: int
-    items: Iterable
+    build: Callable[[], Iterable]
 
 
 @dataclass(frozen=True)
@@ -205,7 +197,8 @@ class AxiomRow:
     a ``Stream`` is enumerated, any other value is fixed.  Derivation
     clauses come last.  ``every`` and ``note`` serve existential axioms'
     audits (see ``_find``).  The row's field ``names`` (positional), id
-    ``keywords``, ``plain`` clauses and ``derivations`` are computed once.
+    ``keywords``, ``plain`` clauses, ``derivations`` and grid ``thresholds``
+    (rational fields with an ``eff_`` default) are computed once.
     """
 
     strict: bool
@@ -213,7 +206,6 @@ class AxiomRow:
     fields: dict
     clauses: tuple[Clause, ...]
     streams: Callable[..., dict]
-    thresholds: tuple[str, ...] = ()
     every: str | None = None
     note: str = ""
 
@@ -225,6 +217,8 @@ class AxiomRow:
         put("names", [key for key in self.fields if key not in keywords.values()])
         put("plain", tuple(c for c in self.clauses if not c.derives))
         put("derivations", tuple(c for c in self.clauses if c.derives))
+        put("thresholds", tuple(key for key, kind in self.fields.items()
+                                if kind == RATIONAL and hasattr(SearchBounds, f"eff_{key}")))
 
 
 @dataclass(frozen=True)
@@ -410,42 +404,27 @@ def _result(strict: bool, claim: Verdict, gate: Verdict | None) -> CheckResult:
 # Bounded audits
 # ---------------------------------------------------------------------------
 
-class _Rows(NamedTuple):
-    """A population stream's count rows over the grid's alphabet, built when
-    the audit asks, after its budget check."""
-
-    build: Callable[[], np.ndarray]
-
-    def __iter__(self):
-        return iter(self.build())
-
-
 def _levels(bounds: SearchBounds, keep) -> Stream:
     levels = tuple(bounds.alphabet[i] for i in bounds.positions(keep))
-    return Stream(len(levels), levels)
+    return Stream(len(levels), lambda: levels)
 
 
-def _populations(bounds: SearchBounds, keep=None, min_groups: int = 1) -> Stream:
-    """All populations over the kept levels, lexicographic: group count,
-    then level combination, then per-group counts (each ascending)."""
-    width, kept, mc = len(bounds.alphabet), bounds.positions(keep), bounds.max_count
-    groups = range(min_groups, min(bounds.max_groups, len(kept)) + 1)
+def _populations(bounds: SearchBounds, keep=None, groups=None, least: int = 1) -> Stream:
+    """Populations of ``groups`` distinct kept levels (default 1..max_groups)
+    and least..max_count people per level, lexicographic: group count, then
+    level combination, then per-group counts (each ascending)."""
+    width, kept = len(bounds.alphabet), bounds.positions(keep)
+    counts = range(least, bounds.max_count + 1)
+    groups = range(1, bounds.max_groups + 1) if groups is None else groups
 
     def build():
         return np.concatenate([np.zeros((0, width), np.int64)] + [
             count_matrix(list(itertools.combinations(kept, k)),
-                         list(itertools.product(range(1, mc + 1), repeat=k)), k, width)
-            for k in groups
+                         list(itertools.product(counts, repeat=k)), k, width)
+            for k in groups if k <= len(kept)
         ])
 
-    return Stream(sum(comb(len(kept), k) * mc**k for k in groups), _Rows(build))
-
-
-def _uniform(bounds: SearchBounds, keep=None, least: int = 1) -> Stream:
-    """Perfectly equal populations of least..max_count people, level-major."""
-    width, kept = len(bounds.alphabet), bounds.positions(keep)
-    counts = range(least, bounds.max_count + 1)
-    return Stream(len(kept) * len(counts), _Rows(lambda: count_matrix(kept, counts, 1, width)))
+    return Stream(sum(comb(len(kept), k) * len(counts)**k for k in groups), build)
 
 
 def _two_tier(bounds: SearchBounds) -> dict:
@@ -457,9 +436,8 @@ def _two_tier(bounds: SearchBounds) -> dict:
     tiers = list(itertools.combinations(reversed(kept), 2))
     counts = list(itertools.combinations(range(1, mc + 1), 2))
     return {
-        "mixed": Stream(len(tiers) * len(counts),
-                        _Rows(lambda: count_matrix(tiers, counts, 2, width))),
-        "equal": Stream(len(kept), _Rows(lambda: count_matrix(kept, range(3, 2 * mc), 1, width))),
+        "mixed": Stream(len(tiers) * len(counts), lambda: count_matrix(tiers, counts, 2, width)),
+        "equal": Stream(len(kept), lambda: count_matrix(kept, range(3, 2 * mc), 1, width)),
     }
 
 
@@ -551,15 +529,15 @@ def _plan(row: AxiomRow, swf: SwfKind, bounds: SearchBounds):
     if estimate > bounds.budget:
         raise BoundsTooLargeError(estimate, bounds.budget)
     plan, bound = [], set(fixed)
-    for name, (size, items) in streams.items():
+    for name, (size, build) in streams.items():
         if size == 0:
             raise InvalidInstanceError(f"no grid candidate for {name}, nothing to audit")
         bound.add(name)
-        kind = row.fields[name]
+        kind, items = row.fields[name], build()
         values = (
             np.array(items) if kind == COUNT
             else np.array([v.numerator * (one // v.denominator) for v in items], units.dtype)
-            if kind == RATIONAL else Counts(items.build(), units)
+            if kind == RATIONAL else Counts(items, units)
         )
         checks = [c for c, needs in reads if name in needs and bound >= needs]
         plan.append((name, items, values, checks))
@@ -687,9 +665,8 @@ AXIOMS[AxiomId.QUALITY] = AxiomRow(
         ("low very_low", lambda low, very_low: low.hi <= very_low,
          "low population must sit at or below very_low"),
     ),
-    thresholds=("very_high", "very_low"),
     streams=lambda bounds, very_high, very_low: {
-        "high": _uniform(bounds, lambda l: l >= very_high),
+        "high": _populations(bounds, lambda l: l >= very_high, groups=(1,)),
         "low": _populations(bounds, lambda l: 0 < l <= very_low),
     },
     every="outer",
@@ -727,7 +704,9 @@ AXIOMS[AxiomId.EGALITARIAN_DOMINANCE] = AxiomRow(
         ("better worse", lambda better, worse: better.lo > worse.hi,
          "every member of the equal population must be strictly happier"),
     ),
-    streams=lambda bounds: {"better": _uniform(bounds), "worse": _populations(bounds)},
+    streams=lambda bounds: {
+        "better": _populations(bounds, groups=(1,)), "worse": _populations(bounds),
+    },
 )
 
 AXIOMS[AxiomId.DOMINANCE_ADDITION] = AxiomRow(
@@ -770,7 +749,6 @@ AXIOMS[AxiomId.AVOID_REPUGNANT] = AxiomRow(
         ("crowd very_low", lambda crowd, very_low: crowd.hi <= very_low,
          "crowd welfare must sit at or below very_low"),
     ),
-    thresholds=("very_high", "very_low"),
     streams=lambda bounds, very_high, very_low: {
         "high": _populations(bounds, lambda l: l >= very_high),
         "crowd": _populations(bounds, lambda l: 0 < l <= very_low),
@@ -804,7 +782,6 @@ AXIOMS[AxiomId.AVOID_SADISTIC] = AxiomRow(
         ("positive_world = base positive", lambda base, positive: base | positive,
          "positive world must equal base plus positive addition"),
     ),
-    thresholds=("very_high", "torture_max"),
     streams=lambda bounds, very_high, torture_max: {
         "base": bounds.base if bounds.base is not None else _populations(
             bounds, lambda l: l >= very_high),
@@ -827,8 +804,8 @@ AXIOMS[AxiomId.AVOID_VERY_ANTI_EGALITARIAN] = AxiomRow(
          "rival population must have lower total (hence average) welfare"),
     ),
     streams=lambda bounds: {
-        "better": _uniform(bounds, least=2),
-        "worse": _populations(bounds, min_groups=2),
+        "better": _populations(bounds, groups=(1,), least=2),
+        "worse": _populations(bounds, groups=range(2, bounds.max_groups + 1)),
     },
 )
 
@@ -891,19 +868,17 @@ AXIOMS[AxiomId.PRIORITY_COMPENSATION] = AxiomRow(
             base.plus(negative_level, 1).plus(high_level, count),
          "after-world must equal base plus the lowered person plus the created lives"),
     ),
-    thresholds=("very_high", "very_low"),
     streams=lambda bounds, very_high, very_low: {
         "base": bounds.base if bounds.base is not None else EMPTY_POPULATION,
         "low_level": _levels(bounds, lambda l: 0 < l <= very_low),
         "negative_level": _levels(bounds, lambda l: l < 0),
         "high_level": _levels(bounds, lambda l: l >= very_high),
-        "count": Stream(bounds.max_count, range(1, bounds.max_count + 1)),
+        "count": Stream(bounds.max_count, lambda: range(1, bounds.max_count + 1)),
     },
     every="inner",
     note="no count up to {max_count} compensates the drop "
          "from {low_level} to {negative_level} (bounded claim)",
 )
-
 
 
 # ---------------------------------------------------------------------------

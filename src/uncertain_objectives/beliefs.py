@@ -286,6 +286,14 @@ def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> li
     then has upper bound 1 and lower bound 0, which no span breaks, since
     every stored entry lies in [0, 1].  Exact and float matrices differ only
     in the tolerance a slack must exceed to be reported.
+
+    On an exact matrix the scan reports a path exactly when some 3-cycle
+    inequality is violated (``_violated_triangle``): each violated triangle
+    is a flagged 3-world path, and along a path a1..ak the triangle
+    (a1, aj, aj+1) keeps z(a1,aj+1) within [z(a1,aj) + z(aj,aj+1) - 1,
+    z(a1,aj) + z(aj,aj+1)], so by induction a triangle-clean matrix meets
+    every chained bound.  Longer paths add no refutation there; on a float
+    matrix the tolerance can accumulate along a path.
     """
     n = len(m.worlds)
     limit = n if max_path_len is None else min(max_path_len, n)

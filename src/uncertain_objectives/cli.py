@@ -423,28 +423,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, budget=False, cap=False):
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--strict", action="store_true",
                        help="exit 2 when findings indicate violation or infeasibility")
-        p.add_argument("--budget", type=int, default=1_000_000)
-        p.add_argument("--cap", type=int, default=DEFAULT_DIMENSION_CAP)
+        if budget:
+            p.add_argument("--budget", type=int, default=1_000_000)
+        if cap:
+            p.add_argument("--cap", type=int, default=DEFAULT_DIMENSION_CAP)
 
     p = sub.add_parser("analyze", help="cycles, minimal patterns, induced partial order")
     p.add_argument("scenario")
     p.add_argument("--max-pattern-size", type=int, default=None)
-    common(p)
+    common(p, budget=True)
 
     p = sub.add_parser("bound", help="minimax violation bound for an n-cycle")
     p.add_argument("scenario", nargs="?", default=None)
     p.add_argument("--n", type=int, default=None)
-    common(p)
+    common(p, cap=True)
 
     p = sub.add_parser("coherence", help="path-bound checks on a belief matrix")
     p.add_argument("matrix")
     p.add_argument("--exact", action="store_true", help="also run exact polytope feasibility")
     p.add_argument("--max-path-len", type=int, default=None)
-    common(p)
+    common(p, cap=True)
 
     p = sub.add_parser("decide", help="apply a decision rule to a scenario")
     p.add_argument("scenario")
@@ -454,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=[pp.value for pp in PartialPolicy], default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--actions", default=None, help="comma-separated world ids")
-    common(p)
+    common(p, budget=True, cap=True)
 
     p = sub.add_parser("audit", help="bounded search for axiom violations")
     p.add_argument("--swf", required=True, help="total | average | critical:<level>")
@@ -466,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--very-low", default=None)
     p.add_argument("--torture-max", default=None)
     p.add_argument("--base", default=None, help="JSON population for the audit baseline")
-    common(p)
+    common(p, budget=True)
 
     return parser
 

@@ -130,38 +130,52 @@ class ImpossibilityCertificate:
 def find_cycle(g: ConstraintGraph) -> ImpossibilityCertificate | None:
     """The lexicographically smallest simple directed cycle by edge index.
 
-    For each candidate first edge (ascending), a backtracking search extends
-    the path with the smallest-index usable edge, so the first cycle found is
-    the lexicographically smallest edge-index sequence overall.  The search
-    keeps an explicit stack, so cycle length is not bounded by recursion
-    depth.  None implies the graph is acyclic and therefore admits a
-    consistent total order.
+    The cycle's first edge is the smallest-index edge that some cycle of
+    later edges passes through.  From there the cycle grows greedily: from
+    the path's head it takes the smallest-index later edge whose far end is
+    the start world or reaches it by later edges through worlds off the
+    path.  Every step keeps a completion, so nothing is undone and each
+    choice is the smallest possible: the cycle is the lexicographically
+    smallest edge-index sequence, found in polynomial time with no recursion.
+    None implies the graph is acyclic and therefore admits a consistent
+    total order.
     """
     out: dict[str, list[int]] = {w: [] for w in g.worlds}
     for i, e in enumerate(g.edges):
         out[e.worse].append(i)
-    for start, first in enumerate(g.edges):
-        target = first.worse
-        path = [start]
-        visited = {first.worse, first.better}
-        # stack[k] iterates the out-edges of the head of path[k]
-        stack = [iter(out[first.better])]
-        while stack:
-            for i in stack[-1]:
+
+    def reaches(world, target, start, on_path) -> bool:
+        # Edges after ``start`` lead from ``world`` to ``target`` through
+        # worlds off the path.
+        seen, todo = on_path | {world}, [world]
+        while todo:
+            for i in out[todo.pop()]:
                 if i <= start:
                     continue
-                e = g.edges[i]
-                if e.better == target:
-                    path.append(i)
-                    return ImpossibilityCertificate(tuple(g.edges[j] for j in path))
-                if e.better not in visited:
-                    visited.add(e.better)
-                    path.append(i)
-                    stack.append(iter(out[e.better]))
-                    break
-            else:
-                stack.pop()
-                visited.remove(g.edges[path.pop()].better)
+                w = g.edges[i].better
+                if w == target:
+                    return True
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return False
+
+    for start, first in enumerate(g.edges):
+        target, head = first.worse, first.better
+        path, on_path = [start], {target, head}
+        if not reaches(head, target, start, on_path):
+            continue
+        while head != target:
+            usable = [i for i in out[head] if i > start
+                      and (g.edges[i].better == target or g.edges[i].better not in on_path)]
+            # The head is known to close the cycle, so the last usable edge
+            # needs no test.
+            step = next((i for i in usable[:-1] if g.edges[i].better == target
+                         or reaches(g.edges[i].better, target, start, on_path)), usable[-1])
+            path.append(step)
+            head = g.edges[step].better
+            on_path.add(head)
+        return ImpossibilityCertificate(tuple(g.edges[j] for j in path))
     return None
 
 
@@ -295,21 +309,27 @@ class UncertaintyPattern:
         return len(self.edge_indices)
 
 
-def pattern_is_valid(g: ConstraintGraph, pattern: UncertaintyPattern) -> bool:
-    """Closure of the kept edges is acyclic and forces no removed endpoint pair."""
+def _kept_closure(g: ConstraintGraph, pattern: UncertaintyPattern) -> list[int] | None:
+    """The closure bit-rows of the kept edges, or None when the pattern is
+    invalid: the closure has a cycle or forces a removed endpoint pair."""
     skip = frozenset(pattern.edge_indices)
     if any(i < 0 or i >= len(g.edges) for i in skip):
         raise InvalidValueError("pattern references edges outside the graph")
     reach = _closure_bits(g.bit_rows(skip))
     if _has_cycle_bits(reach):
-        return False
+        return None
     idx = {w: i for i, w in enumerate(g.worlds)}
     for i in pattern.edge_indices:
         u = idx[g.edges[i].worse]
         v = idx[g.edges[i].better]
         if reach[u] >> v & 1 or reach[v] >> u & 1:
-            return False
-    return True
+            return None
+    return reach
+
+
+def pattern_is_valid(g: ConstraintGraph, pattern: UncertaintyPattern) -> bool:
+    """Closure of the kept edges is acyclic and forces no removed endpoint pair."""
+    return _kept_closure(g, pattern) is not None
 
 
 # Subsets per batch.  A search holds one block's arrays at a time, so its
@@ -417,12 +437,12 @@ def partial_order_from(g: ConstraintGraph, pattern: UncertaintyPattern) -> Parti
     Forced reachability becomes a strict verdict; everything else (including
     both endpoints of every removed edge) is incomparable.
     """
-    if not pattern_is_valid(g, pattern):
+    reach = _kept_closure(g, pattern)
+    if reach is None:
         raise InvalidPatternError(
             f"pattern {pattern.edge_indices} is not a valid uncertainty pattern: "
             "kept edges still force a cycle or one of the removed comparisons"
         )
-    reach = _closure_bits(g.bit_rows(frozenset(pattern.edge_indices)))
     n = len(g.worlds)
     grid = [[Verdict.INCOMPARABLE] * n for _ in range(n)]
     for i in range(n):

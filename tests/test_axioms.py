@@ -638,7 +638,7 @@ def _some_stream_empty(axiom, bounds):
     row = axioms.AXIOMS[axiom]
     fixed = {name: getattr(bounds, f"eff_{name}")() for name in row.thresholds}
     return any(
-        isinstance(s, axioms.Stream) and not callable(s.items) and not any(True for _ in s.items)
+        isinstance(s, axioms.Stream) and not any(True for _ in s.build())
         for s in row.streams(bounds, **fixed).values()
     )
 

@@ -544,6 +544,24 @@ class TestTriangleCertificate:
                 res = beliefs._membership_lp(m)
                 assert res.feasible and res.verify(m)
 
+    def test_exact_path_scan_flags_exactly_the_triangle_violators(self):
+        # Along a path a1..ak, each triangle (a1, aj, aj+1) bounds z(a1,aj+1)
+        # by z(a1,aj) and z(aj,aj+1), so a triangle-clean exact matrix meets
+        # every chained bound; a violated triangle is a flagged 3-world path.
+        # Exact matrices only: float tolerance can accumulate along a path.
+        flagged = 0
+        for m in _seeded_matrices(17, 300, [3, 4, 5, 6, 7]):
+            found = bool(check_path_coherence(m))
+            assert found == (beliefs._violated_triangle(m) is not None)
+            flagged += found
+        assert flagged > 100
+        rng, clean = random.Random(23), 0
+        while clean < 50:
+            m = random_entry_matrix(rng, rng.randint(5, 6), rng.choice((2, 3, 4, 6)))
+            if beliefs._violated_triangle(m) is None:
+                clean += 1
+                assert check_path_coherence(m) == []
+
     def test_triangle_clean_infeasible_matrix_reaches_the_lp(self, lp_calls):
         h = F(1, 2)
         m = upper_matrix([[0, 0, 0, h, h], [h, 1, 1, 1], [h, h, 1], [h, h], [1]])

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,7 +6,7 @@ import json
 import pytest
 
 from uncertain_objectives import simplex
-from uncertain_objectives.cli import main
+from uncertain_objectives.cli import build_parser, main
 
 from conftest import GOLDEN, SCENARIOS
 
@@ -64,6 +65,27 @@ def test_reports_deterministic_across_runs():
     _, first, _ = run_cli(*argv)
     _, second, _ = run_cli(*argv)
     assert first == second
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "analyze": {"--format", "--strict", "--budget", "--max-pattern-size"},
+        "bound": {"--format", "--strict", "--cap", "--n"},
+        "coherence": {"--format", "--strict", "--cap", "--exact", "--max-path-len"},
+        "decide": {"--format", "--strict", "--budget", "--cap", "--rule", "--delta", "--tau",
+                   "--policy", "--seed", "--actions"},
+        "audit": {"--format", "--strict", "--budget", "--swf", "--axiom", "--levels",
+                  "--max-count", "--max-groups", "--very-high", "--very-low", "--torture-max",
+                  "--base"},
+    }
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("bound", "--n", "4", "--budget", "5")
+    assert exit_info.value.code == 2
 
 
 class TestFindings:

@@ -116,6 +116,28 @@ class TestFindCycle:
         cert = find_cycle(cycle_graph(1500))
         assert cert.labels == tuple(f"C{i + 1}" for i in range(1500))
 
+    def test_complete_dag_is_acyclic(self):
+        # Edges in lexicographic order lead every start edge into the dense
+        # rest of the graph, where a search over simple paths blows up.
+        worlds = tuple(f"w{i}" for i in range(40))
+        g = ConstraintGraph.from_edges(itertools.combinations(worlds, 2), worlds=worlds)
+        assert find_cycle(g) is None
+
+    def test_shuffled_dag_with_one_back_edge(self):
+        rng = random.Random(60)
+        worlds = [f"w{i}" for i in range(60)]
+        rng.shuffle(worlds)
+        pairs = [p for p in itertools.combinations(worlds, 2) if rng.random() < 0.2]
+        rng.shuffle(pairs)
+        back = (worlds[45], worlds[5])
+        pairs.insert(rng.randrange(len(pairs)), back)
+        g = ConstraintGraph.from_edges(pairs, worlds=tuple(worlds))
+        cert = find_cycle(g)
+        assert cert is not None
+        assert (back[0], back[1]) in [(e.worse, e.better) for e in cert.edges]
+        assert all(e in g.edges for e in cert.edges)
+        assert len(set(cert.worlds)) == len(cert)
+
     def test_smallest_cycle_matches_brute_force(self):
         rng = random.Random(1729)
         seen_cyclic = 0
