@@ -42,11 +42,11 @@ whose test computes it.  Clauses read populations as count views
 clause checks one instance or masks a block of audit candidates.  One
 constructor, ``make_instance``, builds every instance from its row: the
 fields in the row's order, the claim and gate from its roles, derived worlds
-from its derivation clauses, and every clause checked on one-row views.
-``scenario`` parses a constraint by reading the row's fields.  ``audit_swf``
-runs on integer count matrices, one per stream, in bounded blocks and nested
-lexicographic order; it builds one instance, the witness, and returns it
-only once it replays.
+from its derivation clauses, and every clause checked there, once, on
+one-row views.  ``scenario`` parses a constraint by reading the row's
+fields.  ``audit_swf`` runs on integer count matrices, one per stream, in
+nested lexicographic order and tiles of whole rows, each reduced on its
+own; it builds one instance, the witness, and returns it once it replays.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import comb, prod
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -229,8 +229,8 @@ class AxiomInstance:
     claim_worse" (strictly better for strict axioms).  The addition axiom is
     conditional: its claim only binds when the gate comparison (worse of the
     gate pair ranked strictly below the better) holds.  ``checked`` is for
-    ``make_instance``: the one-row views of a premise whose plain clauses it
-    has run, so that only the derivation clauses run here.
+    ``make_instance``, which has run every clause; an instance constructed
+    directly (as ``dataclasses.replace`` does) runs them here.
     """
 
     axiom: AxiomId
@@ -240,7 +240,7 @@ class AxiomInstance:
     strict: bool
     params: dict = field(default_factory=dict)
     gate: tuple[str, str] | None = None  # (world, baseline): gate holds when world < baseline
-    checked: InitVar[dict | None] = None
+    checked: InitVar[bool] = False
 
     def __post_init__(self, checked):
         ids = [w.id for w in self.worlds]
@@ -256,12 +256,10 @@ class AxiomInstance:
         role_ids = (self.claim_worse, self.claim_better) + (self.gate or ())
         if len(role_ids) < len(row.roles):
             raise InvalidInstanceError(f"{self.axiom.value} instances carry a gate comparison")
-        if checked is None:
+        if not checked:
             env = dict(self.params)
             env.update((role, self.world(wid).population) for role, wid in zip(row.roles, role_ids))
-            checked = _views(row, env)[1]
-            _require_all(row.plain, checked)
-        _require_all(row.derivations, checked)
+            _require_all(row.clauses, _views(row, env)[1])
 
     def world(self, world_id: str) -> World:
         for w in self.worlds:
@@ -309,9 +307,9 @@ def make_instance(axiom: AxiomId, *fields, **named) -> AxiomInstance:
     id.  A world the row's clauses derive may be left out; one with a
     ``keyword`` must be, and that keyword may give its id.  Rational fields
     go through ``as_rational``, and the fields that are not worlds are the
-    params.  When a world is derived, the plain clauses run before it is, so
-    a bad field fails its own clause, and the instance then runs only the
-    derivation clauses, on the same views.
+    params.  Every clause runs here, once, on one set of one-row views: the
+    plain clauses first, so a bad field fails its own clause, then the
+    derivations compute the missing worlds, then the derivation clauses.
     """
     row = AXIOMS[axiom]
     env, ids = dict(zip(row.names, fields)), {}
@@ -325,7 +323,7 @@ def make_instance(axiom: AxiomId, *fields, **named) -> AxiomInstance:
     missing = row.fields.keys() - env.keys() - {c.derives for c in row.derivations}
     if missing or len(fields) > len(row.names):
         raise TypeError(f"{axiom.value} takes the fields {row.names}; missing {sorted(missing)}")
-    worlds, params, checked = {}, {}, None
+    worlds, params = {}, {}
     for key, kind in row.fields.items():
         if not isinstance(kind, WorldField):
             params[key] = env[key] = as_rational(env[key]) if kind == RATIONAL else env[key]
@@ -334,18 +332,15 @@ def make_instance(axiom: AxiomId, *fields, **named) -> AxiomInstance:
         else:
             world = env[key] if isinstance(env[key], World) else World(kind.id, env[key])
             worlds[key], env[key] = world, world.population
-    if None in worlds.values():
-        one, checked = _views(row, env)
-        _require_all(row.plain, checked)
-        _derive(row.derivations, checked)
-        for key, world in worlds.items():
-            worlds[key] = world or World(
-                ids.get(key, row.fields[key].id), checked[key].population(one)
-            )
+    one, views = _views(row, env)
+    _require_all(row.plain, views)
+    _require_all(row.derivations, _derive(row.derivations, views))
+    for key, world in worlds.items():
+        worlds[key] = world or World(ids.get(key, row.fields[key].id), views[key].population(one))
     worse, better, *gate = (worlds[role].id for role in row.roles)
     premise = tuple(worlds.values())
     return AxiomInstance(
-        axiom, premise, worse, better, row.strict, params, tuple(gate) or None, checked
+        axiom, premise, worse, better, row.strict, params, tuple(gate) or None, True
     )
 
 
@@ -465,10 +460,9 @@ class ViolationWitness:
         }
 
 
-# Audit blocks hold at most _BLOCK elements (bindings times alphabet width);
-# the first holds _FIRST bindings and each next one twice as many.
+# An audit tile holds at most _BLOCK elements (bindings times alphabet width):
+# as many whole rows as fit in it, and always at least one.
 _BLOCK = 1 << 14
-_FIRST = 1 << 6
 
 
 def audit_swf(swf: SwfKind, axiom: AxiomId, bounds: SearchBounds) -> ViolationWitness | None:
@@ -483,7 +477,7 @@ def audit_swf(swf: SwfKind, axiom: AxiomId, bounds: SearchBounds) -> ViolationWi
     """
     row = AXIOMS[axiom]
     fixed, env, plan, one, critical = _plan(row, swf, bounds)
-    found = _find(row, swf, critical, _blocks(env, plan, _sizes(len(bounds.alphabet))))
+    found = _find(row, swf, critical, _blocks(env, plan, max(1, _BLOCK // len(bounds.alphabet))))
     if found is None:
         return None
     indices, sign, rows = found
@@ -544,61 +538,48 @@ def _plan(row: AxiomRow, swf: SwfKind, bounds: SearchBounds):
     return fixed, env, plan, one, next(scaled, 0)
 
 
-def _blocks(env: dict, plan: list, sizes: Iterator[int], depth=0, prefix=None, rows=1):
-    """The plan's bindings in nested lexicographic order, in tiles of rows
-    (bindings that pass the outer depths' clauses) by columns (the depth's
-    candidates): whole rows, or part of one that alone exceeds a tile.
-    Innermost tiles come as (components over rows by columns, mask of the
-    plain clauses, the rows' outer indices, (stream, first column), whether
-    the tile ends its last row).
+def _blocks(env: dict, plan: list, limit: int, depth=0, prefix=None, rows=1):
+    """The plan's bindings in nested lexicographic order, in tiles of whole
+    rows.  A row is one binding of the outer depths that passed their
+    clauses, crossed with this depth's whole stream; a tile holds as many
+    rows as fit in ``limit`` bindings, and always at least one.  Innermost
+    tiles come as (components over rows by columns, mask of the plain
+    clauses, the rows' outer indices, the innermost stream's name).
     """
     name, _, stream, checks = plan[depth]
     values, prefix = {s: v for s, _, v, _ in plan[:depth]}, prefix or {}
-    n, r, c = len(stream), 0, 0
-    while r < rows:
-        limit = next(sizes)
-        if c == 0 and n <= limit:  # whole rows
-            r1, c1 = min(rows, r + limit // n), n
-        else:  # part of one row
-            r1, c1 = r + 1, min(n, c + limit)
+    step, columns = max(1, limit // len(stream)), stream[None]
+    for r in range(0, rows, step):
         block = dict(env)
         for s, idx in prefix.items():
-            block[s] = values[s][idx[r:r1, None]]
-        block[name] = stream[None, c:c1]
-        mask = np.ones((r1 - r, c1 - c), bool)
+            block[s] = values[s][idx[r : r + step, None]]
+        block[name] = columns
+        mask = np.ones((min(rows, r + step) - r, len(stream)), bool)
         for clause in checks:
             mask &= clause.apply(block)
         if depth + 1 < len(plan):
             rr, cc = np.nonzero(mask)
             inner = {s: idx[r + rr] for s, idx in prefix.items()}
-            inner[name] = c + cc
-            yield from _blocks(env, plan, sizes, depth + 1, inner, len(rr))
+            inner[name] = cc
+            yield from _blocks(env, plan, limit, depth + 1, inner, len(rr))
         else:
-            yield block, mask, {s: idx[r:r1] for s, idx in prefix.items()}, (name, c), c1 == n
-        r, c = (r1, 0) if c1 == n else (r, c1)
-
-
-def _sizes(width: int) -> Iterator[int]:
-    """Block sizes in bindings: _FIRST, doubling up to _BLOCK elements."""
-    cap = max(1, _BLOCK // width)
-    return itertools.chain(
-        itertools.takewhile(cap.__gt__, (_FIRST << i for i in itertools.count())),
-        itertools.repeat(cap),
-    )
+            yield block, mask, {s: idx[r : r + step] for s, idx in prefix.items()}, name
 
 
 def _find(row: AxiomRow, swf: SwfKind, critical, blocks):
     """The witness among ``_blocks``' bindings as (stream indices, claim
     sign, rows seen), or None.  A binding violates when its claim is
     reversed (or tied, if strict) and its gate, if any, holds.  Universal
-    axioms take the first violation.  Existential ones reduce each row along
-    the innermost stream: ``every="outer"`` (quality) needs a violation in
-    every row and takes the first; ``every="inner"`` (priority) takes the
-    last binding of the first row that violates wherever its premise holds.
+    axioms take the first violation.  Existential ones reduce each row of a
+    tile along the innermost stream; tiles hold whole rows, so nothing is
+    carried from one to the next.  ``every="outer"`` (quality) needs a
+    violation in every row and takes the first row's first; ``every="inner"``
+    (priority) takes the last violation of the first row that violates
+    wherever its premise holds.
     """
     worse, better, *gate = row.roles
-    rows, found, part = 0, None, None
-    for block, mask, prefix, (name, c0), done in blocks:
+    rows, found = 0, None
+    for block, mask, prefix, name in blocks:
         _derive(row.derivations, block)
         sign = swf_signs(swf, block[worse], block[better], critical)
         bad = mask & ((sign > 0) | (sign == 0) & row.strict)
@@ -606,33 +587,22 @@ def _find(row: AxiomRow, swf: SwfKind, critical, blocks):
             bad &= swf_signs(swf, block[gate[0]], block[gate[1]], critical) < 0
 
         def at(r, c):
-            indices = {**{s: idx[r] for s, idx in prefix.items()}, name: c0 + c}
+            indices = {**{s: idx[r] for s, idx in prefix.items()}, name: c}
             return indices, int(np.broadcast_to(sign, mask.shape)[r, c])
 
         if row.every is None:
             if bad.any():
                 return (*at(*divmod(int(bad.argmax()), bad.shape[1])), rows)
             continue
-        # Each row's first and last violations, and whether some binding
-        # passes without violating; ``part`` carries a row across tiles.
-        some, passed = bad.any(1), (mask & ~bad).any(1)
-        first, last = bad.argmax(1), bad.shape[1] - 1 - bad[:, ::-1].argmax(1)
-        for r in range(len(mask)):
-            part = part or [None, None, False]
-            if some[r]:
-                part[0] = part[0] or at(r, first[r])
-                part[1] = at(r, last[r])
-            part[2] |= passed[r]
-            if r == len(mask) - 1 and not done:
-                break
-            rows += 1
-            if row.every == "outer":
-                if part[0] is None:
-                    return None  # this candidate survives, so the axiom holds here
-                found = found or part[0]
-            elif part[1] and not part[2]:
-                return (*part[1], rows)
-            part = None
+        some = bad.any(1)
+        if row.every == "outer":
+            if not some.all():
+                return None  # this row's candidate survives, so the axiom holds here
+            found = found or at(0, int(bad[0].argmax()))
+        elif (hit := some & ~(mask & ~bad).any(1)).any():
+            r = int(hit.argmax())
+            return (*at(r, bad.shape[1] - 1 - int(bad[r, ::-1].argmax())), rows + r + 1)
+        rows += len(mask)
     return found and (*found, rows)
 
 

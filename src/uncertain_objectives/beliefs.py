@@ -292,12 +292,13 @@ def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> li
     is a flagged 3-world path, and along a path a1..ak the triangle
     (a1, aj, aj+1) keeps z(a1,aj+1) within [z(a1,aj) + z(aj,aj+1) - 1,
     z(a1,aj) + z(aj,aj+1)], so by induction a triangle-clean matrix meets
-    every chained bound.  Longer paths add no refutation there; on a float
-    matrix the tolerance can accumulate along a path.
+    every chained bound.  Longer paths add no refutation there, so an exact
+    matrix with no violated triangle returns ``[]`` without growing paths;
+    on a float matrix the tolerance can accumulate along a path.
     """
     n = len(m.worlds)
     limit = n if max_path_len is None else min(max_path_len, n)
-    if limit < 3:
+    if limit < 3 or m.is_exact and _violated_triangle(m) is None:
         return []
     z, one, value = _scan_numbers(m)
     zl = z.tolist()

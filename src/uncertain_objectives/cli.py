@@ -18,6 +18,7 @@ infeasibility, or impossibility cycle.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -414,7 +415,9 @@ def _text_lines(report: dict) -> list[str]:
     return lines
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: the parser holds no per-call state.
     parser = argparse.ArgumentParser(
         prog="uncobj",
         description="Impossibility cycles, uncertainty bounds, and decision rules "

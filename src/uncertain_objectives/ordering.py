@@ -24,9 +24,3 @@ class Verdict(enum.Enum):
         if self is Verdict.GREATER:
             return Verdict.LESS
         return self
-
-
-LESS = Verdict.LESS
-EQUAL = Verdict.EQUAL
-GREATER = Verdict.GREATER
-INCOMPARABLE = Verdict.INCOMPARABLE

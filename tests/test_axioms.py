@@ -716,3 +716,41 @@ class TestAuditMatchesReference:
                 assert got == math.comb(n, 2) * math.comb(max_count, 2) * n < parent
             else:
                 assert got == parent
+
+
+class TestTileSize:
+    """Audit outcomes do not depend on how many bindings a tile holds."""
+
+    @staticmethod
+    def _outcomes(monkeypatch, swf, axiom, bounds):
+        outcomes = []
+        for block in (axioms._BLOCK, 1, 7, 64):
+            monkeypatch.setattr(axioms, "_BLOCK", block)
+            outcomes.append(_outcome(audit_swf, swf, axiom, bounds))
+        return outcomes
+
+    def test_seeded_grids(self, monkeypatch):
+        rng = random.Random(2100)
+        tally = {"witness": 0, "none": 0, "error": 0}
+        for case in range(300):
+            axiom = list(AxiomId)[case % len(AxiomId)]
+            swf = rng.choice(
+                [TotalWelfare(), AverageWelfare(), CriticalLevel(rng.choice(_LEVEL_POOL))]
+            )
+            for max_count in (3, 2, 1):
+                bounds = _random_bounds(rng, max_count)
+                try:
+                    if _estimate(audit_swf, swf, axiom, bounds) <= 4000:
+                        break
+                except (ValueError, InvalidInstanceError):
+                    break
+            default, *others = self._outcomes(monkeypatch, swf, axiom, bounds)
+            assert others == [default] * 3, (axiom, swf, bounds)
+            tally["witness" if isinstance(default, dict) else "error" if default else "none"] += 1
+        assert min(tally.values()) > 10, tally
+
+    def test_quality_rows_across_tiles(self, monkeypatch):
+        bounds = SearchBounds(levels=("1/2", 1, 2), max_count=3, max_groups=2, very_low=1)
+        default, *others = self._outcomes(monkeypatch, CriticalLevel(-1), AxiomId.QUALITY, bounds)
+        assert others == [default] * 3
+        assert default["note"].startswith("all 3 perfectly equal very-high candidates")

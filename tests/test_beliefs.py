@@ -562,6 +562,32 @@ class TestTriangleCertificate:
                 clean += 1
                 assert check_path_coherence(m) == []
 
+    def test_exact_path_scan_skips_paths_on_triangle_clean_matrices(self, monkeypatch):
+        real, scanned = beliefs._kernels.path_slacks, []
+
+        def refuse(*args):
+            raise AssertionError("path scan ran on a triangle-clean exact matrix")
+
+        monkeypatch.setattr(beliefs._kernels, "path_slacks", refuse)
+        rng = random.Random(61)
+        dists = [random_distribution(rng, rng.randint(3, 7), rng.randint(1, 10))
+                 for _ in range(100)]
+        for d in dists:
+            assert check_path_coherence(matrix_from_distribution(d)) == []
+
+        # Float matrices and triangle-violating exact ones still scan paths.
+        def counted(*args):
+            scanned.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(beliefs._kernels, "path_slacks", counted)
+        floats = OrderDistribution(dists[0].orders, [float(p) for p in dists[0].probs])
+        assert check_path_coherence(matrix_from_distribution(floats)) == []
+        assert scanned
+        scanned.clear()
+        assert check_path_coherence(FORCED_VIOLATION)
+        assert scanned
+
     def test_triangle_clean_infeasible_matrix_reaches_the_lp(self, lp_calls):
         h = F(1, 2)
         m = upper_matrix([[0, 0, 0, h, h], [h, 1, 1, 1], [h, h, 1], [h, h], [1]])

@@ -88,6 +88,10 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert exit_info.value.code == 2
 
 
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
 class TestFindings:
     def test_analyze_three_cycle_content(self):
         _, out, _ = run_cli(*GOLDEN_CASES["analyze_three_cycle"])
