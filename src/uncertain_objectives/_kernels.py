@@ -1,9 +1,11 @@
 """Hot array kernels, vectorized with numpy.
 
 Graphs are batched as int64 bit-rows: ``rows[g, i]`` has bit ``j`` set when
-graph ``g`` contains the edge i -> j, so a batch holds at most
-``MAX_BIT_NODES`` worlds.  ``constraints`` checks that limit before it
-builds a batch.
+graph ``g`` contains the edge i -> j, so a batch holds at most 62 worlds.
+The pattern search in ``constraints`` runs on Python-int closures and does
+not call the batch kernels (``closure_rows``, ``cyclic_flags``,
+``pattern_valid_flags``); they remain as batch oracles for tests and as
+names the benchmark tracer wraps.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import numpy as np
 # The only implementation; kept as a name because benchmark results are
 # stamped with it, and results with different stamps are not compared.
 BACKEND = "numpy"
-
-MAX_BIT_NODES = 62
 
 
 def closure_rows(rows: np.ndarray) -> np.ndarray:

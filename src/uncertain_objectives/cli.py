@@ -262,8 +262,6 @@ def _cmd_decide(args) -> tuple[dict, bool]:
     if rule.kind == "partial":
         graph = scenario.graph()
         patterns = valid_uncertainty_patterns(graph, len(graph.edges), budget=args.budget)
-        if not patterns:
-            raise UncertainObjectivesError("no valid uncertainty pattern within budget")
         po = partial_order_from(graph, patterns[0])
         source = "constraints"
         bridge_note = (
@@ -415,6 +413,9 @@ def _text_lines(report: dict) -> list[str]:
     return lines
 
 
+_PATTERN_BUDGET = "most candidate sets of removed edges the pattern search checks (default 10^6)"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # Built once per process: the parser holds no per-call state.
@@ -426,19 +427,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=False, cap=False):
+    def common(p, budget=None, cap=False):
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--strict", action="store_true",
                        help="exit 2 when findings indicate violation or infeasibility")
         if budget:
-            p.add_argument("--budget", type=int, default=1_000_000)
+            p.add_argument("--budget", type=int, default=1_000_000, help=budget)
         if cap:
             p.add_argument("--cap", type=int, default=DEFAULT_DIMENSION_CAP)
 
     p = sub.add_parser("analyze", help="cycles, minimal patterns, induced partial order")
     p.add_argument("scenario")
     p.add_argument("--max-pattern-size", type=int, default=None)
-    common(p, budget=True)
+    common(p, budget=_PATTERN_BUDGET)
 
     p = sub.add_parser("bound", help="minimax violation bound for an n-cycle")
     p.add_argument("scenario", nargs="?", default=None)
@@ -459,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=[pp.value for pp in PartialPolicy], default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--actions", default=None, help="comma-separated world ids")
-    common(p, budget=True, cap=True)
+    common(p, budget=_PATTERN_BUDGET, cap=True)
 
     p = sub.add_parser("audit", help="bounded search for axiom violations")
     p.add_argument("--swf", required=True, help="total | average | critical:<level>")
@@ -471,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--very-low", default=None)
     p.add_argument("--torture-max", default=None)
     p.add_argument("--base", default=None, help="JSON population for the audit baseline")
-    common(p, budget=True)
+    common(p, budget="most audit instances: the product of the stream sizes (default 10^6)")
 
     return parser
 

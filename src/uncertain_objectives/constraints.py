@@ -19,11 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
 
-import numpy as np
-
-from . import _kernels
 from .errors import BudgetExceededError, InvalidPatternError, InvalidValueError, WorldLimitError
 from .ordering import Verdict
 
@@ -83,13 +79,14 @@ class ConstraintGraph:
 # Single-graph closures use Python ints: one row through the int64 batch
 # kernel costs several times more, and Python ints have no world limit.
 def _closure_bits(rows: list[int]) -> list[int]:
-    n = len(rows)
     reach = list(rows)
-    for k in range(n):
-        bit = 1 << k
-        for i in range(n):
-            if reach[i] & bit:
-                reach[i] |= reach[k]
+    # Step k leaves reach[k] as it is, so the iterator reads it current.
+    for k, row in enumerate(reach):
+        if row:
+            bit = 1 << k
+            for i, r in enumerate(reach):
+                if r & bit:
+                    reach[i] = r | row
     return reach
 
 
@@ -332,43 +329,162 @@ def pattern_is_valid(g: ConstraintGraph, pattern: UncertaintyPattern) -> bool:
     return _kept_closure(g, pattern) is not None
 
 
-# Subsets per batch.  A search holds one block's arrays at a time, so its
-# memory does not grow with the pattern size or the budget.
-_BLOCK_ROWS = 1 << 16
-
-
-def _subset_batches(g: ConstraintGraph, size: int):
-    """Kernel inputs for every size-``size`` edge subset, in lexicographic
-    order of edge indices, in blocks of at most ``_BLOCK_ROWS`` subsets.
-
-    Each block is ``(subsets, rows, removed_u, removed_v)``:
-    the subsets as an index array of shape (B, size), the kept edges'
-    bit-rows, and the removed edges' endpoint pairs.  A bit-row ORs the kept
-    out-edges of its world, so parallel edges stay set while one survives.
-    """
-    idx = {w: i for i, w in enumerate(g.worlds)}
-    n_edges = len(g.edges)
-    worse = np.array([idx[e.worse] for e in g.edges], dtype=np.int64)
-    better = np.array([idx[e.better] for e in g.edges], dtype=np.int64)
-    bits = np.left_shift(np.int64(1), better)
-    out_edges = [(w, np.flatnonzero(worse == w)) for w in set(worse.tolist())]
-    combos = itertools.chain.from_iterable(itertools.combinations(range(n_edges), size))
-    left = comb(n_edges, size)
-    while left:
-        count = min(left, _BLOCK_ROWS)
-        left -= count
-        subsets = np.fromiter(combos, dtype=np.int64, count=count * size).reshape(count, size)
-        keep = np.ones((count, n_edges), dtype=bool)
-        keep[np.arange(count)[:, None], subsets] = False
-        rows = np.zeros((count, len(g.worlds)), dtype=np.int64)
-        for w, cols in out_edges:
-            rows[:, w] = np.bitwise_or.reduce(np.where(keep[:, cols], bits[cols], 0), axis=1)
-        yield subsets, rows, worse[subsets], better[subsets]
+# The largest cyclic graph the pattern search takes.  Its Python-int
+# closures have no width limit; this is the supported size.
+MAX_PATTERN_WORLDS = 62
 
 
 def _check_world_limit(g: ConstraintGraph) -> None:
-    if len(g.worlds) > _kernels.MAX_BIT_NODES:
-        raise WorldLimitError(len(g.worlds), _kernels.MAX_BIT_NODES)
+    if len(g.worlds) > MAX_PATTERN_WORLDS:
+        raise WorldLimitError(len(g.worlds), MAX_PATTERN_WORLDS)
+
+
+class _WitnessSearch:
+    """Branching search over sets of removed edges, on Python-int closures.
+
+    A removed set S is invalid exactly when its kept edges hold a witness: a
+    cycle, or a path between the endpoints of a removed edge in either
+    direction.  Removing more edges only shrinks the closure, so every valid
+    superset of S also removes an edge of that witness.  The search takes the
+    shortest witness and branches on its edges in order; branch i also bans
+    edges 1..i-1 of the witness for its whole subtree, so each set is visited
+    at most once and every inclusion-minimal valid set within the bound is
+    still reached.
+    """
+
+    def __init__(self, g: ConstraintGraph):
+        idx = {w: i for i, w in enumerate(g.worlds)}
+        self.ends = [(idx[e.worse], idx[e.better]) for e in g.edges]
+        self.out: list[list[int]] = [[] for _ in g.worlds]
+        for i, (u, _) in enumerate(self.ends):
+            self.out[u].append(i)
+        self.rows = g.bit_rows()
+
+    def _row(self, u: int, removed: int) -> int:
+        # A bit-row ORs the kept out-edges, so a parallel edge keeps its bit
+        # while one copy survives.
+        row = 0
+        for i in self.out[u]:
+            if not removed >> i & 1:
+                row |= 1 << self.ends[i][1]
+        return row
+
+    def _witness(self, rows: list[int], removed: int) -> list[int] | None:
+        """Edge indices of a shortest witness among the kept edges, or None
+        when the removed set is valid."""
+        reach = _closure_bits(rows)
+        # Targets to reach from each source world: the far end of a forced
+        # removed pair, or the source itself when it lies on a cycle.
+        targets: dict[int, int] = {}
+        m = removed
+        while m:
+            low = m & -m
+            m ^= low
+            u, v = self.ends[low.bit_length() - 1]
+            if reach[u] >> v & 1:
+                targets[u] = targets.get(u, 0) | 1 << v
+            if reach[v] >> u & 1:
+                targets[v] = targets.get(v, 0) | 1 << u
+        for w, row in enumerate(reach):
+            if row >> w & 1:
+                targets[w] = targets.get(w, 0) | 1 << w
+        if not targets:
+            return None
+        best = None
+        for source, hit in targets.items():
+            path = self._shortest_path(rows, removed, source, hit,
+                                       len(best) - 1 if best else len(rows))
+            if path is not None:
+                best = path
+                if len(best) == 1:
+                    break
+        return best
+
+    def _shortest_path(self, rows, removed, source, targets, limit) -> list[int] | None:
+        """Edge indices of a shortest kept path of at most ``limit`` edges
+        from ``source`` to a world in ``targets``, found by BFS over bit-rows."""
+        layers = [1 << source]
+        seen = 1 << source
+        while len(layers) <= limit:
+            reached = 0
+            m = layers[-1]
+            while m:
+                low = m & -m
+                m ^= low
+                reached |= rows[low.bit_length() - 1]
+            hit = reached & targets
+            if hit:
+                break
+            frontier = reached & ~seen
+            if not frontier:
+                return None
+            seen |= frontier
+            layers.append(frontier)
+        else:
+            return None
+        # Walk back through the layers, one kept edge into each world.
+        path = []
+        x = (hit & -hit).bit_length() - 1
+        for layer in reversed(layers):
+            while True:
+                low = layer & -layer
+                layer ^= low
+                w = low.bit_length() - 1
+                if rows[w] >> x & 1:
+                    break
+            path.append(next(i for i in self.out[w]
+                             if self.ends[i][1] == x and not removed >> i & 1))
+            x = w
+        path.reverse()
+        return path
+
+    def run(self, bound: int, budget: int, shrink: bool) -> list[int]:
+        """Valid removed sets (as edge bitmasks) of fewer than ``bound`` edges.
+
+        With ``shrink`` the bound falls to each valid set's size as it is
+        found (branch and bound for the minimum).  A valid set is recorded
+        and not extended.  More than ``budget`` checked sets raise
+        ``BudgetExceededError``.
+        """
+        found: list[int] = []
+        checked = 0
+        # (removed, banned, parent's rows, last removed edge or -1); the
+        # removed and banned edge sets are bitmasks over edge indices.
+        stack = [(0, 0, self.rows, -1)]
+        while stack:
+            removed, banned, rows, edge = stack.pop()
+            size = removed.bit_count()
+            if size >= bound:
+                continue
+            checked += 1
+            if checked > budget:
+                raise BudgetExceededError(
+                    f"pattern search checked more than {budget} candidate sets; "
+                    + ("raise the budget" if shrink else "lower max_size or raise the budget")
+                )
+            if edge >= 0:
+                u = self.ends[edge][0]
+                rows = rows.copy()
+                rows[u] = self._row(u, removed)
+            witness = self._witness(rows, removed)
+            if witness is None:
+                found.append(removed)
+                if shrink:
+                    bound = size
+                continue
+            if size + 1 >= bound:
+                continue
+            children = []
+            for i in witness:
+                if not banned >> i & 1:
+                    children.append((removed | 1 << i, banned, rows, i))
+                banned |= 1 << i
+            stack.extend(reversed(children))
+        return found
+
+
+def _edge_indices(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def valid_uncertainty_patterns(
@@ -376,59 +492,50 @@ def valid_uncertainty_patterns(
 ) -> list[UncertaintyPattern]:
     """All inclusion-minimal valid patterns of size <= max_size.
 
-    Enumerated by size then lexicographic edge order; supersets of an
-    already-found valid pattern are discarded as non-minimal.  An acyclic
+    Ordered by size, then lexicographically by edge indices.  An acyclic
     graph's only minimal pattern is the empty one, returned without a
-    search.  Cyclic graphs with more than ``MAX_BIT_NODES`` worlds raise
-    ``WorldLimitError``, before the budget is checked.
+    search.  Cyclic graphs with more than ``MAX_PATTERN_WORLDS`` worlds raise
+    ``WorldLimitError`` before any search.
+
+    The search branches on witnesses (see ``_WitnessSearch``) and records
+    each valid set it meets; sets containing an earlier one in that order are
+    dropped as non-minimal.  ``budget`` bounds the candidate sets whose
+    validity the search checks.  Each is a distinct edge subset of size <=
+    max_size, so a budget of sum(C(E, s) for s <= max_size) is never
+    exceeded; more checks raise ``BudgetExceededError``.
     """
     if not is_cyclic(g):
         return [UncertaintyPattern(())]
     _check_world_limit(g)
-    n_edges = len(g.edges)
-    max_size = min(max_size, n_edges)
-    total = sum(comb(n_edges, k) for k in range(max_size + 1))
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} candidate subsets exceed budget {budget}; "
-            "lower max_size or raise the budget"
-        )
-    found: list[UncertaintyPattern] = []
-    found_sets: list[frozenset[int]] = []
-    for size in range(max_size + 1):
-        for subsets, rows, ru, rv in _subset_batches(g, size):
-            flags = _kernels.pattern_valid_flags(rows, ru, rv)
-            for subset in subsets[np.flatnonzero(flags)].tolist():
-                s = frozenset(subset)
-                if any(f <= s for f in found_sets):
-                    continue
-                found.append(UncertaintyPattern(subset))
-                found_sets.append(s)
-    return found
+    found = _WitnessSearch(g).run(max_size + 1, budget, shrink=False)
+    found.sort(key=lambda mask: (mask.bit_count(), _edge_indices(mask)))
+    minimal: list[int] = []
+    for mask in found:
+        if not any(f & mask == f for f in minimal):
+            minimal.append(mask)
+    return [UncertaintyPattern(_edge_indices(mask)) for mask in minimal]
 
 
 def min_uncertainty_size(g: ConstraintGraph, budget: int = 1_000_000) -> int:
     """Size of the smallest valid uncertainty pattern.
 
     0 exactly when the graph is acyclic; at least 2 whenever it has a cycle.
-    Cyclic graphs with more than ``MAX_BIT_NODES`` worlds raise
-    ``WorldLimitError``, before the budget is checked.
+    Cyclic graphs with more than ``MAX_PATTERN_WORLDS`` worlds raise
+    ``WorldLimitError`` before any search.
+
+    The witness search runs as branch and bound: the best size starts at the
+    edge count, since removing every edge is always valid, and a set is
+    extended only while one more edge stays below the best size found.
+    ``budget`` bounds the candidate sets checked; sets larger than the
+    minimum may be checked before the best size falls, so unlike
+    ``valid_uncertainty_patterns`` no subset count bounds the checks.  More
+    than ``budget`` checks raise ``BudgetExceededError``.
     """
     if not is_cyclic(g):
         return 0
     _check_world_limit(g)
-    n_edges = len(g.edges)
-    seen = 1
-    for size in range(1, n_edges + 1):
-        seen += comb(n_edges, size)
-        if seen > budget:
-            raise BudgetExceededError(
-                f"subset enumeration through size {size} exceeds budget {budget}"
-            )
-        for _, rows, ru, rv in _subset_batches(g, size):
-            if _kernels.pattern_valid_flags(rows, ru, rv).any():
-                return size
-    raise AssertionError("unreachable: removing every edge is always valid")
+    found = _WitnessSearch(g).run(len(g.edges), budget, shrink=True)
+    return min((mask.bit_count() for mask in found), default=len(g.edges))
 
 
 def partial_order_from(g: ConstraintGraph, pattern: UncertaintyPattern) -> PartialOrder:

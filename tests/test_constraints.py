@@ -53,6 +53,27 @@ def random_cyclic_graph(rng: random.Random, n_worlds: int, n_edges: int) -> Cons
             return g
 
 
+def few_back_edges_graph(rng: random.Random, n_worlds: int, n_edges: int) -> ConstraintGraph:
+    """A cyclic graph whose edges mostly point up the world order: a few
+    point down, and a few repeat or reverse an earlier edge."""
+    worlds = tuple(f"n{i}" for i in range(n_worlds))
+    while True:
+        pairs = []
+        for _ in range(n_edges):
+            r = rng.random()
+            if pairs and r < 0.1:
+                u, v = rng.choice(pairs)
+                pairs.append((u, v) if rng.random() < 0.6 else (v, u))
+            else:
+                a, b = sorted(rng.sample(worlds, 2))
+                pairs.append((a, b) if r < 0.97 else (b, a))
+        g = ConstraintGraph.from_edges(
+            [(u, v, f"E{i}") for i, (u, v) in enumerate(pairs)], worlds=worlds
+        )
+        if find_cycle(g) is not None:
+            return g
+
+
 def cycle_graph(n: int) -> ConstraintGraph:
     return ConstraintGraph.from_edges(
         [(f"w{i + 1}", f"w{(i + 1) % n + 1}", f"C{i + 1}") for i in range(n)]
@@ -251,7 +272,7 @@ class TestPatterns:
         with pytest.raises(WorldLimitError):
             min_uncertainty_size(g, budget=10)
 
-    def test_cyclic_graphs_match_reference(self, monkeypatch):
+    def test_cyclic_graphs_match_reference(self):
         rng = random.Random(2024)
         graphs = [
             random_cyclic_graph(rng, rng.randint(2, 6), rng.randint(2, 8)) for _ in range(150)
@@ -261,23 +282,16 @@ class TestPatterns:
             for g in graphs
             for a, b in itertools.combinations(g.edges, 2)
         )
-        results = []
         for g in graphs:
             expected = reference_minimal_patterns(g)
             got = valid_uncertainty_patterns(g, len(g.edges))
             assert got == expected
             assert all(type(i) is int for p in got for i in p.edge_indices)
-            size = min_uncertainty_size(g)
-            assert size == min(len(p) for p in expected)
-            results.append((got, size))
-        # Seven-subset blocks split every size that has more than seven subsets.
-        monkeypatch.setattr(constraints, "_BLOCK_ROWS", 7)
-        for g, result in zip(graphs, results):
-            assert (valid_uncertainty_patterns(g, len(g.edges)), min_uncertainty_size(g)) == result
+            assert min_uncertainty_size(g) == min(len(p) for p in expected)
 
     def test_search_holds_one_block_at_a_time(self):
-        # A 3-cycle plus forward edges on 12 worlds: the size-6 batch alone
-        # has C(26, 6) = 230,230 subsets, more than three blocks.
+        # A 3-cycle plus forward edges on 12 worlds: 313,912 edge subsets of
+        # size <= 6, while the witness search checks only a handful of sets.
         rng = random.Random(5)
         forward = [(f"w{i}", f"w{j}") for i in range(12) for j in range(max(i + 1, 3), 12)]
         pairs = [("w0", "w1"), ("w1", "w2"), ("w2", "w0")] + rng.sample(forward, 23)
@@ -286,10 +300,10 @@ class TestPatterns:
             worlds=tuple(f"w{i}" for i in range(12)),
         )
         subsets = math.comb(len(g.edges), 6)
-        assert subsets > 2 * constraints._BLOCK_ROWS
+        assert sum(math.comb(len(g.edges), s) for s in range(7)) == 313_912
         tracemalloc.start()
         try:
-            patterns = valid_uncertainty_patterns(g, 6)
+            patterns = valid_uncertainty_patterns(g, 6, budget=1_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -298,6 +312,63 @@ class TestPatterns:
         # (subset, world) for the bit-rows and three per (subset, removed
         # edge) for the index array and both endpoint arrays.
         assert peak < subsets * (12 + 3 * 6) * 8
+
+    def test_larger_graphs_match_brute_force(self):
+        # Graphs past the reach of the full reference enumeration, against a
+        # brute force over every subset of size <= cap.
+        rng = random.Random(1606)
+        with_patterns = 0
+        for _ in range(12):
+            g = few_back_edges_graph(rng, rng.randint(7, 10), rng.randint(12, 20))
+            cap = rng.randint(3, 4)
+            n_edges = len(g.edges)
+            expected = []
+            for size in range(cap + 1):
+                for subset in itertools.combinations(range(n_edges), size):
+                    if not any(set(f) <= set(subset) for f in expected):
+                        if reference_pattern_valid(g, subset):
+                            expected.append(subset)
+            budget = sum(math.comb(n_edges, s) for s in range(cap + 1))
+            got = valid_uncertainty_patterns(g, cap, budget=budget)
+            assert [p.edge_indices for p in got] == expected
+            size = min_uncertainty_size(g)
+            if expected:
+                assert size == len(expected[0])
+                with_patterns += 1
+            else:
+                assert size > cap
+        assert with_patterns >= 6
+
+    def test_five_two_cycles_need_ten(self):
+        # Five 2-cycles on 10 worlds plus 14 forward edges between them: each
+        # 2-cycle loses both edges, and no forward edge needs to go.
+        rng = random.Random(24)
+        names = [f"v{i}" for i in range(10)]
+        rng.shuffle(names)
+        blocks = [names[i : i + 2] for i in range(0, 10, 2)]
+        pairs = [(a, b) for a, b in blocks] + [(b, a) for a, b in blocks]
+        forward = [
+            (u, v)
+            for i, j in itertools.combinations(range(5), 2)
+            for u in blocks[i]
+            for v in blocks[j]
+        ]
+        pairs += rng.sample(forward, 14)
+        rng.shuffle(pairs)
+        g = ConstraintGraph.from_edges(
+            [(u, v, f"C{i + 1}") for i, (u, v) in enumerate(pairs)], worlds=tuple(sorted(names))
+        )
+        assert len(g.edges) == 24
+        assert min_uncertainty_size(g) == 10
+
+    def test_complete_digraph_loses_every_edge(self):
+        # Every edge has its reverse, so every edge must go: the search runs
+        # 1,056 levels deep, on an explicit stack.
+        worlds = tuple(f"w{i}" for i in range(33))
+        g = ConstraintGraph.from_edges(
+            [(u, v) for u in worlds for v in worlds if u != v], worlds=worlds
+        )
+        assert min_uncertainty_size(g) == 1056
 
     def test_acyclic_graph_has_only_the_empty_pattern(self):
         chain = ConstraintGraph.from_edges([(f"w{i}", f"w{i + 1}") for i in range(63)])
