@@ -11,12 +11,30 @@ solves in integers, against the duals scaled to their common denominator.
 
 Column ids fix every choice: implicit columns take ids 0..size-1, explicit
 columns follow, then one slack per ub row, then one artificial per eq or
-negative-rhs row.  Pivoting is deterministic: Dantzig's rule (most negative
-reduced cost, smallest id on ties) with an automatic, permanent switch to
-Bland's rule (smallest id with a negative reduced cost) if the objective
-stalls, which guarantees termination; ratio-test ties go to the smaller
-basic id.  On infeasibility the phase-1 duals are returned as a Farkas
-certificate: y_ub <= 0, y.A <= 0 componentwise, and y.b > 0.
+negative-rhs row.  One pivot rule: Dantzig's (most negative reduced cost,
+smallest id on ties) picks the entering column, and the lexicographic ratio
+test of Dantzig, Orden and Wolfe (1955) the leaving row: of the rows with a
+positive entry d_i in the entering column, the one whose row of
+[b | B^-1 S] / d_i is lexicographically smallest, B being the basis and S
+the basis the phase started from.  On infeasibility the phase-1 duals are
+returned as a Farkas certificate: y_ub <= 0, y.A <= 0 componentwise, and
+y.b > 0.
+
+Termination: at a phase's start B = S, so every row of [b | B^-1 S] is
+lexicographically positive (b >= 0, then a row of I).  A pivot divides the
+leaving row by its d_i > 0 and subtracts d_k / d_i times it from each other
+row k: for d_k <= 0 that adds a nonnegative multiple of a positive row, and
+for d_k > 0 the leaving row's minimality keeps the difference positive
+(rows of the nonsingular B^-1 S are never proportional, so the minimum is
+unique).  Then c_B B^-1 [b | S] changes by the entering reduced cost (< 0)
+times the new leaving row (> 0): it strictly decreases, and since it is a
+function of the basis, no basis recurs and the phase ends.  Phase 1 starts
+from the identity basis of slacks and artificials, so B^-1 S is the stored
+inverse.  Phase 2 starts from the basis left after the artificials are
+driven out; those pivots may divide a zero row by a negative entry and so
+make it lexicographically negative against the identity, but not against
+S.  The membership LP of ``beliefs`` has c = [], so phase 2 never pivots.
+``_MAX_PIVOTS`` stays as a backstop.
 """
 
 from __future__ import annotations
@@ -32,7 +50,6 @@ from .rationals import integer_weights
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_STALL_LIMIT = 25
 _MAX_PIVOTS = 200_000
 
 
@@ -158,49 +175,41 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
     def add_row(u, f, row):
         return [x + f * v if v else x for x, v in zip(u, row)]
 
-    def enter_implicit(key, weights, wden):
-        j = implicit.rank(key)
-        keys[j] = key
-        score = sum(w * v for w, v in zip(weights, implicit.column(key)))
-        return j, Fraction(-score, wden)
-
-    def price(u, cost, blocked, bland):
+    def price(u, cost, blocked):
         """Entering column id and its reduced cost, or None at optimality."""
-
-        def reduced(j):
-            col, q = cols[j - base]
-            return cost(j) - sum((u[r] * v for r, v in col), _ZERO) / q
-
-        if implicit is not None:
-            weights, wden = integer_weights([x if s > 0 else -x for x, s in zip(u, sign)])
-        if bland:
-            if implicit is not None:
-                key = implicit.first_above(weights, 0)
-                if key is not None:
-                    return enter_implicit(key, weights, wden)
-            for j in range(base, base + len(cols)):
-                if j not in blocked:
-                    red = reduced(j)
-                    if red < 0:
-                        return j, red
-            return None
         enter = None
         best = _ZERO
         if implicit is not None:
+            weights, wden = integer_weights([x if s > 0 else -x for x, s in zip(u, sign)])
             top, key = implicit.best(weights)
             if top > 0:
-                enter = enter_implicit(key, weights, wden)
-                best = enter[1]
+                j = implicit.rank(key)
+                keys[j] = key
+                best = Fraction(-top, wden)
+                enter = j, best
         for j in range(base, base + len(cols)):
             if j not in blocked:
-                red = reduced(j)
+                col, q = cols[j - base]
+                red = cost(j) - sum((u[r] * v for r, v in col), _ZERO) / q
                 if red < best:
                     best = red
                     enter = j, red
         return enter
 
+    def lex_less(i, k, d, start):
+        """Whether row i of B^-1 S over d[i] precedes row k's over d[k]
+        lexicographically (S = ``start``; d[i], d[k] > 0).  Rows of a
+        nonsingular matrix are never proportional, so some column decides."""
+        for j in start:
+            col, _ = int_column(j)
+            x = sum(inv[i][r] * v for r, v in col) * d[k]
+            y = sum(inv[k][r] * v for r, v in col) * d[i]
+            if x != y:
+                return x < y
+
     def run_phase(cost, blocked):
         nonlocal pivots
+        start = basis[:]
         # Invariant: u = c_B B^-1 (the duals), so column j's reduced cost is
         # cost(j) - u.column(j); z is the negated objective of the basis.
         u = [_ZERO] * m
@@ -210,18 +219,15 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
             if cb:
                 z -= cb * b[i]
                 u = add_row(u, cb / den, inv[i])
-        bland = False
-        stall = 0
-        last_z = z
         while True:
-            chosen = price(u, cost, blocked, bland)
+            chosen = price(u, cost, blocked)
             if chosen is None:
                 return "optimal", u, -z
             enter, red = chosen
             col, q = int_column(enter)
             d = ftran(col)
             # Every image entry shares the positive divisor den * q, so
-            # comparing b[i] / d[i] orders the true ratios, ties included.
+            # b[i] / d[i] orders the true ratios; lex_less breaks ties.
             leave = -1
             best_ratio = None
             for i in range(m):
@@ -230,7 +236,7 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
                     if (
                         best_ratio is None
                         or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave])
+                        or (ratio == best_ratio and lex_less(i, leave, d, start))
                     ):
                         best_ratio = ratio
                         leave = i
@@ -243,14 +249,6 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
             u = add_row(u, red / den, inv[leave])
             z -= red * b[leave]
             basis[leave] = enter
-            if not bland:
-                if z == last_z:
-                    stall += 1
-                    if stall > _STALL_LIMIT:
-                        bland = True
-                else:
-                    stall = 0
-                    last_z = z
 
     # Phase 1: drive the artificials to zero.
     if artificial:

@@ -240,13 +240,14 @@ def reference_path_violations(m, max_path_len=None) -> list:
 # Reference dense simplex
 # ---------------------------------------------------------------------------
 # The dense-tableau two-phase simplex the library used before its revised
-# simplex, kept verbatim as an oracle: one tableau column per variable, so it
-# only runs on explicit matrices.  The library's solver must reproduce its
-# status, x, objective, certificate and pivot count exactly.
+# simplex, kept as an oracle: one tableau column per variable, so it only
+# runs on explicit matrices.  It follows the library's pivot rule (Dantzig's
+# entering rule, the lexicographic ratio test against the phase's start
+# basis), and the library's solver must reproduce its status, x, objective,
+# certificate and pivot count exactly.
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_STALL_LIMIT = 25
 _MAX_PIVOTS = 200_000
 
 
@@ -306,8 +307,18 @@ def reference_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LpResult:
     artificial = set(art_col.values())
     pivots = 0
 
+    def lex_less(i, k, enter, start):
+        """Whether tableau row i restricted to the columns of ``start`` and
+        divided by its entry in ``enter`` lexicographically precedes row k's."""
+        for j in start:
+            x = tableau[i][j] / tableau[i][enter]
+            y = tableau[k][j] / tableau[k][enter]
+            if x != y:
+                return x < y
+
     def run_phase(cost, blocked):
         nonlocal pivots
+        start = basis[:]
         ncols = col_count
         red = list(cost)
         z = _ZERO
@@ -321,26 +332,15 @@ def reference_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LpResult:
                         red[j] -= cb * trow[j]
         # Invariant: red[j] is the reduced cost of column j and z is the
         # negated objective value of the current basis.
-        bland = False
-        stall = 0
-        last_z = z
         while True:
             enter = -1
-            if bland:
-                for j in range(ncols):
-                    if j in blocked:
-                        continue
-                    if red[j] < 0:
-                        enter = j
-                        break
-            else:
-                best = _ZERO
-                for j in range(ncols):
-                    if j in blocked:
-                        continue
-                    if red[j] < best:
-                        best = red[j]
-                        enter = j
+            best = _ZERO
+            for j in range(ncols):
+                if j in blocked:
+                    continue
+                if red[j] < best:
+                    best = red[j]
+                    enter = j
             if enter < 0:
                 return "optimal", red, -z
             leave = -1
@@ -352,7 +352,7 @@ def reference_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LpResult:
                     if (
                         best_ratio is None
                         or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave])
+                        or (ratio == best_ratio and lex_less(i, leave, enter, start))
                     ):
                         best_ratio = ratio
                         leave = i
@@ -386,14 +386,6 @@ def reference_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LpResult:
                         red[j] -= factor * prow[j]
                 z -= factor * b[leave]
             basis[leave] = enter
-            if not bland:
-                if z == last_z:
-                    stall += 1
-                    if stall > _STALL_LIMIT:
-                        bland = True
-                else:
-                    stall = 0
-                    last_z = z
 
     # Phase 1: drive the artificials to zero.
     if artificial:

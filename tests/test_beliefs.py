@@ -427,6 +427,30 @@ class TestExactFeasibility:
         assert res.feasible
         assert res.verify(m)
 
+    @pytest.mark.parametrize("n, draw", [(8, 2), (9, 0)])
+    def test_feasible_marginals_do_not_stall(self, monkeypatch, n, draw):
+        # Marginals of four random orders at weight 1/4: degenerate feasible
+        # LPs on which a ratio test that breaks ties by basic id stalls for
+        # thousands of pivots.
+        rng = random.Random(n)
+        worlds = [f"w{i}" for i in range(n)]
+        for _ in range(draw + 1):
+            orders = [rng.sample(worlds, n) for _ in range(4)]
+        m = matrix_from_distribution(OrderDistribution(orders, [F(1, 4)] * 4))
+        solve = beliefs.solve_lp
+        pivots = []
+
+        def counted(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            pivots.append(res.pivots)
+            return res
+
+        monkeypatch.setattr(beliefs, "solve_lp", counted)
+        res = exact_feasibility(m, cap=10)
+        assert res.feasible
+        assert res.verify(m)
+        assert len(pivots) == 1 and pivots[0] < 1_000
+
     def test_float_matrix_rejected(self):
         m = BeliefMatrix(("a", "b"), [[0.5, 0.7], [0.3, 0.5]])
         with pytest.raises(ValueError):
@@ -834,11 +858,9 @@ class TestDenseReference:
             assert minimax_cycle_bound(spec).bound == F(1, n)
         assert len(dense_checked) == 4
 
-    def test_blands_rule_matches_dense_simplex(self, dense_checked, monkeypatch):
-        # With no stall allowance both solvers switch to Bland's rule at the
-        # first degenerate pivot, so its order pricing is compared too.
-        monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
-        monkeypatch.setattr(conftest, "_STALL_LIMIT", 0)
+    def test_degenerate_ties_match_dense_simplex(self, dense_checked, monkeypatch):
+        # These LPs meet about 580 ratio-test ties, each broken by the
+        # lexicographic rule, so both solvers must break them alike.
         for m in _seeded_matrices(7, 60, [3, 4, 5]):
             lp = beliefs._membership_lp(m)
             assert lp.verify(m)
