@@ -37,16 +37,17 @@ its strictness, its scenario fields, its premise as clauses that each name
 the components (populations and thresholds) they read, and its audit's
 component streams, each with a closed-form size.  A premise world built from
 other components (``addition``'s b-added world, say) is a derivation clause,
-whose test computes it.  Clauses read populations as count views
-(``populations.Counts``) and rationals in the views' integer unit, so one
-clause checks one instance or masks a block of audit candidates.  One
-constructor, ``make_instance``, builds every instance from its row: the
-fields in the row's order, the claim and gate from its roles, derived worlds
-from its derivation clauses, and every clause checked there, once, on
-one-row views.  ``scenario`` parses a constraint by reading the row's
-fields.  ``audit_swf`` runs on integer count matrices, one per stream, in
-nested lexicographic order and tiles of whole rows, each reduced on its
-own; it builds one instance, the witness, and returns it once it replays.
+whose test computes it.  Clauses read names that a ``Population`` and
+count views (``populations.Counts``) share, so one clause checks an
+instance's populations and ``Fraction``s or masks a block of audit
+candidates.  One constructor, ``make_instance``, builds every instance from
+its row: the fields in the row's order, the claim and gate from its roles,
+derived worlds from its derivation clauses, and every clause checked there,
+once.  ``scenario`` parses a constraint by reading the row's fields.
+``audit_swf`` runs on integer count matrices, one per stream, in nested
+lexicographic order and tiles of whole rows, each reduced on its own; it
+builds one instance, the witness, whose derived worlds must be the rows it
+scored, and returns it once it replays.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ from .populations import (
     World,
     count_matrix,
     count_rows,
-    one_row_views,
     swf_label,
     swf_order,
     swf_signs,
@@ -124,16 +124,16 @@ class WorldField(NamedTuple):
 
 class Clause(NamedTuple):
     """One premise condition on the components named by ``reads``:
-    ``apply(env)`` runs its test on a dict of components (count views and
-    rationals in their unit).  A plain clause holds when its test does, as a
-    bool or a mask.  A derivation clause's test computes the world it
+    ``apply(env)`` runs its test on a dict of components (an instance's
+    populations, ``Fraction``s and ints, or an audit's count views and
+    rationals in their unit).  A plain clause holds when its test does, as
+    a bool or a mask.  A derivation clause's test computes the world it
     ``derives`` from the parts it reads, and the clause holds when that
-    world is the one in ``env``.  ``holds(env)`` applies either kind."""
+    world is the one in ``env``, if ``env`` has one."""
 
     reads: tuple[str, ...]
     message: str
     apply: Callable[[dict], object]
-    holds: Callable[[dict], object]
     derives: str | None
 
 
@@ -143,9 +143,8 @@ def _clauses(*specs) -> tuple[Clause, ...]:
     clauses = []
     for reads, test, message in specs:
         world, _, parts = reads.rpartition(" = ")
-        apply = _holds(parts.split(), test)
-        holds = (lambda env, w=world, apply=apply: env[w].same(apply(env))) if world else apply
-        clauses.append(Clause(tuple(parts.split()), message, apply, holds, world or None))
+        parts = parts.split()
+        clauses.append(Clause(tuple(parts), message, _holds(parts, test), world or None))
     return tuple(clauses)
 
 
@@ -155,8 +154,14 @@ def _holds(reads: list[str], test: Callable[..., object]) -> Callable[[dict], ob
 
 
 def _require_all(clauses: Iterable[Clause], env: dict):
+    """Raise the message of the first of ``clauses`` that fails on ``env``.
+    A derivation clause computes its world once: a world ``env`` has must
+    equal it, and a missing one is set to it."""
     for clause in clauses:
-        if not clause.holds(env):
+        value = clause.apply(env)
+        if clause.derives:
+            value = env.setdefault(clause.derives, value) == value
+        if not value:
             raise InvalidInstanceError(clause.message)
 
 
@@ -259,7 +264,7 @@ class AxiomInstance:
         if not checked:
             env = dict(self.params)
             env.update((role, self.world(wid).population) for role, wid in zip(row.roles, role_ids))
-            _require_all(row.clauses, _views(row, env)[1])
+            _require_all(row.clauses, env)
 
     def world(self, world_id: str) -> World:
         for w in self.worlds:
@@ -288,17 +293,6 @@ class AxiomInstance:
 # Construction
 # ---------------------------------------------------------------------------
 
-def _views(row: AxiomRow, env: dict) -> tuple[int, dict]:
-    """``env`` (an instance's fields) as one-row count views, rationals in
-    their unit 1/``one``, and counts as given: (one, views)."""
-    kinds = {key: row.fields[key] for key in env}
-    pops = {k: v for k, v in env.items() if kinds[k] not in (RATIONAL, COUNT)}
-    counts = {k: v for k, v in env.items() if kinds[k] == COUNT}
-    people = 1 + sum(filter(_whole, counts.values())) + sum(p.size for p in pops.values())
-    one, views = one_row_views(pops, {k: v for k, v in env.items() if kinds[k] == RATIONAL}, people)
-    return one, {**views, **counts}
-
-
 def make_instance(axiom: AxiomId, *fields, **named) -> AxiomInstance:
     """An instance of ``axiom`` built from its row.
 
@@ -307,9 +301,9 @@ def make_instance(axiom: AxiomId, *fields, **named) -> AxiomInstance:
     id.  A world the row's clauses derive may be left out; one with a
     ``keyword`` must be, and that keyword may give its id.  Rational fields
     go through ``as_rational``, and the fields that are not worlds are the
-    params.  Every clause runs here, once, on one set of one-row views: the
-    plain clauses first, so a bad field fails its own clause, then the
-    derivations compute the missing worlds, then the derivation clauses.
+    params.  Every clause runs here, once, on the fields themselves: the
+    plain clauses first, so a bad field fails its own clause, then each
+    derivation clause computes its world, which a given world must equal.
     """
     row = AXIOMS[axiom]
     env, ids = dict(zip(row.names, fields)), {}
@@ -332,11 +326,9 @@ def make_instance(axiom: AxiomId, *fields, **named) -> AxiomInstance:
         else:
             world = env[key] if isinstance(env[key], World) else World(kind.id, env[key])
             worlds[key], env[key] = world, world.population
-    one, views = _views(row, env)
-    _require_all(row.plain, views)
-    _require_all(row.derivations, _derive(row.derivations, views))
+    _require_all(row.clauses, env)
     for key, world in worlds.items():
-        worlds[key] = world or World(ids.get(key, row.fields[key].id), views[key].population(one))
+        worlds[key] = world or World(ids.get(key, row.fields[key].id), env[key])
     worse, better, *gate = (worlds[role].id for role in row.roles)
     premise = tuple(worlds.values())
     return AxiomInstance(
@@ -471,7 +463,8 @@ def audit_swf(swf: SwfKind, axiom: AxiomId, bounds: SearchBounds) -> ViolationWi
     Returns the first witness in nested lexicographic order of the
     component streams, or None, which certifies only the searched space.
     The search runs on integer count rows; only the witness is built as an
-    instance, which checks every clause, and is returned once it replays.
+    instance, which checks every clause.  Its derived worlds must be the
+    rows the search scored, and it is returned once it replays.
     The existential axioms (quality, priority_compensation) give a witness
     only when every candidate the grid offers fails, noted as bounded.
     """
@@ -481,12 +474,19 @@ def audit_swf(swf: SwfKind, axiom: AxiomId, bounds: SearchBounds) -> ViolationWi
     if found is None:
         return None
     indices, sign, rows = found
-    binding = dict(fixed)
+    binding, scored = dict(fixed), dict(env)
     for name, items, values, _ in plan:
         i = int(indices[name])
+        scored[name] = values[i]
         binding[name] = values[i].population(one) if isinstance(values, Counts) else items[i]
+    instance = make_instance(axiom, **binding)
+    _derive(row.derivations, scored)
+    for clause in row.derivations:
+        built = instance.world(row.fields[clause.derives].id).population
+        if not (count_rows([built], bounds.alphabet)[0] == scored[clause.derives].counts).all():
+            raise InvalidInstanceError(clause.message)
     witness = ViolationWitness(
-        swf=swf, axiom=axiom, instance=make_instance(axiom, **binding),
+        swf=swf, axiom=axiom, instance=instance,
         observed=(Verdict.LESS, Verdict.EQUAL, Verdict.GREATER)[sign + 1],
         note=row.note.format(rows=rows, max_count=bounds.max_count, **binding),
     )
@@ -627,7 +627,7 @@ AXIOMS[AxiomId.QUALITY] = AxiomRow(
     clauses=_clauses(
         _THRESHOLDS,
         ("high", lambda high: high.size > 0, "high population must be nonempty"),
-        ("high", lambda high: high.groups == 1, "high population must be perfectly equal"),
+        ("high", lambda high: high.tiers == 1, "high population must be perfectly equal"),
         ("high very_high", lambda high, very_high: high.lo >= very_high,
          "high population must sit at or above very_high"),
         ("low", lambda low: low.size > 0, "low population must be nonempty"),
@@ -648,11 +648,11 @@ AXIOMS[AxiomId.INEQUALITY_AVERSION] = AxiomRow(
     strict=False, roles=("mixed", "equal"),
     fields={"mixed": WorldField("mixed"), "equal": WorldField("equal")},
     clauses=_clauses(
-        ("mixed", lambda mixed: mixed.groups == 2,
+        ("mixed", lambda mixed: mixed.tiers == 2,
          "mixed population must have exactly two welfare tiers"),
         ("mixed", lambda mixed: mixed.at_lo > mixed.size - mixed.at_lo,
          "lower tier must be larger than upper tier"),
-        ("equal", lambda equal: equal.groups == 1,
+        ("equal", lambda equal: equal.tiers == 1,
          "equal population must be perfectly equal"),
         ("mixed equal", lambda mixed, equal: (mixed.lo < equal.lo) & (equal.lo < mixed.hi),
          "equal level must lie strictly between the tiers"),
@@ -669,7 +669,7 @@ AXIOMS[AxiomId.EGALITARIAN_DOMINANCE] = AxiomRow(
         ("better", lambda better: better.size > 0, "populations must be nonempty"),
         ("better worse", lambda better, worse: better.size == worse.size,
          "populations must have equal size"),
-        ("better", lambda better: better.groups == 1,
+        ("better", lambda better: better.tiers == 1,
          "dominating population must be perfectly equal"),
         ("better worse", lambda better, worse: better.lo > worse.hi,
          "every member of the equal population must be strictly happier"),
@@ -767,9 +767,9 @@ AXIOMS[AxiomId.AVOID_VERY_ANTI_EGALITARIAN] = AxiomRow(
         ("better", lambda better: better.size >= 2, "needs at least two people"),
         ("better worse", lambda better, worse: better.size == worse.size,
          "populations must have equal size"),
-        ("better", lambda better: better.groups == 1,
+        ("better", lambda better: better.tiers == 1,
          "reference population must have uniform happiness"),
-        ("worse", lambda worse: worse.groups > 1, "rival population must be unequal"),
+        ("worse", lambda worse: worse.tiers > 1, "rival population must be unequal"),
         ("worse better", lambda worse, better: worse.total < better.total,
          "rival population must have lower total (hence average) welfare"),
     ),

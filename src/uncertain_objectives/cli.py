@@ -46,6 +46,7 @@ from .populations import parse_swf, swf_label
 from .rationals import as_rational, format_rational
 from .scenario import (
     MATRIX_SCHEMA,
+    load_json,
     parse_matrix,
     parse_population,
     parse_scenario,
@@ -67,13 +68,6 @@ def _report(command: str, digest: str, flags: dict, findings: dict) -> dict:
         "inputs": {"digest": digest, "flags": flags},
         "findings": findings,
     }
-
-
-def _json(text, where: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(where, f"invalid JSON: {exc}") from exc
 
 
 def _load_scenario(path: str):
@@ -140,6 +134,8 @@ def _cmd_analyze(args) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 def _cmd_bound(args) -> tuple[dict, bool]:
+    if args.n is not None and args.scenario:
+        raise UncertainObjectivesError("bound takes --n or a scenario, not both")
     if args.n is not None:
         if args.n < 3:
             raise UncertainObjectivesError("--n must be at least 3")
@@ -179,7 +175,7 @@ def _cmd_bound(args) -> tuple[dict, bool]:
 
 def _load_matrix(path: str):
     with open(path, "rb") as fh:
-        doc = _json(fh.read().decode("utf-8"), "$")
+        doc = load_json(fh.read())
     if not isinstance(doc, dict):
         raise SchemaError("$", "matrix document must be a JSON object")
     if "belief_matrix" in doc:
@@ -321,7 +317,7 @@ def _cmd_audit(args) -> tuple[dict, bool]:
         raise UncertainObjectivesError(f"unknown axiom id {args.axiom!r}") from None
     base = None
     if args.base:
-        base = parse_population(_json(args.base, "--base"), "--base")
+        base = parse_population(load_json(args.base, "--base"), "--base")
     bounds = SearchBounds(
         levels=[as_rational(x) for x in args.levels.split(",")],
         max_count=args.max_count,

@@ -7,7 +7,9 @@ no further interpretation.
 
 All arithmetic is exact (`Fraction`); there is no float path here.  Many
 populations at once are ``Counts``: head counts over one sorted level
-alphabet, with the levels as integers over a common denominator.
+alphabet, with the levels as integers over a common denominator.  A
+``Population`` has the ``Counts`` fields that premise clauses read, under
+the same names, so one clause text reads either.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import EmptyPopulationError, InvalidValueError
 from .ordering import Verdict
-from .rationals import as_rational, format_rational, integer_weights, unit_dtype
+from .rationals import as_rational, format_rational
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,8 @@ class Population:
 
     Groups are stored sorted by level with equal levels merged and zero or
     negative counts rejected, so structural equality is semantic equality.
-    ``size``, the head count, is fixed at construction.
+    ``size``, the head count, is fixed at construction.  ``lo``, ``hi`` and
+    ``total`` are ``min_level``, ``max_level`` and ``total_welfare``.
     """
 
     groups: tuple[tuple[Fraction, int], ...]
@@ -65,6 +68,18 @@ class Population:
         if not self.groups:
             raise EmptyPopulationError("empty population has no welfare levels")
         return self.groups[-1][0]
+
+    # The fields of ``Counts`` that premise clauses read, under its names.
+    lo, hi = property(min_level), property(max_level)
+    tiers = property(lambda self: len(self.groups))
+    total = property(lambda self: total_welfare(self))
+    at_lo = property(lambda self: self.groups[0][1] if self.groups else 0)
+
+    def dominates(self, other: "Population", strict: bool) -> bool:
+        return pointwise_dominates(self, other, strict)
+
+    def plus(self, level, count: int) -> "Population":
+        return self | Population([(level, count)])
 
     def union(self, other: "Population") -> "Population":
         return Population(self.groups + other.groups)
@@ -269,18 +284,17 @@ class Counts:
     holds the alphabet's levels as integers in one unit (``in_units``), so
     every field is exact and has the leading shape: ``size``; ``total``
     welfare in units; ``lo`` and ``hi``, the least and greatest level present
-    in units; ``groups``, the number of levels present; ``at_lo``, the head
+    in units; ``tiers``, the number of levels present; ``at_lo``, the head
     count at ``lo``; and ``cum``, cumulative head counts along the alphabet.
     An empty population has no ``lo`` or ``hi``; clauses test size first.
-    Fields are computed on first use unless given, and ``view[key]`` (numpy
+    Fields are computed on first use and kept, and ``view[key]`` (numpy
     indexing of the leading axes) reads them from the view's own.
     """
 
-    def __init__(self, counts, units, parent: "Counts | None" = None, key=None, **fields):
+    def __init__(self, counts, units, parent: "Counts | None" = None, key=None):
         self.units, self._parent, self._key = units, parent, key
         if parent is None:
             self.counts = counts
-        self.__dict__.update(fields)
 
     def __getitem__(self, key) -> "Counts":
         return Counts(None, self.units, self, key)
@@ -305,7 +319,7 @@ class Counts:
         return self.counts @ self.units
 
     @_field
-    def groups(self):
+    def tiers(self):
         return (self.counts > 0).sum(-1)
 
     @_field
@@ -337,9 +351,6 @@ class Counts:
         at = self.units == np.asarray(level)[..., None]
         return Counts(self.counts + at * np.asarray(count)[..., None], self.units)
 
-    def same(self, other: "Counts"):
-        return (self.counts == other.counts).all(-1)
-
     def population(self, one: int) -> Population:
         """The population of a one-row view whose unit is 1/``one``."""
         return Population(
@@ -357,27 +368,3 @@ def swf_signs(swf: SwfKind, a: Counts, b: Counts, critical=0):
     else:
         x, y = a.total - critical * a.size, b.total - critical * b.size
     return (x > y).astype(np.int8) - (x < y)
-
-
-def one_row_views(populations: dict, rationals: dict, people: int = 1) -> tuple[int, dict]:
-    """One-row count views of ``populations`` over all their levels and the
-    ``rationals``, with the rationals in the views' unit 1/``one``: (one,
-    views), keyed as given.  The unit's integer type allows worlds of up to
-    ``people`` people (``unit_dtype``).  Scalar fields are read off the groups."""
-    nums, one = integer_weights(
-        [*rationals.values(), *(level for p in populations.values() for level in p.levels)]
-    )
-    alphabet = sorted(set(nums))
-    units = np.array(alphabet, unit_dtype(nums, one, people * people))
-    at, scaled = {u: i for i, u in enumerate(alphabet)}, iter(nums)
-    views = {key: next(scaled) for key in rationals}
-    for key, p in populations.items():
-        groups = [(next(scaled), count) for _, count in p.groups]
-        vector = np.zeros(len(units), np.int64)
-        for level, count in groups:
-            vector[at[level]] = count
-        views[key] = Counts(vector, units, size=p.size, groups=len(groups),
-                            total=sum(level * count for level, count in groups))
-        if groups:
-            views[key].__dict__.update(lo=groups[0][0], hi=groups[-1][0], at_lo=groups[0][1])
-    return one, views

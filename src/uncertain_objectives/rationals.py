@@ -71,9 +71,5 @@ def in_units(values, terms: int = 1):
     if any(isinstance(v, float) for v in values):
         return np.array(values, dtype=np.float64), 1.0, float
     nums, one = integer_weights(values)
-    return np.array(nums, dtype=unit_dtype(nums, one, terms)), one, lambda x: Fraction(x, one)
-
-
-def unit_dtype(nums: list[int], one: int, terms: int = 1):
-    """``in_units``' integer type for numerators ``nums`` over ``one``."""
-    return np.int64 if terms * max([one, *map(abs, nums)]) < 1 << 62 else object
+    dtype = np.int64 if terms * max([one, *map(abs, nums)]) < 1 << 62 else object
+    return np.array(nums, dtype=dtype), one, lambda x: Fraction(x, one)

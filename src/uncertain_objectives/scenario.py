@@ -42,6 +42,19 @@ def _expect(cond: bool, path: str, message: str):
         raise SchemaError(path, message)
 
 
+def load_json(data, path: str = "$"):
+    """A JSON document from text or UTF-8 bytes.  Bytes that are not UTF-8,
+    invalid JSON and nesting too deep to decode raise ``SchemaError``."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, f"not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(path, f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(path, "JSON nested too deeply to decode") from exc
+
+
 def _parse_rational(value, path: str):
     try:
         return as_rational(value)
@@ -275,12 +288,7 @@ def _parse_rule(doc, path: str = "rule") -> RuleConfig:
 
 def parse_scenario(text) -> Scenario:
     """Parse and validate a scenario document from JSON text or bytes."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}") from exc
+    doc = load_json(text)
     _expect(isinstance(doc, dict), "$", "scenario must be a JSON object")
     schema = doc.get("$schema", SCENARIO_SCHEMA)
     _expect(schema == SCENARIO_SCHEMA, "$schema", f"expected {SCENARIO_SCHEMA!r}")

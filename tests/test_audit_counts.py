@@ -1,10 +1,10 @@
 """The audit engine's count views against the Population-level reading.
 
 Audits evaluate premise clauses as masks over count rows in integer units
-and score claims by integer signs.  Here every clause is also read through
-``PopulationView``, which answers the same fields from ``Population``
-methods in exact Fractions, and every sign is checked against
-``swf_compare``, binding by binding.
+and score claims by integer signs.  Here every clause is also read on the
+binding's ``Population``s and ``Fraction``s, which answer the same
+attribute names, and every sign is checked against ``swf_compare``, binding
+by binding.
 """
 
 import random
@@ -29,7 +29,6 @@ from uncertain_objectives.populations import (
     Population,
     TotalWelfare,
     count_rows,
-    one_row_views,
     pointwise_dominates,
     swf_compare,
     swf_signs,
@@ -39,29 +38,6 @@ from uncertain_objectives.populations import (
 from conftest import reference_audit_swf
 
 SIGN = {Verdict.LESS: -1, Verdict.EQUAL: 0, Verdict.GREATER: 1}
-
-
-class PopulationView:
-    """A population behind the count-view interface, in Fractions."""
-
-    def __init__(self, p: Population):
-        self.p = p
-
-    size = property(lambda self: self.p.size)
-    total = property(lambda self: total_welfare(self.p))
-    lo = property(lambda self: self.p.min_level())
-    hi = property(lambda self: self.p.max_level())
-    groups = property(lambda self: len(self.p.groups))
-    at_lo = property(lambda self: self.p.groups[0][1])
-
-    def dominates(self, other, strict):
-        return pointwise_dominates(self.p, other.p, strict)
-
-    def __or__(self, other):
-        return PopulationView(self.p | other.p)
-
-    def plus(self, level, count):
-        return PopulationView(self.p | Population([(level, count)]))
 
 
 _POOL = [Fraction(x) for x in (-3, -2, -1, "-1/2", "1/2", 1, 2, 3)]
@@ -109,18 +85,15 @@ def test_masks_and_signs_match_population_level(seed):
                      for a, b in pairs]
             for _ in range(30):
                 at = tuple(rng.randrange(n) for n in shape)
-                binding = {k: PopulationView(v) if isinstance(v, Population) else v
-                           for k, v in fixed.items()}
+                binding = dict(fixed)
                 for (name, items, values, _), i in zip(plan, at):
-                    value = values[i].population(one) if isinstance(values, Counts) else items[i]
-                    if isinstance(value, Population):
-                        value = PopulationView(value)
-                    binding[name] = value
+                    counts = isinstance(values, Counts)
+                    binding[name] = values[i].population(one) if counts else items[i]
                 for clause, mask in zip(clauses, masks):
                     assert bool(clause.apply(binding)) == bool(mask[at]), (axiom, clause.message)
                 axioms._derive(row.derivations, binding)
                 for (a, b), sign in zip(pairs, signs):
-                    assert sign[at] == SIGN[swf_compare(swf, binding[a].p, binding[b].p)], axiom
+                    assert sign[at] == SIGN[swf_compare(swf, binding[a], binding[b])], axiom
             checked.add(axiom)
     assert len(checked) >= 5, checked
 
@@ -167,17 +140,17 @@ def test_view_fields_match_population_methods():
     rows = Counts(count_rows(pops, alphabet), units)
     for i, p in enumerate(pops):
         view = rows[i]
-        assert (view.size, view.groups, view.at_lo) == (p.size, len(p.groups), p.groups[0][1])
+        assert (view.size, view.tiers, view.at_lo) == (p.size, len(p.groups), p.groups[0][1])
         assert (view.total, view.lo, view.hi) == (
             total_welfare(p) * 2, p.min_level() * 2, p.max_level() * 2
         )
-        # A one-row view reads its scalar fields off the groups: the same values.
-        one, given = one_row_views({"p": p}, {"half": Fraction(1, 2)})
-        computed = Counts(given["p"].counts, given["p"].units)
-        for name in ("size", "groups", "at_lo", "total", "lo", "hi"):
-            assert getattr(given["p"], name) == getattr(computed, name), name
+        # A Population answers the same names, in Fractions rather than halves.
+        assert (p.tiers, p.at_lo, p.total * 2, p.lo * 2, p.hi * 2) == (
+            view.tiers, view.at_lo, view.total, view.lo, view.hi
+        )
     a, b = rows[:, None], rows[None, :]
     for strict in (True, False):
         mask = a.dominates(b, strict)
         for i, j in np.ndindex(mask.shape):
             assert mask[i, j] == pointwise_dominates(pops[i], pops[j], strict)
+            assert pops[i].dominates(pops[j], strict) == mask[i, j]

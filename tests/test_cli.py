@@ -393,6 +393,34 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: $: invalid JSON")
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [(b"\xff\xfe{}", "$: not UTF-8 text"), (b"[" * 200_000, "$: JSON nested too deeply")],
+        ids=["not_utf8", "nested"],
+    )
+    @pytest.mark.parametrize(
+        "command", [("analyze",), ("bound",), ("decide", "--rule", "partial"), ("coherence",)]
+    )
+    def test_undecodable_document_is_error(self, tmp_path, data, message, command):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(command[0], str(path), *command[1:])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}")
+
+    def test_deeply_nested_base_is_error(self):
+        code, out, err = run_cli(
+            "audit", "--swf=total", "--axiom=avoid_sadistic", "--levels=-5,1,100",
+            "--max-count=2", "--base", "[" * 200_000,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: --base: JSON nested too deeply")
+
+    def test_bound_refuses_n_with_a_scenario(self):
+        code, out, err = run_cli("bound", str(SCENARIOS / "three_cycle.json"), "--n", "4")
+        assert code == 1 and out == ""
+        assert err == "error: bound takes --n or a scenario, not both\n"
+
     @pytest.mark.parametrize("text", ["[1]", "1", '"x"', "null"])
     def test_matrix_document_that_is_not_an_object_is_error(self, tmp_path, text):
         path = tmp_path / "matrix.json"

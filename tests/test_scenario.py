@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 from fractions import Fraction as F
@@ -28,6 +29,7 @@ from uncertain_objectives.axioms import (
     dominance_instance,
     egalitarian_dominance_instance,
     inequality_aversion_instance,
+    make_instance,
     priority_compensation_instance,
     quality_instance,
 )
@@ -37,6 +39,7 @@ from uncertain_objectives.errors import (
     InvalidValueError,
     SchemaError,
 )
+from uncertain_objectives.populations import EMPTY_POPULATION, Population
 from uncertain_objectives.rationals import as_rational, format_rational
 
 from conftest import SCENARIOS
@@ -477,6 +480,31 @@ def test_instance_json_is_pinned(axiom):
     assert [w.id for w in inst.worlds] == order
     assert inst.gate == (tuple(expected["gate"]) if expected["gate"] else None)
     assert inst.to_json() == expected
+
+
+@pytest.mark.parametrize("axiom", sorted(AXIOM_FORMS))
+def test_empty_populations_fail_a_clause(axiom):
+    # Clauses test a population's size before its least or greatest level,
+    # so an empty population in any field fails a clause and never reaches
+    # Population.lo or .hi, which raise EmptyPopulationError.
+    inst, row = AXIOM_FORMS[axiom][2](), AXIOMS[AxiomId(axiom)]
+    ids = dict(zip(row.roles, (inst.claim_worse, inst.claim_better, *(inst.gate or ()))))
+    fields = {**inst.params, **{key: inst.world(wid).population for key, wid in ids.items()}}
+    messages = {clause.message for clause in row.clauses}
+    for key in [k for k, v in fields.items() if isinstance(v, Population)]:
+        worlds = tuple(World(w.id, EMPTY_POPULATION) if w.id == ids.get(key) else w
+                       for w in inst.worlds)
+        params = {k: EMPTY_POPULATION if k == key else v for k, v in inst.params.items()}
+        builds = [lambda: dataclasses.replace(inst, worlds=worlds, params=params)]
+        # make_instance takes the fields in row.names; an empty base is a valid
+        # priority_compensation premise, whose worlds it then derives.
+        if key in row.names and (axiom, key) != ("priority_compensation", "base"):
+            given = {k: v for k, v in fields.items() if k in row.names}
+            builds.append(lambda: make_instance(inst.axiom, **{**given, key: EMPTY_POPULATION}))
+        for build in builds:
+            with pytest.raises(InvalidInstanceError) as info:
+                build()
+            assert str(info.value) in messages, (key, info.value)
 
 
 def test_readme_lists_each_rows_fields():
