@@ -179,7 +179,7 @@ def _load_matrix(path: str):
     if not isinstance(doc, dict):
         raise SchemaError("$", "matrix document must be a JSON object")
     if "belief_matrix" in doc:
-        scenario = parse_scenario(json.dumps(doc))
+        scenario = parse_scenario(doc)
         if scenario.belief_matrix is None:
             raise UncertainObjectivesError("scenario has no belief_matrix")
         return scenario.belief_matrix, scenario.digest()

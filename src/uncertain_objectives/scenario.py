@@ -286,9 +286,11 @@ def _parse_rule(doc, path: str = "rule") -> RuleConfig:
         raise SchemaError(path, str(exc)) from exc
 
 
-def parse_scenario(text) -> Scenario:
-    """Parse and validate a scenario document from JSON text or bytes."""
-    doc = load_json(text)
+def parse_scenario(doc) -> Scenario:
+    """Parse and validate a scenario document: JSON text or bytes, or the
+    object they decode to."""
+    if isinstance(doc, (str, bytes)):
+        doc = load_json(doc)
     _expect(isinstance(doc, dict), "$", "scenario must be a JSON object")
     schema = doc.get("$schema", SCENARIO_SCHEMA)
     _expect(schema == SCENARIO_SCHEMA, "$schema", f"expected {SCENARIO_SCHEMA!r}")

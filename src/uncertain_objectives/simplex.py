@@ -1,13 +1,29 @@
-"""Exact two-phase revised simplex.
+"""Exact two-phase revised simplex in integer arithmetic.
 
-Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0  with exact
-rational arithmetic.  Only the m x m basis inverse (integer numerators over
-one common denominator) and the basic values and duals (Fractions) are
-stored; a column is built when it is priced or enters the basis.  Besides
-the explicit columns of ``c``/``a_ub``/``a_eq``, a caller may pass an
-*implicit* family of zero-cost columns too large to list (one per total
-order, say) as a ``ColumnSource``: its pricing is a maximisation the source
-solves in integers, against the duals scaled to their common denominator.
+Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0  exactly.
+The inputs are scaled to integers once.  From there on every number is an
+integer (fraction-free elimination: Edmonds 1967, Bareiss 1968), and
+Fractions are built again only for the result.
+
+- The m x m basis inverse is ``inv / den``: integer numerators over one
+  positive denominator, kept in lowest terms.
+- The right-hand side, scaled to integers over the lcm ``rden`` of its
+  denominators, is column m of ``inv``: row i's basic value is
+  inv[i][m] / (den * rden).
+- During a phase, whose costs are scaled to integers over their lcm
+  ``cden``, ``inv`` has one more row, c_B . inv: the duals times
+  den * cden, then the objective times den * rden * cden.
+- An explicit column is integer entries over a denominator q, so its
+  reduced cost is an integer over den * cden * q; columns compare by
+  cross-multiplying.
+
+A pivot updates the inverse, the basic values and the duals with one row
+operation and one gcd.  Only these are stored; a column is built when it is
+priced or enters the basis.  Besides the explicit columns of ``c``,
+``a_ub`` and ``a_eq``, a caller may pass an *implicit* family of zero-cost
+columns too large to list (one per total order, say) as a
+``ColumnSource``: its pricing is a maximisation the source solves in
+integers, against the duals' numerators.
 
 Column ids fix every choice: implicit columns take ids 0..size-1, explicit
 columns follow, then one slack per ub row, then one artificial per eq or
@@ -48,8 +64,6 @@ from typing import Any, Protocol
 from .errors import InvalidValueError, PivotCapError, SolverError
 from .rationals import integer_weights
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _MAX_PIVOTS = 200_000
 
 
@@ -127,11 +141,11 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
             cols.append(([(i, 1)], 1))
     keys: dict[int, Any] = {}  # key of every implicit column that entered
 
-    # The basis inverse is inv / den: integer numerators over one positive
-    # denominator, in lowest terms.  b holds the basic values.
-    inv = [[int(r == i) for r in range(m)] for i in range(m)]
+    # inv / den is the basis inverse; column m holds the basic values'
+    # numerators, over den * rden.
+    bnum, rden = integer_weights(rhs)
+    inv = [[int(r == i) for r in range(m)] + [bnum[i]] for i in range(m)]
     den = 1
-    b = rhs[:]
     pivots = 0
 
     def int_column(j):
@@ -148,11 +162,6 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
         """Make basic, in row ``leave``, the column whose image is d / (den * q)."""
         nonlocal den
         p = d[leave]
-        t = b[leave] / p
-        for i in range(m):
-            if d[i] and i != leave:
-                b[i] -= d[i] * t
-        b[leave] = t * (den * q)
         prow = inv[leave]
         new = []
         for i, row in enumerate(inv):
@@ -172,28 +181,26 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
             new = [[v // g for v in row] for row in new]
         inv[:] = new
 
-    def add_row(u, f, row):
-        return [x + f * v if v else x for x, v in zip(u, row)]
-
-    def price(u, cost, blocked):
-        """Entering column id and its reduced cost, or None at optimality."""
+    def price(cost, blocked):
+        """Entering column id, or None at optimality.  With u = inv[m],
+        column j's reduced cost is cost(j) * den * q - u.column over
+        den * cden * q."""
+        u = inv[m]
         enter = None
-        best = _ZERO
+        best, best_q = 0, 1
         if implicit is not None:
-            weights, wden = integer_weights([x if s > 0 else -x for x, s in zip(u, sign)])
-            top, key = implicit.best(weights)
+            top, key = implicit.best([x if s > 0 else -x for x, s in zip(u, sign)])
             if top > 0:
-                j = implicit.rank(key)
-                keys[j] = key
-                best = Fraction(-top, wden)
-                enter = j, best
+                enter = implicit.rank(key)
+                keys[enter] = key
+                best = -top
         for j in range(base, base + len(cols)):
             if j not in blocked:
                 col, q = cols[j - base]
-                red = cost(j) - sum((u[r] * v for r, v in col), _ZERO) / q
-                if red < best:
-                    best = red
-                    enter = j, red
+                red = cost(j) * den * q - sum(u[r] * v for r, v in col)
+                if red * best_q < best * q:
+                    best, best_q = red, q
+                    enter = j
         return enter
 
     def lex_less(i, k, d, start):
@@ -208,59 +215,50 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
                 return x < y
 
     def run_phase(cost, blocked):
+        """The phase's status and its cost row c_B . inv (the duals' and
+        then the objective's numerators)."""
         nonlocal pivots
         start = basis[:]
-        # Invariant: u = c_B B^-1 (the duals), so column j's reduced cost is
-        # cost(j) - u.column(j); z is the negated objective of the basis.
-        u = [_ZERO] * m
-        z = _ZERO
-        for i, bc in enumerate(basis):
-            cb = cost(bc)
-            if cb:
-                z -= cb * b[i]
-                u = add_row(u, cb / den, inv[i])
+        cb = [cost(j) for j in basis]
+        inv.append([sum(a * row[r] for a, row in zip(cb, inv)) for r in range(m + 1)])
         while True:
-            chosen = price(u, cost, blocked)
-            if chosen is None:
-                return "optimal", u, -z
-            enter, red = chosen
+            enter = price(cost, blocked)
+            if enter is None:
+                return "optimal", inv.pop()
             col, q = int_column(enter)
             d = ftran(col)
-            # Every image entry shares the positive divisor den * q, so
-            # b[i] / d[i] orders the true ratios; lex_less breaks ties.
+            # d[m] becomes minus the reduced cost's numerator, so pivot's
+            # row operation adds the reduced cost times the new leaving row
+            # to the cost row: the duals of the new basis.
+            d[m] -= cost(enter) * den * q
+            # Every image entry shares the positive divisor den * q, and
+            # every basic value den * rden, so cross-multiplied numerators
+            # order the ratios; lex_less breaks ties.
             leave = -1
-            best_ratio = None
             for i in range(m):
                 if d[i] > 0:
-                    ratio = b[i] / d[i]
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and lex_less(i, leave, d, start))
-                    ):
-                        best_ratio = ratio
+                    if leave < 0:
+                        leave = i
+                        continue
+                    x = inv[i][m] * d[leave]
+                    y = inv[leave][m] * d[i]
+                    if x < y or (x == y and lex_less(i, leave, d, start)):
                         leave = i
             if leave < 0:
-                return "unbounded", u, -z
+                return "unbounded", inv.pop()
             pivots += 1
             if pivots > _MAX_PIVOTS:
                 raise PivotCapError(_MAX_PIVOTS)
             pivot(leave, d, q)
-            u = add_row(u, red / den, inv[leave])
-            z -= red * b[leave]
             basis[leave] = enter
 
     # Phase 1: drive the artificials to zero.
     if artificial:
-
-        def cost1(j):
-            return _ONE if j in artificial else _ZERO
-
-        status, u1, obj1 = run_phase(cost1, blocked=frozenset())
+        status, u = run_phase(lambda j: int(j in artificial), frozenset())
         if status != "optimal":  # phase-1 objective is bounded below by 0
             raise SolverError("phase 1 cannot be unbounded")
-        if obj1 > 0:
-            cert = [y if s > 0 else -y for s, y in zip(sign, u1)]
+        if u[m] > 0:
+            cert = [Fraction(s * y, den) for s, y in zip(sign, u)]
             return LpResult(status="infeasible", certificate=cert, pivots=pivots)
         # Pivot surviving artificials out of the basis on the first
         # non-artificial column with a nonzero entry in their row.  A row
@@ -297,24 +295,25 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
             pivot(i, ftran(col), q)
             basis[i] = enter
 
-    def cost2(j):
-        return c[j - base] if base <= j < base + n else _ZERO
-
-    status, _, obj2 = run_phase(cost2, blocked=frozenset(artificial))
+    cost2, cden = integer_weights(c)
+    status, u = run_phase(
+        lambda j: cost2[j - base] if base <= j < base + n else 0, frozenset(artificial)
+    )
     if status == "unbounded":
         return LpResult(status="unbounded", pivots=pivots)
-    x = [_ZERO] * n
+    x = [Fraction(0)] * n
     support = []
     for i, bc in enumerate(basis):
+        value = inv[i][m]
         if base <= bc < base + n:
-            x[bc - base] = b[i]
-        elif bc < base and b[i] > 0:
-            support.append((bc, keys[bc], b[i]))
+            x[bc - base] = Fraction(value, den * rden)
+        elif bc < base and value > 0:
+            support.append((bc, keys[bc], Fraction(value, den * rden)))
     support.sort(key=lambda s: s[0])
     return LpResult(
         status="optimal",
         x=x,
-        objective=obj2,
+        objective=Fraction(u[m], den * rden * cden),
         pivots=pivots,
         support=[(key, v) for _, key, v in support] if implicit is not None else None,
     )

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from uncertain_objectives import simplex
+from uncertain_objectives import cli, scenario, simplex
 from uncertain_objectives.cli import build_parser, main
 
 from conftest import GOLDEN, SCENARIOS
@@ -163,6 +163,23 @@ class TestFindings:
         assert "one of possibly many" in f["bridge_note"]
         assert f["outcome"]["outcome"] == "act"
         assert f["outcome"]["world"] == "x1"
+
+    def test_matrix_scenario_is_decoded_once(self, monkeypatch):
+        path = SCENARIOS / "decide_from_matrix.json"
+        parsed = scenario.parse_scenario(path.read_bytes())
+        decodes = []
+        load_json = scenario.load_json
+
+        def counted(*args):
+            decodes.append(args)
+            return load_json(*args)
+
+        monkeypatch.setattr(cli, "load_json", counted)
+        monkeypatch.setattr(scenario, "load_json", counted)
+        matrix, digest = cli._load_matrix(str(path))
+        assert matrix == parsed.belief_matrix
+        assert digest == parsed.digest()
+        assert len(decodes) == 1
 
     def test_decide_restricted_actions(self):
         code, out, _ = run_cli(

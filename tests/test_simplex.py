@@ -4,10 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from uncertain_objectives import simplex
+from uncertain_objectives.beliefs import OrderColumns
 from uncertain_objectives.errors import PivotCapError, UncertainObjectivesError
 from uncertain_objectives.simplex import solve_lp
 
-from conftest import reference_solve_lp
+from conftest import dense_solve_lp, reference_solve_lp
 
 
 def solve(**lp):
@@ -164,6 +165,62 @@ def test_random_degenerate_lps_match_dense_simplex():
             for j in range(n):
                 assert sum(yi * row[j] for yi, row in zip(y, a_ub + a_eq)) <= 0
             assert dot(y, b_ub + b_eq) > 0
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+MIXED = [F(0), F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2, 3), F(-2, 3), F(3, 4), F(-3, 4),
+         F(5, 6), F(-5, 6)]
+
+
+def all_fractions(res):
+    numbers = [*(res.x or ()), *(res.certificate or ()), *(p for _, p in res.support or ())]
+    if res.objective is not None:
+        numbers.append(res.objective)
+    return all(type(v) is F for v in numbers)
+
+
+def test_mixed_denominator_lps_match_dense_simplex():
+    # Objective, rows and right-hand sides over denominators 2, 3, 4 and 6,
+    # so the solver scales each of them to integers differently.
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        a_ub = [[rng.choice(MIXED) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        b_ub = [rng.choice(MIXED) for _ in a_ub]
+        a_eq = [[rng.choice(MIXED) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+        b_eq = [rng.choice(MIXED) for _ in a_eq]
+        c = [rng.choice(MIXED) for _ in range(n)]
+        res = solve(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        seen.add(res.status)
+        assert all_fractions(res)
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_mixed_denominator_lps_with_order_columns_match_dense_simplex():
+    # The same, next to implicit order columns: support probabilities too.
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(120):
+        worlds = rng.randint(3, 4)
+        pairs = [(a, b) for a in range(worlds) for b in range(worlds) if a != b]
+        rows = rng.sample(pairs, rng.randint(1, 3)) + [None]
+        n_ub = rng.randint(0, len(rows) - 1)
+        n = rng.randint(1, 2)
+        a = [[rng.choice(MIXED) for _ in range(n)] for _ in rows]
+        b = [abs(rng.choice(MIXED)) for _ in rows[:-1]] + [F(1)]
+        lp = dict(
+            c=[rng.choice(MIXED) for _ in range(n)],
+            a_ub=a[:n_ub], b_ub=b[:n_ub], a_eq=a[n_ub:], b_eq=b[n_ub:],
+            implicit=OrderColumns(worlds, rows),
+        )
+        res = solve_lp(**lp)
+        ref = dense_solve_lp(**lp)
+        assert (res.status, res.x, res.objective, res.certificate, res.pivots, res.support) == (
+            ref.status, ref.x, ref.objective, ref.certificate, ref.pivots, ref.support
+        )
+        seen.add(res.status)
+        assert all_fractions(res)
     assert seen == {"optimal", "infeasible", "unbounded"}
 
 
