@@ -35,6 +35,7 @@ denominator for exact values and on float64 for floats, and results carry
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -396,13 +397,30 @@ class OrderColumns:
         return self._dp(weights).first_above(threshold)
 
 
+@functools.cache
+def _subset_tables(n: int):
+    """Index tables over the subsets of n items, a pure function of n.
+
+    ``low[w]`` lists (s, s minus its lowest item, that item) for every
+    nonempty s without w, in ascending s; ``members[s]`` lists (w, s minus w)
+    for every item w of s, in ascending w.  Each holds at most n * 2^(n-1)
+    entries, half as many as one DP's ``gain`` lists.
+    """
+    size = 1 << n
+    low = [(s, s & (s - 1), (s & -s).bit_length() - 1) for s in range(1, size)]
+    low = [[t for t in low if not t[0] >> w & 1] for w in range(n)]
+    members = [[(w, s ^ 1 << w) for w in range(n) if s >> w & 1] for s in range(size)]
+    return low, members
+
+
 class _OrderDP:
     """Best scores of strict total orders, where ranking a above b earns
     pair[a][b] and every order earns ``const``.
 
     top[s] is the best score of an order of the item set s (bit i = item i);
-    gain[w][s] is what ranking w above every item of s earns.  An order of s
-    that starts with w scores at most gain[w][s - w] + top[s - w], so
+    gain[w][s], for s without w, is what ranking w above every item of s
+    earns (the entries of s with w are never read and stay 0).  An order of
+    s that starts with w scores at most gain[w][s - w] + top[s - w], so
     choosing, best-first, the smallest item that can still reach a target
     builds the lexicographically smallest order reaching it.
     """
@@ -410,45 +428,39 @@ class _OrderDP:
     def __init__(self, pair, const: int):
         n = len(pair)
         size = 1 << n
+        low, members = _subset_tables(n)
         gain = []
-        for w in range(n):
-            row = pair[w]
+        for row, low_w in zip(pair, low):
             g = [0] * size
-            for s in range(1, size):
-                low = s & -s
-                g[s] = g[s ^ low] + row[low.bit_length() - 1]
+            for s, rest, b in low_w:
+                g[s] = g[rest] + row[b]
             gain.append(g)
         top = [0] * size
-        bits = [(w, 1 << w, gain[w]) for w in range(n)]
         for s in range(1, size):
             best = None
-            for w, bit, g in bits:
-                if s & bit:
-                    rest = s ^ bit
-                    v = g[rest] + top[rest]
-                    if best is None or v > best:
-                        best = v
+            for w, rest in members[s]:
+                v = gain[w][rest] + top[rest]
+                if best is None or v > best:
+                    best = v
             top[s] = best
         self.n = n
         self.const = const
         self.gain = gain
         self.top = top
+        self.members = members
 
     def _build(self, reaches) -> tuple[int, ...]:
-        gain, top = self.gain, self.top
+        gain, top, members = self.gain, self.top, self.members
         s = (1 << self.n) - 1
         acc = self.const
         order = []
         while s:
-            for w in range(self.n):
-                bit = 1 << w
-                if s & bit:
-                    rest = s ^ bit
-                    if reaches(acc + gain[w][rest] + top[rest]):
-                        order.append(w)
-                        acc += gain[w][rest]
-                        s = rest
-                        break
+            for w, rest in members[s]:
+                if reaches(acc + gain[w][rest] + top[rest]):
+                    order.append(w)
+                    acc += gain[w][rest]
+                    s = rest
+                    break
         return tuple(order)
 
     def best(self) -> tuple[int, tuple[int, ...]]:

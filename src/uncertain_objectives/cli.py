@@ -41,7 +41,7 @@ from .decisions import (
     decide_partial,
     decide_quantilized,
 )
-from .errors import SchemaError, UncertainObjectivesError
+from .errors import DimensionCapError, SchemaError, UncertainObjectivesError
 from .populations import parse_swf, swf_label
 from .rationals import as_rational, format_rational
 from .scenario import (
@@ -139,6 +139,8 @@ def _cmd_bound(args) -> tuple[dict, bool]:
     if args.n is not None:
         if args.n < 3:
             raise UncertainObjectivesError("--n must be at least 3")
+        if args.n > args.cap:  # before the n world names are built
+            raise DimensionCapError(args.n, args.cap)
         spec = CycleSpec(tuple(f"x{i+1}" for i in range(args.n)))
         digest = _digest_of({"n": args.n})
     else:

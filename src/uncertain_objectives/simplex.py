@@ -181,9 +181,10 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
             new = [[v // g for v in row] for row in new]
         inv[:] = new
 
-    def price(cost, blocked):
-        """Entering column id, or None at optimality.  With u = inv[m],
-        column j's reduced cost is cost(j) * den * q - u.column over
+    def price(explicit):
+        """Entering column id, or None at optimality, among the implicit
+        columns and the (j, entries, q, cost(j)) in ``explicit``.  With u =
+        inv[m], column j's reduced cost is cost(j) * den * q - u.column over
         den * cden * q."""
         u = inv[m]
         enter = None
@@ -194,13 +195,11 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
                 enter = implicit.rank(key)
                 keys[enter] = key
                 best = -top
-        for j in range(base, base + len(cols)):
-            if j not in blocked:
-                col, q = cols[j - base]
-                red = cost(j) * den * q - sum(u[r] * v for r, v in col)
-                if red * best_q < best * q:
-                    best, best_q = red, q
-                    enter = j
+        for j, col, q, cost_j in explicit:
+            red = cost_j * den * q - sum(u[r] * v for r, v in col)
+            if red * best_q < best * q:
+                best, best_q = red, q
+                enter = j
         return enter
 
     def lex_less(i, k, d, start):
@@ -221,8 +220,9 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
         start = basis[:]
         cb = [cost(j) for j in basis]
         inv.append([sum(a * row[r] for a, row in zip(cb, inv)) for r in range(m + 1)])
+        explicit = [(j, col, q, cost(j)) for j, (col, q) in enumerate(cols, base) if j not in blocked]
         while True:
-            enter = price(cost, blocked)
+            enter = price(explicit)
             if enter is None:
                 return "optimal", inv.pop()
             col, q = int_column(enter)

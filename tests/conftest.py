@@ -177,6 +177,36 @@ def reference_smallest_cycle(graph: ConstraintGraph):
     return best
 
 
+def reference_validate_partial_order(po):
+    """The law checks by name over every world pair and triple, in
+    itertools order: the definition ``validate_partial_order`` must match."""
+    from uncertain_objectives import Verdict
+    from uncertain_objectives.constraints import LawViolation
+
+    out = []
+    for a in po.worlds:
+        if po.verdict(a, a) is not Verdict.EQUAL:
+            out.append(LawViolation("reflexivity", (a,), f"verdict({a},{a}) must be EQUAL"))
+    for a, b in itertools.combinations(po.worlds, 2):
+        v = po.verdict(a, b)
+        w = po.verdict(b, a)
+        if w is not v.flipped():
+            law = "incomparable-symmetry" if Verdict.INCOMPARABLE in (v, w) else "antisymmetry"
+            out.append(
+                LawViolation(law, (a, b), f"verdict({a},{b})={v.value} but verdict({b},{a})={w.value}")
+            )
+    for a, b, c in itertools.permutations(po.worlds, 3):
+        if po.leq(a, b) and po.leq(b, c) and not po.leq(a, c):
+            out.append(
+                LawViolation(
+                    "transitivity",
+                    (a, b, c),
+                    f"{a}<={b} and {b}<={c} but verdict({a},{c})={po.verdict(a, c).value}",
+                )
+            )
+    return out
+
+
 def reference_path_slacks(z, paths, one=1.0) -> list:
     """Chained-bound violation slack per path, by a plain scalar loop over
     probabilities in units of ``one``."""

@@ -754,24 +754,26 @@ class TestOrderColumns:
         rng = random.Random(100 + n)
         orders = list(itertools.permutations(range(n)))
         choices = [(a, b) for a in range(n) for b in range(n) if a != b] + [None]
-        for _ in range(20 if n == 6 else 40):
-            rows = [rng.choice(choices) for _ in range(rng.randint(1, n * n))]
-            # Small weights, so that many orders tie.
-            weights = [rng.randint(-2, 2) for _ in rows]
-            src = OrderColumns(n, rows)
-            cols = [
-                [1 if r is None or o.index(r[0]) < o.index(r[1]) else 0 for r in rows]
-                for o in orders
-            ]
-            scores = [sum(w * v for w, v in zip(weights, col)) for col in cols]
-            top = max(scores)
-            assert src.best(weights) == (top, orders[scores.index(top)])
-            for t in sorted(set(scores)) + [min(scores) - 1]:
-                want = next((o for o, s in zip(orders, scores) if s > t), None)
-                assert src.first_above(weights, t) == want
-            for k in rng.sample(range(len(orders)), min(12, len(orders))):
-                assert src.rank(orders[k]) == k
-                assert src.column(orders[k]) == cols[k]
+        # Small weights, so that many orders tie, then weights as large as
+        # the simplex's integer dual numerators grow.
+        for span in (2, 10**40):
+            for _ in range(20 if n == 6 else 40):
+                rows = [rng.choice(choices) for _ in range(rng.randint(1, n * n))]
+                weights = [rng.randint(-span, span) for _ in rows]
+                src = OrderColumns(n, rows)
+                cols = [
+                    [1 if r is None or o.index(r[0]) < o.index(r[1]) else 0 for r in rows]
+                    for o in orders
+                ]
+                scores = [sum(w * v for w, v in zip(weights, col)) for col in cols]
+                top = max(scores)
+                assert src.best(weights) == (top, orders[scores.index(top)])
+                for t in sorted(set(scores)) + [min(scores) - 1]:
+                    want = next((o for o, s in zip(orders, scores) if s > t), None)
+                    assert src.first_above(weights, t) == want
+                for k in rng.sample(range(len(orders)), min(12, len(orders))):
+                    assert src.rank(orders[k]) == k
+                    assert src.column(orders[k]) == cols[k]
         assert src.size == len(orders)
 
 

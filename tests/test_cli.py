@@ -438,6 +438,15 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: bound takes --n or a scenario, not both\n"
 
+    def test_bound_refuses_n_above_cap_before_building_the_cycle(self, monkeypatch):
+        def unbuilt(worlds):
+            raise AssertionError("CycleSpec built for an n above the cap")
+
+        monkeypatch.setattr(cli, "CycleSpec", unbuilt)
+        code, out, err = run_cli("bound", "--n", "1000000")
+        assert code == 1 and out == ""
+        assert err == "error: n=1000000 exceeds the dimension cap 7 (n! variables)\n"
+
     @pytest.mark.parametrize("text", ["[1]", "1", '"x"', "null"])
     def test_matrix_document_that_is_not_an_object_is_error(self, tmp_path, text):
         path = tmp_path / "matrix.json"

@@ -22,6 +22,7 @@ from uncertain_objectives import (
 from uncertain_objectives.errors import (
     BudgetExceededError,
     InvalidPatternError,
+    InvalidValueError,
     WorldLimitError,
 )
 from uncertain_objectives import constraints
@@ -31,6 +32,7 @@ from conftest import (
     reference_minimal_patterns,
     reference_pattern_valid,
     reference_smallest_cycle,
+    reference_validate_partial_order,
 )
 
 
@@ -204,6 +206,55 @@ class TestValidatePartialOrder:
             ("a", "b"), {("a", "b"): Verdict.LESS, ("b", "a"): Verdict.LESS}
         )
         assert any(v.law == "antisymmetry" for v in validate_partial_order(po))
+
+    def test_duplicate_worlds_rejected(self):
+        with pytest.raises(InvalidValueError, match="duplicate world ids"):
+            PartialOrder(("a", "a"), ((Verdict.EQUAL,) * 2,) * 2)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_random_tables_match_reference(self, n):
+        # Every law, world tuple, detail and position in the list, on tables
+        # of all four verdicts: dense ones break many laws, sparse edits of a
+        # ranking break a few.
+        rng = random.Random(900 + n)
+        verdicts = list(Verdict)
+        worlds = tuple(f"x{i}" for i in range(n))
+        laws = set()
+        for trial in range(60):
+            if trial % 2:
+                grid = [[rng.choice(verdicts) for _ in worlds] for _ in worlds]
+            else:
+                ranking = list(worlds)
+                rng.shuffle(ranking)
+                grid = [list(row) for row in PartialOrder.from_ranking(ranking).table]
+                for _ in range(rng.randint(0, 3)):
+                    grid[rng.randrange(n)][rng.randrange(n)] = rng.choice(verdicts)
+            po = PartialOrder(worlds, tuple(map(tuple, grid)))
+            got = validate_partial_order(po)
+            assert got == reference_validate_partial_order(po)
+            laws.update(v.law for v in got)
+        want = ["reflexivity", "antisymmetry", "incomparable-symmetry", "transitivity"]
+        assert laws == set(want[: 1 if n == 1 else 3 if n == 2 else 4])
+
+    def test_partial_order_from_outputs_match_reference(self):
+        # The outputs validate clean; the same tables with one cell changed
+        # must give the reference's list too.
+        rng = random.Random(778)
+        verdicts = list(Verdict)
+        broken = 0
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(2, 6), rng.randint(1, 8))
+            for pattern in valid_uncertainty_patterns(g, len(g.edges), budget=10_000)[:4]:
+                po = partial_order_from(g, pattern)
+                assert validate_partial_order(po) == reference_validate_partial_order(po) == []
+                n = len(po.worlds)
+                grid = [list(row) for row in po.table]
+                grid[rng.randrange(n)][rng.randrange(n)] = rng.choice(verdicts)
+                po = PartialOrder(po.worlds, tuple(map(tuple, grid)))
+                got = validate_partial_order(po)
+                assert got == reference_validate_partial_order(po)
+                broken += bool(got)
+        assert broken > 20
 
 
 class TestPatterns:
