@@ -321,17 +321,20 @@ def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> li
         paths, used, sums = paths[live], used[live], sums[live]
         k = j + 1
         if k >= 3 and len(paths):
-            slacks = _kernels.path_slacks(z, paths, one)
-            flagged = slacks > tol
-            for path, slack in zip(paths[flagged].tolist(), slacks[flagged].tolist()):
+            flagged = _kernels.path_slacks(z, paths, one) > tol
+            # The reported slack is recomputed from the reported bounds: on
+            # floats numpy sums rows of 8 or more steps pairwise, so the
+            # kernel's slack can differ from them in the last bits.
+            for path in paths[flagged].tolist():
                 lower, upper = _chain_bounds([zl[a][b] for a, b in zip(path, path[1:])], one)
+                span = zl[path[0]][path[-1]]
                 found[k].append(
                     PathViolation(
                         tuple(m.worlds[i] for i in path),
-                        value(zl[path[0]][path[-1]]),
+                        value(span),
                         value(lower),
                         value(upper),
-                        value(slack),
+                        value(max(lower - span, span - upper)),
                     )
                 )
         if k < limit:
@@ -393,9 +396,6 @@ class OrderColumns:
     def best(self, weights) -> tuple[int, tuple[int, ...]]:
         return self._dp(weights).best()
 
-    def first_above(self, weights, threshold: int):
-        return self._dp(weights).first_above(threshold)
-
 
 @functools.cache
 def _subset_tables(n: int):
@@ -421,8 +421,8 @@ class _OrderDP:
     gain[w][s], for s without w, is what ranking w above every item of s
     earns (the entries of s with w are never read and stay 0).  An order of
     s that starts with w scores at most gain[w][s - w] + top[s - w], so
-    choosing, best-first, the smallest item that can still reach a target
-    builds the lexicographically smallest order reaching it.
+    choosing, best-first, the smallest item that can still reach the best
+    score builds the lexicographically smallest order reaching it.
     """
 
     def __init__(self, pair, const: int):
@@ -449,30 +449,21 @@ class _OrderDP:
         self.top = top
         self.members = members
 
-    def _build(self, reaches) -> tuple[int, ...]:
+    def best(self) -> tuple[int, tuple[int, ...]]:
+        """The best score and the lexicographically smallest order with it."""
         gain, top, members = self.gain, self.top, self.members
         s = (1 << self.n) - 1
+        value = self.const + top[s]
         acc = self.const
         order = []
         while s:
             for w, rest in members[s]:
-                if reaches(acc + gain[w][rest] + top[rest]):
+                if acc + gain[w][rest] + top[rest] == value:
                     order.append(w)
                     acc += gain[w][rest]
                     s = rest
                     break
-        return tuple(order)
-
-    def best(self) -> tuple[int, tuple[int, ...]]:
-        """The best score and the lexicographically smallest order with it."""
-        value = self.const + self.top[-1]
-        return value, self._build(lambda v: v == value)
-
-    def first_above(self, threshold: int):
-        """The lexicographically smallest order scoring above ``threshold``."""
-        if self.const + self.top[-1] <= threshold:
-            return None
-        return self._build(lambda v: v > threshold)
+        return value, tuple(order)
 
 
 def _membership_rows(m: BeliefMatrix):

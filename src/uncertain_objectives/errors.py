@@ -24,7 +24,7 @@ class SolverError(UncertainObjectivesError, RuntimeError):
 
 
 class BudgetExceededError(UncertainObjectivesError):
-    """A search would exceed its budget: subset enumeration, or an audit."""
+    """A search would exceed its budget: the pattern search, or an audit."""
 
 
 class BoundsTooLargeError(BudgetExceededError):
@@ -44,7 +44,7 @@ class ConflictingWorldIdsError(UncertainObjectivesError):
 
 
 class WorldLimitError(UncertainObjectivesError):
-    """A graph has more worlds than the batched pattern search supports."""
+    """A graph has more worlds than the pattern search supports."""
 
     def __init__(self, n: int, limit: int):
         self.n = n

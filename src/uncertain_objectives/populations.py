@@ -261,18 +261,13 @@ def count_matrix(index, counts, k: int, width: int) -> np.ndarray:
 
 
 class _field:
-    """A view field computed on first use and kept; the rows of a view read
-    it from their parent's."""
+    """A view field computed on first use and kept."""
 
     def __init__(self, compute):
         self.compute, self.name = compute, compute.__name__
 
     def __get__(self, view, owner=None):
-        if view._parent is None:
-            value = self.compute(view)
-        else:
-            value = getattr(view._parent, self.name)[view._key]
-        view.__dict__[self.name] = value
+        value = view.__dict__[self.name] = self.compute(view)
         return value
 
 
@@ -287,24 +282,18 @@ class Counts:
     in units; ``tiers``, the number of levels present; ``at_lo``, the head
     count at ``lo``; and ``cum``, cumulative head counts along the alphabet.
     An empty population has no ``lo`` or ``hi``; clauses test size first.
-    Fields are computed on first use and kept, and ``view[key]`` (numpy
-    indexing of the leading axes) reads them from the view's own.
+    Fields are computed on first use and kept; ``view[key]`` is the view of
+    ``counts[key]`` (numpy indexing of the leading axes).
     """
 
-    def __init__(self, counts, units, parent: "Counts | None" = None, key=None):
-        self.units, self._parent, self._key = units, parent, key
-        if parent is None:
-            self.counts = counts
+    def __init__(self, counts, units):
+        self.counts, self.units = counts, units
 
     def __getitem__(self, key) -> "Counts":
-        return Counts(None, self.units, self, key)
+        return Counts(self.counts[key], self.units)
 
     def __len__(self) -> int:
         return len(self.counts)
-
-    @_field
-    def counts(self):
-        raise AssertionError("a root view holds its counts")
 
     @_field
     def size(self):

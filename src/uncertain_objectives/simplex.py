@@ -28,28 +28,34 @@ integers, against the duals' numerators.
 Column ids fix every choice: implicit columns take ids 0..size-1, explicit
 columns follow, then one slack per ub row, then one artificial per eq or
 negative-rhs row.  One pivot rule: Dantzig's (most negative reduced cost,
-smallest id on ties) picks the entering column, and the lexicographic ratio
-test of Dantzig, Orden and Wolfe (1955) the leaving row: of the rows with a
-positive entry d_i in the entering column, the one whose row of
-[b | B^-1 S] / d_i is lexicographically smallest, B being the basis and S
-the basis the phase started from.  On infeasibility the phase-1 duals are
-returned as a Farkas certificate: y_ub <= 0, y.A <= 0 componentwise, and
-y.b > 0.
+smallest id on ties) picks the entering column.  Phase 2 continues from the
+basis phase 1 ends with, and its artificials never enter; one still basic
+there sits at zero and leaves at the first pivot whose entering column is
+nonzero in its row (the first such row if several).  Otherwise the
+lexicographic ratio test of Dantzig, Orden and Wolfe (1955) picks the
+leaving row: of the rows with a positive entry d_i in the entering column,
+the one whose row of [b | B^-1 S] / d_i is lexicographically smallest, B
+being the basis and S the basis the current segment started from.  On
+infeasibility the phase-1 duals are returned as a Farkas certificate:
+y_ub <= 0, y.A <= 0 componentwise, and y.b > 0.
 
-Termination: at a phase's start B = S, so every row of [b | B^-1 S] is
-lexicographically positive (b >= 0, then a row of I).  A pivot divides the
-leaving row by its d_i > 0 and subtracts d_k / d_i times it from each other
-row k: for d_k <= 0 that adds a nonnegative multiple of a positive row, and
-for d_k > 0 the leaving row's minimality keeps the difference positive
-(rows of the nonsingular B^-1 S are never proportional, so the minimum is
-unique).  Then c_B B^-1 [b | S] changes by the entering reduced cost (< 0)
-times the new leaving row (> 0): it strictly decreases, and since it is a
-function of the basis, no basis recurs and the phase ends.  Phase 1 starts
-from the identity basis of slacks and artificials, so B^-1 S is the stored
-inverse.  Phase 2 starts from the basis left after the artificials are
-driven out; those pivots may divide a zero row by a negative entry and so
-make it lexicographically negative against the identity, but not against
-S.  The membership LP of ``beliefs`` has c = [], so phase 2 never pivots.
+Termination: a phase is split into segments by the pivots on which an
+artificial leaves, and each segment starts with B = S.  There every row of
+[b | B^-1 S] is lexicographically positive (b >= 0, then a row of I).  A
+pivot divides the leaving row by its d_i > 0 and subtracts d_k / d_i times
+it from each other row k: for d_k <= 0 that adds a nonnegative multiple of a
+positive row, and for d_k > 0 the leaving row's minimality keeps the
+difference positive (rows of the nonsingular B^-1 S are never proportional,
+so the minimum is unique).  Then c_B B^-1 [b | S] changes by the entering
+reduced cost (< 0) times the new leaving row (> 0): it strictly decreases,
+and since it is a function of the basis, no basis recurs within a segment.
+An artificial-leaving pivot is degenerate (its row's basic value is 0), so
+it keeps b >= 0, but it may divide by a negative entry; hence the next
+segment starts S afresh from the new basis.  Each such pivot removes an
+artificial from the basis for good, so a phase has at most m + 1 segments
+and ends.  Phase 1 bars no column and is one segment from the identity
+basis of slacks and artificials, so its B^-1 S is the stored inverse.  The
+membership LP of ``beliefs`` has c = [], so its phase 2 never pivots.
 ``_MAX_PIVOTS`` stays as a backstop.
 """
 
@@ -80,9 +86,6 @@ class ColumnSource(Protocol):
 
     def best(self, weights: list[int]) -> tuple[int, Any]:
         """Largest weights.column, and the smallest-id key attaining it."""
-
-    def first_above(self, weights: list[int], threshold: int):
-        """Smallest-id key with weights.column > threshold, or None."""
 
 
 @dataclass
@@ -215,7 +218,9 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
 
     def run_phase(cost, blocked):
         """The phase's status and its cost row c_B . inv (the duals' and
-        then the objective's numerators)."""
+        then the objective's numerators).  Columns in ``blocked`` never
+        enter, and one that is basic leaves at the first pivot whose entering
+        image is nonzero in its row."""
         nonlocal pivots
         start = basis[:]
         cb = [cost(j) for j in basis]
@@ -231,11 +236,17 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
             # row operation adds the reduced cost times the new leaving row
             # to the cost row: the duals of the new basis.
             d[m] -= cost(enter) * den * q
-            # Every image entry shares the positive divisor den * q, and
-            # every basic value den * rden, so cross-multiplied numerators
-            # order the ratios; lex_less breaks ties.
+            # A blocked column is basic only at zero, so the first row holding
+            # one with a nonzero entry leaves: a degenerate pivot, even on a
+            # negative entry, that keeps every basic value.  Otherwise every
+            # image entry shares the positive divisor den * q, and every
+            # basic value den * rden, so cross-multiplied numerators order
+            # the ratios; lex_less breaks ties.
             leave = -1
             for i in range(m):
+                if d[i] and basis[i] in blocked:
+                    leave = i
+                    break
                 if d[i] > 0:
                     if leave < 0:
                         leave = i
@@ -250,7 +261,9 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
             if pivots > _MAX_PIVOTS:
                 raise PivotCapError(_MAX_PIVOTS)
             pivot(leave, d, q)
-            basis[leave] = enter
+            left, basis[leave] = basis[leave], enter
+            if left in blocked:
+                start = basis[:]
 
     # Phase 1: drive the artificials to zero.
     if artificial:
@@ -260,40 +273,6 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
         if u[m] > 0:
             cert = [Fraction(s * y, den) for s, y in zip(sign, u)]
             return LpResult(status="infeasible", certificate=cert, pivots=pivots)
-        # Pivot surviving artificials out of the basis on the first
-        # non-artificial column with a nonzero entry in their row.  A row
-        # with none is redundant: its artificial stays basic at zero, and
-        # since every column that can still enter has a zero entry there,
-        # the row never takes part in a pivot again.
-        for i in range(m):
-            if basis[i] not in artificial:
-                continue
-            row = inv[i]
-            enter = None
-            if implicit is not None:
-                weights = [s * v for s, v in zip(sign, row)]
-                found = [
-                    key
-                    for key in (
-                        implicit.first_above(weights, 0),
-                        implicit.first_above([-w for w in weights], 0),
-                    )
-                    if key is not None
-                ]
-                if found:
-                    key = min(found, key=implicit.rank)
-                    enter = implicit.rank(key)
-                    keys[enter] = key
-            if enter is None:
-                for j in range(base, base + len(cols)):
-                    if j not in artificial and sum(row[r] * v for r, v in cols[j - base][0]):
-                        enter = j
-                        break
-            if enter is None:
-                continue
-            col, q = int_column(enter)
-            pivot(i, ftran(col), q)
-            basis[i] = enter
 
     cost2, cden = integer_weights(c)
     status, u = run_phase(

@@ -272,9 +272,10 @@ def reference_path_violations(m, max_path_len=None) -> list:
 # The dense-tableau two-phase simplex the library used before its revised
 # simplex, kept as an oracle: one tableau column per variable, so it only
 # runs on explicit matrices.  It follows the library's pivot rule (Dantzig's
-# entering rule, the lexicographic ratio test against the phase's start
-# basis), and the library's solver must reproduce its status, x, objective,
-# certificate and pivot count exactly.
+# entering rule; in phase 2, an artificial left basic by phase 1 leaves on
+# any nonzero entry; otherwise the lexicographic ratio test against the
+# basis the segment started from), and the library's solver must reproduce
+# its status, x, objective, certificate and pivot count exactly.
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -373,19 +374,23 @@ def reference_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LpResult:
                     enter = j
             if enter < 0:
                 return "optimal", red, -z
-            leave = -1
-            best_ratio = None
-            for i in range(m):
-                a = tableau[i][enter]
-                if a > 0:
-                    ratio = b[i] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and lex_less(i, leave, enter, start))
-                    ):
-                        best_ratio = ratio
-                        leave = i
+            # A blocked artificial still basic (at zero) leaves first, on
+            # any nonzero entry; a new lexicographic segment starts after.
+            leave = next((i for i in range(m) if tableau[i][enter] and basis[i] in blocked), -1)
+            restart = leave >= 0
+            if not restart:
+                best_ratio = None
+                for i in range(m):
+                    a = tableau[i][enter]
+                    if a > 0:
+                        ratio = b[i] / a
+                        if (
+                            best_ratio is None
+                            or ratio < best_ratio
+                            or (ratio == best_ratio and lex_less(i, leave, enter, start))
+                        ):
+                            best_ratio = ratio
+                            leave = i
             if leave < 0:
                 return "unbounded", red, -z
             pivots += 1
@@ -416,6 +421,8 @@ def reference_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LpResult:
                         red[j] -= factor * prow[j]
                 z -= factor * b[leave]
             basis[leave] = enter
+            if restart:
+                start = basis[:]
 
     # Phase 1: drive the artificials to zero.
     if artificial:
@@ -434,40 +441,6 @@ def reference_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LpResult:
                     y[i] = -flip[i] * red1[slack_col[i]]
             cert = [flip[i] * y[i] for i in range(m)]
             return LpResult(status="infeasible", certificate=cert, pivots=pivots)
-        # Pivot surviving artificials out of the basis; drop redundant rows.
-        drop = []
-        for i in range(m):
-            if basis[i] in artificial:
-                enter = -1
-                for j in range(col_count):
-                    if j not in artificial and tableau[i][j] != 0:
-                        enter = j
-                        break
-                if enter < 0:
-                    drop.append(i)
-                    continue
-                prow = tableau[i]
-                pval = prow[enter]
-                inv = _ONE / pval
-                for j in range(col_count):
-                    if prow[j]:
-                        prow[j] *= inv
-                b[i] *= inv
-                for k in range(m):
-                    if k == i:
-                        continue
-                    factor = tableau[k][enter]
-                    if factor:
-                        trow = tableau[k]
-                        for j in range(col_count):
-                            if prow[j]:
-                                trow[j] -= factor * prow[j]
-                        b[k] -= factor * b[i]
-                basis[i] = enter
-        if drop:
-            for i in reversed(drop):
-                del tableau[i], b[i], basis[i]
-            m = len(tableau)
 
     cost2 = c + [_ZERO] * (col_count - n)
     status, _, obj2 = run_phase(cost2, blocked=frozenset(artificial))

@@ -210,6 +210,21 @@ class TestPathCoherence:
             pv.path for pv in check_path_coherence(FORCED_VIOLATION)
         }
 
+    def test_float_slack_is_the_distance_from_the_reported_bounds(self):
+        # Entries near 0, near 1 and uniform, so that many paths of 9 and 10
+        # worlds, whose 8 or more steps numpy sums pairwise, are flagged.
+        rng = random.Random(0)
+        n = 10
+        entries = {
+            (i, j): rng.choice([rng.random() * 0.05, 1 - rng.random() * 0.05, rng.random()])
+            for i in range(n) for j in range(i + 1, n)
+        }
+        violations = check_path_coherence(float_matrix(n, entries))
+        assert len(violations) == 53146
+        assert {len(pv.path) for pv in violations} >= {9, 10}
+        for pv in violations:
+            assert pv.slack == max(pv.lower - pv.span, pv.span - pv.upper)
+
 
 def random_entry_matrix(rng, n, den, as_float=False):
     worlds = tuple(f"w{i}" for i in range(n))
@@ -768,9 +783,6 @@ class TestOrderColumns:
                 scores = [sum(w * v for w, v in zip(weights, col)) for col in cols]
                 top = max(scores)
                 assert src.best(weights) == (top, orders[scores.index(top)])
-                for t in sorted(set(scores)) + [min(scores) - 1]:
-                    want = next((o for o, s in zip(orders, scores) if s > t), None)
-                    assert src.first_above(weights, t) == want
                 for k in rng.sample(range(len(orders)), min(12, len(orders))):
                     assert src.rank(orders[k]) == k
                     assert src.column(orders[k]) == cols[k]

@@ -133,16 +133,48 @@ def test_beales_cycling_lp_terminates():
     assert res.pivots <= 5
 
 
-def test_random_degenerate_lps_match_dense_simplex():
-    # Small LPs with mostly zero right-hand sides.  They meet about 230
-    # ratio ties, 17 of them in a phase 2 that starts from a basis other
-    # than the identity, and 33 artificials are pivoted out on a negative
-    # entry before phase 2.
-    def dot(u, v):
-        return sum(a * b for a, b in zip(u, v))
+def test_artificial_left_basic_leaves_on_a_negative_entry():
+    # min -y  s.t.  x <= 0,  -x - y = 0.  The equality's artificial starts at
+    # zero and neither x nor y has a negative phase-1 reduced cost, so phase
+    # 1 ends with it basic.  y enters phase 2 with entry -1 in its row: were
+    # that row left to the ratio test, the artificial would grow with y and
+    # the LP would read unbounded.
+    res = solve(
+        c=[F(0), F(-1)], a_ub=[[F(1), F(0)]], b_ub=[F(0)], a_eq=[[F(-1), F(-1)]], b_eq=[F(0)]
+    )
+    assert res.status == "optimal"
+    assert res.x == [F(0), F(0)]
+    assert -res.x[0] - res.x[1] == 0
+    assert res.objective == 0
 
+
+def test_ratio_ties_after_an_artificial_leaves_use_the_new_basis():
+    # Phase 1 ends with artificials basic; in phase 2 one leaves on a
+    # negative entry, and the ratio ties that follow are broken against the
+    # basis after that pivot, as the dense reference breaks them.  Against
+    # the basis phase 2 started from they would take 6 pivots, not 7.
+    res = solve(
+        c=[F(-1), F(0), F(0), F(0), F(1), F(0)],
+        a_eq=[
+            [F(2), F(0), F(1), F(0), F(1), F(0)],
+            [F(1), F(1), F(0), F(2), F(-1), F(0)],
+            [F(0), F(0), F(-2), F(0), F(1), F(-2)],
+            [F(0), F(-1), F(1), F(0), F(1), F(1)],
+        ],
+        b_eq=[F(0)] * 4,
+    )
+    assert res.status == "optimal"
+    assert res.x == [F(0)] * 6
+    assert res.pivots == 7
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def degenerate_lps():
+    """400 small seeded LPs with mostly zero right-hand sides."""
     rng = random.Random(1)
-    seen = set()
     for _ in range(400):
         n = rng.randint(2, 5)
         entry = lambda: F(rng.choice([-2, -1, 0, 0, 1, 1, 2]))
@@ -151,8 +183,18 @@ def test_random_degenerate_lps_match_dense_simplex():
         a_eq = [[entry() for _ in range(n)] for _ in range(rng.randint(1, 3))]
         b_eq = [F(rng.choice([0, 0, 1, 2])) for _ in a_eq]
         c = [entry() for _ in range(n)]
-        res = solve(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        yield dict(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+
+
+def test_random_degenerate_lps_match_dense_simplex():
+    # These LPs meet about 220 ratio ties, 13 of them in phase 2 (12 against
+    # a segment start other than the identity basis).  16 artificials that
+    # phase 1 leaves basic at zero leave in phase 2, 15 on a negative entry.
+    seen = set()
+    for lp in degenerate_lps():
+        res = solve(**lp)
         seen.add(res.status)
+        c, a_ub, b_ub, a_eq, b_eq = lp.values()
         if res.status == "optimal":
             x = res.x
             assert min(x) >= 0
@@ -162,10 +204,34 @@ def test_random_degenerate_lps_match_dense_simplex():
         elif res.status == "infeasible":
             y = res.certificate
             assert all(v <= 0 for v in y[: len(a_ub)])
-            for j in range(n):
+            for j in range(len(c)):
                 assert sum(yi * row[j] for yi, row in zip(y, a_ub + a_eq)) <= 0
             assert dot(y, b_ub + b_eq) > 0
     assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_random_degenerate_optima_equal_their_duals():
+    # Strong duality holds whatever the pivot rule.  The dual of each optimal
+    # LP,  max b.y  s.t.  y.A <= c,  y_ub <= 0,  is solved as a minimisation
+    # over nonnegative u = -y_ub, v and w, with y_eq = v - w.
+    optimal = 0
+    for lp in degenerate_lps():
+        res = solve_lp(**lp)
+        if res.status != "optimal":
+            continue
+        c, a_ub, b_ub, a_eq, b_eq = lp.values()
+        dual = solve_lp(
+            c=[*b_ub, *(-b for b in b_eq), *b_eq],
+            a_ub=[
+                [-row[j] for row in a_ub] + [row[j] for row in a_eq] + [-row[j] for row in a_eq]
+                for j in range(len(c))
+            ],
+            b_ub=c,
+        )
+        assert dual.status == "optimal"
+        assert -dual.objective == res.objective
+        optimal += 1
+    assert optimal == 120
 
 
 MIXED = [F(0), F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2, 3), F(-2, 3), F(3, 4), F(-3, 4),
