@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -191,8 +190,8 @@ class CycleSpec:
 
     def __init__(self, worlds):
         worlds = tuple(worlds)
-        if len(worlds) < 3:
-            raise InvalidValueError("a cycle needs at least 3 worlds")
+        if len(worlds) < 2:
+            raise InvalidValueError("a cycle needs at least 2 worlds")
         if len(set(worlds)) != len(worlds):
             raise InvalidValueError("cycle worlds must be distinct")
         object.__setattr__(self, "worlds", worlds)
@@ -356,17 +355,16 @@ class OrderColumns:
 
     Each LP row is either a pair (a, b), whose entry is 1 in the columns of
     orders ranking a above b and 0 elsewhere, or None, an entry of 1 in
-    every column.  Orders are best-first index tuples; a column's id is its
-    order's lexicographic rank, the position ``itertools.permutations``
-    gives it.  Pricing (the best-scoring order under integer row weights)
-    is a maximum-weight linear ordering, solved exactly by a DP over subsets
-    in O(2^n * n) integer steps.
+    every column.  A column's key is its order, a best-first index tuple, so
+    keys sort in ``itertools.permutations`` order.  Pricing (the
+    best-scoring order under integer row weights) is a maximum-weight linear
+    ordering, solved exactly by a DP over subsets in O(2^n * n) integer
+    steps.
     """
 
     def __init__(self, n: int, rows):
         self.n = n
         self.rows = list(rows)
-        self.size = math.factorial(n)
 
     def column(self, order) -> list[int]:
         pos = [0] * self.n
@@ -374,59 +372,26 @@ class OrderColumns:
             pos[w] = r
         return [1 if row is None or pos[row[0]] < pos[row[1]] else 0 for row in self.rows]
 
-    def rank(self, order) -> int:
-        left = list(range(self.n))
-        out = 0
-        for r, w in enumerate(order):
-            k = left.index(w)
-            out += k * math.factorial(self.n - 1 - r)
-            del left[k]
-        return out
+    def best(self, weights) -> tuple[int, tuple[int, ...]]:
+        """The best score and the lexicographically smallest order with it.
 
-    def _dp(self, weights):
-        pair = [[0] * self.n for _ in range(self.n)]
+        Ranking a above b earns pair[a][b], the summed weights of row (a, b),
+        and every order earns the None rows' weights.  top[s] is the best
+        score of an order of the item set s (bit i = item i); gain[w][s], for
+        s without w, is what ranking w above every item of s earns (the
+        entries of s with w are never read and stay 0).  An order of s that
+        starts with w scores at most gain[w][s - w] + top[s - w], so
+        choosing, best-first, the smallest item that can still reach the best
+        score builds the lexicographically smallest order reaching it.
+        """
+        n = self.n
+        pair = [[0] * n for _ in range(n)]
         const = 0
         for row, w in zip(self.rows, weights):
             if row is None:
                 const += w
             else:
                 pair[row[0]][row[1]] += w
-        return _OrderDP(pair, const)
-
-    def best(self, weights) -> tuple[int, tuple[int, ...]]:
-        return self._dp(weights).best()
-
-
-@functools.cache
-def _subset_tables(n: int):
-    """Index tables over the subsets of n items, a pure function of n.
-
-    ``low[w]`` lists (s, s minus its lowest item, that item) for every
-    nonempty s without w, in ascending s; ``members[s]`` lists (w, s minus w)
-    for every item w of s, in ascending w.  Each holds at most n * 2^(n-1)
-    entries, half as many as one DP's ``gain`` lists.
-    """
-    size = 1 << n
-    low = [(s, s & (s - 1), (s & -s).bit_length() - 1) for s in range(1, size)]
-    low = [[t for t in low if not t[0] >> w & 1] for w in range(n)]
-    members = [[(w, s ^ 1 << w) for w in range(n) if s >> w & 1] for s in range(size)]
-    return low, members
-
-
-class _OrderDP:
-    """Best scores of strict total orders, where ranking a above b earns
-    pair[a][b] and every order earns ``const``.
-
-    top[s] is the best score of an order of the item set s (bit i = item i);
-    gain[w][s], for s without w, is what ranking w above every item of s
-    earns (the entries of s with w are never read and stay 0).  An order of
-    s that starts with w scores at most gain[w][s - w] + top[s - w], so
-    choosing, best-first, the smallest item that can still reach the best
-    score builds the lexicographically smallest order reaching it.
-    """
-
-    def __init__(self, pair, const: int):
-        n = len(pair)
         size = 1 << n
         low, members = _subset_tables(n)
         gain = []
@@ -443,18 +408,9 @@ class _OrderDP:
                 if best is None or v > best:
                     best = v
             top[s] = best
-        self.n = n
-        self.const = const
-        self.gain = gain
-        self.top = top
-        self.members = members
-
-    def best(self) -> tuple[int, tuple[int, ...]]:
-        """The best score and the lexicographically smallest order with it."""
-        gain, top, members = self.gain, self.top, self.members
-        s = (1 << self.n) - 1
-        value = self.const + top[s]
-        acc = self.const
+        s = size - 1
+        value = const + top[s]
+        acc = const
         order = []
         while s:
             for w, rest in members[s]:
@@ -464,6 +420,22 @@ class _OrderDP:
                     s = rest
                     break
         return value, tuple(order)
+
+
+@functools.cache
+def _subset_tables(n: int):
+    """Index tables over the subsets of n items, a pure function of n.
+
+    ``low[w]`` lists (s, s minus its lowest item, that item) for every
+    nonempty s without w, in ascending s; ``members[s]`` lists (w, s minus w)
+    for every item w of s, in ascending w.  Each holds at most n * 2^(n-1)
+    entries, half as many as one DP's ``gain`` lists.
+    """
+    size = 1 << n
+    low = [(s, s & (s - 1), (s & -s).bit_length() - 1) for s in range(1, size)]
+    low = [[t for t in low if not t[0] >> w & 1] for w in range(n)]
+    members = [[(w, s ^ 1 << w) for w in range(n) if s >> w & 1] for s in range(size)]
+    return low, members
 
 
 def _membership_rows(m: BeliefMatrix):
@@ -631,6 +603,8 @@ class MinimaxBound:
 
 def violation_probabilities(d: OrderDistribution, spec: CycleSpec) -> list:
     """Per-constraint violation mass: P(order ranks x_{i+1} above x_i)."""
+    if not set(spec.worlds) <= set(d.orders[0]):
+        raise InvalidValueError("distribution does not rank every world of the cycle")
     out = []
     for better, worse in spec.constraint_pairs():
         mass = sum(
@@ -682,8 +656,8 @@ def rotation_mixture(spec_or_n) -> OrderDistribution:
         worlds = spec_or_n.worlds
     else:
         n = int(spec_or_n)
-        if n < 3:
-            raise InvalidValueError("rotation mixture needs n >= 3")
+        if n < 2:
+            raise InvalidValueError("rotation mixture needs n >= 2")
         worlds = tuple(f"x{i+1}" for i in range(n))
     n = len(worlds)
     orders = [

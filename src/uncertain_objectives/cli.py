@@ -137,8 +137,8 @@ def _cmd_bound(args) -> tuple[dict, bool]:
     if args.n is not None and args.scenario:
         raise UncertainObjectivesError("bound takes --n or a scenario, not both")
     if args.n is not None:
-        if args.n < 3:
-            raise UncertainObjectivesError("--n must be at least 3")
+        if args.n < 2:
+            raise UncertainObjectivesError("--n must be at least 2")
         if args.n > args.cap:  # before the n world names are built
             raise DimensionCapError(args.n, args.cap)
         spec = CycleSpec(tuple(f"x{i+1}" for i in range(args.n)))

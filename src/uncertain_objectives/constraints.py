@@ -322,22 +322,41 @@ class UncertaintyPattern:
         return len(self.edge_indices)
 
 
+def _invalidity_targets(reach: list[int], ends, removed: int) -> dict[int, int]:
+    """Why a pattern is invalid, given the closure ``reach`` of its kept
+    edges, every edge's (worse, better) world indices ``ends``, and the
+    bitmask ``removed`` of its removed edges: for each source world, a
+    bitmask of the worlds it reaches but must not.  Those are the far end of
+    a removed pair forced in either direction, by ascending edge index, then
+    the source itself when it lies on a cycle.  Empty exactly when the
+    pattern is valid."""
+    targets: dict[int, int] = {}
+    m = removed
+    while m:
+        low = m & -m
+        m ^= low
+        u, v = ends[low.bit_length() - 1]
+        if reach[u] >> v & 1:
+            targets[u] = targets.get(u, 0) | 1 << v
+        if reach[v] >> u & 1:
+            targets[v] = targets.get(v, 0) | 1 << u
+    for w, row in enumerate(reach):
+        if row >> w & 1:
+            targets[w] = targets.get(w, 0) | 1 << w
+    return targets
+
+
 def _kept_closure(g: ConstraintGraph, pattern: UncertaintyPattern) -> list[int] | None:
     """The closure bit-rows of the kept edges, or None when the pattern is
-    invalid: the closure has a cycle or forces a removed endpoint pair."""
+    invalid (see ``_invalidity_targets``)."""
     skip = frozenset(pattern.edge_indices)
     if any(i < 0 or i >= len(g.edges) for i in skip):
         raise InvalidValueError("pattern references edges outside the graph")
     reach = _closure_bits(g.bit_rows(skip))
-    if _has_cycle_bits(reach):
-        return None
     idx = {w: i for i, w in enumerate(g.worlds)}
-    for i in pattern.edge_indices:
-        u = idx[g.edges[i].worse]
-        v = idx[g.edges[i].better]
-        if reach[u] >> v & 1 or reach[v] >> u & 1:
-            return None
-    return reach
+    ends = [(idx[e.worse], idx[e.better]) for e in g.edges]
+    removed = sum(1 << i for i in skip)
+    return None if _invalidity_targets(reach, ends, removed) else reach
 
 
 def pattern_is_valid(g: ConstraintGraph, pattern: UncertaintyPattern) -> bool:
@@ -388,22 +407,7 @@ class _WitnessSearch:
     def _witness(self, rows: list[int], removed: int) -> list[int] | None:
         """Edge indices of a shortest witness among the kept edges, or None
         when the removed set is valid."""
-        reach = _closure_bits(rows)
-        # Targets to reach from each source world: the far end of a forced
-        # removed pair, or the source itself when it lies on a cycle.
-        targets: dict[int, int] = {}
-        m = removed
-        while m:
-            low = m & -m
-            m ^= low
-            u, v = self.ends[low.bit_length() - 1]
-            if reach[u] >> v & 1:
-                targets[u] = targets.get(u, 0) | 1 << v
-            if reach[v] >> u & 1:
-                targets[v] = targets.get(v, 0) | 1 << u
-        for w, row in enumerate(reach):
-            if row >> w & 1:
-                targets[w] = targets.get(w, 0) | 1 << w
+        targets = _invalidity_targets(_closure_bits(rows), self.ends, removed)
         if not targets:
             return None
         best = None

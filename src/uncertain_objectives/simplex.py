@@ -25,19 +25,21 @@ columns too large to list (one per total order, say) as a
 ``ColumnSource``: its pricing is a maximisation the source solves in
 integers, against the duals' numerators.
 
-Column ids fix every choice: implicit columns take ids 0..size-1, explicit
-columns follow, then one slack per ub row, then one artificial per eq or
-negative-rhs row.  One pivot rule: Dantzig's (most negative reduced cost,
-smallest id on ties) picks the entering column.  Phase 2 continues from the
-basis phase 1 ends with, and its artificials never enter; one still basic
-there sits at zero and leaves at the first pivot whose entering column is
-nonzero in its row (the first such row if several).  Otherwise the
-lexicographic ratio test of Dantzig, Orden and Wolfe (1955) picks the
-leaving row: of the rows with a positive entry d_i in the entering column,
-the one whose row of [b | B^-1 S] / d_i is lexicographically smallest, B
-being the basis and S the basis the current segment started from.  On
-infeasibility the phase-1 duals are returned as a Farkas certificate:
-y_ub <= 0, y.A <= 0 componentwise, and y.b > 0.
+An implicit column's id is the key its source names it by, and the
+result lists the positive ones sorted by key.  Explicit columns are
+numbered from 0: the columns of ``c``, one slack per ub row, then one
+artificial per eq or negative-rhs row.  One pivot rule: Dantzig's (most
+negative reduced cost) picks the entering column; on a tie the implicit
+column ``best`` returns wins, then the smallest explicit id.  Phase 2
+continues from the basis phase 1 ends with, and its artificials never
+enter; one still basic there sits at zero and leaves at the first pivot
+whose entering column is nonzero in its row (the first such row if
+several).  Otherwise the lexicographic ratio test of Dantzig, Orden and
+Wolfe (1955) picks the leaving row: of the rows with a positive entry d_i
+in the entering column, the one whose row of [b | B^-1 S] / d_i is
+lexicographically smallest, B being the basis and S the basis the current
+segment started from.  On infeasibility the phase-1 duals are returned as
+a Farkas certificate: y_ub <= 0, y.A <= 0 componentwise, and y.b > 0.
 
 Termination: a phase is split into segments by the pivots on which an
 artificial leaves, and each segment starts with B = S.  There every row of
@@ -74,18 +76,14 @@ _MAX_PIVOTS = 200_000
 
 
 class ColumnSource(Protocol):
-    """Zero-cost columns with ids 0..size-1, identified by hashable keys."""
-
-    size: int
+    """Zero-cost columns, each named by a key: hashable, not an int (ints
+    name the explicit columns), and ordered, as the support is listed."""
 
     def column(self, key) -> list[int]:
         """Integer entries of the column on every row, ub rows then eq rows."""
 
-    def rank(self, key) -> int:
-        """The column's id."""
-
     def best(self, weights: list[int]) -> tuple[int, Any]:
-        """Largest weights.column, and the smallest-id key attaining it."""
+        """Largest weights.column, and the key of a column attaining it."""
 
 
 @dataclass
@@ -95,7 +93,7 @@ class LpResult:
     objective: Fraction | None = None
     certificate: list[Fraction] | None = None  # Farkas y, ub rows then eq rows
     pivots: int = 0
-    support: list[tuple[Any, Fraction]] | None = None  # positive implicit columns, by id
+    support: list[tuple[Any, Fraction]] | None = None  # positive implicit columns, by key
 
 
 def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | None = None) -> LpResult:
@@ -122,27 +120,25 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
             sign[i] = -1
             rhs[i] = -rhs[i]
 
-    # Explicit columns of the sign-flipped system, by id minus ``base`` (x
-    # columns, slacks, then artificials): each is its nonzero (row, integer)
-    # entries and a denominator q, the column being those entries / q.
-    base = implicit.size if implicit is not None else 0
+    # Explicit columns of the sign-flipped system, by id (x columns, slacks,
+    # then artificials): each is its nonzero (row, integer) entries and a
+    # denominator q, the column being those entries / q.
     cols = []
     for j in range(n):
         nz = [(i, sign[i] * row[j]) for i, row in enumerate(rows) if row[j]]
         ints, q = integer_weights([v for _, v in nz])
         cols.append(([(i, v) for (i, _), v in zip(nz, ints)], q))
-    basis: list[int] = [0] * m
+    basis: list = [0] * m  # explicit ids and implicit keys
     for i in range(n_ub):
         if sign[i] > 0:
-            basis[i] = base + len(cols)
+            basis[i] = len(cols)
         cols.append(([(i, sign[i])], 1))
     artificial: set[int] = set()
     for i in range(m):
         if i >= n_ub or sign[i] < 0:
-            basis[i] = base + len(cols)
+            basis[i] = len(cols)
             artificial.add(basis[i])
             cols.append(([(i, 1)], 1))
-    keys: dict[int, Any] = {}  # key of every implicit column that entered
 
     # inv / den is the basis inverse; column m holds the basic values'
     # numerators, over den * rden.
@@ -152,9 +148,9 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
     pivots = 0
 
     def int_column(j):
-        if j >= base:
-            return cols[j - base]
-        col = implicit.column(keys[j])
+        if isinstance(j, int):
+            return cols[j]
+        col = implicit.column(j)
         return [(r, s * v) for r, (s, v) in enumerate(zip(sign, col)) if v], 1
 
     def ftran(col):
@@ -195,8 +191,7 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
         if implicit is not None:
             top, key = implicit.best([x if s > 0 else -x for x, s in zip(u, sign)])
             if top > 0:
-                enter = implicit.rank(key)
-                keys[enter] = key
+                enter = key
                 best = -top
         for j, col, q, cost_j in explicit:
             red = cost_j * den * q - sum(u[r] * v for r, v in col)
@@ -225,7 +220,7 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
         start = basis[:]
         cb = [cost(j) for j in basis]
         inv.append([sum(a * row[r] for a, row in zip(cb, inv)) for r in range(m + 1)])
-        explicit = [(j, col, q, cost(j)) for j, (col, q) in enumerate(cols, base) if j not in blocked]
+        explicit = [(j, col, q, cost(j)) for j, (col, q) in enumerate(cols) if j not in blocked]
         while True:
             enter = price(explicit)
             if enter is None:
@@ -274,25 +269,25 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
             cert = [Fraction(s * y, den) for s, y in zip(sign, u)]
             return LpResult(status="infeasible", certificate=cert, pivots=pivots)
 
-    cost2, cden = integer_weights(c)
-    status, u = run_phase(
-        lambda j: cost2[j - base] if base <= j < base + n else 0, frozenset(artificial)
-    )
+    ints, cden = integer_weights(c)
+    cost2 = dict(enumerate(ints))  # every other column costs 0
+    status, u = run_phase(lambda j: cost2.get(j, 0), frozenset(artificial))
     if status == "unbounded":
         return LpResult(status="unbounded", pivots=pivots)
     x = [Fraction(0)] * n
     support = []
     for i, bc in enumerate(basis):
         value = inv[i][m]
-        if base <= bc < base + n:
-            x[bc - base] = Fraction(value, den * rden)
-        elif bc < base and value > 0:
-            support.append((bc, keys[bc], Fraction(value, den * rden)))
+        if not isinstance(bc, int):
+            if value > 0:
+                support.append((bc, Fraction(value, den * rden)))
+        elif bc < n:
+            x[bc] = Fraction(value, den * rden)
     support.sort(key=lambda s: s[0])
     return LpResult(
         status="optimal",
         x=x,
         objective=Fraction(u[m], den * rden * cden),
         pivots=pivots,
-        support=[(key, v) for _, key, v in support] if implicit is not None else None,
+        support=support if implicit is not None else None,
     )

@@ -2,10 +2,12 @@ import argparse
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from uncertain_objectives import cli, scenario, simplex
+from uncertain_objectives.beliefs import CycleSpec, MinimaxBound, OrderDistribution
 from uncertain_objectives.cli import build_parser, main
 
 from conftest import GOLDEN, SCENARIOS
@@ -109,12 +111,23 @@ class TestFindings:
         assert f["witness_max_violation"] == "1/4"
         assert len(f["witness"]["orders"]) == 4
 
-    def test_bound_from_scenario_cycle(self):
-        code, out, _ = run_cli("bound", str(SCENARIOS / "three_cycle.json"))
-        assert code == 0
-        f = json.loads(out)["findings"]
-        assert f["bound"] == "1/3"
-        assert f["n"] == 3
+    def test_bound_from_scenario_cycle(self, tmp_path):
+        # Two raw edges between a and b are a 2-cycle, bounded by 1/2.
+        two = tmp_path / "two_cycle.json"
+        two.write_text(json.dumps({
+            "worlds": {"a": [["1", 1]], "b": [["2", 1]]},
+            "constraints": [{"label": "C1", "from": "a", "to": "b"},
+                            {"label": "C2", "from": "b", "to": "a"}],
+        }))
+        for path, n in ((SCENARIOS / "three_cycle.json", 3), (two, 2)):
+            code, out, _ = run_cli("bound", str(path))
+            assert code == 0
+            f = json.loads(out)["findings"]
+            assert f["bound"] == f"1/{n}"
+            assert f["n"] == n
+            witness = OrderDistribution(f["witness"]["orders"], f["witness"]["p"])
+            spec = CycleSpec(f["worlds"])
+            assert MinimaxBound(Fraction(f["bound"]), witness, spec).verify()
 
     def test_audit_witness_replay_flag(self):
         _, out, _ = run_cli(*GOLDEN_CASES["audit_total_repugnant"])

@@ -290,6 +290,43 @@ def test_mixed_denominator_lps_with_order_columns_match_dense_simplex():
     assert seen == {"optimal", "infeasible", "unbounded"}
 
 
+class PairColumns:
+    """A column source with only ``column`` and ``best``: one column per
+    two-letter key, covering the two ub rows its letters name (a, b, c)
+    and the eq row.  Ties go to the smallest key, as they go to the
+    smallest id in the dense reference."""
+
+    keys = ("ab", "bc", "ca")
+
+    def column(self, key):
+        return [int(r in key) for r in "abc"] + [1]
+
+    def best(self, weights):
+        scores = {k: sum(w * v for w, v in zip(weights, self.column(k))) for k in self.keys}
+        key = max(self.keys, key=scores.get)
+        return scores[key], key
+
+
+def test_implicit_columns_are_named_by_their_keys():
+    # min t  s.t.  each letter's covering mass <= t, total mass 1.  Every
+    # key covers two of three letters, so the loads sum to 2 and t >= 2/3;
+    # the loads all equal 2/3 only when every key carries 1/3.
+    lp = dict(c=[F(1)], a_ub=[[F(-1)]] * 3, b_ub=[F(0)] * 3, a_eq=[[F(0)]], b_eq=[F(1)])
+    res = solve_lp(**lp, implicit=PairColumns())
+    assert res.status == "optimal"
+    assert res.objective == F(2, 3) and res.x == [F(2, 3)]
+    assert res.support == [("ab", F(1, 3)), ("bc", F(1, 3)), ("ca", F(1, 3))]
+    # The dense reference, with the keys' columns written out first in key
+    # order, takes the same pivots.
+    cols = [PairColumns().column(k) for k in PairColumns.keys]
+    ref = reference_solve_lp(
+        c=[0, 0, 0, 1],
+        a_ub=[[col[i] for col in cols] + [-1] for i in range(3)], b_ub=[0] * 3,
+        a_eq=[[1, 1, 1, 0]], b_eq=[1],
+    )
+    assert (ref.x, ref.objective, ref.pivots) == ([F(1, 3)] * 3 + res.x, res.objective, res.pivots)
+
+
 def test_pivot_cap_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(simplex, "_MAX_PIVOTS", 1)
     with pytest.raises(PivotCapError, match="cap of 1 pivots") as err:
