@@ -489,10 +489,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, flagged = _COMMANDS[args.command](args)
-    except UncertainObjectivesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UncertainObjectivesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":

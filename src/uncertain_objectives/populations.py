@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -260,17 +261,6 @@ def count_matrix(index, counts, k: int, width: int) -> np.ndarray:
     return rows
 
 
-class _field:
-    """A view field computed on first use and kept."""
-
-    def __init__(self, compute):
-        self.compute, self.name = compute, compute.__name__
-
-    def __get__(self, view, owner=None):
-        value = view.__dict__[self.name] = self.compute(view)
-        return value
-
-
 class Counts:
     """Populations as head counts over one sorted level alphabet.
 
@@ -295,31 +285,31 @@ class Counts:
     def __len__(self) -> int:
         return len(self.counts)
 
-    @_field
+    @cached_property
     def size(self):
         return self.counts.sum(-1)
 
-    @_field
+    @cached_property
     def cum(self):
         return self.counts.cumsum(-1)
 
-    @_field
+    @cached_property
     def total(self):
         return self.counts @ self.units
 
-    @_field
+    @cached_property
     def tiers(self):
         return (self.counts > 0).sum(-1)
 
-    @_field
+    @cached_property
     def lo(self):
         return self.units[(self.cum == 0).sum(-1)]
 
-    @_field
+    @cached_property
     def hi(self):
         return self.units[(self.cum < self.size[..., None]).sum(-1)]
 
-    @_field
+    @cached_property
     def at_lo(self):
         return np.where(self.cum > 0, self.cum, self.size[..., None]).min(-1)
 

@@ -14,6 +14,7 @@ reports pass either type through ``format_rational``.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -34,22 +35,34 @@ def as_rational(value) -> Fraction:
             raise InvalidValueError(f"not a rational: {value!r}")
         return Fraction(repr(value))
     if isinstance(value, str):
+        # Fraction builds 10**exponent, so an exponent past the interpreter's
+        # integer-string digit limit (the one json.loads enforces; none
+        # before Python 3.10.7) is refused before it runs for minutes.
         text = value.strip()
+        _, e, exponent = text.lower().partition("e")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() if e else 0
         try:
-            return Fraction(text)
+            if not limit or abs(int(exponent)) <= limit:
+                return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidValueError(f"not a rational: {value!r}") from exc
+        raise InvalidValueError(f"exponent of {value!r} is past the {limit}-digit limit")
     raise InvalidValueError(f"not a rational: {value!r}")
 
 
 def format_rational(value):
     """Render a Fraction as "p" or "p/q", which round-trips through
-    as_rational; any other value (a float, None) is returned unchanged."""
+    as_rational; any other value (a float, None) is returned unchanged.
+    A numerator or denominator past the interpreter's integer-string digit
+    limit raises ``InvalidValueError``."""
     if not isinstance(value, Fraction):
         return value
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise InvalidValueError(f"number too long to report: {exc}") from exc
 
 
 def integer_weights(values: list[Fraction]) -> tuple[list[int], int]:

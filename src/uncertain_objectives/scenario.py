@@ -44,12 +44,13 @@ def _expect(cond: bool, path: str, message: str):
 
 def load_json(data, path: str = "$"):
     """A JSON document from text or UTF-8 bytes.  Bytes that are not UTF-8,
-    invalid JSON and nesting too deep to decode raise ``SchemaError``."""
+    invalid JSON, an integer past the interpreter's integer-string digit
+    limit and nesting too deep to decode raise ``SchemaError``."""
     try:
         return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError too, so caught first
         raise SchemaError(path, f"not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long
         raise SchemaError(path, f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(path, "JSON nested too deeply to decode") from exc
@@ -72,12 +73,7 @@ def parse_population(value, path: str) -> Population:
             "expected a [welfare, count] pair",
         )
         level = _parse_rational(pair[0], f"{path}[{i}][0]")
-        _expect(
-            isinstance(pair[1], int) and not isinstance(pair[1], bool) and pair[1] > 0,
-            f"{path}[{i}][1]",
-            "count must be a positive integer",
-        )
-        groups.append((level, pair[1]))
+        groups.append((level, _parse_count(pair[1], f"{path}[{i}][1]")))
     return Population(groups)
 
 

@@ -201,15 +201,19 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
         return enter
 
     def lex_less(i, k, d, start):
-        """Whether row i of B^-1 S over d[i] precedes row k's over d[k]
-        lexicographically (S = ``start``; d[i], d[k] > 0).  Rows of a
-        nonsingular matrix are never proportional, so some column decides."""
+        """Whether row i of [b | B^-1 S] over d[i] precedes row k's over d[k]
+        lexicographically (S = ``start``; d[i], d[k] > 0).  An entry of a
+        column shares its positive divisor across rows, so cross-multiplied
+        numerators order them.  Rows of the nonsingular B^-1 S are never
+        proportional, so some entry decides."""
+        x, y = inv[i][m] * d[k], inv[k][m] * d[i]
         for j in start:
+            if x != y:
+                break
             col, _ = int_column(j)
             x = sum(inv[i][r] * v for r, v in col) * d[k]
             y = sum(inv[k][r] * v for r, v in col) * d[i]
-            if x != y:
-                return x < y
+        return x < y
 
     def run_phase(cost, blocked):
         """The phase's status and its cost row c_B . inv (the duals' and
@@ -233,23 +237,16 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
             d[m] -= cost(enter) * den * q
             # A blocked column is basic only at zero, so the first row holding
             # one with a nonzero entry leaves: a degenerate pivot, even on a
-            # negative entry, that keeps every basic value.  Otherwise every
-            # image entry shares the positive divisor den * q, and every
-            # basic value den * rden, so cross-multiplied numerators order
-            # the ratios; lex_less breaks ties.
+            # negative entry, that keeps every basic value.  Otherwise the
+            # row with a positive entry whose [b | B^-1 S] row over it is
+            # lexicographically least leaves.
             leave = -1
             for i in range(m):
                 if d[i] and basis[i] in blocked:
                     leave = i
                     break
-                if d[i] > 0:
-                    if leave < 0:
-                        leave = i
-                        continue
-                    x = inv[i][m] * d[leave]
-                    y = inv[leave][m] * d[i]
-                    if x < y or (x == y and lex_less(i, leave, d, start)):
-                        leave = i
+                if d[i] > 0 and (leave < 0 or lex_less(i, leave, d, start)):
+                    leave = i
             if leave < 0:
                 return "unbounded", inv.pop()
             pivots += 1

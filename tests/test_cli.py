@@ -2,15 +2,20 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from uncertain_objectives import cli, scenario, simplex
 from uncertain_objectives.beliefs import CycleSpec, MinimaxBound, OrderDistribution
 from uncertain_objectives.cli import build_parser, main
+from uncertain_objectives.rationals import format_rational
 
-from conftest import GOLDEN, SCENARIOS
+from conftest import GOLDEN, SCENARIOS, needs_digit_limit
 
 
 def run_cli(*argv):
@@ -19,6 +24,17 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, buf.getvalue(), err.getvalue()
+
+
+def run_cli_process(*argv):
+    """``run_cli`` in a child process, stopped after 20 s so that an input
+    that runs away fails the test instead of hanging the suite."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "uncertain_objectives.cli", *argv],
+        capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def path_graph_doc(n, closed):
@@ -425,8 +441,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "data,message",
-        [(b"\xff\xfe{}", "$: not UTF-8 text"), (b"[" * 200_000, "$: JSON nested too deeply")],
-        ids=["not_utf8", "nested"],
+        [
+            (b"\xff\xfe{}", "$: not UTF-8 text"),
+            (b"[" * 200_000, "$: JSON nested too deeply"),
+            pytest.param(b"[" + b"1" * 5000 + b"]", "$: invalid JSON: Exceeds the limit",
+                         marks=needs_digit_limit),
+        ],
+        ids=["not_utf8", "nested", "long_int"],
     )
     @pytest.mark.parametrize(
         "command", [("analyze",), ("bound",), ("decide", "--rule", "partial"), ("coherence",)]
@@ -437,6 +458,65 @@ class TestExitCodes:
         code, out, err = run_cli(command[0], str(path), *command[1:])
         assert code == 1 and out == ""
         assert err.startswith(f"error: {message}")
+
+    # Each hostile number below used to run for minutes (Fraction built
+    # 10**exponent), so the CLI runs in a child process that a timeout stops.
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "command,message",
+        [
+            ("analyze", "worlds.w1[0][0]: exponent of '1e99999999'"),
+            ("coherence", "$.z[0][1]: exponent of '1e-99999999'"),
+        ],
+    )
+    def test_hostile_numbers_in_documents_are_errors(self, tmp_path, command, message):
+        if command == "analyze":
+            doc = json.loads((SCENARIOS / "three_cycle.json").read_text())
+            doc["worlds"]["w1"][0][0] = "1e99999999"
+        else:
+            doc = json.loads((SCENARIOS / "incoherent_matrix.json").read_text())
+            doc["z"][0][1] = "1e-99999999"
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli_process(command, str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("audit", "--swf=critical:1e99999999", "--levels=1,100"), "'1e99999999'"),
+            (("audit", "--swf=total", "--levels=1e999999999"), "'1e999999999'"),
+            (("decide", str(SCENARIOS / "decide_rotations.json"), "--rule=margin",
+              "--delta=1e-99999999"), "'1e-99999999'"),
+        ],
+        ids=["swf", "levels", "delta"],
+    )
+    def test_hostile_numbers_in_options_are_errors(self, argv, message):
+        if argv[0] == "audit":
+            argv += ("--axiom=avoid_repugnant", "--max-count=2")
+        code, out, err = run_cli_process(*argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: exponent of {message}") and err.count("\n") == 1
+
+    @needs_digit_limit
+    def test_witness_past_the_digit_limit_is_error(self, tmp_path):
+        # Entries of at most 2,501 digits parse, and the path bounds report,
+        # but the exact witness's probabilities have about 5,000-digit
+        # denominators.
+        half = Fraction(1, 2)
+        z_ab = half + Fraction(1, 10**2500 + 1)
+        z_bc = half + Fraction(1, 10**2500 + 3)
+        z = [[half, z_ab, half], [1 - z_ab, half, z_bc], [half, 1 - z_bc, half]]
+        path = tmp_path / "matrix.json"
+        rows = [[format_rational(v) for v in row] for row in z]
+        path.write_text(json.dumps({"worlds": ["a", "b", "c"], "z": rows}))
+        code, out, err = run_cli("coherence", str(path))
+        assert code == 0 and json.loads(out)["findings"]["path_violations"] == []
+        code, out, err = run_cli("coherence", "--exact", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: number too long to report") and err.count("\n") == 1
 
     def test_deeply_nested_base_is_error(self):
         code, out, err = run_cli(

@@ -42,7 +42,7 @@ from uncertain_objectives.errors import (
 from uncertain_objectives.populations import EMPTY_POPULATION, Population
 from uncertain_objectives.rationals import as_rational, format_rational
 
-from conftest import SCENARIOS
+from conftest import DIGIT_LIMIT, SCENARIOS, needs_digit_limit
 
 MINIMAL = {
     "$schema": "uncertain-objectives/scenario/v1",
@@ -83,6 +83,25 @@ class TestRationals:
             SearchBounds(levels=(1, bad), max_count=2)
         with pytest.raises(InvalidValueError, match="not a rational"):
             CriticalLevel(bad)
+
+    @needs_digit_limit
+    def test_exponents_stop_at_the_digit_limit(self):
+        # Fraction builds 10**exponent, so past the interpreter's
+        # integer-string digit limit a decimal string is refused instead.
+        limit = DIGIT_LIMIT
+        assert as_rational(f"1e{limit}") == 10**limit
+        assert as_rational(f"2.5E-{limit}") == F(5, 2 * 10**limit)
+        for bad in (f"1e{limit + 1}", f"1e-{limit + 1}", f" 1E+{limit + 1} "):
+            with pytest.raises(InvalidValueError, match=f"past the {limit}-digit limit"):
+                as_rational(bad)
+
+    @needs_digit_limit
+    def test_numbers_past_the_digit_limit_are_typed_errors_in_reports(self):
+        limit = DIGIT_LIMIT
+        assert format_rational(F(1, 10 ** (limit - 1))) == "1/1" + "0" * (limit - 1)
+        for big in (F(10**limit), F(1, 10**limit)):
+            with pytest.raises(InvalidValueError, match="number too long to report"):
+                format_rational(big)
 
 
 class TestParse:

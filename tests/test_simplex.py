@@ -168,6 +168,26 @@ def test_ratio_ties_after_an_artificial_leaves_use_the_new_basis():
     assert res.pivots == 7
 
 
+def test_ratio_ties_reach_the_last_column_of_the_segment_start():
+    # A tie that only the last column of B^-1 S breaks: a ratio test that
+    # stops one column short takes 6 pivots here, not 7.
+    res = solve(
+        c=[F(0), F(0), F(-2), F(2), F(1)],
+        a_ub=[[F(0), F(-2), F(-1), F(1), F(-1)], [F(-2), F(1), F(0), F(1), F(2)]],
+        b_ub=[F(-1), F(0)],
+        a_eq=[
+            [F(-1), F(1), F(0), F(-1), F(-1)],
+            [F(1), F(0), F(1), F(-1), F(0)],
+            [F(1), F(-1), F(0), F(2), F(0)],
+        ],
+        b_eq=[F(0), F(2), F(0)],
+    )
+    assert res.status == "optimal"
+    assert res.objective == -4
+    assert res.x == [F(0), F(0), F(2), F(0), F(0)]
+    assert res.pivots == 7
+
+
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
