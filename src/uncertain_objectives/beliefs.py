@@ -223,12 +223,6 @@ def matrix_from_distribution(
     return BeliefMatrix(worlds, grid, evidence_tag)
 
 
-def _chain_bounds(steps, one) -> tuple:
-    """The chained bound on steps z in units of ``one``: (lower, upper) =
-    (max(0, one - sum(one - z)), min(one, sum(z)))."""
-    return max(one - one, one - sum(one - z for z in steps)), min(one, sum(steps))
-
-
 def path_bounds(chain) -> tuple:
     """Bounds the span probability implied by a chain of step probabilities.
 
@@ -238,7 +232,8 @@ def path_bounds(chain) -> tuple:
     chain = [_check_unit(z, "chain entry") for z in chain]
     if not chain:
         raise InvalidValueError("path_bounds needs at least one step")
-    return _chain_bounds(chain, type(sum(chain))(1))
+    one = type(sum(chain))(1)
+    return max(one - one, one - sum(one - z for z in chain)), min(one, sum(chain))
 
 
 @dataclass(frozen=True)
@@ -275,9 +270,10 @@ _SCAN_BLOCK_ROWS = 1 << 16
 def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> list[PathViolation]:
     """Report every simple path whose span probability breaks its chained bound.
 
-    Paths of up to ``max_path_len`` worlds (default: all of them) are scanned;
-    two-world paths cannot violate and are skipped.  Violations come by path
-    length, then in ``itertools.permutations`` order.  An empty list on every
+    Paths of up to ``max_path_len`` worlds (at least 2; default: all of
+    them) are scanned; two-world paths cannot violate and are skipped.
+    Violations come by path length, then in ``itertools.permutations``
+    order.  An empty list on every
     matrix derived from an actual order distribution is a theorem, so a
     non-empty result certifies that no distribution realizes the matrix.
 
@@ -296,13 +292,17 @@ def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> li
     matrix with no violated triangle returns ``[]`` without growing paths;
     on a float matrix the tolerance can accumulate along a path.
     """
+    if max_path_len is not None and max_path_len < 2:
+        raise InvalidValueError(f"max_path_len must be at least 2, got {max_path_len}")
     n = len(m.worlds)
     limit = n if max_path_len is None else min(max_path_len, n)
-    if limit < 3 or m.is_exact and _violated_triangle(m) is None:
+    if limit < 3:
         return []
     z, one, value = _scan_numbers(m)
-    zl = z.tolist()
+    if m.is_exact and _violated_triangle(m, z.tolist(), one) is None:
+        return []
     tol = _tolerance(m.is_exact)
+    numbers = {}  # numerator -> value(numerator), converted once per scan
     found: list[list[PathViolation]] = [[] for _ in range(limit + 1)]
     # Blocks of j-world prefixes, next block last.  A block's extensions are
     # reported and then grown further before the next block's, so every
@@ -320,22 +320,27 @@ def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> li
         paths, used, sums = paths[live], used[live], sums[live]
         k = j + 1
         if k >= 3 and len(paths):
-            flagged = _kernels.path_slacks(z, paths, one) > tol
-            # The reported slack is recomputed from the reported bounds: on
-            # floats numpy sums rows of 8 or more steps pairwise, so the
-            # kernel's slack can differ from them in the last bits.
-            for path in paths[flagged].tolist():
-                lower, upper = _chain_bounds([zl[a][b] for a, b in zip(path, path[1:])], one)
-                span = zl[path[0]][path[-1]]
-                found[k].append(
-                    PathViolation(
-                        tuple(m.worlds[i] for i in path),
-                        value(span),
-                        value(lower),
-                        value(upper),
-                        value(max(lower - span, span - upper)),
+            flagged = paths[_kernels.path_slacks(z, paths, one) > tol]
+            if len(flagged):
+                # The report sums steps left to right, as ``path_bounds``
+                # does: on floats numpy's ``sum`` adds rows of 8 or more
+                # steps pairwise, so the kernel's slack can differ in the
+                # last bits.
+                step = z[flagged[:, :-1], flagged[:, 1:]]
+                upper = np.minimum(one, step.cumsum(axis=1)[:, -1])
+                lower = np.maximum(one - one, one - (one - step).cumsum(axis=1)[:, -1])
+                span = z[flagged[:, 0], flagged[:, -1]]
+                slack = np.maximum(lower - span, span - upper)
+                report = [a.tolist() for a in (lower, upper, slack)]
+                numbers.update((x, value(x)) for x in set().union(*report) if x not in numbers)
+                for path, *bounds in zip(flagged.tolist(), *report):
+                    found[k].append(
+                        PathViolation(
+                            tuple(map(m.worlds.__getitem__, path)),
+                            m.z[path[0]][path[-1]],
+                            *map(numbers.__getitem__, bounds),
+                        )
                     )
-                )
         if k < limit:
             block = max(1, _SCAN_BLOCK_ROWS // (n - k))
             starts = range(0, len(paths), block)
@@ -499,19 +504,21 @@ def _distribution(worlds, support) -> OrderDistribution:
 _FARKAS_NOTE = "Farkas multipliers over pairwise-marginal rows"
 
 
-def _violated_triangle(m: BeliefMatrix) -> dict | None:
+def _violated_triangle(m: BeliefMatrix, z: list | None = None, one=None) -> dict | None:
     """Farkas multipliers from the first violated 3-cycle inequality, or None.
 
     No total order ranks a > b > c > a, so every distribution keeps
     s = z_ij + z_jk + z_ki within [1, 2] for i < j < k: the 3-cycle
     inequalities, facets of the linear ordering polytope.  Triples are
-    scanned in ``itertools.combinations`` order on integer numerators.
+    scanned in ``itertools.combinations`` order on integer numerators: ``z``
+    in units of ``one`` as a scan already has them, else ``_scan_numbers``'.
     For s > 2 the multipliers are the cycle's own rows less the total row,
     for s < 1 those of the reverse cycle (whose total multiplier is 0).
     """
     n = len(m.worlds)
-    z, one, _ = _scan_numbers(m)
-    z = z.tolist()
+    if z is None:
+        z, one, _ = _scan_numbers(m)
+        z = z.tolist()
     for i, j, k in itertools.combinations(range(n), 3):
         s = z[i][j] + z[j][k] + z[k][i]
         if one <= s <= 2 * one:

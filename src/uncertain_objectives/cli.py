@@ -203,7 +203,7 @@ def _cmd_coherence(args) -> tuple[dict, bool]:
     matrix, digest = _load_matrix(args.matrix)
     n = len(matrix.worlds)
     max_path_len = n if args.max_path_len is None else min(args.max_path_len, n)
-    violations = check_path_coherence(matrix, max_path_len)
+    violations = check_path_coherence(matrix, args.max_path_len)
     exact_part = None
     infeasible = False
     if args.exact:

@@ -3,9 +3,10 @@
 A scenario declares a world namespace (id -> population), constraints over
 those worlds (raw labeled edges or structured axiom instances), and
 optionally a belief matrix, an explicit order distribution, and a decision
-rule configuration.  Rationals are written as integers, "p/q" strings, or
-decimal strings; serialization is canonical (sorted keys, "p/q" forms), so
-parse -> serialize -> parse is the identity on canonical documents.
+rule configuration.  Rationals are written as integers, "p/q" strings,
+decimal strings, or decimal number literals, which are read exactly;
+serialization is canonical (sorted keys, "p/q" forms), so parse ->
+serialize -> parse is the identity on canonical documents.
 
 Schema versions are carried in a ``$schema`` field and validated on parse.
 """
@@ -43,11 +44,14 @@ def _expect(cond: bool, path: str, message: str):
 
 
 def load_json(data, path: str = "$"):
-    """A JSON document from text or UTF-8 bytes.  Bytes that are not UTF-8,
-    invalid JSON, an integer past the interpreter's integer-string digit
-    limit and nesting too deep to decode raise ``SchemaError``."""
+    """A JSON document from text or UTF-8 bytes.  A number literal with a
+    fraction or an exponent becomes the exact ``Fraction`` its text names,
+    not the nearest float.  Bytes that are not UTF-8, invalid JSON, an
+    integer or exponent past the interpreter's integer-string digit limit
+    and nesting too deep to decode raise ``SchemaError``."""
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return json.loads(text, parse_float=as_rational)
     except UnicodeDecodeError as exc:  # a ValueError too, so caught first
         raise SchemaError(path, f"not UTF-8 text: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer too long
@@ -115,14 +119,17 @@ class Scenario:
         return doc
 
     def canonical_text(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+        text = json.dumps(
+            self.to_json(), sort_keys=True, separators=(",", ":"), default=format_rational
+        )
+        return text + "\n"
 
     def digest(self) -> str:
         return "sha256:" + hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
 def serialize_scenario(s: Scenario) -> str:
-    return json.dumps(s.to_json(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(s.to_json(), sort_keys=True, indent=2, default=format_rational) + "\n"
 
 
 def _parse_count(value, path: str) -> int:

@@ -5,24 +5,27 @@ The inputs are scaled to integers once.  From there on every number is an
 integer (fraction-free elimination: Edmonds 1967, Bareiss 1968), and
 Fractions are built again only for the result.
 
-- The m x m basis inverse is ``inv / den``: integer numerators over one
-  positive denominator, kept in lowest terms.
+- The m x m basis inverse is ``T / den``, stored by columns: T[c][i] is
+  the integer numerator of entry (i, c), over one positive denominator,
+  kept in lowest terms.
 - The right-hand side, scaled to integers over the lcm ``rden`` of its
-  denominators, is column m of ``inv``: row i's basic value is
-  inv[i][m] / (den * rden).
+  denominators, is column m of ``T``: row i's basic value is
+  T[m][i] / (den * rden).
 - During a phase, whose costs are scaled to integers over their lcm
-  ``cden``, ``inv`` has one more row, c_B . inv: the duals times
-  den * cden, then the objective times den * rden * cden.
+  ``cden``, each column has one more entry, the cost row c_B . T: the
+  duals times den * cden, then the objective times den * rden * cden.
 - An explicit column is integer entries over a denominator q, so its
   reduced cost is an integer over den * cden * q; columns compare by
   cross-multiplying.
 
-A pivot updates the inverse, the basic values and the duals with one row
-operation and one gcd.  Only these are stored; a column is built when it is
-priced or enters the basis.  Besides the explicit columns of ``c``,
-``a_ub`` and ``a_eq``, a caller may pass an *implicit* family of zero-cost
-columns too large to list (one per total order, say) as a
-``ColumnSource``: its pricing is a maximisation the source solves in
+A pivot updates the inverse, the basic values and the duals column by
+column, with one gcd; a column that is 0 in the leaving row is only scaled.
+Only these are stored; a column is built when it is priced or enters the
+basis, and its image under the inverse sums the stored columns its nonzero
+entries pick (an order column's are all 1 or -1).  Besides the explicit
+columns of ``c``, ``a_ub`` and ``a_eq``, a caller may pass an *implicit*
+family of zero-cost columns too large to list (one per total order, say)
+as a ``ColumnSource``: its pricing is a maximisation the source solves in
 integers, against the duals' numerators.
 
 An implicit column's id is the key its source names it by, and the
@@ -140,10 +143,10 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
             artificial.add(basis[i])
             cols.append(([(i, 1)], 1))
 
-    # inv / den is the basis inverse; column m holds the basic values'
-    # numerators, over den * rden.
+    # T[c][i] / den is entry (i, c) of the basis inverse, stored by columns;
+    # column m holds the basic values' numerators, over den * rden.
     bnum, rden = integer_weights(rhs)
-    inv = [[int(r == i) for r in range(m)] + [bnum[i]] for i in range(m)]
+    T = [[int(r == c) for r in range(m)] for c in range(m)] + [bnum]
     den = 1
     pivots = 0
 
@@ -154,38 +157,41 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
         return [(r, s * v) for r, (s, v) in enumerate(zip(sign, col)) if v], 1
 
     def ftran(col):
-        """Numerators of B^-1 times a column: its image is these / (den * q)."""
-        return [sum(row[r] * v for r, v in col) for row in inv]
+        """Numerators of B^-1 times a column: its image is these / (den * q).
+        It sums the stored columns its entries pick, scaled unless 1."""
+        picked = [T[r] if v == 1 else [v * x for x in T[r]] for r, v in col]
+        return list(map(sum, zip(*picked))) or [0] * len(T[m])
 
     def pivot(leave, d, q):
-        """Make basic, in row ``leave``, the column whose image is d / (den * q)."""
+        """Make basic, in row ``leave``, the column whose image is d / (den * q).
+        Column by column: entry i of a column with w in the leaving row
+        becomes v * p - d[i] * w, its leaving entry w * q * den."""
         nonlocal den
         p = d[leave]
-        prow = inv[leave]
         new = []
-        for i, row in enumerate(inv):
-            f = d[i]
-            if i == leave:
-                new.append([v * q * den for v in prow])
-            elif f:
-                new.append([v * p - f * w for v, w in zip(row, prow)])
-            else:
-                new.append([v * p for v in row])
+        for col in T:
+            w = col[leave]
+            if not w:
+                new.append(col if p == 1 else [v * p for v in col])
+                continue
+            col = [v * p - f * w for v, f in zip(col, d)]
+            col[leave] = w * q * den
+            new.append(col)
         den *= p
         g = math.gcd(den, *itertools.chain.from_iterable(new))
         if den < 0:
             g = -g
         if g != 1:
             den //= g
-            new = [[v // g for v in row] for row in new]
-        inv[:] = new
+            new = [[v // g for v in col] for col in new]
+        T[:] = new
 
     def price(explicit):
         """Entering column id, or None at optimality, among the implicit
-        columns and the (j, entries, q, cost(j)) in ``explicit``.  With u =
-        inv[m], column j's reduced cost is cost(j) * den * q - u.column over
+        columns and the (j, entries, q, cost(j)) in ``explicit``.  With u the
+        cost row, column j's reduced cost is cost(j) * den * q - u.column over
         den * cden * q."""
-        u = inv[m]
+        u = [col[m] for col in T]
         enter = None
         best, best_q = 0, 1
         if implicit is not None:
@@ -206,29 +212,30 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
         column shares its positive divisor across rows, so cross-multiplied
         numerators order them.  Rows of the nonsingular B^-1 S are never
         proportional, so some entry decides."""
-        x, y = inv[i][m] * d[k], inv[k][m] * d[i]
+        x, y = T[m][i] * d[k], T[m][k] * d[i]
         for j in start:
             if x != y:
                 break
             col, _ = int_column(j)
-            x = sum(inv[i][r] * v for r, v in col) * d[k]
-            y = sum(inv[k][r] * v for r, v in col) * d[i]
+            x = sum(T[r][i] * v for r, v in col) * d[k]
+            y = sum(T[r][k] * v for r, v in col) * d[i]
         return x < y
 
     def run_phase(cost, blocked):
-        """The phase's status and its cost row c_B . inv (the duals' and
-        then the objective's numerators).  Columns in ``blocked`` never
-        enter, and one that is basic leaves at the first pivot whose entering
-        image is nonzero in its row."""
+        """The phase's status and its cost row c_B . B^-1 [I | b] (the
+        duals' and then the objective's numerators).  Columns in ``blocked``
+        never enter, and one that is basic leaves at the first pivot whose
+        entering image is nonzero in its row."""
         nonlocal pivots
         start = basis[:]
         cb = [cost(j) for j in basis]
-        inv.append([sum(a * row[r] for a, row in zip(cb, inv)) for r in range(m + 1)])
+        for col in T:
+            col.append(sum(a * v for a, v in zip(cb, col)))
         explicit = [(j, col, q, cost(j)) for j, (col, q) in enumerate(cols) if j not in blocked]
         while True:
             enter = price(explicit)
             if enter is None:
-                return "optimal", inv.pop()
+                return "optimal", [col.pop() for col in T]
             col, q = int_column(enter)
             d = ftran(col)
             # d[m] becomes minus the reduced cost's numerator, so pivot's
@@ -248,7 +255,7 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
                 if d[i] > 0 and (leave < 0 or lex_less(i, leave, d, start)):
                     leave = i
             if leave < 0:
-                return "unbounded", inv.pop()
+                return "unbounded", [col.pop() for col in T]
             pivots += 1
             if pivots > _MAX_PIVOTS:
                 raise PivotCapError(_MAX_PIVOTS)
@@ -274,7 +281,7 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
     x = [Fraction(0)] * n
     support = []
     for i, bc in enumerate(basis):
-        value = inv[i][m]
+        value = T[m][i]
         if not isinstance(bc, int):
             if value > 0:
                 support.append((bc, Fraction(value, den * rden)))

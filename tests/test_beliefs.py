@@ -190,6 +190,14 @@ class TestPathCoherence:
         v = next(pv for pv in violations if pv.path == ("x1", "x2", "x3"))
         assert v.lower == 1 and v.span == 0 and v.slack == 1
 
+    def test_path_lengths_below_two_are_refused(self):
+        m = FORCED_VIOLATION  # z_12 = z_23 = z_31 = 1
+        assert len(check_path_coherence(m)) == 6
+        assert check_path_coherence(m, 2) == []
+        for bad in (1, 0, -4):
+            with pytest.raises(InvalidValueError, match="at least 2"):
+                check_path_coherence(m, bad)
+
     def test_rotation_matrix_clean_on_all_two_step_paths(self):
         m = matrix_from_distribution(rotation_mixture(3), worlds=("x1", "x2", "x3"))
         assert check_path_coherence(m, 3) == []
@@ -213,17 +221,22 @@ class TestPathCoherence:
     def test_float_slack_is_the_distance_from_the_reported_bounds(self):
         # Entries near 0, near 1 and uniform, so that many paths of 9 and 10
         # worlds, whose 8 or more steps numpy sums pairwise, are flagged.
+        # The report adds steps left to right, so its bounds are
+        # path_bounds' to the last bit.
         rng = random.Random(0)
         n = 10
         entries = {
             (i, j): rng.choice([rng.random() * 0.05, 1 - rng.random() * 0.05, rng.random()])
             for i in range(n) for j in range(i + 1, n)
         }
-        violations = check_path_coherence(float_matrix(n, entries))
+        m = float_matrix(n, entries)
+        violations = check_path_coherence(m)
         assert len(violations) == 53146
         assert {len(pv.path) for pv in violations} >= {9, 10}
         for pv in violations:
             assert pv.slack == max(pv.lower - pv.span, pv.span - pv.upper)
+            path = [m.index(w) for w in pv.path]
+            assert (pv.lower, pv.upper) == path_bounds([m.z[a][b] for a, b in zip(path, path[1:])])
 
 
 def random_entry_matrix(rng, n, den, as_float=False):
@@ -254,10 +267,10 @@ class TestPathScanMatchesReference:
     @staticmethod
     def assert_same(m):
         # The reference scans lengths 3, 4, ... in turn, so a limit only
-        # truncates its full list.
+        # truncates its full list.  Limits below 2 are refused.
         n = len(m.worlds)
         full = conftest.reference_path_violations(m)
-        for limit in [None, *range(n + 2)]:
+        for limit in [None, *range(2, n + 2)]:
             got = check_path_coherence(m, limit)
             assert got == [pv for pv in full if len(pv.path) <= (n if limit is None else limit)]
             if m.is_exact:

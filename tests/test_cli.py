@@ -483,6 +483,18 @@ class TestExitCodes:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     @needs_digit_limit
+    def test_hostile_number_literal_in_a_document_is_error(self, tmp_path):
+        # As a JSON number, not a string: the decoder reads it exactly.
+        doc = json.loads((SCENARIOS / "three_cycle.json").read_text())
+        doc["worlds"]["w1"][0][0] = "LEVEL"
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc).replace('"LEVEL"', "1e99999999"))
+        code, out, err = run_cli_process("analyze", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: $: invalid JSON: exponent of '1e99999999'")
+        assert err.count("\n") == 1
+
+    @needs_digit_limit
     @pytest.mark.parametrize(
         "argv,message",
         [

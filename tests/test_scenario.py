@@ -120,6 +120,25 @@ class TestParse:
         assert s.worlds["a"].groups[0][0] == F(1, 3)
         assert '"1/3"' in serialize_scenario(s)
 
+    def test_number_literals_are_exact(self):
+        # Read through float, 20.000000000000001 would be 20 and 1e-400 0.
+        for literal, level in (
+            ("20.000000000000001", F(20000000000000001, 10**15)),
+            ("1e-400", F(1, 10**400)),
+        ):
+            text = doc(worlds={"a": [["LEVEL", 2]], "b": [["2", 2]]})
+            s = parse_scenario(text.replace('"LEVEL"', literal))
+            assert s.worlds["a"].groups[0][0] == level
+
+    def test_number_literals_left_in_raw_constraints_serialize(self):
+        # A raw edge keeps its document, extra fields too; a literal there
+        # is written in its canonical "p/q" form.
+        edge = {"label": "C1", "from": "a", "to": "b", "weight": "WEIGHT"}
+        text = doc(constraints=[edge])
+        literal = parse_scenario(text.replace('"WEIGHT"', "0.25"))
+        assert literal.digest() == parse_scenario(text.replace("WEIGHT", "1/4")).digest()
+        assert '"weight": "1/4"' in serialize_scenario(literal)
+
     def test_dangling_world_reference(self):
         with pytest.raises(IntegrityError, match="ghost"):
             parse_scenario(

@@ -310,6 +310,34 @@ def test_mixed_denominator_lps_with_order_columns_match_dense_simplex():
     assert seen == {"optimal", "infeasible", "unbounded"}
 
 
+def test_order_columns_on_rows_with_negative_right_hand_sides_match_dense_simplex():
+    # A row whose right-hand side is negative is negated, and so are the
+    # order columns' entries in it: their images add stored columns of the
+    # inverse with sign -1.
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(120):
+        worlds = rng.randint(3, 4)
+        pairs = [(a, b) for a in range(worlds) for b in range(worlds) if a != b]
+        rows = rng.sample(pairs, rng.randint(1, 3)) + [None]
+        n_ub = rng.randint(0, len(rows) - 1)
+        n = rng.randint(1, 2)
+        a = [[rng.choice(MIXED) for _ in range(n)] for _ in rows]
+        b = [-abs(rng.choice(MIXED)) for _ in rows[:-1]] + [rng.choice((F(1), F(-1)))]
+        lp = dict(
+            c=[rng.choice(MIXED) for _ in range(n)],
+            a_ub=a[:n_ub], b_ub=b[:n_ub], a_eq=a[n_ub:], b_eq=b[n_ub:],
+            implicit=OrderColumns(worlds, rows),
+        )
+        res = solve_lp(**lp)
+        ref = dense_solve_lp(**lp)
+        assert (res.status, res.x, res.objective, res.certificate, res.pivots, res.support) == (
+            ref.status, ref.x, ref.objective, ref.certificate, ref.pivots, ref.support
+        )
+        seen.add((res.status, bool(res.support)))
+    assert seen >= {("optimal", True), ("infeasible", False), ("unbounded", False)}
+
+
 class PairColumns:
     """A column source with only ``column`` and ``best``: one column per
     two-letter key, covering the two ub rows its letters name (a, b, c)
