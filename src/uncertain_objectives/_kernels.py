@@ -4,8 +4,10 @@ Graphs are batched as int64 bit-rows: ``rows[g, i]`` has bit ``j`` set when
 graph ``g`` contains the edge i -> j, so a batch holds at most 62 worlds.
 The pattern search in ``constraints`` runs on Python-int closures and does
 not call the batch kernels (``closure_rows``, ``cyclic_flags``,
-``pattern_valid_flags``); they remain as batch oracles for tests and as
-names the benchmark tracer wraps.
+``pattern_valid_flags``), and the path scan in ``beliefs`` takes its bounds
+from its own running sums, not from ``path_slacks``; these remain as batch
+oracles for tests and as names the benchmark tracer wraps.  The library
+calls only ``pairwise_matrix``.
 """
 
 from __future__ import annotations

@@ -211,7 +211,7 @@ def matrix_from_distribution(
 ) -> BeliefMatrix:
     """Pairwise marginals of a distribution: Z(a,b) = P(a ranked above b)."""
     worlds = tuple(worlds) if worlds is not None else d.worlds
-    if set(worlds) != set(d.orders[0]):
+    if len(worlds) != len(d.orders[0]) or set(worlds) != set(d.orders[0]):
         raise InvalidValueError("world list does not match the distribution's worlds")
     n = len(worlds)
     idx = {w: i for i, w in enumerate(worlds)}
@@ -277,11 +277,15 @@ def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> li
     matrix derived from an actual order distribution is a theorem, so a
     non-empty result certifies that no distribution realizes the matrix.
 
-    The scan grows simple paths one world at a time and drops a prefix once
-    both its step sum S and its complement sum C reach one: every extension
-    then has upper bound 1 and lower bound 0, which no span breaks, since
-    every stored entry lies in [0, 1].  Exact and float matrices differ only
-    in the tolerance a slack must exceed to be reported.
+    The scan grows simple paths one world at a time, adding each step to
+    the path's step sum S and its complement to the complement sum C, left
+    to right as ``path_bounds`` adds them.  Each path's bounds, min(1, S)
+    and max(0, 1 - C), come from these sums, so a path is reported exactly
+    when ``path_bounds``' slack exceeds the tolerance.  A prefix is dropped
+    once both S and C reach one: every extension then has upper bound 1 and
+    lower bound 0, which no span breaks, since every stored entry lies in
+    [0, 1].  Exact and float matrices differ only in the tolerance a slack
+    must exceed to be reported.
 
     On an exact matrix the scan reports a path exactly when some 3-cycle
     inequality is violated (``_violated_triangle``): each violated triangle
@@ -307,33 +311,29 @@ def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> li
     # Blocks of j-world prefixes, next block last.  A block's extensions are
     # reported and then grown further before the next block's, so every
     # length's violations stay in lexicographic order.
-    stack = [(np.arange(n).reshape(n, 1), np.eye(n, dtype=bool), np.zeros(n, dtype=z.dtype))]
+    zero = np.zeros(n, dtype=z.dtype)
+    stack = [(np.arange(n).reshape(n, 1), np.eye(n, dtype=bool), zero, zero)]
     while stack:
-        paths, used, sums = stack.pop()
-        j = paths.shape[1]
+        paths, used, sums, comps = stack.pop()
         rows, nxt = np.nonzero(~used)
-        sums = sums[rows] + z[paths[rows, -1], nxt]
+        step = z[paths[rows, -1], nxt]
+        sums, comps = sums[rows] + step, comps[rows] + (one - step)
         paths = np.column_stack((paths[rows], nxt))
         used = used[rows]
         used[np.arange(len(rows)), nxt] = True
-        live = (sums < one) | (j * one - sums < one)
-        paths, used, sums = paths[live], used[live], sums[live]
-        k = j + 1
-        if k >= 3 and len(paths):
-            flagged = paths[_kernels.path_slacks(z, paths, one) > tol]
-            if len(flagged):
-                # The report sums steps left to right, as ``path_bounds``
-                # does: on floats numpy's ``sum`` adds rows of 8 or more
-                # steps pairwise, so the kernel's slack can differ in the
-                # last bits.
-                step = z[flagged[:, :-1], flagged[:, 1:]]
-                upper = np.minimum(one, step.cumsum(axis=1)[:, -1])
-                lower = np.maximum(one - one, one - (one - step).cumsum(axis=1)[:, -1])
-                span = z[flagged[:, 0], flagged[:, -1]]
-                slack = np.maximum(lower - span, span - upper)
-                report = [a.tolist() for a in (lower, upper, slack)]
+        live = (sums < one) | (comps < one)
+        paths, used, sums, comps = paths[live], used[live], sums[live], comps[live]
+        k = paths.shape[1]
+        if k >= 3:
+            upper = np.minimum(one, sums)
+            lower = np.maximum(one - one, one - comps)
+            span = z[paths[:, 0], paths[:, -1]]
+            slack = np.maximum(lower - span, span - upper)
+            hit = slack > tol
+            if hit.any():
+                report = [a[hit].tolist() for a in (lower, upper, slack)]
                 numbers.update((x, value(x)) for x in set().union(*report) if x not in numbers)
-                for path, *bounds in zip(flagged.tolist(), *report):
+                for path, *bounds in zip(paths[hit].tolist(), *report):
                     found[k].append(
                         PathViolation(
                             tuple(map(m.worlds.__getitem__, path)),
@@ -345,7 +345,7 @@ def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> li
             block = max(1, _SCAN_BLOCK_ROWS // (n - k))
             starts = range(0, len(paths), block)
             stack.extend(
-                (paths[lo : lo + block], used[lo : lo + block], sums[lo : lo + block])
+                tuple(a[lo : lo + block] for a in (paths, used, sums, comps))
                 for lo in reversed(starts)
             )
     return [pv for level in found for pv in level]

@@ -182,8 +182,6 @@ def _load_matrix(path: str):
         raise SchemaError("$", "matrix document must be a JSON object")
     if "belief_matrix" in doc:
         scenario = parse_scenario(doc)
-        if scenario.belief_matrix is None:
-            raise UncertainObjectivesError("scenario has no belief_matrix")
         return scenario.belief_matrix, scenario.digest()
     schema = doc.get("$schema", MATRIX_SCHEMA)
     if schema != MATRIX_SCHEMA:

@@ -512,9 +512,10 @@ def valid_uncertainty_patterns(
 ) -> list[UncertaintyPattern]:
     """All inclusion-minimal valid patterns of size <= max_size.
 
-    Ordered by size, then lexicographically by edge indices.  An acyclic
-    graph's only minimal pattern is the empty one, returned without a
-    search.  Cyclic graphs with more than ``MAX_PATTERN_WORLDS`` worlds raise
+    Ordered by size, then lexicographically by edge indices.  A negative
+    ``max_size`` raises ``InvalidValueError``.  An acyclic graph's only
+    minimal pattern is the empty one, returned without a search.  Cyclic
+    graphs with more than ``MAX_PATTERN_WORLDS`` worlds raise
     ``WorldLimitError`` before any search.
 
     The search branches on witnesses (see ``_WitnessSearch``) and records
@@ -524,6 +525,8 @@ def valid_uncertainty_patterns(
     max_size, so a budget of sum(C(E, s) for s <= max_size) is never
     exceeded; more checks raise ``BudgetExceededError``.
     """
+    if max_size < 0:
+        raise InvalidValueError(f"max_size must be at least 0, got {max_size}")
     if not is_cyclic(g):
         return [UncertaintyPattern(())]
     _check_world_limit(g)

@@ -111,7 +111,7 @@ class Scenario:
             "constraints": [c.raw for c in self.constraints],
         }
         if self.belief_matrix is not None:
-            doc["belief_matrix"] = matrix_to_json(self.belief_matrix, embed=True)
+            doc["belief_matrix"] = matrix_to_json(self.belief_matrix)
         if self.distribution is not None:
             doc["distribution"] = self.distribution.to_json()
         if self.rule is not None:
@@ -229,15 +229,13 @@ def parse_matrix(doc, path: str = "belief_matrix", worlds=None) -> BeliefMatrix:
         raise SchemaError(path, str(exc)) from exc
 
 
-def matrix_to_json(m: BeliefMatrix, embed: bool = False) -> dict:
+def matrix_to_json(m: BeliefMatrix) -> dict:
     doc = {
         "worlds": list(m.worlds),
         "z": [[format_rational(v) for v in row] for row in m.z],
     }
     if m.evidence_tag:
         doc["evidence_tag"] = m.evidence_tag
-    if not embed:
-        doc["$schema"] = MATRIX_SCHEMA
     return doc
 
 

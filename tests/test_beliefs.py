@@ -121,6 +121,11 @@ class TestMatrixFromDistribution:
         m = matrix_from_distribution(d)
         assert m.prob("x1", "x2") == F(1, 2)
 
+    def test_repeated_world_is_refused(self):
+        d = OrderDistribution([("a", "b"), ("b", "a")], [F(1, 2), F(1, 2)])
+        with pytest.raises(InvalidValueError, match="world list does not match"):
+            matrix_from_distribution(d, worlds=("a", "a", "b"))
+
     def test_rotation_mixture_pairwise(self):
         # Enumerating the three rotations directly: each cycle edge carries
         # probability 2/3.
@@ -237,6 +242,37 @@ class TestPathCoherence:
             assert pv.slack == max(pv.lower - pv.span, pv.span - pv.upper)
             path = [m.index(w) for w in pv.path]
             assert (pv.lower, pv.upper) == path_bounds([m.z[a][b] for a, b in zip(path, path[1:])])
+
+    @pytest.mark.parametrize(
+        "steps, span, flagged",
+        [
+            (
+                [0.03962074251855634, 0.07027959404128738, 0.11528279096062495,
+                 0.010628004239543222, 0.09620207558769288, 0.10025345031180301,
+                 0.1074797538908609, 0.0914553753016516],
+                0.6312017878520203,
+                True,
+            ),
+            (
+                [0.013797841316647574, 0.03670139708973744, 0.09771446723097331,
+                 0.05557453992308517, 0.0290308141736956, 0.07036786375269682,
+                 0.08733448382721946, 0.084193441355256],
+                0.47471484966931143,
+                False,
+            ),
+        ],
+    )
+    def test_nine_world_float_path_is_flagged_by_its_own_slack(self, steps, span, flagged):
+        # Eight steps, which numpy's ``sum`` adds pairwise, while path_bounds
+        # adds them left to right; the two orders put these slacks on
+        # opposite sides of FLOAT_TOL.
+        m = float_matrix(9, {**{(i, i + 1): v for i, v in enumerate(steps)}, (0, 8): span})
+        lower, upper = path_bounds(steps)
+        slack = max(lower - span, span - upper)
+        assert (slack > beliefs.FLOAT_TOL) is flagged
+        path = tuple(f"w{i}" for i in range(9))
+        got = [pv for pv in check_path_coherence(m) if pv.path == path]
+        assert got == ([beliefs.PathViolation(path, span, lower, upper, slack)] if flagged else [])
 
 
 def random_entry_matrix(rng, n, den, as_float=False):
@@ -615,12 +651,14 @@ class TestTriangleCertificate:
                 assert check_path_coherence(m) == []
 
     def test_exact_path_scan_skips_paths_on_triangle_clean_matrices(self, monkeypatch):
-        real, scanned = beliefs._kernels.path_slacks, []
+        # The scan stacks each block's grown paths once; nothing else on
+        # these calls does.
+        real, scanned = beliefs.np.column_stack, []
 
         def refuse(*args):
             raise AssertionError("path scan ran on a triangle-clean exact matrix")
 
-        monkeypatch.setattr(beliefs._kernels, "path_slacks", refuse)
+        monkeypatch.setattr(beliefs.np, "column_stack", refuse)
         rng = random.Random(61)
         dists = [random_distribution(rng, rng.randint(3, 7), rng.randint(1, 10))
                  for _ in range(100)]
@@ -629,10 +667,10 @@ class TestTriangleCertificate:
 
         # Float matrices and triangle-violating exact ones still scan paths.
         def counted(*args):
-            scanned.append(len(args[1]))
+            scanned.append(len(args[0][0]))
             return real(*args)
 
-        monkeypatch.setattr(beliefs._kernels, "path_slacks", counted)
+        monkeypatch.setattr(beliefs.np, "column_stack", counted)
         floats = OrderDistribution(dists[0].orders, [float(p) for p in dists[0].probs])
         assert check_path_coherence(matrix_from_distribution(floats)) == []
         assert scanned

@@ -552,6 +552,32 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: n=1000000 exceeds the dimension cap 7 (n! variables)\n"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("bound", "--n", "1"), "--n must be at least 2"),
+            (("bound", "--n", "0"), "--n must be at least 2"),
+            (("bound",), "bound needs --n or a scenario with a cycle"),
+            (
+                ("audit", "--swf", "total", "--axiom", "nope", "--levels", "1,2",
+                 "--max-count", "2"),
+                "unknown axiom id 'nope'",
+            ),
+        ],
+    )
+    def test_refused_options_are_errors(self, argv, message):
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_null_belief_matrix_is_error(self, tmp_path):
+        doc = json.loads((SCENARIOS / "three_cycle.json").read_text())
+        path = tmp_path / "null_matrix.json"
+        path.write_text(json.dumps({**doc, "belief_matrix": None}))
+        code, out, err = run_cli("coherence", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: belief_matrix: matrix must be an object\n"
+
     @pytest.mark.parametrize("text", ["[1]", "1", '"x"', "null"])
     def test_matrix_document_that_is_not_an_object_is_error(self, tmp_path, text):
         path = tmp_path / "matrix.json"

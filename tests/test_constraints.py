@@ -287,6 +287,11 @@ class TestPatterns:
     def test_acyclic_graph_has_the_empty_pattern(self):
         assert [p.edge_indices for p in valid_uncertainty_patterns(CHAIN, 2)] == [()]
 
+    @pytest.mark.parametrize("g", [CHAIN, cycle_graph(3)], ids=["chain", "three_cycle"])
+    def test_negative_max_size_is_refused(self, g):
+        with pytest.raises(InvalidValueError, match="max_size must be at least 0, got -1"):
+            valid_uncertainty_patterns(g, -1)
+
     def test_min_sizes(self):
         for n in range(3, 9):
             assert min_uncertainty_size(cycle_graph(n)) == 2
