@@ -43,7 +43,8 @@ instance's populations and ``Fraction``s or masks a block of audit
 candidates.  One constructor, ``make_instance``, builds every instance from
 its row: the fields in the row's order, the claim and gate from its roles,
 derived worlds from its derivation clauses, and every clause checked there,
-once.  ``scenario`` parses a constraint by reading the row's fields.
+once.  A derived world given by name must equal the one its clause derives.
+``scenario`` parses a constraint by reading the row's fields.
 ``audit_swf`` runs on integer count matrices, one per stream, in nested
 lexicographic order and tiles of whole rows, each reduced on its own; it
 builds one instance, the witness, whose derived worlds must be the rows it
@@ -114,12 +115,9 @@ POPULATION, RATIONAL, COUNT = "population", "rational", "count"
 
 class WorldField(NamedTuple):
     """Field kind of a premise world, the component of the same name, whose
-    id in an audit witness is ``id``.  A world that ``make_instance`` derives
-    from other fields has a ``keyword``, which takes its id in place of
-    ``id``."""
+    id is ``id`` when it is given as a population or derived."""
 
     id: str
-    keyword: str | None = None
 
 
 class Clause(NamedTuple):
@@ -201,9 +199,10 @@ class AxiomRow:
     effective ``thresholds``, gives the audit's components outermost first:
     a ``Stream`` is enumerated, any other value is fixed.  Derivation
     clauses come last.  ``every`` and ``note`` serve existential axioms'
-    audits (see ``_find``).  The row's field ``names`` (positional), id
-    ``keywords``, ``plain`` clauses, ``derivations`` and grid ``thresholds``
-    (rational fields with an ``eff_`` default) are computed once.
+    audits (see ``_find``).  The row's ``plain`` clauses, ``derivations``,
+    field ``names`` (the fields no clause derives, which alone may be given
+    positionally) and grid ``thresholds`` (rational fields with an ``eff_``
+    default) are computed once.
     """
 
     strict: bool
@@ -215,13 +214,11 @@ class AxiomRow:
     note: str = ""
 
     def __post_init__(self):
-        keywords = {kind.keyword: key for key, kind in self.fields.items()
-                    if isinstance(kind, WorldField) and kind.keyword}
         put = partial(object.__setattr__, self)
-        put("keywords", keywords)
-        put("names", [key for key in self.fields if key not in keywords.values()])
         put("plain", tuple(c for c in self.clauses if not c.derives))
         put("derivations", tuple(c for c in self.clauses if c.derives))
+        derived = {c.derives for c in self.derivations}
+        put("names", [key for key in self.fields if key not in derived])
         put("thresholds", tuple(key for key, kind in self.fields.items()
                                 if kind == RATIONAL and hasattr(SearchBounds, f"eff_{key}")))
 
@@ -296,27 +293,24 @@ class AxiomInstance:
 def make_instance(axiom: AxiomId, *fields, **named) -> AxiomInstance:
     """An instance of ``axiom`` built from its row.
 
-    Fields follow the order of ``row.fields``, positionally or by name.  A
+    Fields follow the order of ``row.names``, positionally or by name; a
+    world the row's clauses derive is optional and given by name only.  A
     world field takes a ``World``, or a population, which gets the field's
-    id.  A world the row's clauses derive may be left out; one with a
-    ``keyword`` must be, and that keyword may give its id.  Rational fields
-    go through ``as_rational``, and the fields that are not worlds are the
-    params.  Every clause runs here, once, on the fields themselves: the
-    plain clauses first, so a bad field fails its own clause, then each
-    derivation clause computes its world, which a given world must equal.
+    id, as does a derived world left out.  Rational fields go through
+    ``as_rational``, and the fields that are not worlds are the params.
+    Every clause runs here, once, on the fields themselves: the plain
+    clauses first, so a bad field fails its own clause, then each derivation
+    clause computes its world, which a given world must equal.
     """
     row = AXIOMS[axiom]
-    env, ids = dict(zip(row.names, fields)), {}
+    env = dict(zip(row.names, fields))
     for name, value in named.items():
-        if name in row.keywords:
-            ids[row.keywords[name]] = value
-        elif name in row.names and name not in env:
-            env[name] = value
-        else:
+        if name not in row.fields or name in env:
             raise TypeError(f"{axiom.value} got an unexpected or repeated field {name!r}")
-    missing = row.fields.keys() - env.keys() - {c.derives for c in row.derivations}
+        env[name] = value
+    missing = [name for name in row.names if name not in env]
     if missing or len(fields) > len(row.names):
-        raise TypeError(f"{axiom.value} takes the fields {row.names}; missing {sorted(missing)}")
+        raise TypeError(f"{axiom.value} takes the fields {row.names}; missing {missing}")
     worlds, params = {}, {}
     for key, kind in row.fields.items():
         if not isinstance(kind, WorldField):
@@ -328,7 +322,7 @@ def make_instance(axiom: AxiomId, *fields, **named) -> AxiomInstance:
             worlds[key], env[key] = world, world.population
     _require_all(row.clauses, env)
     for key, world in worlds.items():
-        worlds[key] = world or World(ids.get(key, row.fields[key].id), env[key])
+        worlds[key] = world or World(row.fields[key].id, env[key])
     worse, better, *gate = (worlds[role].id for role in row.roles)
     premise = tuple(worlds.values())
     return AxiomInstance(
@@ -728,8 +722,8 @@ AXIOMS[AxiomId.AVOID_REPUGNANT] = AxiomRow(
 AXIOMS[AxiomId.AVOID_SADISTIC] = AxiomRow(
     strict=False, roles=("tortured_world", "positive_world"),
     fields={
-        "tortured_world": WorldField("with_tortured", "tortured_id"),
-        "positive_world": WorldField("with_positive", "positive_id"),
+        "tortured_world": WorldField("with_tortured"),
+        "positive_world": WorldField("with_positive"),
         "base": POPULATION, "tortured": POPULATION, "positive": POPULATION,
         "very_high": RATIONAL, "torture_max": RATIONAL,
     },
@@ -793,8 +787,8 @@ AXIOMS[AxiomId.DOMINANCE] = AxiomRow(
 AXIOMS[AxiomId.ADDITION] = AxiomRow(
     strict=False, roles=("c_added_world", "b_added_world", "b_added_world", "base_world"),
     fields={
-        "base_world": WorldField("a"), "b_added_world": WorldField("with_b", "b_added_id"),
-        "c_added_world": WorldField("with_c", "c_added_id"), "b": POPULATION, "c": POPULATION,
+        "base_world": WorldField("a"), "b_added_world": WorldField("with_b"),
+        "c_added_world": WorldField("with_c"), "b": POPULATION, "c": POPULATION,
     },
     clauses=_clauses(
         ("base_world", lambda base: base.size > 0, "base population must be nonempty"),
@@ -816,7 +810,7 @@ AXIOMS[AxiomId.ADDITION] = AxiomRow(
 AXIOMS[AxiomId.PRIORITY_COMPENSATION] = AxiomRow(
     strict=False, roles=("before", "after"),
     fields={
-        "before": WorldField("before", "before_id"), "after": WorldField("after", "after_id"),
+        "before": WorldField("before"), "after": WorldField("after"),
         "base": POPULATION, "low_level": RATIONAL, "negative_level": RATIONAL,
         "high_level": RATIONAL, "count": COUNT, "very_high": RATIONAL, "very_low": RATIONAL,
     },
@@ -914,7 +908,7 @@ def second_theorem_cycle(
     z = World("z", Population([(b_level, base_size + extra_size)]))
     a_star = World("a_star", Population([(vh, base_size)]))
     return [
-        dominance_addition_instance(a, a_plus, raised, added),
+        dominance_addition_instance(a, raised, added, augmented=a_plus),
         inequality_aversion_instance(a_plus, z),
         quality_instance(a_star, z, vh, vl),
         egalitarian_dominance_instance(a, a_star),

@@ -117,9 +117,6 @@ class BeliefMatrix:
         """P(a is better than b)."""
         return self.z[self.index(a)][self.index(b)]
 
-    def as_float_array(self) -> np.ndarray:
-        return np.array(self.z, dtype=np.float64)
-
     def exactified(self, max_denominator: int = 10**9) -> "BeliefMatrix":
         """Rational approximation of a float-mode matrix (lossy bridge).
 
@@ -659,14 +656,10 @@ def rotation_mixture(spec_or_n) -> OrderDistribution:
     violated by exactly one rotation, so every violation probability is 1/n
     and every cycle-edge belief Z(x_i, x_{i+1}) equals (n-1)/n.
     """
-    if isinstance(spec_or_n, CycleSpec):
-        worlds = spec_or_n.worlds
-    else:
-        n = int(spec_or_n)
-        if n < 2:
-            raise InvalidValueError("rotation mixture needs n >= 2")
-        worlds = tuple(f"x{i+1}" for i in range(n))
-    n = len(worlds)
+    spec = spec_or_n if isinstance(spec_or_n, CycleSpec) else CycleSpec(
+        f"x{i+1}" for i in range(int(spec_or_n))
+    )
+    worlds, n = spec.worlds, spec.n
     orders = [
         tuple(worlds[(r + t) % n] for t in range(n)) for r in range(n)
     ]

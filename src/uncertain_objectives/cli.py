@@ -46,6 +46,7 @@ from .populations import parse_swf, swf_label
 from .rationals import as_rational, format_rational
 from .scenario import (
     MATRIX_SCHEMA,
+    SCENARIO_SCHEMA,
     load_json,
     parse_matrix,
     parse_population,
@@ -80,10 +81,6 @@ def _load_scenario(path: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> tuple[dict, bool]:
-    if args.max_pattern_size is not None and args.max_pattern_size < 0:
-        raise UncertainObjectivesError(
-            f"--max-pattern-size must be at least 0, got {args.max_pattern_size}"
-        )
     scenario = _load_scenario(args.scenario)
     graph = scenario.graph()
     certificate = find_cycle(graph)
@@ -137,8 +134,6 @@ def _cmd_bound(args) -> tuple[dict, bool]:
     if args.n is not None and args.scenario:
         raise UncertainObjectivesError("bound takes --n or a scenario, not both")
     if args.n is not None:
-        if args.n < 2:
-            raise UncertainObjectivesError("--n must be at least 2")
         if args.n > args.cap:  # before the n world names are built
             raise DimensionCapError(args.n, args.cap)
         spec = CycleSpec(tuple(f"x{i+1}" for i in range(args.n)))
@@ -180,10 +175,13 @@ def _load_matrix(path: str):
         doc = load_json(fh.read())
     if not isinstance(doc, dict):
         raise SchemaError("$", "matrix document must be a JSON object")
-    if "belief_matrix" in doc:
-        scenario = parse_scenario(doc)
-        return scenario.belief_matrix, scenario.digest()
     schema = doc.get("$schema", MATRIX_SCHEMA)
+    # A scenario's worlds are an object, a matrix's a list; either may omit $schema.
+    if schema == SCENARIO_SCHEMA or "belief_matrix" in doc or isinstance(doc.get("worlds"), dict):
+        scenario = parse_scenario(doc)
+        if scenario.belief_matrix is None:
+            raise UncertainObjectivesError("scenario has no belief_matrix to check")
+        return scenario.belief_matrix, scenario.digest()
     if schema != MATRIX_SCHEMA:
         raise UncertainObjectivesError(f"expected {MATRIX_SCHEMA!r} document")
     matrix = parse_matrix(doc, "$")
@@ -193,11 +191,6 @@ def _load_matrix(path: str):
 
 
 def _cmd_coherence(args) -> tuple[dict, bool]:
-    if args.max_path_len is not None and args.max_path_len < 2:
-        raise UncertainObjectivesError(
-            f"--max-path-len must be at least 2 (a path has two or more worlds), "
-            f"got {args.max_path_len}"
-        )
     matrix, digest = _load_matrix(args.matrix)
     n = len(matrix.worlds)
     max_path_len = n if args.max_path_len is None else min(args.max_path_len, n)
@@ -251,7 +244,8 @@ def _resolve_rule(args, scenario) -> RuleConfig:
 def _cmd_decide(args) -> tuple[dict, bool]:
     scenario = _load_scenario(args.scenario)
     rule = _resolve_rule(args, scenario)
-    actions = args.actions.split(",") if args.actions else None
+    # An explicitly empty --actions names no action, which every rule refuses.
+    actions = None if args.actions is None else args.actions.split(",") if args.actions else []
     bridge_note = None
     source = None
 
@@ -264,7 +258,8 @@ def _cmd_decide(args) -> tuple[dict, bool]:
             "partial order induced by the first minimal uncertainty pattern "
             f"({list(graph.labels(patterns[0].edge_indices))})"
         )
-        actions = actions or po.worlds
+        if actions is None:
+            actions = po.worlds
         outcome = decide_partial(po, actions, rule.policy, rule.seed)
     else:
         dist = scenario.distribution

@@ -87,15 +87,11 @@ class SearchBounds:
     def alphabet(self) -> tuple[Fraction, ...]:
         """The grid's levels and the pinned base's, sorted: the last axis of
         every count row an audit enumerates."""
-        if self.base is None:
-            return self.levels
-        return tuple(sorted({*self.levels, *self.base.levels}))
+        return tuple(sorted({*self.levels, *(self.base.levels if self.base else ())}))
 
     def positions(self, keep=None) -> list[int]:
-        """The alphabet positions of the grid levels that ``keep`` accepts."""
+        """The alphabet positions of the grid levels that ``keep`` accepts;
+        the base may add levels off the grid."""
         alphabet = self.alphabet
-        if self.base is None:
-            grid = range(len(alphabet))
-        else:  # the base may add levels off the grid
-            grid = [bisect_left(alphabet, level) for level in self.levels]
+        grid = [bisect_left(alphabet, level) for level in self.levels]
         return [i for i in grid if keep is None or keep(alphabet[i])]

@@ -177,29 +177,16 @@ def _parse_constraint(doc, i, worlds) -> Constraint:
     for key, kind in AXIOMS[axiom].fields.items():
         _expect(key in doc, path, f"missing required field {key!r}")
         if isinstance(kind, WorldField):
-            world = _world_ref(doc, key, path, worlds)
-            fields[kind.keyword or key] = world.id if kind.keyword else world
+            fields[key] = _world_ref(doc, key, path, worlds)
         else:
             fields[key] = _FIELD_PARSERS[kind](doc[key], f"{path}.{key}")
     inst = make_instance(axiom, **fields)
-    _check_world_consistency(inst, worlds, path)
     return Constraint(
         label=label,
         edge=Edge(worse=inst.claim_worse, better=inst.claim_better, label=label),
         instance=inst,
         raw=doc,
     )
-
-
-def _check_world_consistency(inst: AxiomInstance, worlds, path: str):
-    """Instance-built worlds must match the scenario's declared populations."""
-    for w in inst.worlds:
-        declared = worlds.get(w.id)
-        if declared is not None and declared != w.population:
-            raise IntegrityError(
-                f"{path}: world {w.id!r} declares a population inconsistent "
-                "with the axiom's construction"
-            )
 
 
 def parse_matrix(doc, path: str = "belief_matrix", worlds=None) -> BeliefMatrix:

@@ -23,7 +23,6 @@ from uncertain_objectives import (
     Population,
     UncertaintyPattern,
 )
-from uncertain_objectives import _kernels
 from uncertain_objectives.axioms import (
     AxiomId,
     AxiomInstance,
@@ -228,9 +227,10 @@ def reference_path_slacks(z, paths, one=1.0) -> list:
 
 
 def reference_path_violations(m, max_path_len=None) -> list:
-    """The path scan the library used before its pruned scan, kept verbatim
-    as an oracle: every simple path, one ``Fraction`` bound per path on
-    exact matrices and the kernel over all permutations on float ones."""
+    """The path scan the library used before its pruned scan, kept as an
+    oracle: every simple path, one ``Fraction`` bound per path on exact
+    matrices, and on float ones, each length's permutations at once, their
+    steps summed left to right as ``path_bounds`` sums them."""
     n = len(m.worlds)
     limit = n if max_path_len is None else min(max_path_len, n)
     violations: list[PathViolation] = []
@@ -253,10 +253,14 @@ def reference_path_violations(m, max_path_len=None) -> list:
                         )
                     )
         return violations
-    z = m.as_float_array()
+    z = np.array(m.z)
     for k in range(3, limit + 1):
         paths = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64)
-        slacks = _kernels.path_slacks(z, paths)
+        step = z[paths[:, :-1], paths[:, 1:]]
+        upper = np.minimum(1.0, np.cumsum(step, axis=1)[:, -1])
+        lower = np.maximum(0.0, 1.0 - np.cumsum(1.0 - step, axis=1)[:, -1])
+        span = z[paths[:, 0], paths[:, -1]]
+        slacks = np.maximum(lower - span, span - upper)
         for row, slack in zip(paths, slacks):
             if slack > FLOAT_TOL:
                 chain = [z[row[s], row[s + 1]] for s in range(k - 1)]
@@ -625,10 +629,8 @@ def _audit_dominance_addition(swf, bounds):
                     continue
                 for added in _populations(pos_levels, bounds):
                     yield dominance_addition_instance(
-                        World("a", a),
-                        World("a_plus", population_union(raised, added)),
-                        raised,
-                        added,
+                        World("a", a), raised, added,
+                        augmented=World("a_plus", population_union(raised, added)),
                     )
 
     return _first_violation(instances(), swf, AxiomId.DOMINANCE_ADDITION)

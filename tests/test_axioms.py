@@ -85,17 +85,17 @@ class TestInstanceConstruction:
         base = w("a", (10, 5))
         raised = Population([(11, 5)])
         added = Population([(1, 100)])
-        dominance_addition_instance(base, w("ap", (11, 5), (1, 100)), raised, added)
+        dominance_addition_instance(base, raised, added, augmented=w("ap", (11, 5), (1, 100)))
         with pytest.raises(InvalidInstanceError):  # added lives not positive
             dominance_addition_instance(
-                base, w("ap", (11, 5), (0, 1)), raised, Population([(0, 1)])
+                base, raised, Population([(0, 1)]), augmented=w("ap", (11, 5), (0, 1))
             )
         with pytest.raises(InvalidInstanceError):  # raised part drops someone
             dominance_addition_instance(
-                base, w("ap", (9, 5), (1, 100)), Population([(9, 5)]), added
+                base, Population([(9, 5)]), added, augmented=w("ap", (9, 5), (1, 100))
             )
         with pytest.raises(InvalidInstanceError):  # augmented world wrong
-            dominance_addition_instance(base, w("ap", (11, 5), (1, 99)), raised, added)
+            dominance_addition_instance(base, raised, added, augmented=w("ap", (11, 5), (1, 99)))
 
     def test_avoid_repugnant_valid_and_invalid(self):
         avoid_repugnant_instance(w("a", (100, 10)), w("z", (1, 1001)), 100, 1)
@@ -172,9 +172,9 @@ class TestInstanceConstruction:
         ]:
             with pytest.raises(TypeError, match="quality"):
                 axioms.make_instance(AxiomId.QUALITY, *args, **kwargs)
-        with pytest.raises(TypeError):  # a derived world is named by its id keyword
+        with pytest.raises(TypeError):  # a derived world is given by name only
             addition_instance(w("a", (10, 3)), population((5, 2)), population((4, 3)),
-                              b_added_world=w("with_b", (5, 2), (10, 3)))
+                              w("with_b", (5, 2), (10, 3)))
 
     def test_populations_get_the_audit_ids(self):
         inst = axioms.make_instance(
@@ -205,9 +205,9 @@ class TestCheckInstance:
         # lives join, so the augmented world is ranked strictly worse.
         inst = dominance_addition_instance(
             w("a", (10, 5)),
-            w("ap", (11, 5), (1, 100)),
             Population([(11, 5)]),
             Population([(1, 100)]),
+            augmented=w("ap", (11, 5), (1, 100)),
         )
         assert swf_compare(
             AverageWelfare(), Population([(11, 5), (1, 100)]), Population([(10, 5)])
@@ -277,9 +277,9 @@ def sample_instances(rng: random.Random):
         egalitarian_dominance_instance(w("a", (hi, s + 1)), w("b", (hi - 1, s), (0, 1))),
         dominance_addition_instance(
             w("base", (hi, s)),
-            World("aug", Population([(hi + 2, s), (lo, m)])),
             Population([(hi + 2, s)]),
             Population([(lo, m)]),
+            augmented=World("aug", Population([(hi + 2, s), (lo, m)])),
         ),
         avoid_repugnant_instance(w("a", (hi, s)), w("z", (lo, 100 * s)), hi, lo),
         avoid_sadistic_instance(

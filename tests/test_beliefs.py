@@ -182,6 +182,30 @@ class TestPathBounds:
         assert path_bounds([F(9, 10), F(8, 10)]) == (F(7, 10), F(1))
 
 
+# w0 -> ... -> w8 paths: eight steps and a span, and whether the path's own
+# slack is above FLOAT_TOL.
+NINE_WORLD_PATHS = [
+    (
+        [0.03962074251855634, 0.07027959404128738, 0.11528279096062495,
+         0.010628004239543222, 0.09620207558769288, 0.10025345031180301,
+         0.1074797538908609, 0.0914553753016516],
+        0.6312017878520203,
+        True,
+    ),
+    (
+        [0.013797841316647574, 0.03670139708973744, 0.09771446723097331,
+         0.05557453992308517, 0.0290308141736956, 0.07036786375269682,
+         0.08733448382721946, 0.084193441355256],
+        0.47471484966931143,
+        False,
+    ),
+]
+
+
+def nine_world_matrix(steps, span):
+    return float_matrix(9, {**{(i, i + 1): v for i, v in enumerate(steps)}, (0, 8): span})
+
+
 class TestPathCoherence:
     def test_derived_matrices_are_coherent(self):
         rng = random.Random(11)
@@ -243,30 +267,12 @@ class TestPathCoherence:
             path = [m.index(w) for w in pv.path]
             assert (pv.lower, pv.upper) == path_bounds([m.z[a][b] for a, b in zip(path, path[1:])])
 
-    @pytest.mark.parametrize(
-        "steps, span, flagged",
-        [
-            (
-                [0.03962074251855634, 0.07027959404128738, 0.11528279096062495,
-                 0.010628004239543222, 0.09620207558769288, 0.10025345031180301,
-                 0.1074797538908609, 0.0914553753016516],
-                0.6312017878520203,
-                True,
-            ),
-            (
-                [0.013797841316647574, 0.03670139708973744, 0.09771446723097331,
-                 0.05557453992308517, 0.0290308141736956, 0.07036786375269682,
-                 0.08733448382721946, 0.084193441355256],
-                0.47471484966931143,
-                False,
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("steps, span, flagged", NINE_WORLD_PATHS)
     def test_nine_world_float_path_is_flagged_by_its_own_slack(self, steps, span, flagged):
         # Eight steps, which numpy's ``sum`` adds pairwise, while path_bounds
         # adds them left to right; the two orders put these slacks on
         # opposite sides of FLOAT_TOL.
-        m = float_matrix(9, {**{(i, i + 1): v for i, v in enumerate(steps)}, (0, 8): span})
+        m = nine_world_matrix(steps, span)
         lower, upper = path_bounds(steps)
         slack = max(lower - span, span - upper)
         assert (slack > beliefs.FLOAT_TOL) is flagged
@@ -373,6 +379,15 @@ class TestPathScanMatchesReference:
         m = float_matrix(5, {**entries, (0, 4): 0.0})
         self.assert_same(m)
         assert ("w0", "w1", "w2", "w3", "w4") in {pv.path for pv in check_path_coherence(m)}
+
+    def test_nine_float_worlds_summed_left_to_right(self):
+        # The flagged nine-world matrix, whose eight-step sums a pairwise
+        # summation would round differently.
+        steps, span, _ = NINE_WORLD_PATHS[0]
+        m = nine_world_matrix(steps, span)
+        got = check_path_coherence(m)
+        assert len(got) == 237
+        assert got == conftest.reference_path_violations(m)
 
     def test_python_int_fallback(self):
         # Denominators whose LCM times n passes 2^62 leave int64.
@@ -790,7 +805,7 @@ class TestRotationMixture:
     def test_a_cycle_needs_two_worlds(self):
         with pytest.raises(InvalidValueError, match="at least 2 worlds"):
             CycleSpec(("a",))
-        with pytest.raises(InvalidValueError, match="n >= 2"):
+        with pytest.raises(InvalidValueError, match="at least 2 worlds"):
             rotation_mixture(1)
 
     def test_violations_need_the_cycle_worlds_ranked(self):

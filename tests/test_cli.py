@@ -177,7 +177,18 @@ class TestFindings:
         code, out, err = run_cli("coherence", matrix, "--max-path-len", value)
         assert code == 1
         assert out == ""
-        assert "--max-path-len must be at least 2" in err and value in err
+        assert err == f"error: max_path_len must be at least 2, got {value}\n"
+
+    @pytest.mark.parametrize("schema", [True, False])
+    def test_coherence_on_a_scenario_without_a_matrix_is_error(self, tmp_path, schema):
+        doc = json.loads((SCENARIOS / "second_theorem_cycle.json").read_text())
+        if not schema:
+            del doc["$schema"]
+        path = tmp_path / "no_matrix.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("coherence", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: scenario has no belief_matrix to check\n"
 
     def test_decide_margin_abstains_on_rotations(self):
         _, out, _ = run_cli(*GOLDEN_CASES["decide_rotations_margin"])
@@ -218,6 +229,22 @@ class TestFindings:
         f = json.loads(out)["findings"]
         assert f["actions"] == ["x2", "x3"]
         assert f["outcome"]["world"] == "x2"
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            ("decide_rotations.json", "--rule", "margin"),
+            ("decide_rotations.json", "--rule", "quantilized", "--tau", "1/4"),
+            ("three_cycle.json", "--rule", "partial", "--policy", "abstain"),
+        ],
+        ids=["margin", "quantilized", "partial"],
+    )
+    def test_decide_refuses_an_empty_action_list(self, rule):
+        # An explicitly empty --actions is not the same as no --actions.
+        name, *flags = rule
+        code, out, err = run_cli("decide", str(SCENARIOS / name), *flags, "--actions", "")
+        assert code == 1 and out == ""
+        assert err == "error: at least one candidate action is required\n"
 
     def test_decide_quantilized_seeded(self):
         code, out, _ = run_cli(
@@ -302,7 +329,7 @@ class TestExitCodes:
             "analyze", str(SCENARIOS / "three_cycle.json"), "--max-pattern-size", value
         )
         assert code == 1 and out == ""
-        assert err == f"error: --max-pattern-size must be at least 0, got {value}\n"
+        assert err == f"error: max_size must be at least 0, got {value}\n"
 
     def test_bound_requires_cycle(self, tmp_path):
         doc = {
@@ -555,8 +582,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (("bound", "--n", "1"), "--n must be at least 2"),
-            (("bound", "--n", "0"), "--n must be at least 2"),
+            (("bound", "--n", "1"), "a cycle needs at least 2 worlds"),
+            (("bound", "--n", "0"), "a cycle needs at least 2 worlds"),
             (("bound",), "bound needs --n or a scenario with a cycle"),
             (
                 ("audit", "--swf", "total", "--axiom", "nope", "--levels", "1,2",

@@ -176,7 +176,7 @@ class TestParse:
 
     def test_inconsistent_axiom_world_population(self):
         # Declared world disagrees with base + tortured from the instance body.
-        with pytest.raises(IntegrityError, match="inconsistent"):
+        with pytest.raises(InvalidInstanceError, match="tortured world must equal"):
             parse_scenario(
                 json.dumps(
                     {
@@ -271,9 +271,7 @@ class TestRoundTrip:
 
 
 # One valid structured constraint per axiom: its worlds, its document body
-# and the factory call it must equal.  The three derived-world axioms also
-# name a declared world and a population for it that disagrees with the
-# axiom's construction.
+# and the factory call it must equal.
 AXIOM_FORMS = {
     "quality": (
         {"h": [["95", 3]], "l": [["1", 50]]},
@@ -281,7 +279,6 @@ AXIOM_FORMS = {
         lambda: quality_instance(
             World("h", population((95, 3))), World("l", population((1, 50))), 90, 1
         ),
-        None,
     ),
     "inequality_aversion": (
         {"m": [["10", 2], ["1", 5]], "e": [["5", 7]]},
@@ -289,7 +286,6 @@ AXIOM_FORMS = {
         lambda: inequality_aversion_instance(
             World("m", population((10, 2), (1, 5))), World("e", population((5, 7)))
         ),
-        None,
     ),
     "egalitarian_dominance": (
         {"a": [["10", 5]], "b": [["9", 3], ["8", 2]]},
@@ -297,18 +293,16 @@ AXIOM_FORMS = {
         lambda: egalitarian_dominance_instance(
             World("a", population((10, 5))), World("b", population((9, 3), (8, 2)))
         ),
-        None,
     ),
     "dominance_addition": (
         {"a": [["10", 5]], "ap": [["11", 5], ["1", 100]]},
         {"base": "a", "augmented": "ap", "raised": [["11", 5]], "added": [["1", 100]]},
         lambda: dominance_addition_instance(
             World("a", population((10, 5))),
-            World("ap", population((11, 5), (1, 100))),
             population((11, 5)),
             population((1, 100)),
+            augmented=World("ap", population((11, 5), (1, 100))),
         ),
-        None,
     ),
     "avoid_repugnant": (
         {"a": [["100", 10]], "z": [["1", 1001]]},
@@ -316,7 +310,6 @@ AXIOM_FORMS = {
         lambda: avoid_repugnant_instance(
             World("a", population((100, 10))), World("z", population((1, 1001))), 100, 1
         ),
-        None,
     ),
     "avoid_sadistic": (
         {"bt": [["100", 10], ["-50", 1]], "bp": [["100", 10], ["1", 1000]]},
@@ -327,9 +320,9 @@ AXIOM_FORMS = {
         },
         lambda: avoid_sadistic_instance(
             population((100, 10)), population((-50, 1)), population((1, 1000)), 100, -50,
-            tortured_id="bt", positive_id="bp",
+            tortured_world=World("bt", population((100, 10), (-50, 1))),
+            positive_world=World("bp", population((100, 10), (1, 1000))),
         ),
-        ("bt", [["100", 1]]),
     ),
     "avoid_very_anti_egalitarian": (
         {"a": [["10", 2]], "b": [["15", 1], ["1", 1]]},
@@ -337,7 +330,6 @@ AXIOM_FORMS = {
         lambda: avoid_very_anti_egalitarian_instance(
             World("a", population((10, 2))), World("b", population((15, 1), (1, 1)))
         ),
-        None,
     ),
     "dominance": (
         {"a": [["10", 2], ["5", 1]], "b": [["9", 2], ["4", 1]]},
@@ -345,7 +337,6 @@ AXIOM_FORMS = {
         lambda: dominance_instance(
             World("a", population((10, 2), (5, 1))), World("b", population((9, 2), (4, 1)))
         ),
-        None,
     ),
     "addition": (
         {"a": [["10", 3]], "wb": [["10", 3], ["5", 2]], "wc": [["10", 3], ["4", 3]]},
@@ -355,9 +346,9 @@ AXIOM_FORMS = {
         },
         lambda: addition_instance(
             World("a", population((10, 3))), population((5, 2)), population((4, 3)),
-            b_added_id="wb", c_added_id="wc",
+            b_added_world=World("wb", population((10, 3), (5, 2))),
+            c_added_world=World("wc", population((10, 3), (4, 3))),
         ),
-        ("wc", [["10", 3], ["4", 4]]),
     ),
     "priority_compensation": (
         {"pb": [["50", 4], ["1", 1]], "pa": [["50", 4], ["-1", 1], ["100", 7]]},
@@ -368,15 +359,22 @@ AXIOM_FORMS = {
         },
         lambda: priority_compensation_instance(
             population((50, 4)), 1, -1, 100, 7, very_high=100, very_low=1,
-            before_id="pb", after_id="pa",
+            before=World("pb", population((50, 4), (1, 1))),
+            after=World("pa", population((50, 4), (-1, 1), (100, 7))),
         ),
-        ("pa", [["50", 4], ["-1", 1], ["100", 6]]),
     ),
 }
 
 
+# Each derived world of each axiom, as (axiom, its derivation clause).
+DERIVATIONS = [
+    pytest.param(axiom.value, clause, id=f"{axiom.value}-{clause.derives}")
+    for axiom, row in AXIOMS.items() for clause in row.derivations
+]
+
+
 def axiom_doc(axiom, worlds=None, drop=None):
-    world_doc, body, _, _ = AXIOM_FORMS[axiom]
+    world_doc, body, _ = AXIOM_FORMS[axiom]
     constraint = {"label": "K", "axiom": axiom, **body}
     constraint.pop(drop, None)
     return json.dumps({"worlds": worlds or world_doc, "constraints": [constraint]})
@@ -407,13 +405,44 @@ class TestAxiomForms:
         assert info.value.path.startswith("constraints[0]")
         assert repr(field) in str(info.value) or f".{field}:" in str(info.value)
 
-    @pytest.mark.parametrize(
-        "axiom", sorted(a for a, form in AXIOM_FORMS.items() if form[3] is not None)
-    )
-    def test_derived_world_disagrees(self, axiom):
-        world_doc, _, _, (wid, groups) = AXIOM_FORMS[axiom]
-        with pytest.raises(IntegrityError, match=rf"world {wid!r} declares"):
-            parse_scenario(axiom_doc(axiom, worlds={**world_doc, wid: groups}))
+    def test_every_derived_world_is_listed(self):
+        assert len(DERIVATIONS) == 7
+
+    @pytest.mark.parametrize("axiom,clause", DERIVATIONS)
+    def test_derived_world_disagrees(self, tmp_path_factory, axiom, clause):
+        # A declared world with one more person than its construction gives
+        # fails that construction's clause, in the library and the CLI alike.
+        world_doc, body, _ = AXIOM_FORMS[axiom]
+        wid = body[clause.derives]
+        (level, count), *rest = world_doc[wid]
+        document = {"worlds": {**world_doc, wid: [[level, count + 1], *rest]},
+                    "constraints": [{"label": "K", "axiom": axiom, **body}]}
+        with pytest.raises(InvalidInstanceError) as info:
+            parse_scenario(json.dumps(document))
+        assert str(info.value) == clause.message
+        assert _run_cli(tmp_path_factory, document, "analyze") == (1, f"error: {clause.message}\n")
+
+
+def _role_fields(inst):
+    """An instance's fields by name: its params, and its worlds' populations
+    under the world fields that its row's roles name."""
+    row = AXIOMS[inst.axiom]
+    ids = dict(zip(row.roles, (inst.claim_worse, inst.claim_better, *(inst.gate or ()))))
+    return ids, {**inst.params, **{key: inst.world(wid).population for key, wid in ids.items()}}
+
+
+@pytest.mark.parametrize("axiom,clause", DERIVATIONS)
+def test_make_instance_takes_derived_worlds_by_name_only(axiom, clause):
+    inst, row = AXIOM_FORMS[axiom][2](), AXIOMS[AxiomId(axiom)]
+    _, fields = _role_fields(inst)
+    given, built = {k: fields[k] for k in row.names}, fields[clause.derives]
+    named = make_instance(inst.axiom, **given, **{clause.derives: World("named", built)})
+    assert _role_fields(named)[0][clause.derives] == "named"
+    with pytest.raises(InvalidInstanceError) as info:
+        make_instance(inst.axiom, **given, **{clause.derives: built | population((1, 1))})
+    assert str(info.value) == clause.message
+    with pytest.raises(TypeError, match=axiom):
+        make_instance(inst.axiom, *given.values(), World("named", built))
 
 
 # Each AXIOM_FORMS instance's world order and JSON, gate and claim included.
@@ -526,19 +555,16 @@ def test_empty_populations_fail_a_clause(axiom):
     # so an empty population in any field fails a clause and never reaches
     # Population.lo or .hi, which raise EmptyPopulationError.
     inst, row = AXIOM_FORMS[axiom][2](), AXIOMS[AxiomId(axiom)]
-    ids = dict(zip(row.roles, (inst.claim_worse, inst.claim_better, *(inst.gate or ()))))
-    fields = {**inst.params, **{key: inst.world(wid).population for key, wid in ids.items()}}
+    ids, fields = _role_fields(inst)
     messages = {clause.message for clause in row.clauses}
     for key in [k for k, v in fields.items() if isinstance(v, Population)]:
         worlds = tuple(World(w.id, EMPTY_POPULATION) if w.id == ids.get(key) else w
                        for w in inst.worlds)
         params = {k: EMPTY_POPULATION if k == key else v for k, v in inst.params.items()}
-        builds = [lambda: dataclasses.replace(inst, worlds=worlds, params=params)]
-        # make_instance takes the fields in row.names; an empty base is a valid
-        # priority_compensation premise, whose worlds it then derives.
-        if key in row.names and (axiom, key) != ("priority_compensation", "base"):
-            given = {k: v for k, v in fields.items() if k in row.names}
-            builds.append(lambda: make_instance(inst.axiom, **{**given, key: EMPTY_POPULATION}))
+        builds = [
+            lambda: dataclasses.replace(inst, worlds=worlds, params=params),
+            lambda: make_instance(inst.axiom, **{**fields, key: EMPTY_POPULATION}),
+        ]
         for build in builds:
             with pytest.raises(InvalidInstanceError) as info:
                 build()
