@@ -303,13 +303,18 @@ def make_instance(axiom: AxiomId, *fields, **named) -> AxiomInstance:
     clause computes its world, which a given world must equal.
     """
     row = AXIOMS[axiom]
+    if len(fields) > len(row.names):
+        raise TypeError(
+            f"{axiom.value} takes {len(row.names)} positional fields ({row.names}), "
+            f"got {len(fields)}"
+        )
     env = dict(zip(row.names, fields))
     for name, value in named.items():
         if name not in row.fields or name in env:
             raise TypeError(f"{axiom.value} got an unexpected or repeated field {name!r}")
         env[name] = value
     missing = [name for name in row.names if name not in env]
-    if missing or len(fields) > len(row.names):
+    if missing:
         raise TypeError(f"{axiom.value} takes the fields {row.names}; missing {missing}")
     worlds, params = {}, {}
     for key, kind in row.fields.items():

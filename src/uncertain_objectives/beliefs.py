@@ -17,9 +17,11 @@ z_ab + z_bc + z_ca within [1, 2]), whose three rows are a Farkas
 certificate found in O(n^3); only a matrix that satisfies all of them goes
 to an LP with one variable per total order, priced without listing the
 orders.  From n = 6 on, some of those are still infeasible.
-``minimax_cycle_bound`` minimizes, over all distributions, the worst
-violation probability among the constraints of an n-step cycle; the optimum
-is exactly 1/n, achieved by the uniform mixture of cyclic rotations.
+``minimax_cycle_bound`` gives the least, over all distributions, of the worst
+violation probability among the constraints of an n-step cycle.  No LP is
+needed: the optimum is exactly 1/n, attained by the uniform mixture of
+cyclic rotations and proved optimal by the uniform dual 1/n, since every
+total order violates some edge of the cycle.
 
 Default arithmetic is exact rationals.  Matrices and distributions may also
 carry floats ("float mode") for larger randomized work; the LP-based
@@ -43,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionCapError, InvalidValueError, SolverError
+from .errors import DimensionCapError, InvalidValueError
 from .rationals import as_rational, format_rational, in_units, integer_weights
 from .simplex import solve_lp
 
@@ -52,7 +54,6 @@ DEFAULT_DIMENSION_CAP = 7
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 def _tolerance(exact: bool):
@@ -588,16 +589,19 @@ class MinimaxBound:
     spec: CycleSpec
 
     def verify(self) -> bool:
-        """Check that the witness attains the bound in exact arithmetic.
+        """Check, in exact arithmetic, that the bound is optimal and attained.
 
         The witness must be an exact distribution over orders of the cycle's
         worlds, summing to 1, whose worst constraint-violation probability
-        equals ``bound``.  Optimality (no distribution does better) is the
-        LP's claim and is not re-derived here.
+        equals ``bound``.  Optimality is the uniform dual y = 1/n: every
+        total order violates at least one edge of a directed cycle, so the
+        n violation probabilities of any distribution sum to at least 1 and
+        their maximum is at least 1/n, which ``bound`` must equal.
         """
         d = self.witness
         return (
             isinstance(self.bound, Fraction)
+            and self.bound == Fraction(1, self.spec.n)
             and d.is_exact
             and sum(d.probs) == ONE
             and set(d.orders[0]) == set(self.spec.worlds)
@@ -624,29 +628,16 @@ def minimax_cycle_bound(
 ) -> MinimaxBound:
     """The smallest achievable worst-case constraint-violation probability.
 
-    min over distributions p of max_i P_p(violate C_i), solved exactly as an
-    LP over all n! orders (priced implicitly) with an auxiliary level
-    variable t.  The optimum for an n-cycle is exactly 1/n.
+    min over distributions p of max_i P_p(violate C_i), over all n! orders.
+    For an n-cycle the optimum is exactly 1/n, in closed form: the uniform
+    mixture of the n rotations attains it, and the uniform dual y = 1/n
+    shows no distribution does better (see ``MinimaxBound.verify``).
+    ``cap`` bounds n, and with it the report of n orders of n worlds.
     """
     n = spec.n
     if n > cap:
         raise DimensionCapError(n, cap)
-    idx = {w: i for i, w in enumerate(spec.worlds)}
-    # Constraint i's row counts the orders ranking its worse world above its
-    # better one, minus t; the last row is the total mass.
-    rows = [(idx[worse], idx[better]) for better, worse in spec.constraint_pairs()]
-    res = solve_lp(
-        c=[ONE],
-        a_ub=[[-ONE] for _ in rows],
-        b_ub=[ZERO] * n,
-        a_eq=[[ZERO]],
-        b_eq=[ONE],
-        implicit=OrderColumns(n, rows + [None]),
-    )
-    if res.status != "optimal":
-        raise SolverError(f"minimax LP unexpectedly {res.status}")
-    witness = _distribution(spec.worlds, res.support)
-    return MinimaxBound(bound=res.objective, witness=witness, spec=spec)
+    return MinimaxBound(bound=Fraction(1, n), witness=rotation_mixture(spec), spec=spec)
 
 
 def rotation_mixture(spec_or_n) -> OrderDistribution:

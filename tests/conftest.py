@@ -41,7 +41,7 @@ from uncertain_objectives.axioms import (
     priority_compensation_instance,
     quality_instance,
 )
-from uncertain_objectives.beliefs import FLOAT_TOL, PathViolation, path_bounds
+from uncertain_objectives.beliefs import FLOAT_TOL, OrderColumns, PathViolation, path_bounds
 from uncertain_objectives.errors import BoundsTooLargeError
 from uncertain_objectives.populations import (
     EMPTY_POPULATION,
@@ -52,7 +52,7 @@ from uncertain_objectives.populations import (
     swf_order,
     total_welfare,
 )
-from uncertain_objectives.simplex import LpResult
+from uncertain_objectives.simplex import LpResult, solve_lp
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -483,6 +483,34 @@ def dense_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit=None):
             res.support = [(k, v) for k, v in zip(keys, res.x) if v > 0]
         res.x = res.x[len(keys):]
     return res
+
+
+def minimax_lp(spec, solve=solve_lp) -> tuple[Fraction, OrderDistribution]:
+    """The minimax bound of an n-cycle solved as an exact LP by ``solve``: the
+    optimum and its witness, the LP's support over the cycle's worlds.
+
+    min t over distributions on all n! orders (priced implicitly) subject to
+    P(violate C_i) - t <= 0 for every constraint, with total mass 1.  This
+    is the formulation ``minimax_cycle_bound`` solved before its closed form.
+    """
+    n = spec.n
+    idx = {w: i for i, w in enumerate(spec.worlds)}
+    # Constraint i's row counts the orders ranking its worse world above its
+    # better one, minus t; the last row is the total mass.
+    rows = [(idx[worse], idx[better]) for better, worse in spec.constraint_pairs()]
+    res = solve(
+        c=[_ONE],
+        a_ub=[[-_ONE] for _ in rows],
+        b_ub=[_ZERO] * n,
+        a_eq=[[_ZERO]],
+        b_eq=[_ONE],
+        implicit=OrderColumns(n, rows + [None]),
+    )
+    assert res.status == "optimal"
+    return res.objective, OrderDistribution(
+        orders=[tuple(spec.worlds[i] for i in o) for o, _ in res.support],
+        probs=[p for _, p in res.support],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,19 @@ class TestInstanceConstruction:
             addition_instance(w("a", (10, 3)), population((5, 2)), population((4, 3)),
                               w("with_b", (5, 2), (10, 3)))
 
+    def test_too_many_positional_fields_names_the_count(self):
+        high, low = w("h", (95, 3)), w("l", (1, 50))
+        cases = [
+            (AxiomId.QUALITY, (high, low, 90, 1, 2),
+             "quality takes 4 positional fields (['high', 'low', 'very_high', 'very_low']), got 5"),
+            (AxiomId.DOMINANCE_ADDITION, tuple(population((5, 2)) for _ in range(4)),
+             "dominance_addition takes 3 positional fields (['base', 'raised', 'added']), got 4"),
+        ]
+        for axiom, fields, message in cases:
+            with pytest.raises(TypeError) as info:
+                axioms.make_instance(axiom, *fields)
+            assert str(info.value) == message
+
     def test_populations_get_the_audit_ids(self):
         inst = axioms.make_instance(
             AxiomId.ADDITION, base_world=population((10, 3)), b=population((5, 2)),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
@@ -23,10 +24,10 @@ from uncertain_objectives import (
     violation_probabilities,
 )
 from uncertain_objectives import beliefs, simplex
-from uncertain_objectives.beliefs import OrderColumns
+from uncertain_objectives.beliefs import MinimaxBound, OrderColumns
 from uncertain_objectives.errors import DimensionCapError, InvalidValueError
 
-from conftest import dense_solve_lp, random_distribution, reference_pairwise
+from conftest import dense_solve_lp, minimax_lp, random_distribution, reference_pairwise
 
 
 def matrix3(z12, z13, z23, **kw):
@@ -750,6 +751,32 @@ class TestMinimax:
         other = CycleSpec(("x1", "x2", "x3", "y4"))
         assert not replace(res, spec=other).verify()
 
+    def test_verify_rejects_a_bound_no_distribution_reaches(self):
+        # Three of the four rotations at 1/3 each attain 1/3, but 1/3 is not
+        # optimal: the uniform dual proves 1/4.
+        spec = CycleSpec(("x1", "x2", "x3", "x4"))
+        rotations = rotation_mixture(spec)
+        three = OrderDistribution(orders=rotations.orders[:3], probs=[F(1, 3)] * 3)
+        assert max(violation_probabilities(three, spec)) == F(1, 3)
+        assert not MinimaxBound(F(1, 3), three, spec).verify()
+        assert MinimaxBound(F(1, 4), rotations, spec).verify()
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_order_violates_a_cycle_edge(self, n):
+        # The uniform dual's premise, from the pricing DP: with weight -1 on
+        # each constraint's violation row, the best order scores -1.
+        rows = [((i + 1) % n, i) for i in range(n)]
+        assert OrderColumns(n, rows).best([-1] * n)[0] == -1
+
+    def test_bound_at_forty_worlds(self):
+        # Far past any LP over the orders: its pricing alone needs 2^40-entry
+        # subset tables.
+        spec = CycleSpec(tuple(f"x{i + 1}" for i in range(40)))
+        start = time.perf_counter()
+        res = minimax_cycle_bound(spec, cap=40)
+        assert res.bound == F(1, 40) and res.verify()
+        assert time.perf_counter() - start < 1.0
+
     def test_random_search_never_beats_the_bound(self):
         # Oracle cross-check: 10^4 random distributions over the 4-cycle all
         # have some constraint violated with probability >= 1/4.
@@ -945,9 +972,19 @@ class TestDenseReference:
         assert triangles == 112
 
     def test_minimax_matches_dense_simplex(self, dense_checked):
-        for n in range(3, 7):
-            spec = CycleSpec(tuple(f"x{i + 1}" for i in range(n)))
-            assert minimax_cycle_bound(spec).bound == F(1, n)
+        # The closed form against the exact LP it replaced, which also keeps
+        # the simplex's phase 2 with an explicit column (the level t) beside
+        # the implicit order columns under the dense reference at n = 3..6.
+        for n in range(2, 10):
+            for worlds in (
+                tuple(f"x{i + 1}" for i in range(n)),
+                tuple(f"w{5 * i % 11}" for i in range(n)),  # not in sorted order
+            ):
+                spec = CycleSpec(worlds)
+                dense = 3 <= n <= 6 and worlds[0] == "x1"
+                bound, witness = minimax_lp(spec, beliefs.solve_lp if dense else simplex.solve_lp)
+                res = minimax_cycle_bound(spec, cap=9)
+                assert (res.bound, res.witness) == (bound, witness)
         assert len(dense_checked) == 4
 
     def test_degenerate_ties_match_dense_simplex(self, dense_checked, monkeypatch):
@@ -960,4 +997,5 @@ class TestDenseReference:
         assert len(dense_checked) == 60
         for n in range(3, 6):
             spec = CycleSpec(tuple(f"x{i + 1}" for i in range(n)))
-            assert minimax_cycle_bound(spec).bound == F(1, n)
+            assert minimax_lp(spec, beliefs.solve_lp)[0] == F(1, n)
+        assert len(dense_checked) == 63

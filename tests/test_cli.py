@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from uncertain_objectives import cli, scenario, simplex
+from uncertain_objectives import beliefs, cli, scenario, simplex
 from uncertain_objectives.beliefs import CycleSpec, MinimaxBound, OrderDistribution
 from uncertain_objectives.cli import build_parser, main
 from uncertain_objectives.rationals import format_rational
@@ -369,16 +369,26 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ("coherence", str(SCENARIOS / "rotation_matrix.json"), "--exact"),
-            ("bound", "--n", "4"),
-        ],
+        [("coherence", str(SCENARIOS / "rotation_matrix.json"), "--exact")],
     )
     def test_pivot_cap_is_error(self, argv, monkeypatch):
         monkeypatch.setattr(simplex, "_MAX_PIVOTS", 1)
         code, out, err = run_cli(*argv)
         assert code == 1 and out == ""
         assert err == "error: simplex exceeded its cap of 1 pivots\n"
+
+    def test_bound_solves_no_lp(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("bound solved an LP")
+
+        monkeypatch.setattr(beliefs, "solve_lp", refused)
+        for argv, n in (("--n", "7"), 7), ((str(SCENARIOS / "three_cycle.json"),), 3):
+            code, out, _ = run_cli("bound", *argv)
+            assert code == 0
+            assert json.loads(out)["findings"]["bound"] == f"1/{n}"
+        code, out, err = run_cli("bound", "--n", "8")
+        assert code == 1 and out == ""
+        assert err == "error: n=8 exceeds the dimension cap 7 (n! variables)\n"
 
     @pytest.mark.parametrize(
         "argv,message",
