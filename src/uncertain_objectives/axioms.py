@@ -68,7 +68,6 @@ from .errors import (
     BoundsTooLargeError,
     ConflictingWorldIdsError,
     InvalidInstanceError,
-    InvalidValueError,
 )
 from .grids import SearchBounds
 from .ordering import Verdict
@@ -239,7 +238,6 @@ class AxiomInstance:
     worlds: tuple[World, ...]
     claim_worse: str
     claim_better: str
-    strict: bool
     params: dict = field(default_factory=dict)
     gate: tuple[str, str] | None = None  # (world, baseline): gate holds when world < baseline
     checked: InitVar[bool] = False
@@ -251,10 +249,6 @@ class AxiomInstance:
         if self.claim_worse not in ids or self.claim_better not in ids:
             raise InvalidInstanceError("claim endpoints must be premise worlds")
         row = AXIOMS[self.axiom]
-        if self.strict != row.strict:
-            raise InvalidInstanceError(
-                f"{self.axiom.value} must be {'strict' if row.strict else 'non-strict'}"
-            )
         role_ids = (self.claim_worse, self.claim_better) + (self.gate or ())
         if len(role_ids) < len(row.roles):
             raise InvalidInstanceError(f"{self.axiom.value} instances carry a gate comparison")
@@ -262,6 +256,11 @@ class AxiomInstance:
             env = dict(self.params)
             env.update((role, self.world(wid).population) for role, wid in zip(row.roles, role_ids))
             _require_all(row.clauses, env)
+
+    @property
+    def strict(self) -> bool:
+        """Whether the claim demands strict preference, as the axiom's row says."""
+        return AXIOMS[self.axiom].strict
 
     def world(self, world_id: str) -> World:
         for w in self.worlds:
@@ -330,9 +329,7 @@ def make_instance(axiom: AxiomId, *fields, **named) -> AxiomInstance:
         worlds[key] = world or World(row.fields[key].id, env[key])
     worse, better, *gate = (worlds[role].id for role in row.roles)
     premise = tuple(worlds.values())
-    return AxiomInstance(
-        axiom, premise, worse, better, row.strict, params, tuple(gate) or None, True
-    )
+    return AxiomInstance(axiom, premise, worse, better, params, tuple(gate) or None, True)
 
 
 quality_instance = partial(make_instance, AxiomId.QUALITY)
@@ -362,28 +359,20 @@ def _result(strict: bool, claim: Verdict, gate: Verdict | None) -> CheckResult:
     """The check's result from the claim's verdict (worse vs better) and, for
     a gated axiom, the gate's (world vs baseline).
 
-    The required direction (or equality, for non-strict axioms) is SATISFIED;
-    a strict reversal is VIOLATED, as is equality where the axiom demands
-    strict preference; incomparability is UNCERTAINLY_SATISFIED.  The gated
-    addition axiom is violated only when its gate holds and its claim is
-    reversed, with incomparability propagating as uncertainty.
+    A check is violated when its gate holds and its claim is reversed, as a
+    three-valued conjunction.  An ungated claim's gate always holds.  A claim
+    is reversed by a strict reversal, or by equality where the axiom demands
+    strict preference.  Either part false is SATISFIED, both true VIOLATED,
+    and otherwise incomparability leaves it UNCERTAINLY_SATISFIED.
     """
-    if gate is not None:
-        # Three-valued conjunction of "gate holds" and "claim reversed".
-        gate_t = {Verdict.LESS: True, Verdict.INCOMPARABLE: None}.get(gate, False)
-        rev_t = {Verdict.GREATER: True, Verdict.INCOMPARABLE: None}.get(claim, False)
-        if gate_t is False or rev_t is False:
-            return CheckResult.SATISFIED
-        if gate_t is True and rev_t is True:
-            return CheckResult.VIOLATED
-        return CheckResult.UNCERTAINLY_SATISFIED
-    if claim is Verdict.INCOMPARABLE:
-        return CheckResult.UNCERTAINLY_SATISFIED
-    if claim is Verdict.GREATER:
+    holds = gate is None or {Verdict.LESS: True, Verdict.INCOMPARABLE: None}.get(gate, False)
+    reversal = {Verdict.GREATER: True, Verdict.EQUAL: strict,
+                Verdict.INCOMPARABLE: None}.get(claim, False)
+    if holds is False or reversal is False:
+        return CheckResult.SATISFIED
+    if holds and reversal:
         return CheckResult.VIOLATED
-    if claim is Verdict.EQUAL and strict:
-        return CheckResult.VIOLATED
-    return CheckResult.SATISFIED
+    return CheckResult.UNCERTAINLY_SATISFIED
 
 
 # ---------------------------------------------------------------------------
@@ -880,41 +869,26 @@ def build_cycle(conditions: list[AxiomInstance]) -> ConstraintGraph:
     return ConstraintGraph(tuple(order), edges)
 
 
-def second_theorem_cycle(
-    very_high=90,
-    very_low=1,
-    base_level=100,
-    base_size: int = 2,
-    extra_size: int = 6,
-) -> list[AxiomInstance]:
+def second_theorem_cycle() -> list[AxiomInstance]:
     """A concrete four-world impossibility cycle from the equality/addition
-    conditions, with parameters derived from the thresholds.
+    conditions, with very-high welfare 90 and very-low-positive welfare 1.
 
-    Worlds: A (equal, very high) is raised and padded with barely-positive
-    extras into A+ (dominance_addition), A+ is leveled into the bigger equal
-    population Z at very-low-positive welfare (inequality_aversion), Z is at
-    most as good as the equal very-high A* (quality), and A beats A* pointwise
-    at equal size (egalitarian_dominance), closing the cycle.
+    Worlds: A (two people at 100) is raised to 101 and padded with six
+    barely-positive extras at 1/2 into A+ (dominance_addition), A+ is leveled
+    into the bigger equal population Z, eight people at 1
+    (inequality_aversion), Z is at most as good as A*, two people at 90
+    (quality), and A beats A* pointwise at equal size
+    (egalitarian_dominance), closing the cycle.
     """
-    vh = as_rational(very_high)
-    vl = as_rational(very_low)
-    a_level = as_rational(base_level)
-    if not 0 < vl < vh < a_level:
-        raise InvalidValueError("need 0 < very_low < very_high < base_level")
-    if extra_size <= base_size:
-        raise InvalidValueError("the added group must outnumber the base population")
-    raised_level = a_level + 1
-    c_level = vl / 2
-    b_level = vl
-    a = World("a", Population([(a_level, base_size)]))
-    raised = Population([(raised_level, base_size)])
-    added = Population([(c_level, extra_size)])
+    a = World("a", Population([(100, 2)]))
+    raised = Population([(101, 2)])
+    added = Population([(Fraction(1, 2), 6)])
     a_plus = World("a_plus", raised | added)
-    z = World("z", Population([(b_level, base_size + extra_size)]))
-    a_star = World("a_star", Population([(vh, base_size)]))
+    z = World("z", Population([(1, 8)]))
+    a_star = World("a_star", Population([(90, 2)]))
     return [
         dominance_addition_instance(a, raised, added, augmented=a_plus),
         inequality_aversion_instance(a_plus, z),
-        quality_instance(a_star, z, vh, vl),
+        quality_instance(a_star, z, 90, 1),
         egalitarian_dominance_instance(a, a_star),
     ]

@@ -118,10 +118,10 @@ class BeliefMatrix:
         """P(a is better than b)."""
         return self.z[self.index(a)][self.index(b)]
 
-    def exactified(self, max_denominator: int = 10**9) -> "BeliefMatrix":
+    def exactified(self) -> "BeliefMatrix":
         """Rational approximation of a float-mode matrix (lossy bridge).
 
-        Upper-triangle entries are rounded to at most ``max_denominator``
+        Upper-triangle entries are rounded to denominators of at most 10^9
         (exact entries within it stay as they are); the lower triangle is
         rebuilt as the exact complement.
         """
@@ -129,7 +129,7 @@ class BeliefMatrix:
         grid = [[HALF] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                v = Fraction(self.z[i][j]).limit_denominator(max_denominator)
+                v = Fraction(self.z[i][j]).limit_denominator(10**9)
                 grid[i][j] = v
                 grid[j][i] = ONE - v
         return BeliefMatrix(self.worlds, grid, self.evidence_tag)
@@ -623,21 +623,16 @@ def violation_probabilities(d: OrderDistribution, spec: CycleSpec) -> list:
     return out
 
 
-def minimax_cycle_bound(
-    spec: CycleSpec, cap: int = DEFAULT_DIMENSION_CAP
-) -> MinimaxBound:
+def minimax_cycle_bound(spec: CycleSpec) -> MinimaxBound:
     """The smallest achievable worst-case constraint-violation probability.
 
     min over distributions p of max_i P_p(violate C_i), over all n! orders.
     For an n-cycle the optimum is exactly 1/n, in closed form: the uniform
     mixture of the n rotations attains it, and the uniform dual y = 1/n
-    shows no distribution does better (see ``MinimaxBound.verify``).
-    ``cap`` bounds n, and with it the report of n orders of n worlds.
+    shows no distribution does better (see ``MinimaxBound.verify``).  The
+    witness, n orders of n worlds, takes O(n^2) steps to build.
     """
-    n = spec.n
-    if n > cap:
-        raise DimensionCapError(n, cap)
-    return MinimaxBound(bound=Fraction(1, n), witness=rotation_mixture(spec), spec=spec)
+    return MinimaxBound(bound=Fraction(1, spec.n), witness=rotation_mixture(spec), spec=spec)
 
 
 def rotation_mixture(spec_or_n) -> OrderDistribution:

@@ -134,10 +134,8 @@ def _cmd_bound(args) -> tuple[dict, bool]:
     if args.n is not None and args.scenario:
         raise UncertainObjectivesError("bound takes --n or a scenario, not both")
     if args.n is not None:
-        if args.n > args.cap:  # before the n world names are built
-            raise DimensionCapError(args.n, args.cap)
-        spec = CycleSpec(tuple(f"x{i+1}" for i in range(args.n)))
-        digest = _digest_of({"n": args.n})
+        n, digest = args.n, _digest_of({"n": args.n})
+        worlds = (f"x{i+1}" for i in range(n))
     else:
         if not args.scenario:
             raise UncertainObjectivesError("bound needs --n or a scenario with a cycle")
@@ -145,11 +143,14 @@ def _cmd_bound(args) -> tuple[dict, bool]:
         certificate = find_cycle(scenario.graph())
         if certificate is None:
             raise UncertainObjectivesError("scenario graph is acyclic; nothing to bound")
+        n, digest = len(certificate), scenario.digest()
         # Certificate worlds ascend in "at least as good" direction; the cycle
         # spec wants each world almost surely better than its successor.
-        spec = CycleSpec(tuple(reversed(certificate.worlds)))
-        digest = scenario.digest()
-    result = minimax_cycle_bound(spec, cap=args.cap)
+        worlds = reversed(certificate.worlds)
+    if n > args.cap:  # before the n worlds are built
+        raise DimensionCapError(n, args.cap)
+    spec = CycleSpec(tuple(worlds))
+    result = minimax_cycle_bound(spec)
     violations = violation_probabilities(result.witness, spec)
     findings = {
         "n": spec.n,

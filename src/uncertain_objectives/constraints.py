@@ -60,9 +60,6 @@ class ConstraintGraph:
             worlds = tuple(sorted({w for e in edges for w in (e.worse, e.better)}))
         return cls(tuple(worlds), edges)
 
-    def index(self, world_id: str) -> int:
-        return self.worlds.index(world_id)
-
     def bit_rows(self, skip: frozenset[int] = frozenset()) -> list[int]:
         """Adjacency as per-node successor bitmasks, omitting ``skip`` edges."""
         idx = {w: i for i, w in enumerate(self.worlds)}
@@ -247,12 +244,7 @@ class PartialOrder:
     def from_ranking(cls, ranking) -> "PartialOrder":
         """Total order from a best-to-worst ranking of world ids."""
         ranking = tuple(ranking)
-        rank = {w: i for i, w in enumerate(ranking)}
-        pairs = {}
-        for a in ranking:
-            for b in ranking:
-                if a != b:
-                    pairs[(a, b)] = Verdict.GREATER if rank[a] < rank[b] else Verdict.LESS
+        pairs = {(worse, better): Verdict.LESS for better, worse in itertools.combinations(ranking, 2)}
         return cls.from_pairs(tuple(sorted(ranking)), pairs)
 
 
@@ -422,7 +414,9 @@ class _WitnessSearch:
 
     def _shortest_path(self, rows, removed, source, targets, limit) -> list[int] | None:
         """Edge indices of a shortest kept path of at most ``limit`` edges
-        from ``source`` to a world in ``targets``, found by BFS over bit-rows."""
+        from ``source`` to a world in ``targets``, found by BFS over bit-rows.
+        The targets come from the closure, so only ``limit`` ends the BFS
+        before it reaches one."""
         layers = [1 << source]
         seen = 1 << source
         while len(layers) <= limit:
@@ -436,8 +430,6 @@ class _WitnessSearch:
             if hit:
                 break
             frontier = reached & ~seen
-            if not frontier:
-                return None
             seen |= frontier
             layers.append(frontier)
         else:

@@ -63,12 +63,13 @@ class EmptyActionSetError(UncertainObjectivesError):
 
 
 class DimensionCapError(UncertainObjectivesError):
-    """A factorial-sized computation was requested above the dimension cap."""
+    """An n-world computation was requested above the dimension cap: an LP
+    over the n! total orders, or the report of an n-cycle's bound."""
 
     def __init__(self, n: int, cap: int):
         self.n = n
         self.cap = cap
-        super().__init__(f"n={n} exceeds the dimension cap {cap} (n! variables)")
+        super().__init__(f"n={n} exceeds the dimension cap {cap}")
 
 
 class PivotCapError(UncertainObjectivesError):

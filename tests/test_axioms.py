@@ -204,6 +204,29 @@ def constant_order(verdict):
 
 
 class TestCheckInstance:
+    def test_one_rule_for_gated_and_ungated_claims(self):
+        s, v, u = (CheckResult.SATISFIED, CheckResult.VIOLATED,
+                   CheckResult.UNCERTAINLY_SATISFIED)
+        claims = (Verdict.LESS, Verdict.EQUAL, Verdict.GREATER, Verdict.INCOMPARABLE)
+        # (strict, gate verdict) -> the result for each claim verdict above.
+        expected = {
+            (False, None): (s, s, v, u),
+            (True, None): (s, v, v, u),
+            (False, Verdict.LESS): (s, s, v, u),
+            (False, Verdict.EQUAL): (s, s, s, s),
+            (False, Verdict.GREATER): (s, s, s, s),
+            (False, Verdict.INCOMPARABLE): (s, s, u, u),
+        }
+        for (strict, gate), results in expected.items():
+            assert tuple(axioms._result(strict, c, gate) for c in claims) == results
+        # Every gated axiom is non-strict, so the table covers every instance.
+        assert not any(row.strict for row in axioms.AXIOMS.values() if len(row.roles) > 2)
+
+    def test_strict_is_read_from_the_axiom_row(self):
+        for inst in sample_instances(random.Random(1)):
+            assert inst.strict is axioms.AXIOMS[inst.axiom].strict
+            assert inst.to_json()["claim"]["strict"] is inst.strict
+
     def test_egalitarian_dominance_satisfied_under_total(self):
         inst = egalitarian_dominance_instance(w("a", (10, 5)), w("b", (9, 3), (8, 2)))
         assert check_instance(inst, swf_order(TotalWelfare())) is CheckResult.SATISFIED
@@ -490,11 +513,28 @@ class TestAudits:
             AxiomInstance(
                 AxiomId.AVOID_SADISTIC,
                 (World("t", base), World("p", population((100, 1), (1, 2)))), "t", "p",
-                strict=False,
                 params={"base": base, "tortured": population((-5, 1)),
                         "positive": population((1, 2)), "very_high": Fraction(100),
                         "torture_max": Fraction(-5)},
             )
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ("duplicate", "duplicate world ids in instance"),
+            ("claim", "claim endpoints must be premise worlds"),
+            ("gate", "addition instances carry a gate comparison"),
+        ],
+    )
+    def test_direct_construction_checks_the_roles(self, change, message):
+        inst = addition_instance(w("a", (10, 3)), population((5, 2)), population((4, 3)))
+        changes = {
+            "duplicate": {"worlds": inst.worlds + inst.worlds[:1]},
+            "claim": {"claim_worse": "nowhere"},
+            "gate": {"gate": None},
+        }
+        with pytest.raises(InvalidInstanceError, match=message):
+            dataclasses.replace(inst, **changes[change])
 
     @pytest.mark.parametrize(
         "swf,axiom,bounds,witness",
@@ -570,6 +610,17 @@ class TestAudits:
 
 
 class TestBuildCycle:
+    def test_second_theorem_cycle_numbers(self):
+        instances = second_theorem_cycle()
+        worlds = {w.id: w.population for inst in instances for w in inst.worlds}
+        assert worlds == {
+            "a": population((100, 2)),
+            "a_plus": population((101, 2), (Fraction(1, 2), 6)),
+            "z": population((1, 8)),
+            "a_star": population((90, 2)),
+        }
+        assert instances[2].params == {"very_high": 90, "very_low": 1}
+
     def test_second_theorem_cycle_is_cyclic(self):
         instances = second_theorem_cycle()
         graph = build_cycle(instances)

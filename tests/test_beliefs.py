@@ -63,6 +63,21 @@ class TestBeliefMatrix:
         assert not m.is_exact
         assert m.exactified().is_exact
 
+    def test_exactified_rounds_to_denominators_of_at_most_a_billion(self):
+        tiny = 1 / (10**9 + 7)
+        m = BeliefMatrix(
+            ("a", "b", "c"), [[0.5, 1 / 3, tiny], [2 / 3, 0.5, 0.5], [1 - tiny, 0.5, 0.5]]
+        )
+        assert m.exactified().z[0] == (F(1, 2), F(1, 3), F(1, 10**9))
+
+    def test_duplicate_world_ids_are_refused(self):
+        with pytest.raises(InvalidValueError, match="duplicate world ids"):
+            BeliefMatrix(("a", "a"), [[F(1, 2)] * 2] * 2)
+
+    def test_repeated_cycle_world_is_refused(self):
+        with pytest.raises(InvalidValueError, match="cycle worlds must be distinct"):
+            CycleSpec(("x1", "x2", "x1"))
+
 
 class TestToleranceRule:
     """Float entries within FLOAT_TOL of [0, 1] are accepted and stored
@@ -181,6 +196,10 @@ class TestPathBounds:
 
     def test_mixed_chain(self):
         assert path_bounds([F(9, 10), F(8, 10)]) == (F(7, 10), F(1))
+
+    def test_empty_chain_is_refused(self):
+        with pytest.raises(InvalidValueError, match="at least one step"):
+            path_bounds([])
 
 
 # w0 -> ... -> w8 paths: eight steps and a span, and whether the path's own
@@ -724,7 +743,7 @@ class TestMinimax:
         spec = CycleSpec(tuple(f"x{i + 1}" for i in range(9)))
         tracemalloc.start()
         try:
-            res = minimax_cycle_bound(spec, cap=9)
+            res = minimax_cycle_bound(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -736,7 +755,7 @@ class TestMinimax:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_result_verifies(self, n):
         spec = CycleSpec(tuple(f"x{i + 1}" for i in range(n)))
-        res = minimax_cycle_bound(spec, cap=9)
+        res = minimax_cycle_bound(spec)
         assert res.bound == F(1, n)
         assert res.verify()
 
@@ -773,7 +792,7 @@ class TestMinimax:
         # subset tables.
         spec = CycleSpec(tuple(f"x{i + 1}" for i in range(40)))
         start = time.perf_counter()
-        res = minimax_cycle_bound(spec, cap=40)
+        res = minimax_cycle_bound(spec)
         assert res.bound == F(1, 40) and res.verify()
         assert time.perf_counter() - start < 1.0
 
@@ -983,7 +1002,7 @@ class TestDenseReference:
                 spec = CycleSpec(worlds)
                 dense = 3 <= n <= 6 and worlds[0] == "x1"
                 bound, witness = minimax_lp(spec, beliefs.solve_lp if dense else simplex.solve_lp)
-                res = minimax_cycle_bound(spec, cap=9)
+                res = minimax_cycle_bound(spec)
                 assert (res.bound, res.witness) == (bound, witness)
         assert len(dense_checked) == 4
 

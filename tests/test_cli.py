@@ -246,6 +246,15 @@ class TestFindings:
         assert code == 1 and out == ""
         assert err == "error: at least one candidate action is required\n"
 
+    def test_decide_takes_the_policy_from_the_scenario_rule(self, tmp_path):
+        doc = json.loads((SCENARIOS / "three_cycle.json").read_text())
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({**doc, "rule": {"kind": "partial", "policy": "abstain"}}))
+        code, out, _ = run_cli("decide", str(path))
+        assert code == 0
+        golden = json.loads((GOLDEN / "decide_partial_three_cycle.json").read_text())
+        assert json.loads(out)["findings"] == golden["findings"]
+
     def test_decide_quantilized_seeded(self):
         code, out, _ = run_cli(
             "decide", str(SCENARIOS / "decide_rotations.json"),
@@ -388,7 +397,7 @@ class TestExitCodes:
             assert json.loads(out)["findings"]["bound"] == f"1/{n}"
         code, out, err = run_cli("bound", "--n", "8")
         assert code == 1 and out == ""
-        assert err == "error: n=8 exceeds the dimension cap 7 (n! variables)\n"
+        assert err == "error: n=8 exceeds the dimension cap 7\n"
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -468,6 +477,25 @@ class TestExitCodes:
         code, out, err = run_cli("decide", str(path))
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "orders,p,message",
+        [
+            ([], [], "a distribution needs at least one order"),
+            ([["x1", "x1", "x2"]], ["1"], "orders must not repeat worlds"),
+            ([["x1", "x2", "x3"], ["x1", "x2"]], ["1/2", "1/2"],
+             "all orders must rank the same world set"),
+            ([["x1", "x2", "x3"], ["x1", "x2", "x3", "x3"]], ["1/2", "1/2"],
+             "all orders must rank the same world set"),
+        ],
+    )
+    def test_bad_scenario_distribution_is_error(self, tmp_path, orders, p, message):
+        doc = json.loads((SCENARIOS / "decide_rotations.json").read_text())
+        path = tmp_path / "distribution.json"
+        path.write_text(json.dumps({**doc, "distribution": {"orders": orders, "p": p}}))
+        code, out, err = run_cli("decide", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: distribution: {message}\n"
 
     def test_bad_matrix_json_is_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -580,6 +608,16 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: bound takes --n or a scenario, not both\n"
 
+    def test_bound_refuses_a_scenario_cycle_above_cap_before_building_it(self, monkeypatch):
+        def unbuilt(worlds):
+            raise AssertionError("CycleSpec built for an n above the cap")
+
+        monkeypatch.setattr(cli, "CycleSpec", unbuilt)
+        scenario = str(SCENARIOS / "second_theorem_cycle.json")
+        code, out, err = run_cli("bound", scenario, "--cap", "3")
+        assert code == 1 and out == ""
+        assert err == "error: n=4 exceeds the dimension cap 3\n"
+
     def test_bound_refuses_n_above_cap_before_building_the_cycle(self, monkeypatch):
         def unbuilt(worlds):
             raise AssertionError("CycleSpec built for an n above the cap")
@@ -587,7 +625,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "CycleSpec", unbuilt)
         code, out, err = run_cli("bound", "--n", "1000000")
         assert code == 1 and out == ""
-        assert err == "error: n=1000000 exceeds the dimension cap 7 (n! variables)\n"
+        assert err == "error: n=1000000 exceeds the dimension cap 7\n"
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -644,3 +682,14 @@ class TestTextFormat:
         code, out, _ = run_cli(*GOLDEN_CASES[name], "--format", "text")
         assert code == 0
         assert out.startswith("uncertain-objectives")
+
+    def test_clean_audit_renders(self):
+        code, out, _ = run_cli(
+            "audit", "--swf=total", "--axiom=dominance", "--levels=1,2", "--max-count=2",
+            "--format", "text",
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "swf: total, axiom: dominance",
+            "no violation found in the bounded search space",
+        ]

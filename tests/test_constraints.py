@@ -99,6 +99,14 @@ class TestGraph:
         g = ConstraintGraph.from_edges([("a", "b", "C1"), ("a", "b", "C2")])
         assert len(g.edges) == 2
 
+    def test_rejects_duplicate_world_ids(self):
+        with pytest.raises(InvalidValueError, match="duplicate world id 'a'"):
+            ConstraintGraph(("a", "b", "a"), ())
+
+    def test_certificate_needs_two_edges(self):
+        with pytest.raises(InvalidValueError, match="at least 2 edges"):
+            ImpossibilityCertificate((Edge("a", "b", "C1"),))
+
 
 class TestFindCycle:
     def test_three_cycle(self):
@@ -211,6 +219,16 @@ class TestValidatePartialOrder:
         with pytest.raises(InvalidValueError, match="duplicate world ids"):
             PartialOrder(("a", "a"), ((Verdict.EQUAL,) * 2,) * 2)
 
+    def test_table_must_be_n_by_n(self):
+        with pytest.raises(InvalidValueError, match="n x n"):
+            PartialOrder(("a", "b"), ((Verdict.EQUAL, Verdict.LESS),))
+
+    def test_from_pairs_leaves_unmentioned_pairs_incomparable(self):
+        po = PartialOrder.from_pairs(("a", "b", "c"), {("a", "b"): Verdict.LESS})
+        assert po.verdict("b", "a") is Verdict.GREATER
+        assert po.verdict("a", "c") is po.verdict("c", "b") is Verdict.INCOMPARABLE
+        assert validate_partial_order(po) == []
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_random_tables_match_reference(self, n):
         # Every law, world tuple, detail and position in the list, on tables
@@ -258,6 +276,12 @@ class TestValidatePartialOrder:
 
 
 class TestPatterns:
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_pattern_outside_the_graph_is_refused(self, index):
+        g = ConstraintGraph.from_edges([("a", "b"), ("b", "c"), ("c", "a")])
+        with pytest.raises(InvalidValueError, match="outside the graph"):
+            pattern_is_valid(g, UncertaintyPattern((0, index)))
+
     def test_three_cycle_patterns_match_exhaustive_oracle(self):
         # All 8 subsets checked against the independent reference validator.
         expected = [

@@ -50,6 +50,11 @@ class TestPopulation:
         assert population((100, 10), (1, 5)).size == 15
         assert EMPTY.size == 0
 
+    @pytest.mark.parametrize("level", ["min_level", "max_level"])
+    def test_empty_population_has_no_levels(self, level):
+        with pytest.raises(EmptyPopulationError, match="no welfare levels"):
+            getattr(EMPTY, level)()
+
 
 class TestWelfareArithmetic:
     def test_total(self):

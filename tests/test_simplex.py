@@ -5,7 +5,7 @@ import pytest
 
 from uncertain_objectives import simplex
 from uncertain_objectives.beliefs import OrderColumns
-from uncertain_objectives.errors import PivotCapError, UncertainObjectivesError
+from uncertain_objectives.errors import InvalidValueError, PivotCapError, UncertainObjectivesError
 from uncertain_objectives.simplex import solve_lp
 
 from conftest import dense_solve_lp, reference_solve_lp
@@ -61,6 +61,11 @@ def test_fractional_coefficients_and_negative_rhs():
     assert res.status == "optimal"
     assert res.x == [F(1), F(3, 2)]
     assert res.objective == F(5, 2)
+
+
+def test_ragged_constraint_row_is_refused():
+    with pytest.raises(InvalidValueError, match="row length does not match"):
+        solve_lp(c=[F(1), F(1)], a_ub=[[F(1), F(0)]], a_eq=[[F(1)]], b_ub=[F(1)], b_eq=[F(1)])
 
 
 def test_unbounded():
