@@ -250,8 +250,9 @@ class AxiomInstance:
             raise InvalidInstanceError("claim endpoints must be premise worlds")
         row = AXIOMS[self.axiom]
         role_ids = (self.claim_worse, self.claim_better) + (self.gate or ())
-        if len(role_ids) < len(row.roles):
-            raise InvalidInstanceError(f"{self.axiom.value} instances carry a gate comparison")
+        if len(role_ids) != len(row.roles):
+            carry = "carry a" if len(row.roles) > 2 else "carry no"
+            raise InvalidInstanceError(f"{self.axiom.value} instances {carry} gate comparison")
         if not checked:
             env = dict(self.params)
             env.update((role, self.world(wid).population) for role, wid in zip(row.roles, role_ids))

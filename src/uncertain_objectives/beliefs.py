@@ -10,7 +10,11 @@ these pairwise marginals, i.e. when Z lies in the linear ordering polytope.
 Two checkers are provided.  ``check_path_coherence`` applies the chained
 necessary condition along every simple path: the span probability must lie
 within [1 - sum(1 - z_i), sum(z_i)].  It grows paths a world at a time and
-drops the prefixes no extension of which can break its bound.
+drops the prefixes no extension of which can break its bound.  An O(n^3)
+triangle pass comes first and answers ``[]`` without growing paths for an
+exact matrix with no violated 3-cycle inequality, and for a float matrix
+whose largest triangle slack eps meets (limit - 2) * eps + 4 * n^2 * 2^-53
+<= FLOAT_TOL, which bounds every path's float slack.
 ``exact_feasibility`` decides polytope membership exactly.  It first looks
 for a violated 3-cycle inequality (every distribution keeps
 z_ab + z_bc + z_ca within [1, 2]), whose three rows are a Farkas
@@ -265,6 +269,24 @@ def _scan_numbers(m: BeliefMatrix):
 _SCAN_BLOCK_ROWS = 1 << 16
 
 
+def _triangle_slack(z) -> float:
+    """The largest triangle slack of a float64 matrix ``z``, clipped at 0.
+
+    Over ordered triples (x, y, w), the max of z[x,w] - z[x,y] - z[y,w] and
+    z[x,y] + z[y,w] - 1 - z[x,w].  Middle worlds y are taken a block at a
+    time, so no more than about ``_SCAN_BLOCK_ROWS`` + n^2 floats are held.
+    A triple that repeats a world has slack about -1/2 and never sets it.
+    """
+    n = len(z)
+    block = max(1, _SCAN_BLOCK_ROWS // (n * n))
+    eps = 0.0
+    for lo in range(0, n, block):
+        # two[y, x, w] = z[x, y] + z[y, w] for the block's middle worlds y.
+        two = z[:, lo : lo + block].T[:, :, None] + z[lo : lo + block, None, :]
+        eps = max(eps, (z - two).max(), (two - 1 - z).max())
+    return float(eps)
+
+
 def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> list[PathViolation]:
     """Report every simple path whose span probability breaks its chained bound.
 
@@ -291,8 +313,29 @@ def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> li
     (a1, aj, aj+1) keeps z(a1,aj+1) within [z(a1,aj) + z(aj,aj+1) - 1,
     z(a1,aj) + z(aj,aj+1)], so by induction a triangle-clean matrix meets
     every chained bound.  Longer paths add no refutation there, so an exact
-    matrix with no violated triangle returns ``[]`` without growing paths;
-    on a float matrix the tolerance can accumulate along a path.
+    matrix with no violated triangle returns ``[]`` without growing paths.
+
+    A float matrix returns ``[]`` without growing paths when
+    (limit - 2) * eps + 4 * n^2 * u <= FLOAT_TOL, where u = 2^-53 is the
+    unit roundoff and eps is ``_triangle_slack``: the largest amount by
+    which an ordered triple (x, y, w) breaks z(x,w) <= z(x,y) + z(y,w) or
+    z(x,w) >= z(x,y) + z(y,w) - 1, clipped at 0.  This is sound:
+
+    - Rounding in eps hides at most 5u of a triple's true slack, so by the
+      same induction on the triangles (a1, aj, aj+1) a path of k worlds
+      breaks its true chained bound by at most (k - 2)(eps + 5u).
+    - The scan adds at most n - 1 terms, each in [0, 1], left to right, so
+      each running sum is off by at most (n - 1)(n - 2)u to first order
+      (recursive summation; Higham 2002, *Accuracy and Stability of
+      Numerical Algorithms*, section 4.2).  Rounding the complements and
+      the few subtractions after the sums adds under 3n * u.
+    - So a path's float slack is below (limit - 2) * eps + (n^2 + 5n)u,
+      and 4 * n^2 * u covers that with room for the higher-order terms and
+      the rounding of the test: no path can be reported.
+
+    Otherwise the paths are grown as above: tolerance can add up along a
+    path, so a matrix whose triangles all meet the tolerance may still
+    break a longer path's bound by more.
     """
     if max_path_len is not None and max_path_len < 2:
         raise InvalidValueError(f"max_path_len must be at least 2, got {max_path_len}")
@@ -301,7 +344,10 @@ def check_path_coherence(m: BeliefMatrix, max_path_len: int | None = None) -> li
     if limit < 3:
         return []
     z, one, value = _scan_numbers(m)
-    if m.is_exact and _violated_triangle(m, z.tolist(), one) is None:
+    if m.is_exact:
+        if _violated_triangle(m, z.tolist(), one) is None:
+            return []
+    elif (limit - 2) * _triangle_slack(z) + 4 * n * n * 2.0**-53 <= FLOAT_TOL:
         return []
     tol = _tolerance(m.is_exact)
     numbers = {}  # numerator -> value(numerator), converted once per scan

@@ -59,8 +59,9 @@ it keeps b >= 0, but it may divide by a negative entry; hence the next
 segment starts S afresh from the new basis.  Each such pivot removes an
 artificial from the basis for good, so a phase has at most m + 1 segments
 and ends.  Phase 1 bars no column and is one segment from the identity
-basis of slacks and artificials, so its B^-1 S is the stored inverse.  The
-membership LP of ``beliefs`` has c = [], so its phase 2 never pivots.
+basis of slacks and artificials, so its B^-1 S is the stored inverse.  When
+every cost in ``c`` is 0, as in the membership LP of ``beliefs`` (c = []),
+no column can price in, so phase 2 is skipped and the objective is 0.
 ``_MAX_PIVOTS`` stays as a backstop.
 """
 
@@ -200,7 +201,11 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
                 enter = key
                 best = -top
         for j, col, q, cost_j in explicit:
-            red = cost_j * den * q - sum(u[r] * v for r, v in col)
+            if len(col) == 1:
+                (r, v), = col
+                red = cost_j * den * q - u[r] * v
+            else:
+                red = cost_j * den * q - sum(u[r] * v for r, v in col)
             if red * best_q < best * q:
                 best, best_q = red, q
                 enter = j
@@ -273,11 +278,14 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
             cert = [Fraction(s * y, den) for s, y in zip(sign, u)]
             return LpResult(status="infeasible", certificate=cert, pivots=pivots)
 
-    ints, cden = integer_weights(c)
-    cost2 = dict(enumerate(ints))  # every other column costs 0
-    status, u = run_phase(lambda j: cost2.get(j, 0), frozenset(artificial))
-    if status == "unbounded":
-        return LpResult(status="unbounded", pivots=pivots)
+    objective = Fraction(0)
+    if any(c):  # with every cost 0, no column prices in and phase 2 is skipped
+        ints, cden = integer_weights(c)
+        cost2 = dict(enumerate(ints))  # every other column costs 0
+        status, u = run_phase(lambda j: cost2.get(j, 0), frozenset(artificial))
+        if status == "unbounded":
+            return LpResult(status="unbounded", pivots=pivots)
+        objective = Fraction(u[m], den * rden * cden)
     x = [Fraction(0)] * n
     support = []
     for i, bc in enumerate(basis):
@@ -291,7 +299,7 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), implicit: ColumnSource | Non
     return LpResult(
         status="optimal",
         x=x,
-        objective=Fraction(u[m], den * rden * cden),
+        objective=objective,
         pivots=pivots,
         support=support if implicit is not None else None,
     )

@@ -536,6 +536,22 @@ class TestAudits:
         with pytest.raises(InvalidInstanceError, match=message):
             dataclasses.replace(inst, **changes[change])
 
+    def test_direct_construction_refuses_a_gate_on_an_ungated_axiom(self):
+        # A gate that fails would turn this violation into a satisfaction.
+        inst = egalitarian_dominance_instance(
+            Population([(6, 2)]), Population([(5, 1), (3, 1)])
+        )
+        assert (inst.claim_worse, inst.claim_better) == ("b", "a")
+
+        def b_above_a(u, v):
+            return Verdict.GREATER if (u.id, v.id) == ("b", "a") else Verdict.LESS
+
+        assert check_instance(inst, b_above_a) is CheckResult.VIOLATED
+        with pytest.raises(
+            InvalidInstanceError, match="egalitarian_dominance instances carry no gate comparison"
+        ):
+            dataclasses.replace(inst, gate=("b", "a"))
+
     @pytest.mark.parametrize(
         "swf,axiom,bounds,witness",
         [

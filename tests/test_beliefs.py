@@ -322,6 +322,16 @@ def float_matrix(n, entries):
     return BeliefMatrix(tuple(f"w{i}" for i in range(n)), z)
 
 
+# Steps of 0.1 along w0..w3, with z(w0,w2) and z(w1,w3) 0.9e-9 above their
+# chained sums and z(w0,w3) 1.8e-9 above: every triangle meets the
+# tolerance, while the four-world paths break their bounds by twice as much.
+ACCUMULATING = float_matrix(
+    4,
+    {(0, 1): 0.1, (1, 2): 0.1, (2, 3): 0.1,
+     (0, 2): 0.2 + 0.9e-9, (1, 3): 0.2 + 0.9e-9, (0, 3): 0.3 + 1.8e-9},
+)
+
+
 class TestPathScanMatchesReference:
     """The pruned scan against the full scan it replaced, element for element
     (exact values are ``Fraction``s, float values are the old floats)."""
@@ -421,6 +431,46 @@ class TestPathScanMatchesReference:
         assert beliefs._scan_numbers(m)[0].dtype == object
         self.assert_same(m)
         assert check_path_coherence(m)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_float_marginals_perturbed(self, n, monkeypatch):
+        # Marginals as floats, with one to three entries moved by each
+        # perturbation (clamped into [0, 1]): the certificate answers the
+        # small ones and the scan the rest, at the limits None, 3 and 4.
+        stack, scans = beliefs.np.column_stack, []
+        monkeypatch.setattr(
+            beliefs.np, "column_stack", lambda *a: scans.append(1) or stack(*a)
+        )
+        rng = random.Random(1000 + n)
+        perturbations = (0, 1e-10, -1e-10, 3e-10, -3e-10, 1e-9, -1e-9, 2e-9, 0.2, -0.2)
+        certified = flagged = 0
+        for delta in perturbations * (2 if n < 9 else 1):
+            d = random_distribution(rng, n, rng.randint(1, 8))
+            d = OrderDistribution(d.orders, [float(p) for p in d.probs])
+            z = [list(row) for row in matrix_from_distribution(d).z]
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.sample(range(n), 2)
+                z[i][j] = min(1.0, max(0.0, z[i][j] + delta))
+                z[j][i] = 1.0 - z[i][j]
+            m = BeliefMatrix(tuple(f"w{i}" for i in range(n)), z)
+            # A reference scan of all nine-world paths takes about 0.7 s.
+            top = n if n < 9 or delta in (0, 2e-9) else 4
+            full = conftest.reference_path_violations(m, top)
+            for limit in (None, 3, 4)[n > top:]:
+                scans.clear()
+                got = check_path_coherence(m, limit)
+                assert got == [pv for pv in full if len(pv.path) <= (limit or n)]
+                certified += not scans
+                flagged += bool(got)
+        assert certified and flagged
+
+    def test_float_violations_from_accumulated_tolerance(self):
+        # No triangle, so no three-world path, passes the tolerance: eight
+        # four-world paths, w0..w3 and its reversal among them, are flagged.
+        got = check_path_coherence(ACCUMULATING)
+        assert got == conftest.reference_path_violations(ACCUMULATING)
+        assert len(got) == 8 and {len(pv.path) for pv in got} == {4}
+        assert {("w0", "w1", "w2", "w3"), ("w3", "w2", "w1", "w0")} <= {pv.path for pv in got}
 
     def test_seventy_float_worlds_at_three(self):
         rng = random.Random(900)
@@ -549,6 +599,31 @@ class TestExactFeasibility:
         assert res.feasible
         assert res.verify(m)
         assert pivots == [{(8, 2): 189, (9, 0): 326}[n, draw]]
+
+    def test_membership_lp_prices_once_per_pivot_and_once_more(self, monkeypatch):
+        # Phase 1 prices before each pivot and once more to find it has
+        # none; the membership LP's costs are all 0, so phase 2 is skipped.
+        best, priced = OrderColumns.best, []
+
+        def counted(self, weights):
+            priced.append(1)
+            return best(self, weights)
+
+        solve, results = beliefs.solve_lp, []
+        monkeypatch.setattr(OrderColumns, "best", counted)
+        monkeypatch.setattr(
+            beliefs, "solve_lp", lambda *a, **kw: results.append(solve(*a, **kw)) or results[-1]
+        )
+        h = F(1, 2)
+        infeasible = upper_matrix([[0, 0, 0, h, h], [h, 1, 1, 1], [h, h, 1], [h, h], [1]])
+        rng = random.Random(71)
+        marginals = [matrix_from_distribution(random_distribution(rng, n, rng.randint(1, 6)))
+                     for n in (3, 4, 5, 6)]
+        for m in [infeasible, *marginals]:
+            priced.clear()
+            assert beliefs._membership_lp(m).feasible is (m is not infeasible)
+            assert results[-1].pivots > 0
+            assert len(priced) == results[-1].pivots + 1
 
     def test_float_matrix_rejected(self):
         m = BeliefMatrix(("a", "b"), [[0.5, 0.7], [0.3, 0.5]])
@@ -691,7 +766,7 @@ class TestTriangleCertificate:
         real, scanned = beliefs.np.column_stack, []
 
         def refuse(*args):
-            raise AssertionError("path scan ran on a triangle-clean exact matrix")
+            raise AssertionError("path scan ran on a triangle-clean matrix")
 
         monkeypatch.setattr(beliefs.np, "column_stack", refuse)
         rng = random.Random(61)
@@ -699,19 +774,44 @@ class TestTriangleCertificate:
                  for _ in range(100)]
         for d in dists:
             assert check_path_coherence(matrix_from_distribution(d)) == []
+            # Float marginals' triangle slacks are rounding, far below the
+            # tolerance even after n - 2 of them add up.
+            floats = OrderDistribution(d.orders, [float(p) for p in d.probs])
+            assert check_path_coherence(matrix_from_distribution(floats)) == []
+        # Three-world paths add no triangle slack up: at that limit the
+        # accumulation matrix is certified too.
+        assert check_path_coherence(ACCUMULATING, 3) == []
 
-        # Float matrices and triangle-violating exact ones still scan paths.
+        # A float matrix whose triangles all meet the tolerance, but not
+        # (limit - 2) times it, and triangle-violating exact ones still scan.
         def counted(*args):
             scanned.append(len(args[0][0]))
             return real(*args)
 
         monkeypatch.setattr(beliefs.np, "column_stack", counted)
-        floats = OrderDistribution(dists[0].orders, [float(p) for p in dists[0].probs])
-        assert check_path_coherence(matrix_from_distribution(floats)) == []
+        eps = beliefs._triangle_slack(beliefs._scan_numbers(ACCUMULATING)[0])
+        assert eps <= beliefs.FLOAT_TOL < 2 * eps
+        assert check_path_coherence(ACCUMULATING)
         assert scanned
         scanned.clear()
         assert check_path_coherence(FORCED_VIOLATION)
         assert scanned
+
+    def test_float_certificate_holds_no_cube_of_floats(self):
+        # 150 worlds: their paths could never be grown, and one array over
+        # all n^3 triples would take 8 n^3 bytes (27 MB).
+        n = 150
+        rng = random.Random(67)
+        worlds = [f"w{i}" for i in range(n)]
+        orders = [rng.sample(worlds, n) for _ in range(12)]
+        m = matrix_from_distribution(OrderDistribution(orders, [1 / 12] * 12))
+        tracemalloc.start()
+        try:
+            assert check_path_coherence(m) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n**3
 
     def test_triangle_clean_infeasible_matrix_reaches_the_lp(self, lp_calls):
         h = F(1, 2)

@@ -343,6 +343,37 @@ def test_order_columns_on_rows_with_negative_right_hand_sides_match_dense_simple
     assert seen >= {("optimal", True), ("infeasible", False), ("unbounded", False)}
 
 
+def test_zero_cost_lps_match_dense_simplex():
+    # With every cost 0 phase 2 is skipped; explicit columns, ub rows and
+    # implicit order columns still take the reference's phase-1 pivots.
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(120):
+        worlds = rng.randint(3, 4)
+        pairs = [(a, b) for a in range(worlds) for b in range(worlds) if a != b]
+        rows = rng.sample(pairs, rng.randint(1, 3)) + [None]
+        n_ub = rng.randint(1, len(rows) - 1)
+        n = rng.randint(0, 2)
+        a = [[rng.choice(MIXED) for _ in range(n)] for _ in rows]
+        b = [rng.choice(MIXED) for _ in rows[:-1]] + [F(1)]
+        lp = dict(
+            c=[F(0)] * n, a_ub=a[:n_ub], b_ub=b[:n_ub], a_eq=a[n_ub:], b_eq=b[n_ub:],
+            implicit=OrderColumns(worlds, rows),
+        )
+        res = solve_lp(**lp)
+        ref = dense_solve_lp(**lp)
+        assert (res.status, res.x, res.objective, res.certificate, res.pivots, res.support) == (
+            ref.status, ref.x, ref.objective, ref.certificate, ref.pivots, ref.support
+        )
+        seen.add(res.status)
+        assert all_fractions(res)
+    assert seen == {"optimal", "infeasible"}
+    for lp in degenerate_lps():
+        lp["c"] = [F(0)] * len(lp["c"])
+        res = solve(**lp)
+        assert res.status == "infeasible" or res.objective == 0
+
+
 class PairColumns:
     """A column source with only ``column`` and ``best``: one column per
     two-letter key, covering the two ub rows its letters name (a, b, c)
