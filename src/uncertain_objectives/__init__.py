@@ -40,7 +40,7 @@ _EXPORTS = {
     "ordering": "Verdict",
     "populations": (
         "AverageWelfare CriticalLevel Population TotalWelfare World average_welfare "
-        "is_perfectly_equal population population_union swf_compare swf_order total_welfare"
+        "population swf_compare swf_order total_welfare"
     ),
     "rationals": "as_rational format_rational",
     "scenario": "Scenario parse_scenario serialize_scenario",

@@ -208,9 +208,7 @@ class CycleSpec:
         return [(self.worlds[i], self.worlds[(i + 1) % n]) for i in range(n)]
 
 
-def matrix_from_distribution(
-    d: OrderDistribution, worlds=None, evidence_tag: str = ""
-) -> BeliefMatrix:
+def matrix_from_distribution(d: OrderDistribution, worlds=None) -> BeliefMatrix:
     """Pairwise marginals of a distribution: Z(a,b) = P(a ranked above b)."""
     worlds = tuple(worlds) if worlds is not None else d.worlds
     if len(worlds) != len(d.orders[0]) or set(worlds) != set(d.orders[0]):
@@ -222,7 +220,7 @@ def matrix_from_distribution(
     z = _kernels.pairwise_matrix(order_idx, probs, n).tolist()
     half = value(one) / 2
     grid = [[half if i == j else value(v) for j, v in enumerate(row)] for i, row in enumerate(z)]
-    return BeliefMatrix(worlds, grid, evidence_tag)
+    return BeliefMatrix(worlds, grid)
 
 
 def path_bounds(chain) -> tuple:
@@ -545,7 +543,11 @@ def _distribution(worlds, support) -> OrderDistribution:
     )
 
 
-_FARKAS_NOTE = "Farkas multipliers over pairwise-marginal rows"
+def _refuted(cert: dict) -> FeasibilityResult:
+    return FeasibilityResult(
+        feasible=False, distribution=None, certificate=cert,
+        note="Farkas multipliers over pairwise-marginal rows",
+    )
 
 
 def _violated_triangle(m: BeliefMatrix, z: list | None = None, one=None) -> dict | None:
@@ -581,12 +583,7 @@ def _membership_lp(m: BeliefMatrix) -> FeasibilityResult:
         c=[], a_eq=[[] for _ in rows], b_eq=b_eq, implicit=OrderColumns(len(m.worlds), rows)
     )
     if res.status == "infeasible":
-        cert = {
-            label: y for label, y in zip(labels, res.certificate) if y != 0
-        }
-        return FeasibilityResult(
-            feasible=False, distribution=None, certificate=cert, note=_FARKAS_NOTE
-        )
+        return _refuted({label: y for label, y in zip(labels, res.certificate) if y != 0})
     return FeasibilityResult(
         feasible=True,
         distribution=_distribution(m.worlds, res.support),
@@ -621,11 +618,7 @@ def exact_feasibility(
             "exact_feasibility needs an exact matrix; use exactified() first"
         )
     cert = _violated_triangle(m)
-    if cert is not None:
-        return FeasibilityResult(
-            feasible=False, distribution=None, certificate=cert, note=_FARKAS_NOTE
-        )
-    return _membership_lp(m)
+    return _membership_lp(m) if cert is None else _refuted(cert)
 
 
 @dataclass(frozen=True)

@@ -315,13 +315,13 @@ def _cmd_audit(args) -> tuple[dict, bool]:
     if args.base:
         base = parse_population(load_json(args.base, "--base"), "--base")
     bounds = SearchBounds(
-        levels=[as_rational(x) for x in args.levels.split(",")],
+        levels=args.levels.split(","),
         max_count=args.max_count,
         max_groups=args.max_groups,
         budget=args.budget,
-        very_high=as_rational(args.very_high) if args.very_high else None,
-        very_low=as_rational(args.very_low) if args.very_low else None,
-        torture_max=as_rational(args.torture_max) if args.torture_max else None,
+        very_high=args.very_high or None,
+        very_low=args.very_low or None,
+        torture_max=args.torture_max or None,
         base=base,
     )
     witness = audit_swf(swf, axiom, bounds)

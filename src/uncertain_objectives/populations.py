@@ -14,6 +14,7 @@ the same names, so one clause text reads either.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,8 +34,9 @@ class Population:
 
     Groups are stored sorted by level with equal levels merged and zero or
     negative counts rejected, so structural equality is semantic equality.
-    ``size``, the head count, is fixed at construction.  ``lo``, ``hi`` and
-    ``total`` are ``min_level``, ``max_level`` and ``total_welfare``.
+    ``size``, the head count, is fixed at construction.  ``lo`` and ``hi``,
+    the least and greatest level, raise ``EmptyPopulationError`` on an empty
+    population; ``total`` is ``total_welfare``; ``|`` is the union.
     """
 
     groups: tuple[tuple[Fraction, int], ...]
@@ -60,33 +62,39 @@ class Population:
     def levels(self) -> tuple[Fraction, ...]:
         return tuple(level for level, _ in self.groups)
 
-    def min_level(self) -> Fraction:
+    def _end(self, i: int) -> Fraction:
         if not self.groups:
             raise EmptyPopulationError("empty population has no welfare levels")
-        return self.groups[0][0]
-
-    def max_level(self) -> Fraction:
-        if not self.groups:
-            raise EmptyPopulationError("empty population has no welfare levels")
-        return self.groups[-1][0]
+        return self.groups[i][0]
 
     # The fields of ``Counts`` that premise clauses read, under its names.
-    lo, hi = property(min_level), property(max_level)
+    lo, hi = property(lambda self: self._end(0)), property(lambda self: self._end(-1))
     tiers = property(lambda self: len(self.groups))
     total = property(lambda self: total_welfare(self))
     at_lo = property(lambda self: self.groups[0][1] if self.groups else 0)
 
     def dominates(self, other: "Population", strict: bool) -> bool:
-        return pointwise_dominates(self, other, strict)
+        """``Counts.dominates`` over groups: one merge of both group lists,
+        checked at this population's own levels, the only places where its
+        count at or below x grows."""
+        if self.size != other.size:
+            return False
+        before = operator.lt if strict else operator.le
+        theirs, j, mine, below = other.groups, 0, 0, 0
+        for level, count in self.groups:
+            mine += count
+            while j < len(theirs) and before(theirs[j][0], level):
+                below += theirs[j][1]
+                j += 1
+            if mine > below:
+                return False
+        return True
 
     def plus(self, level, count: int) -> "Population":
         return self | Population([(level, count)])
 
-    def union(self, other: "Population") -> "Population":
-        return Population(self.groups + other.groups)
-
     def __or__(self, other: "Population") -> "Population":
-        return self.union(other)
+        return Population(self.groups + other.groups)
 
     def to_json(self) -> list[list]:
         return [[format_rational(level), count] for level, count in self.groups]
@@ -104,10 +112,6 @@ def population(*groups: tuple) -> Population:
     return Population(groups)
 
 
-def population_union(a: Population, b: Population) -> Population:
-    return a.union(b)
-
-
 def total_welfare(p: Population) -> Fraction:
     return sum((level * count for level, count in p.groups), Fraction(0))
 
@@ -116,40 +120,6 @@ def average_welfare(p: Population) -> Fraction:
     if p.size == 0:
         raise EmptyPopulationError("average welfare undefined for an empty population")
     return total_welfare(p) / p.size
-
-
-def is_perfectly_equal(p: Population) -> bool:
-    """At most one distinct welfare level; vacuously true when empty."""
-    return len(p.groups) <= 1
-
-
-def pointwise_dominates(a: Population, b: Population, strict: bool = True) -> bool:
-    """Sorted-position dominance at equal sizes.
-
-    True when, pairing the i-th worst of ``a`` with the i-th worst of ``b``,
-    every pair satisfies a_i > b_i (or >= when ``strict`` is False).  Runs
-    over group runs, so large head counts cost nothing.
-    """
-    if a.size != b.size:
-        return False
-    ia = ib = 0
-    rem_a = rem_b = 0
-    while True:
-        if rem_a == 0:
-            if ia == len(a.groups):
-                return True
-            level_a, rem_a = a.groups[ia]
-            ia += 1
-        if rem_b == 0:
-            level_b, rem_b = b.groups[ib]
-            ib += 1
-        if strict and not level_a > level_b:
-            return False
-        if not strict and not level_a >= level_b:
-            return False
-        step = min(rem_a, rem_b)
-        rem_a -= step
-        rem_b -= step
 
 
 @dataclass(frozen=True)
@@ -314,10 +284,10 @@ class Counts:
         return np.where(self.cum > 0, self.cum, self.size[..., None]).min(-1)
 
     def dominates(self, other: "Counts", strict: bool):
-        """``pointwise_dominates`` from cumulative counts: at equal size, the
-        i-th worst here beats the i-th worst of ``other`` for every i exactly
-        when, at every level x, no more people here sit at or below x than
-        there sit below x (at or below x, when not ``strict``)."""
+        """Sorted pointwise dominance from cumulative counts: at equal size,
+        the i-th worst here beats the i-th worst of ``other`` for every i
+        exactly when, at every level x, no more people here sit at or below
+        x than there sit below x (at or below x, when not ``strict``)."""
         below = other.cum - other.counts if strict else other.cum
         return (self.size == other.size) & (self.cum <= below).all(-1)
 

@@ -30,7 +30,7 @@ from .axioms import (
 from .beliefs import BeliefMatrix, OrderDistribution
 from .constraints import ConstraintGraph, Edge
 from .decisions import PartialPolicy, RuleConfig
-from .errors import IntegrityError, InvalidValueError, SchemaError
+from .errors import IntegrityError, SchemaError
 from .populations import Population, World
 from .rationals import as_rational, format_rational
 
@@ -60,11 +60,22 @@ def load_json(data, path: str = "$"):
         raise SchemaError(path, "JSON nested too deeply to decode") from exc
 
 
-def _parse_rational(value, path: str):
+def _checked(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ``ValueError`` it raises reported
+    as a ``SchemaError`` at ``path``."""
     try:
-        return as_rational(value)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
+
+
+def _declared(wid, path: str, worlds) -> None:
+    if wid not in worlds:
+        raise IntegrityError(f"{path}: undeclared world id {wid!r}")
+
+
+def _parse_rational(value, path: str):
+    return _checked(path, as_rational, value)
 
 
 def parse_population(value, path: str) -> Population:
@@ -85,7 +96,6 @@ def parse_population(value, path: str) -> Population:
 class Constraint:
     """One scenario constraint: always an edge, sometimes a full instance."""
 
-    label: str
     edge: Edge
     instance: AxiomInstance | None
     raw: dict
@@ -144,8 +154,7 @@ _FIELD_PARSERS = {POPULATION: parse_population, RATIONAL: _parse_rational, COUNT
 def _world_ref(doc, key, path, worlds) -> World:
     wid = doc[key]
     _expect(isinstance(wid, str), f"{path}.{key}", "world reference must be a string id")
-    if wid not in worlds:
-        raise IntegrityError(f"{path}.{key}: undeclared world id {wid!r}")
+    _declared(wid, f"{path}.{key}", worlds)
     return World(wid, worlds[wid])
 
 
@@ -161,7 +170,6 @@ def _parse_constraint(doc, i, worlds) -> Constraint:
         worse, better = (_world_ref(doc, key, path, worlds).id for key in ("from", "to"))
         _expect(worse != better, path, f"raw edge from {worse!r} to itself")
         return Constraint(
-            label=label,
             edge=Edge(worse=worse, better=better, label=label),
             instance=None,
             raw=doc,
@@ -182,7 +190,6 @@ def _parse_constraint(doc, i, worlds) -> Constraint:
             fields[key] = _FIELD_PARSERS[kind](doc[key], f"{path}.{key}")
     inst = make_instance(axiom, **fields)
     return Constraint(
-        label=label,
         edge=Edge(worse=inst.claim_worse, better=inst.claim_better, label=label),
         instance=inst,
         raw=doc,
@@ -200,8 +207,7 @@ def parse_matrix(doc, path: str = "belief_matrix", worlds=None) -> BeliefMatrix:
     )
     if worlds is not None:
         for w in ids:
-            if w not in worlds:
-                raise IntegrityError(f"{path}.worlds: undeclared world id {w!r}")
+            _declared(w, f"{path}.worlds", worlds)
     z = doc["z"]
     _expect(isinstance(z, list), f"{path}.z", "z must be a list of rows")
     grid = []
@@ -210,10 +216,7 @@ def parse_matrix(doc, path: str = "belief_matrix", worlds=None) -> BeliefMatrix:
         grid.append([_parse_rational(v, f"{path}.z[{i}][{j}]") for j, v in enumerate(row)])
     tag = doc.get("evidence_tag", "")
     _expect(isinstance(tag, str), f"{path}.evidence_tag", "evidence_tag must be a string")
-    try:
-        return BeliefMatrix(ids, grid, tag)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
+    return _checked(path, BeliefMatrix, ids, grid, tag)
 
 
 def matrix_to_json(m: BeliefMatrix) -> dict:
@@ -239,15 +242,11 @@ def parse_distribution(doc, path: str = "distribution", worlds=None) -> OrderDis
         )
         if worlds is not None:
             for w in o:
-                if w not in worlds:
-                    raise IntegrityError(f"{path}.orders[{i}]: undeclared world id {w!r}")
+                _declared(w, f"{path}.orders[{i}]", worlds)
     probs = doc["p"]
     _expect(isinstance(probs, list), f"{path}.p", "p must be a list")
     values = [_parse_rational(v, f"{path}.p[{i}]") for i, v in enumerate(probs)]
-    try:
-        return OrderDistribution(orders, values)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
+    return _checked(path, OrderDistribution, orders, values)
 
 
 def _parse_rule(doc, path: str = "rule") -> RuleConfig:
@@ -268,10 +267,7 @@ def _parse_rule(doc, path: str = "rule") -> RuleConfig:
                 f"{path}.policy",
                 f"policy must be one of {[p.value for p in PartialPolicy]}, got {name!r}",
             ) from None
-    try:
-        return RuleConfig(kind=doc.get("kind"), seed=seed, **values)
-    except InvalidValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
+    return _checked(path, RuleConfig, kind=doc.get("kind"), seed=seed, **values)
 
 
 def parse_scenario(doc) -> Scenario:

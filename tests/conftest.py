@@ -47,8 +47,6 @@ from uncertain_objectives.populations import (
     EMPTY_POPULATION,
     SwfKind,
     World,
-    pointwise_dominates,
-    population_union,
     swf_order,
     total_welfare,
 )
@@ -95,6 +93,16 @@ def random_population(rng: random.Random, levels=None, max_groups=3, max_count=5
     k = rng.randint(1, max_groups)
     chosen = rng.sample(levels, min(k, len(levels)))
     return Population((lvl, rng.randint(1, max_count)) for lvl in chosen)
+
+
+def sorted_dominates(a: Population, b: Population, strict: bool) -> bool:
+    """Sorted pointwise dominance by expansion: equal sizes, and the i-th
+    worst of ``a`` above the i-th worst of ``b`` (or not below, when not
+    ``strict``) for every i."""
+    expand = lambda p: sorted(level for level, count in p.groups for _ in range(count))
+    ea, eb = expand(a), expand(b)
+    beats = (lambda x, y: x > y) if strict else (lambda x, y: x >= y)
+    return len(ea) == len(eb) and all(beats(x, y) for x, y in zip(ea, eb))
 
 
 def random_graph(rng: random.Random, n_nodes: int, n_edges: int) -> ConstraintGraph:
@@ -624,7 +632,7 @@ def _audit_dominance(swf, bounds):
     def instances():
         for a in _populations(bounds.levels, bounds):
             for b in _populations(bounds.levels, bounds):
-                if a.size == b.size and pointwise_dominates(a, b, strict=True):
+                if a.size == b.size and a.dominates(b, strict=True):
                     yield dominance_instance(World("a", a), World("b", b))
 
     return _first_violation(instances(), swf, AxiomId.DOMINANCE)
@@ -639,7 +647,7 @@ def _audit_egalitarian_dominance(swf, bounds):
             for count in range(1, bounds.max_count + 1):
                 a = Population([(level, count)])
                 for b in _populations(bounds.levels, bounds):
-                    if b.size == count and b.max_level() < level:
+                    if b.size == count and b.hi < level:
                         yield egalitarian_dominance_instance(World("a", a), World("b", b))
 
     return _first_violation(instances(), swf, AxiomId.EGALITARIAN_DOMINANCE)
@@ -653,12 +661,12 @@ def _audit_dominance_addition(swf, bounds):
     def instances():
         for a in _populations(bounds.levels, bounds):
             for raised in _populations(bounds.levels, bounds):
-                if raised.size != a.size or not pointwise_dominates(raised, a, strict=False):
+                if raised.size != a.size or not raised.dominates(a, strict=False):
                     continue
                 for added in _populations(pos_levels, bounds):
                     yield dominance_addition_instance(
                         World("a", a), raised, added,
-                        augmented=World("a_plus", population_union(raised, added)),
+                        augmented=World("a_plus", raised | added),
                     )
 
     return _first_violation(instances(), swf, AxiomId.DOMINANCE_ADDITION)
@@ -692,10 +700,10 @@ def _audit_addition(swf, bounds):
     def instances():
         for a in _populations(bounds.levels, bounds):
             for b in _populations(bounds.levels, bounds):
-                if b.max_level() >= a.min_level():
+                if b.hi >= a.lo:
                     continue
                 for c in _populations(bounds.levels, bounds):
-                    if c.size > b.size and c.max_level() < b.min_level():
+                    if c.size > b.size and c.hi < b.lo:
                         yield addition_instance(World("a", a), b, c)
 
     return _first_violation(instances(), swf, AxiomId.ADDITION)

@@ -29,13 +29,12 @@ from uncertain_objectives.populations import (
     Population,
     TotalWelfare,
     count_rows,
-    pointwise_dominates,
     swf_compare,
     swf_signs,
     total_welfare,
 )
 
-from conftest import reference_audit_swf
+from conftest import reference_audit_swf, sorted_dominates
 
 SIGN = {Verdict.LESS: -1, Verdict.EQUAL: 0, Verdict.GREATER: 1}
 
@@ -142,7 +141,7 @@ def test_view_fields_match_population_methods():
         view = rows[i]
         assert (view.size, view.tiers, view.at_lo) == (p.size, len(p.groups), p.groups[0][1])
         assert (view.total, view.lo, view.hi) == (
-            total_welfare(p) * 2, p.min_level() * 2, p.max_level() * 2
+            total_welfare(p) * 2, p.lo * 2, p.hi * 2
         )
         # A Population answers the same names, in Fractions rather than halves.
         assert (p.tiers, p.at_lo, p.total * 2, p.lo * 2, p.hi * 2) == (
@@ -152,5 +151,5 @@ def test_view_fields_match_population_methods():
     for strict in (True, False):
         mask = a.dominates(b, strict)
         for i, j in np.ndindex(mask.shape):
-            assert mask[i, j] == pointwise_dominates(pops[i], pops[j], strict)
+            assert mask[i, j] == sorted_dominates(pops[i], pops[j], strict)
             assert pops[i].dominates(pops[j], strict) == mask[i, j]

@@ -736,7 +736,7 @@ def _fixed_premise_fails(axiom, bounds):
     if axiom is AxiomId.AVOID_SADISTIC:
         base = bounds.base
         return bounds.eff_torture_max() >= 0 or (
-            base is not None and (base.size == 0 or base.min_level() < bounds.eff_very_high())
+            base is not None and (base.size == 0 or base.lo < bounds.eff_very_high())
         )
     return False
 

@@ -12,16 +12,14 @@ from uncertain_objectives import (
     TotalWelfare,
     Verdict,
     average_welfare,
-    is_perfectly_equal,
     population,
-    population_union,
     swf_compare,
     total_welfare,
 )
 from uncertain_objectives.errors import EmptyPopulationError, InvalidValueError
-from uncertain_objectives.populations import parse_swf, pointwise_dominates, swf_label
+from uncertain_objectives.populations import parse_swf, swf_label
 
-from conftest import random_population
+from conftest import random_population, sorted_dominates
 
 EMPTY = Population()
 
@@ -32,7 +30,7 @@ class TestPopulation:
 
     def test_union_identity(self):
         p = population((3, 2), (5, 1))
-        assert population_union(p, EMPTY) == p
+        assert p | EMPTY == p
 
     def test_union_merges_equal_levels(self):
         assert population((1, 2)) | population((1, 3)) == population((1, 5))
@@ -50,10 +48,10 @@ class TestPopulation:
         assert population((100, 10), (1, 5)).size == 15
         assert EMPTY.size == 0
 
-    @pytest.mark.parametrize("level", ["min_level", "max_level"])
+    @pytest.mark.parametrize("level", ["lo", "hi"])
     def test_empty_population_has_no_levels(self, level):
         with pytest.raises(EmptyPopulationError, match="no welfare levels"):
-            getattr(EMPTY, level)()
+            getattr(EMPTY, level)
 
 
 class TestWelfareArithmetic:
@@ -74,9 +72,9 @@ class TestWelfareArithmetic:
             average_welfare(EMPTY)
 
     def test_perfectly_equal(self):
-        assert is_perfectly_equal(population((100, 10)))
-        assert not is_perfectly_equal(population((100, 10), (1, 1)))
-        assert is_perfectly_equal(EMPTY)
+        assert population((100, 10)).tiers <= 1
+        assert not population((100, 10), (1, 1)).tiers <= 1
+        assert EMPTY.tiers <= 1
 
 
 class TestSwfCompare:
@@ -150,14 +148,54 @@ def test_union_associative_and_additive(ga, gb, gc):
     assert total_welfare(a | b) == total_welfare(a) + total_welfare(b)
 
 
+def _assert_dominance_matches_expansion(a, b):
+    for strict in (True, False):
+        assert a.dominates(b, strict) == sorted_dominates(a, b, strict), (a, b, strict)
+
+
 def test_pointwise_dominates_matches_expansion():
     rng = random.Random(7)
     for _ in range(500):
         a = random_population(rng, max_groups=3, max_count=4)
         b = random_population(rng, max_groups=3, max_count=4)
-        expand = lambda p: sorted(lvl for lvl, cnt in p.groups for _ in range(cnt))
-        ea, eb = expand(a), expand(b)
-        expect_strict = len(ea) == len(eb) and all(x > y for x, y in zip(ea, eb))
-        expect_weak = len(ea) == len(eb) and all(x >= y for x, y in zip(ea, eb))
-        assert pointwise_dominates(a, b, strict=True) == expect_strict
-        assert pointwise_dominates(a, b, strict=False) == expect_weak
+        _assert_dominance_matches_expansion(a, b)
+
+
+def _shift_down(p, rng, step):
+    """``p`` with each group, or part of it, moved down 0 or 1 grid step."""
+    groups = []
+    for level, count in p.groups:
+        kept = rng.randint(0, count)
+        groups += [(level, kept), (level - rng.choice((0, step)), count - kept)]
+    return Population((level, count) for level, count in groups if count)
+
+
+def test_dominance_matches_expansion_on_derived_pairs():
+    # Independent draws seldom share a size, so derive ``b`` from ``a``: a
+    # shift down by 0 or 1 step keeps the size and lands on both sides of
+    # the strict/weak boundary; so does splitting one group.
+    rng = random.Random(11)
+    step = Fraction(1, 2)
+    outcomes = set()
+    for _ in range(2000):
+        a = random_population(rng, levels=[Fraction(k, 2) for k in range(-4, 5)], max_count=4)
+        level, count = rng.choice(a.groups)
+        split = [(l, c) for l, c in a.groups if l != level]
+        if count > 1:
+            split += [(level, count - 1), (level - step * rng.randint(0, 1), 1)]
+        else:
+            split += [(level, 1)]
+        for b in (_shift_down(a, rng, step), Population(split), a):
+            for x, y in ((a, b), (b, a)):
+                _assert_dominance_matches_expansion(x, y)
+                outcomes.add((x.dominates(y, True), x.dominates(y, False)))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_dominance_of_empty_and_equal_populations():
+    _assert_dominance_matches_expansion(EMPTY, EMPTY)
+    assert EMPTY.dominates(EMPTY, strict=True) and EMPTY.dominates(EMPTY, strict=False)
+    p = population((1, 2), ("1/2", 3))
+    q = Population([("1/2", 1), (1, 2), ("1/2", 2)])
+    _assert_dominance_matches_expansion(p, q)
+    assert (p.dominates(q, strict=True), p.dominates(q, strict=False)) == (False, True)
