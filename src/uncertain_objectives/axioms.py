@@ -68,6 +68,7 @@ from .errors import (
     BoundsTooLargeError,
     ConflictingWorldIdsError,
     InvalidInstanceError,
+    InvalidValueError,
 )
 from .grids import SearchBounds
 from .ordering import Verdict
@@ -98,6 +99,10 @@ class AxiomId(enum.Enum):
     DOMINANCE = "dominance"
     ADDITION = "addition"
     PRIORITY_COMPENSATION = "priority_compensation"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise InvalidValueError(f"unknown axiom id {value!r}")
 
 
 class CheckResult(enum.Enum):

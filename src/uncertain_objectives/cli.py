@@ -18,6 +18,7 @@ infeasibility, or impossibility cycle.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -43,7 +44,7 @@ from .decisions import (
 )
 from .errors import DimensionCapError, SchemaError, UncertainObjectivesError
 from .populations import parse_swf, swf_label
-from .rationals import as_rational, format_rational
+from .rationals import format_rational
 from .scenario import (
     MATRIX_SCHEMA,
     SCENARIO_SCHEMA,
@@ -84,10 +85,7 @@ def _cmd_analyze(args) -> tuple[dict, bool]:
     scenario = _load_scenario(args.scenario)
     graph = scenario.graph()
     certificate = find_cycle(graph)
-    max_size = args.max_pattern_size
-    if max_size is None:
-        max_size = len(graph.edges)
-    patterns = valid_uncertainty_patterns(graph, max_size, budget=args.budget)
+    patterns = valid_uncertainty_patterns(graph, args.max_pattern_size, budget=args.budget)
     min_size = min((len(p) for p in patterns), default=None)
     partial = None
     if patterns:
@@ -227,19 +225,15 @@ def _cmd_coherence(args) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 def _resolve_rule(args, scenario) -> RuleConfig:
-    rule = scenario.rule
-    kind = args.rule or (rule.kind if rule else None)
-    if kind is None:
+    """The scenario's rule with each given flag in place of its field."""
+    flags = {"kind": args.rule, "delta": args.delta, "tau": args.tau,
+             "policy": args.policy, "seed": args.seed}
+    given = {name: value for name, value in flags.items() if value is not None}
+    if scenario.rule is not None:
+        return dataclasses.replace(scenario.rule, **given)
+    if "kind" not in given:
         raise UncertainObjectivesError("no decision rule: pass --rule or set one in the scenario")
-    delta = as_rational(args.delta) if args.delta is not None else (rule.delta if rule else None)
-    tau = as_rational(args.tau) if args.tau is not None else (rule.tau if rule else None)
-    policy = None
-    if args.policy is not None:
-        policy = PartialPolicy(args.policy)
-    elif rule and rule.policy:
-        policy = rule.policy
-    seed = args.seed if args.seed is not None else (rule.seed if rule else 0)
-    return RuleConfig(kind=kind, delta=delta, tau=tau, policy=policy, seed=seed)
+    return RuleConfig(**given)
 
 
 def _cmd_decide(args) -> tuple[dict, bool]:
@@ -252,7 +246,7 @@ def _cmd_decide(args) -> tuple[dict, bool]:
 
     if rule.kind == "partial":
         graph = scenario.graph()
-        patterns = valid_uncertainty_patterns(graph, len(graph.edges), budget=args.budget)
+        patterns = valid_uncertainty_patterns(graph, budget=args.budget)
         po = partial_order_from(graph, patterns[0])
         source = "constraints"
         bridge_note = (
@@ -307,10 +301,7 @@ def _cmd_decide(args) -> tuple[dict, bool]:
 
 def _cmd_audit(args) -> tuple[dict, bool]:
     swf = parse_swf(args.swf)
-    try:
-        axiom = AxiomId(args.axiom)
-    except ValueError:
-        raise UncertainObjectivesError(f"unknown axiom id {args.axiom!r}") from None
+    axiom = AxiomId(args.axiom)
     base = None
     if args.base:
         base = parse_population(load_json(args.base, "--base"), "--base")

@@ -87,14 +87,6 @@ def _closure_bits(rows: list[int]) -> list[int]:
     return reach
 
 
-def _has_cycle_bits(reach: list[int]) -> bool:
-    return any(reach[i] >> i & 1 for i in range(len(reach)))
-
-
-def is_cyclic(g: ConstraintGraph) -> bool:
-    return _has_cycle_bits(_closure_bits(g.bit_rows()))
-
-
 @dataclass(frozen=True)
 class ImpossibilityCertificate:
     """A directed cycle of constraint edges; the proof that no total order
@@ -361,11 +353,6 @@ def pattern_is_valid(g: ConstraintGraph, pattern: UncertaintyPattern) -> bool:
 MAX_PATTERN_WORLDS = 62
 
 
-def _check_world_limit(g: ConstraintGraph) -> None:
-    if len(g.worlds) > MAX_PATTERN_WORLDS:
-        raise WorldLimitError(len(g.worlds), MAX_PATTERN_WORLDS)
-
-
 class _WitnessSearch:
     """Branching search over sets of removed edges, on Python-int closures.
 
@@ -396,12 +383,9 @@ class _WitnessSearch:
                 row |= 1 << self.ends[i][1]
         return row
 
-    def _witness(self, rows: list[int], removed: int) -> list[int] | None:
-        """Edge indices of a shortest witness among the kept edges, or None
-        when the removed set is valid."""
-        targets = _invalidity_targets(_closure_bits(rows), self.ends, removed)
-        if not targets:
-            return None
+    def _witness(self, rows: list[int], removed: int, targets: dict[int, int]) -> list[int]:
+        """Edge indices of a shortest witness among the kept edges of an
+        invalid set, given its nonempty ``_invalidity_targets``."""
         best = None
         for source, hit in targets.items():
             path = self._shortest_path(rows, removed, source, hit,
@@ -455,8 +439,10 @@ class _WitnessSearch:
 
         With ``shrink`` the bound falls to each valid set's size as it is
         found (branch and bound for the minimum).  A valid set is recorded
-        and not extended.  More than ``budget`` checked sets raise
-        ``BudgetExceededError``.
+        and not extended.  At the root an acyclic graph gives ``[0]`` and a
+        cyclic one of more than ``MAX_PATTERN_WORLDS`` worlds raises
+        ``WorldLimitError``, both before the budget counts a check; more than
+        ``budget`` checked sets raise ``BudgetExceededError``.
         """
         found: list[int] = []
         checked = 0
@@ -468,18 +454,23 @@ class _WitnessSearch:
             size = removed.bit_count()
             if size >= bound:
                 continue
+            if edge >= 0:
+                u = self.ends[edge][0]
+                rows = rows.copy()
+                rows[u] = self._row(u, removed)
+            targets = _invalidity_targets(_closure_bits(rows), self.ends, removed)
+            if edge < 0:
+                if not targets:
+                    return [0]
+                if len(rows) > MAX_PATTERN_WORLDS:
+                    raise WorldLimitError(len(rows), MAX_PATTERN_WORLDS)
             checked += 1
             if checked > budget:
                 raise BudgetExceededError(
                     f"pattern search checked more than {budget} candidate sets; "
                     + ("raise the budget" if shrink else "lower max_size or raise the budget")
                 )
-            if edge >= 0:
-                u = self.ends[edge][0]
-                rows = rows.copy()
-                rows[u] = self._row(u, removed)
-            witness = self._witness(rows, removed)
-            if witness is None:
+            if not targets:
                 found.append(removed)
                 if shrink:
                     bound = size
@@ -487,7 +478,7 @@ class _WitnessSearch:
             if size + 1 >= bound:
                 continue
             children = []
-            for i in witness:
+            for i in self._witness(rows, removed, targets):
                 if not banned >> i & 1:
                     children.append((removed | 1 << i, banned, rows, i))
                 banned |= 1 << i
@@ -500,15 +491,15 @@ def _edge_indices(mask: int) -> tuple[int, ...]:
 
 
 def valid_uncertainty_patterns(
-    g: ConstraintGraph, max_size: int, budget: int = 1_000_000
+    g: ConstraintGraph, max_size: int | None = None, budget: int = 1_000_000
 ) -> list[UncertaintyPattern]:
     """All inclusion-minimal valid patterns of size <= max_size.
 
-    Ordered by size, then lexicographically by edge indices.  A negative
-    ``max_size`` raises ``InvalidValueError``.  An acyclic graph's only
-    minimal pattern is the empty one, returned without a search.  Cyclic
-    graphs with more than ``MAX_PATTERN_WORLDS`` worlds raise
-    ``WorldLimitError`` before any search.
+    Ordered by size, then lexicographically by edge indices.  ``max_size``
+    defaults to the edge count; a negative one raises ``InvalidValueError``.
+    An acyclic graph's only minimal pattern is the empty one, returned at the
+    search's root at any size and budget.  Cyclic graphs with more than
+    ``MAX_PATTERN_WORLDS`` worlds raise ``WorldLimitError`` there.
 
     The search branches on witnesses (see ``_WitnessSearch``) and records
     each valid set it meets; sets containing an earlier one in that order are
@@ -517,11 +508,10 @@ def valid_uncertainty_patterns(
     max_size, so a budget of sum(C(E, s) for s <= max_size) is never
     exceeded; more checks raise ``BudgetExceededError``.
     """
-    if max_size < 0:
+    if max_size is None:
+        max_size = len(g.edges)
+    elif max_size < 0:
         raise InvalidValueError(f"max_size must be at least 0, got {max_size}")
-    if not is_cyclic(g):
-        return [UncertaintyPattern(())]
-    _check_world_limit(g)
     found = _WitnessSearch(g).run(max_size + 1, budget, shrink=False)
     found.sort(key=lambda mask: (mask.bit_count(), _edge_indices(mask)))
     minimal: list[int] = []
@@ -534,9 +524,9 @@ def valid_uncertainty_patterns(
 def min_uncertainty_size(g: ConstraintGraph, budget: int = 1_000_000) -> int:
     """Size of the smallest valid uncertainty pattern.
 
-    0 exactly when the graph is acyclic; at least 2 whenever it has a cycle.
-    Cyclic graphs with more than ``MAX_PATTERN_WORLDS`` worlds raise
-    ``WorldLimitError`` before any search.
+    0 exactly when the graph is acyclic, returned at the search's root at any
+    size and budget; at least 2 whenever it has a cycle.  Cyclic graphs with
+    more than ``MAX_PATTERN_WORLDS`` worlds raise ``WorldLimitError`` there.
 
     The witness search runs as branch and bound: the best size starts at the
     edge count, since removing every edge is always valid, and a set is
@@ -546,9 +536,6 @@ def min_uncertainty_size(g: ConstraintGraph, budget: int = 1_000_000) -> int:
     ``valid_uncertainty_patterns`` no subset count bounds the checks.  More
     than ``budget`` checks raise ``BudgetExceededError``.
     """
-    if not is_cyclic(g):
-        return 0
-    _check_world_limit(g)
     found = _WitnessSearch(g).run(len(g.edges), budget, shrink=True)
     return min((mask.bit_count() for mask in found), default=len(g.edges))
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .beliefs import OrderDistribution
 from .constraints import PartialOrder
 from .errors import EmptyActionSetError, InvalidValueError
-from .rationals import format_rational, integer_weights
+from .rationals import as_rational, format_rational, integer_weights
 
 
 class OutcomeKind(enum.Enum):
@@ -38,6 +38,10 @@ class PartialPolicy(enum.Enum):
     ABSTAIN = "abstain"
     RANDOM_AMONG_MAXIMAL = "random_among_maximal"
     TREAT_AS_EQUAL = "treat_as_equal"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise InvalidValueError(f"policy must be one of {[p.value for p in cls]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,11 @@ class RuleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("delta", "tau"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, as_rational(getattr(self, name)))
+        if self.policy is not None:
+            object.__setattr__(self, "policy", PartialPolicy(self.policy))
         if not isinstance(self.kind, str) or self.kind not in _RULE_PARAMETERS:
             raise InvalidValueError(
                 f"rule kind must be margin, quantilized, or partial, got {self.kind!r}"

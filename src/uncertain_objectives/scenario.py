@@ -175,12 +175,7 @@ def _parse_constraint(doc, i, worlds) -> Constraint:
             raw=doc,
         )
 
-    name = doc["axiom"]
-    try:
-        axiom = AxiomId(name)
-    except ValueError:
-        raise SchemaError(f"{path}.axiom", f"unknown axiom id {name!r}") from None
-
+    axiom = _checked(f"{path}.axiom", AxiomId, doc["axiom"])
     fields = {}
     for key, kind in AXIOMS[axiom].fields.items():
         _expect(key in doc, path, f"missing required field {key!r}")
@@ -196,18 +191,19 @@ def _parse_constraint(doc, i, worlds) -> Constraint:
     )
 
 
+def _world_ids(value, path: str, worlds, message: str) -> list:
+    """``value`` if it lists string ids, each declared in ``worlds`` unless that is None."""
+    _expect(isinstance(value, list) and all(isinstance(w, str) for w in value), path, message)
+    if worlds is not None:
+        for w in value:
+            _declared(w, path, worlds)
+    return value
+
+
 def parse_matrix(doc, path: str = "belief_matrix", worlds=None) -> BeliefMatrix:
     _expect(isinstance(doc, dict), path, "matrix must be an object")
     _expect("worlds" in doc and "z" in doc, path, "matrix needs 'worlds' and 'z'")
-    ids = doc["worlds"]
-    _expect(
-        isinstance(ids, list) and all(isinstance(w, str) for w in ids),
-        f"{path}.worlds",
-        "worlds must be a list of string ids",
-    )
-    if worlds is not None:
-        for w in ids:
-            _declared(w, f"{path}.worlds", worlds)
+    ids = _world_ids(doc["worlds"], f"{path}.worlds", worlds, "worlds must be a list of string ids")
     z = doc["z"]
     _expect(isinstance(z, list), f"{path}.z", "z must be a list of rows")
     grid = []
@@ -235,14 +231,8 @@ def parse_distribution(doc, path: str = "distribution", worlds=None) -> OrderDis
     orders = doc["orders"]
     _expect(isinstance(orders, list), f"{path}.orders", "orders must be a list")
     for i, o in enumerate(orders):
-        _expect(
-            isinstance(o, list) and all(isinstance(w, str) for w in o),
-            f"{path}.orders[{i}]",
-            "each order must be a list of world ids, best first",
-        )
-        if worlds is not None:
-            for w in o:
-                _declared(w, f"{path}.orders[{i}]", worlds)
+        _world_ids(o, f"{path}.orders[{i}]", worlds,
+                   "each order must be a list of world ids, best first")
     probs = doc["p"]
     _expect(isinstance(probs, list), f"{path}.p", "p must be a list")
     values = [_parse_rational(v, f"{path}.p[{i}]") for i, v in enumerate(probs)]
@@ -259,14 +249,7 @@ def _parse_rule(doc, path: str = "rule") -> RuleConfig:
         if name in doc
     }
     if "policy" in doc:
-        name = doc["policy"]
-        try:
-            values["policy"] = PartialPolicy(name)
-        except ValueError:
-            raise SchemaError(
-                f"{path}.policy",
-                f"policy must be one of {[p.value for p in PartialPolicy]}, got {name!r}",
-            ) from None
+        values["policy"] = _checked(f"{path}.policy", PartialPolicy, doc["policy"])
     return _checked(path, RuleConfig, kind=doc.get("kind"), seed=seed, **values)
 
 
@@ -296,6 +279,11 @@ def parse_scenario(doc) -> Scenario:
         constraints = [
             _parse_constraint(c, i, worlds) for i, c in enumerate(doc["constraints"])
         ]
+        # A default label C{i+1} may repeat an explicit one, so every label is checked.
+        first: dict[str, int] = {}
+        for i, c in enumerate(constraints):
+            if first.setdefault(c.edge.label, i) != i:
+                raise IntegrityError(f"constraints[{i}].label: repeated label {c.edge.label!r}")
 
     matrix = None
     if "belief_matrix" in doc:

@@ -625,6 +625,14 @@ class TestAudits:
         assert check_instance(inst2, swf_order(TotalWelfare())) is CheckResult.VIOLATED
 
 
+@pytest.mark.parametrize("name", ["nope", ["x"], None])
+def test_unknown_axiom_id_is_a_value_error(name):
+    with pytest.raises(InvalidValueError) as info:
+        AxiomId(name)
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == f"unknown axiom id {name!r}"
+
+
 class TestBuildCycle:
     def test_second_theorem_cycle_numbers(self):
         instances = second_theorem_cycle()

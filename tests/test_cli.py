@@ -255,6 +255,15 @@ class TestFindings:
         golden = json.loads((GOLDEN / "decide_partial_three_cycle.json").read_text())
         assert json.loads(out)["findings"] == golden["findings"]
 
+    def test_decide_seed_flag_overrides_only_the_seed(self):
+        code, out, _ = run_cli("decide", str(SCENARIOS / "decide_from_matrix.json"), "--seed", "3")
+        assert code == 0
+        report = json.loads(out)
+        assert report["findings"]["rule"] == {
+            "kind": "margin", "delta": "1/2", "tau": None, "policy": None, "seed": 3,
+        }
+        assert report["inputs"]["flags"]["seed"] == 3
+
     def test_decide_quantilized_seeded(self):
         code, out, _ = run_cli(
             "decide", str(SCENARIOS / "decide_rotations.json"),
@@ -331,6 +340,18 @@ class TestExitCodes:
         code, out, err = run_cli(command[0], str(path), *command[1:])
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+    def test_repeated_constraint_label_is_error(self, tmp_path):
+        # The unlabelled second constraint's default label C2 repeats the first's.
+        doc = path_graph_doc(3, closed=True)
+        doc["constraints"][0]["label"] = "C2"
+        for c in doc["constraints"][1:]:
+            del c["label"]
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("analyze", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: constraints[1].label: repeated label 'C2'\n"
 
     @pytest.mark.parametrize("value", ["-1", "-5"])
     def test_negative_pattern_size_is_error(self, value):

@@ -26,6 +26,7 @@ from uncertain_objectives.errors import (
     WorldLimitError,
 )
 from uncertain_objectives import constraints
+from uncertain_objectives.axioms import build_cycle, second_theorem_cycle
 
 from conftest import (
     random_graph,
@@ -80,6 +81,17 @@ def cycle_graph(n: int) -> ConstraintGraph:
     return ConstraintGraph.from_edges(
         [(f"w{i + 1}", f"w{(i + 1) % n + 1}", f"C{i + 1}") for i in range(n)]
     )
+
+
+def tournament(n: int) -> ConstraintGraph:
+    """A random tournament: each pair of worlds i < j gets one edge, whose
+    direction a ``random.Random(n)`` draw picks, labelled C1.. in order."""
+    rng = random.Random(n)
+    pairs = [
+        (f"w{i}", f"w{j}") if rng.random() < 0.5 else (f"w{j}", f"w{i}")
+        for i, j in itertools.combinations(range(n), 2)
+    ]
+    return ConstraintGraph.from_edges([(u, v, f"C{k + 1}") for k, (u, v) in enumerate(pairs)])
 
 
 THREE_CYCLE = cycle_graph(3)
@@ -339,7 +351,7 @@ class TestPatterns:
         g = cycle_graph(64)
         with pytest.raises(WorldLimitError, match="64 worlds.*at most 62"):
             valid_uncertainty_patterns(g, 2)
-        with pytest.raises(WorldLimitError):  # before the 2^64-subset budget
+        with pytest.raises(WorldLimitError):  # at the root, before any set is checked
             valid_uncertainty_patterns(g, 64)
         with pytest.raises(WorldLimitError):
             min_uncertainty_size(g)
@@ -351,6 +363,50 @@ class TestPatterns:
             valid_uncertainty_patterns(g, 2, budget=10)
         with pytest.raises(WorldLimitError):
             min_uncertainty_size(g, budget=10)
+
+    def test_the_root_decides_before_the_budget(self):
+        path = ConstraintGraph.from_edges([(f"w{i}", f"w{i + 1}") for i in range(99)])
+        assert len(path.worlds) == 100
+        assert valid_uncertainty_patterns(path, budget=0) == [UncertaintyPattern(())]
+        assert min_uncertainty_size(path, budget=0) == 0
+        assert min_uncertainty_size(ConstraintGraph(("a", "b"), ())) == 0
+        with pytest.raises(WorldLimitError):
+            valid_uncertainty_patterns(cycle_graph(64), budget=0)
+        with pytest.raises(WorldLimitError):
+            min_uncertainty_size(cycle_graph(64), budget=0)
+
+    @pytest.mark.parametrize(
+        "graph,max_size,budget",
+        [
+            (cycle_graph(8), 2, 37),
+            (cycle_graph(8), None, 10),
+            (build_cycle(second_theorem_cycle()), 4, 11),
+            (build_cycle(second_theorem_cycle()), None, 6),
+            (tournament(8), None, 2286),
+        ],
+        ids=["cycle8-patterns", "cycle8-min", "second-theorem-patterns",
+             "second-theorem-min", "tournament8-min"],
+    )
+    def test_smallest_sufficient_budget(self, graph, max_size, budget):
+        # Each search checks exactly this many sets, so it finishes under
+        # ``budget`` and is refused under one less.
+        def search(b):
+            if max_size is None:
+                return min_uncertainty_size(graph, budget=b)
+            return valid_uncertainty_patterns(graph, max_size, budget=b)
+
+        search(budget)
+        with pytest.raises(BudgetExceededError):
+            search(budget - 1)
+
+    def test_tournament8_minimum(self):
+        assert min_uncertainty_size(tournament(8)) == 13
+
+    def test_max_size_defaults_to_every_edge(self):
+        rng = random.Random(88)
+        for _ in range(20):
+            g = random_cyclic_graph(rng, rng.randint(2, 5), rng.randint(2, 7))
+            assert valid_uncertainty_patterns(g) == valid_uncertainty_patterns(g, len(g.edges))
 
     def test_cyclic_graphs_match_reference(self):
         rng = random.Random(2024)

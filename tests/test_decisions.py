@@ -244,6 +244,21 @@ class TestRuleConfig:
         with pytest.raises(InvalidValueError, match=f"^{kind} rule needs {parameter}$"):
             RuleConfig(kind)
 
+    def test_fields_convert_themselves(self):
+        assert RuleConfig(kind="margin", delta="1/2").delta == F(1, 2)
+        assert RuleConfig(kind="quantilized", tau=0.25).tau == F(1, 4)
+        assert RuleConfig(kind="partial", policy="abstain").policy is PartialPolicy.ABSTAIN
+        with pytest.raises(InvalidValueError, match="not a rational: 'x'"):
+            RuleConfig(kind="quantilized", delta="x")
+
+    @pytest.mark.parametrize("name", ["nope", ["x"], None])
+    def test_unknown_policy_is_a_value_error(self, name):
+        message = ("policy must be one of ['abstain', 'random_among_maximal', "
+                   f"'treat_as_equal'], got {name!r}")
+        with pytest.raises(InvalidValueError) as info:
+            PartialPolicy(name)
+        assert isinstance(info.value, ValueError) and str(info.value) == message
+
     @pytest.mark.parametrize("kind", ["vote", "", None, ["margin"]])
     def test_unknown_kind_is_refused(self, kind):
         with pytest.raises(InvalidValueError, match="rule kind must be margin, quantilized"):
