@@ -89,9 +89,13 @@ class SearchBounds:
         every count row an audit enumerates."""
         return tuple(sorted({*self.levels, *(self.base.levels if self.base else ())}))
 
+    @cached_property
+    def _grid(self) -> tuple[int, ...]:
+        """The alphabet position of each grid level; the base may add
+        levels off the grid."""
+        return tuple(bisect_left(self.alphabet, level) for level in self.levels)
+
     def positions(self, keep=None) -> list[int]:
-        """The alphabet positions of the grid levels that ``keep`` accepts;
-        the base may add levels off the grid."""
+        """The alphabet positions of the grid levels that ``keep`` accepts."""
         alphabet = self.alphabet
-        grid = [bisect_left(alphabet, level) for level in self.levels]
-        return [i for i in grid if keep is None or keep(alphabet[i])]
+        return [i for i in self._grid if keep is None or keep(alphabet[i])]

@@ -17,7 +17,6 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -231,77 +230,119 @@ def count_matrix(index, counts, k: int, width: int) -> np.ndarray:
     return rows
 
 
+class _field:
+    """A field computed on a view's first read and stored in its
+    ``__dict__``, which shadows this (non-data) descriptor from then on: a
+    ``cached_property`` without the lock it takes on every first read."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, view, owner=None):
+        if view is None:
+            return self
+        value = view.__dict__[self.name] = self.compute(view)
+        return value
+
+
+def _aligned(a, b):
+    """Two level-first arrays whose candidate axes broadcast as numpy aligns
+    shapes, on the right: the one with fewer candidate axes gets unit axes
+    just after its levels.  Arrays of equal rank come back untouched."""
+    if a.ndim < b.ndim:
+        a = a.reshape(a.shape[:1] + (1,) * (b.ndim - a.ndim) + a.shape[1:])
+    elif b.ndim < a.ndim:
+        b = b.reshape(b.shape[:1] + (1,) * (a.ndim - b.ndim) + b.shape[1:])
+    return a, b
+
+
 class Counts:
     """Populations as head counts over one sorted level alphabet.
 
-    ``counts`` holds the alphabet on its last axis, under any leading shape:
-    one row for an instance, a block of candidates in an audit.  ``units``
-    holds the alphabet's levels as integers in one unit (``in_units``), so
-    every field is exact and has the leading shape: ``size``; ``total``
-    welfare in units; ``lo`` and ``hi``, the least and greatest level present
-    in units; ``tiers``, the number of levels present; ``at_lo``, the head
-    count at ``lo``; and ``cum``, cumulative head counts along the alphabet.
-    An empty population has no ``lo`` or ``hi``; clauses test size first.
-    Fields are computed on first use and kept; ``view[key]`` is the view of
-    ``counts[key]`` (numpy indexing of the leading axes).
+    ``Counts(rows, units)`` takes ``rows`` with the alphabet on the last
+    axis, under any leading shape of candidates: one row for an instance, a
+    block of candidates in an audit.  It stores them with the alphabet on
+    the leading axis instead (``counts`` is ``(levels, *candidates)``,
+    contiguous), so each field reduces over levels in numpy loops that run
+    across candidates.  ``units`` holds the alphabet's levels as integers in
+    one unit (``in_units``), so every field is exact and has the candidates'
+    shape: ``size``; ``total`` welfare in units; ``lo`` and ``hi``, the
+    least and greatest level present in units; ``tiers``, the number of
+    levels present; ``at_lo``, the head count at ``lo``; and ``cum``,
+    cumulative head counts along the alphabet (levels first, like
+    ``counts``).  An empty population has no ``lo`` or ``hi``; clauses test
+    size first.  Fields are computed on first use and kept; ``view[key]``
+    indexes the candidate axes as numpy indexes ``rows[key]``, and
+    ``len(view)`` is the length of the first of them.  Views of different
+    numbers of candidate axes combine as their rows would, aligned on the
+    right.
     """
 
-    def __init__(self, counts, units):
-        self.counts, self.units = counts, units
+    def __init__(self, rows, units):
+        self.counts = np.ascontiguousarray(rows.transpose(rows.ndim - 1, *range(rows.ndim - 1)))
+        self.units = units
+
+    def _view(self, counts) -> "Counts":
+        """A view of ``counts`` already held levels first."""
+        view = Counts.__new__(Counts)
+        view.counts, view.units = counts, self.units
+        return view
 
     def __getitem__(self, key) -> "Counts":
-        return Counts(self.counts[key], self.units)
+        return self._view(self.counts[(slice(None),) + (key if isinstance(key, tuple) else (key,))])
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return self.counts.shape[1]
 
-    @cached_property
+    @_field
     def size(self):
-        return self.counts.sum(-1)
+        return self.counts.sum(0)
 
-    @cached_property
+    @_field
     def cum(self):
-        return self.counts.cumsum(-1)
+        return self.counts.cumsum(0)
 
-    @cached_property
+    @_field
     def total(self):
-        return self.counts @ self.units
+        c = self.counts
+        return (self.units @ c.reshape(len(c), -1)).reshape(c.shape[1:])
 
-    @cached_property
+    @_field
     def tiers(self):
-        return (self.counts > 0).sum(-1)
+        return (self.counts > 0).sum(0)
 
-    @cached_property
+    @_field
     def lo(self):
-        return self.units[(self.cum == 0).sum(-1)]
+        return self.units[(self.cum == 0).sum(0)]
 
-    @cached_property
+    @_field
     def hi(self):
-        return self.units[(self.cum < self.size[..., None]).sum(-1)]
+        return self.units[(self.cum < self.size).sum(0)]
 
-    @cached_property
+    @_field
     def at_lo(self):
-        return np.where(self.cum > 0, self.cum, self.size[..., None]).min(-1)
+        return np.where(self.cum > 0, self.cum, self.size).min(0)
 
     def dominates(self, other: "Counts", strict: bool):
         """Sorted pointwise dominance from cumulative counts: at equal size,
         the i-th worst here beats the i-th worst of ``other`` for every i
         exactly when, at every level x, no more people here sit at or below
         x than there sit below x (at or below x, when not ``strict``)."""
-        below = other.cum - other.counts if strict else other.cum
-        return (self.size == other.size) & (self.cum <= below).all(-1)
+        mine, below = _aligned(self.cum, other.cum - other.counts if strict else other.cum)
+        return (self.size == other.size) & (mine <= below).all(0)
 
     def __or__(self, other: "Counts") -> "Counts":
-        return Counts(self.counts + other.counts, self.units)
+        return self._view(np.add(*_aligned(self.counts, other.counts)))
 
     def plus(self, level, count) -> "Counts":
         """These populations with ``count`` more people at ``level`` (units,
         on the alphabet)."""
-        at = self.units == np.asarray(level)[..., None]
-        return Counts(self.counts + at * np.asarray(count)[..., None], self.units)
+        level, count = np.asarray(level), np.asarray(count)
+        at = self.units.reshape((-1,) + (1,) * max(level.ndim, count.ndim)) == level
+        return self._view(np.add(*_aligned(self.counts, at * count)))
 
     def population(self, one: int) -> Population:
-        """The population of a one-row view whose unit is 1/``one``."""
+        """The population of a one-population view whose unit is 1/``one``."""
         return Population(
             (Fraction(int(u), one), int(c)) for u, c in zip(self.units, self.counts) if c
         )

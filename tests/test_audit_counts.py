@@ -7,6 +7,7 @@ attribute names, and every sign is checked against ``swf_compare``, binding
 by binding.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -28,12 +29,14 @@ from uncertain_objectives.populations import (
     CriticalLevel,
     Population,
     TotalWelfare,
+    count_matrix,
     count_rows,
     swf_compare,
     swf_signs,
     total_welfare,
 )
 
+from conftest import _populations as reference_populations
 from conftest import reference_audit_swf, sorted_dominates
 
 SIGN = {Verdict.LESS: -1, Verdict.EQUAL: 0, Verdict.GREATER: 1}
@@ -153,3 +156,118 @@ def test_view_fields_match_population_methods():
         for i, j in np.ndindex(mask.shape):
             assert mask[i, j] == sorted_dominates(pops[i], pops[j], strict)
             assert pops[i].dominates(pops[j], strict) == mask[i, j]
+
+
+def _random_pops(rng, alphabet, shape, empty=0.0):
+    """An object array of ``shape`` holding random populations over
+    ``alphabet``, each empty with probability ``empty``."""
+    pops = np.empty(shape, object)
+    for at in np.ndindex(shape):
+        levels = [] if rng.random() < empty else rng.sample(alphabet, rng.randint(1, len(alphabet)))
+        pops[at] = Population((level, rng.randint(1, 3)) for level in levels)
+    return pops
+
+
+def _view(pops, alphabet, units):
+    """The count view of an object array of populations, built from rows."""
+    rows = count_rows(list(pops.flat), alphabet)
+    return Counts(rows.reshape(pops.shape + (len(alphabet),)), units)
+
+
+def _population_of(row, alphabet) -> Population:
+    return Population((alphabet[i], int(n)) for i, n in enumerate(row) if n)
+
+
+def _assert_reads_as(view, pops, one):
+    """Every field of ``view`` (in units of 1/``one``) against the
+    populations it holds, binding by binding; ``lo`` and ``hi`` only where
+    no population is empty, as clauses test size first."""
+    names = ["size", "tiers", "at_lo", "total"]
+    nonempty = all(p.size for p in pops.flat)
+    fields = {name: np.asarray(getattr(view, name)) for name in names + ["lo", "hi"] * nonempty}
+    for name, value in fields.items():
+        assert value.shape == pops.shape, name
+    for at in np.ndindex(pops.shape):
+        p = pops[at]
+        assert view[at].population(one) == p
+        assert (fields["size"][at], fields["tiers"][at]) == (p.size, p.tiers)
+        assert (fields["at_lo"][at], fields["total"][at]) == (p.at_lo, p.total * one)
+        if nonempty:
+            assert (fields["lo"][at], fields["hi"][at]) == (p.lo * one, p.hi * one)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_views_of_different_candidate_rank_combine_like_populations(seed):
+    """A one-population view (rank 0), a (C,) row, an (R, 1) block, a (1, C)
+    block and an (R, C) tile combine as their populations do: candidate axes
+    align on the right, as a pinned base meets a tile in avoid_sadistic and
+    priority_compensation."""
+    rng = random.Random(seed)
+    alphabet = sorted(rng.sample(_POOL, rng.randint(1, 5)))
+    one = 2
+    units = np.array([int(level * one) for level in alphabet])
+    r, c = rng.randint(1, 4), rng.randint(1, 4)
+    operands = [_random_pops(rng, alphabet, shape, empty=0.2) for shape in ((), (c,), (r, 1), (1, c), (r, c))]
+    views = [_view(pops, alphabet, units) for pops in operands]
+    for view, pops in zip(views, operands):
+        _assert_reads_as(view, pops, one)
+    draws = lambda shape, draw: np.array([draw() for _ in range(int(np.prod(shape)))]).reshape(shape)
+    for (a, pa), (b, pb) in itertools.product(zip(views, operands), repeat=2):
+        shape = np.broadcast_shapes(pa.shape, pb.shape)
+        pa_, pb_ = np.broadcast_to(pa, shape), np.broadcast_to(pb, shape)
+        union = np.empty(shape, object)
+        for at in np.ndindex(shape):
+            union[at] = pa_[at] | pb_[at]
+        _assert_reads_as(a | b, union, one)
+        for strict in (True, False):
+            mask = np.asarray(a.dominates(b, strict))
+            assert mask.shape == shape
+            for at in np.ndindex(shape):
+                assert mask[at] == sorted_dominates(pa_[at], pb_[at], strict), (at, strict)
+    for a, pa in zip(views, operands):
+        for level_shape, count_shape in (((r, c), (r, 1)), ((c,), (r, 1)), ((r, c), ())):
+            at_level = draws(level_shape, lambda: rng.randrange(len(alphabet)))
+            added = draws(count_shape, lambda: rng.randint(1, 3))
+            shape = np.broadcast_shapes(pa.shape, level_shape, count_shape)
+            pa_ = np.broadcast_to(pa, shape)
+            levels_, added_ = np.broadcast_to(at_level, shape), np.broadcast_to(added, shape)
+            grown = np.empty(shape, object)
+            for at in np.ndindex(shape):
+                grown[at] = pa_[at].plus(alphabet[levels_[at]], int(added_[at]))
+            _assert_reads_as(a.plus(units[at_level], added), grown, one)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+def test_counts_keep_their_row_contract(shape):
+    """``Counts`` takes rows with the levels last, under 1-, 2- or 3-D
+    ``rows``: ``len`` is the first candidate axis and indexing picks
+    populations as it would pick rows; the row builders keep one row per
+    candidate, levels last."""
+    rng = random.Random(len(shape))
+    alphabet = sorted(_POOL)
+    units = np.array([int(level * 2) for level in alphabet])
+    pops = _random_pops(rng, alphabet, shape)
+    rows = count_rows(list(pops.flat), alphabet)
+    assert rows.shape == (pops.size, len(alphabet))
+    assert [_population_of(row, alphabet) for row in rows] == list(pops.flat)
+    view = Counts(rows.reshape(shape + (len(alphabet),)), units)
+    if shape:
+        assert len(view) == shape[0]
+        for i in range(shape[0]):
+            assert np.shape(view[i].size) == shape[1:]
+    for at in np.ndindex(shape):
+        assert view[at].population(2) == pops[at]
+        assert view[at[:1]][at[1:]].population(2) == pops[at]
+
+    matrix = count_matrix([[0, 3], [1, 4]], [[1, 2], [3, 1], [2, 2]], 2, len(alphabet))
+    assert matrix.shape == (6, len(alphabet))
+    assert matrix[1].tolist() == [3, 0, 0, 1, 0, 0, 0, 0]  # index (0, 3), counts (3, 1)
+    assert matrix[5].tolist() == [0, 2, 0, 0, 2, 0, 0, 0]  # index (1, 4), counts (2, 2)
+
+    bounds = SearchBounds(levels=(-1, "1/2", 2), max_count=2, max_groups=2)
+    stream = axioms._populations(bounds)
+    built = stream.build()
+    assert built.shape == (stream.size, len(bounds.alphabet))
+    assert [_population_of(row, bounds.alphabet) for row in built] == list(
+        reference_populations(bounds.alphabet, bounds)
+    )
