@@ -45,7 +45,8 @@ its row: the fields in the row's order, the claim and gate from its roles,
 derived worlds from its derivation clauses, and every clause checked there,
 once.  A derived world given by name must equal the one its clause derives.
 ``scenario`` parses a constraint by reading the row's fields.
-``audit_swf`` runs on integer count matrices, one per stream, in nested
+``audit_swf`` runs on integer count matrices, one per stream, each copied
+from a table memoised by the stream's shape.  It searches them in nested
 lexicographic order and tiles of whole rows, each reduced on its own; it
 builds one instance, the witness, whose derived worlds must be the rows it
 scored, and returns it once it replays.
@@ -55,6 +56,8 @@ from __future__ import annotations
 
 import enum
 import itertools
+import threading
+from collections import OrderedDict
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -393,33 +396,90 @@ def _levels(bounds: SearchBounds, keep) -> Stream:
 def _populations(bounds: SearchBounds, keep=None, groups=None, least: int = 1) -> Stream:
     """Populations of ``groups`` distinct kept levels (default 1..max_groups)
     and least..max_count people per level, lexicographic: group count, then
-    level combination, then per-group counts (each ascending)."""
-    width, kept = len(bounds.alphabet), bounds.positions(keep)
-    counts = range(least, bounds.max_count + 1)
+    level combination, then per-group counts (each ascending).  The rows
+    are ``_group_table``'s, a memoised function of the stream's shape."""
+    kept, most = bounds.positions(keep), bounds.max_count
     groups = range(1, bounds.max_groups + 1) if groups is None else groups
-
-    def build():
-        return np.concatenate([np.zeros((0, width), np.int64)] + [
-            count_matrix(list(itertools.combinations(kept, k)),
-                         list(itertools.product(counts, repeat=k)), k, width)
-            for k in groups if k <= len(kept)
-        ])
-
-    return Stream(sum(comb(len(kept), k) * len(counts)**k for k in groups), build)
+    shape = (tuple(k for k in groups if k <= len(kept)), least, most)
+    size = sum(comb(len(kept), k) * (most - least + 1)**k for k in shape[0])
+    return _stream(bounds, kept, size, _group_table, *shape)
 
 
 def _two_tier(bounds: SearchBounds) -> dict:
     """inequality_aversion's streams: two-tier populations with the lower
     tier larger (tier levels descending, then counts), then the perfectly
     equal populations at every level, of every size a two-tier one can
-    have, level-major; the size clause leaves one per level for each."""
-    width, mc, kept = len(bounds.alphabet), bounds.max_count, bounds.positions()
-    tiers = list(itertools.combinations(reversed(kept), 2))
-    counts = list(itertools.combinations(range(1, mc + 1), 2))
+    have (3..2*max_count-1), level-major; the size clause leaves one per
+    level for each.  The rows are ``_tier_table``'s and ``_group_table``'s,
+    memoised like ``_populations``'."""
+    kept, mc = bounds.positions(), bounds.max_count
     return {
-        "mixed": Stream(len(tiers) * len(counts), lambda: count_matrix(tiers, counts, 2, width)),
-        "equal": Stream(len(kept), lambda: count_matrix(kept, range(3, 2 * mc), 1, width)),
+        "mixed": _stream(bounds, kept, comb(len(kept), 2) * comb(mc, 2), _tier_table, mc),
+        "equal": _stream(bounds, kept, len(kept), _group_table, (1,), 3, 2 * mc - 1),
     }
+
+
+def _stream(bounds: SearchBounds, kept: list[int], size: int, make, *shape) -> Stream:
+    """A stream of ``size`` candidates (the budget's factor) whose rows are
+    the table ``make(len(kept), *shape)`` over the kept levels, copied into
+    their columns of the grid's alphabet by ``build()``."""
+    width = len(bounds.alphabet)
+
+    def build():
+        table = _table(make, len(kept), *shape)
+        rows = np.zeros((len(table), width), np.int64)
+        rows[:, kept] = table
+        return rows
+
+    return Stream(size, build)
+
+
+def _group_table(n: int, groups: tuple[int, ...], least: int, most: int) -> np.ndarray:
+    """Count rows over ``n`` levels: for each group count k of ``groups``,
+    every k-combination of levels, then every k-tuple of least..most
+    people, lexicographic."""
+    counts = range(least, most + 1)
+    return np.concatenate([np.zeros((0, n), np.int64)] + [
+        count_matrix(list(itertools.combinations(range(n), k)),
+                     list(itertools.product(counts, repeat=k)), k, n)
+        for k in groups
+    ])
+
+
+def _tier_table(n: int, most: int) -> np.ndarray:
+    """Two-tier count rows over ``n`` levels: tier levels descending, then
+    count pairs ascending, the smaller count on the upper tier."""
+    tiers = list(itertools.combinations(range(n - 1, -1, -1), 2))
+    return count_matrix(tiers, list(itertools.combinations(range(1, most + 1), 2)), 2, n)
+
+
+# Stream tables by (builder, shape), least recently used first.  A table
+# depends only on its shape, never on the grid's levels, so audits of
+# different grids share it.  Tables are read-only; only those of at most one
+# tile (_BLOCK elements) are kept, and at most _TABLE_LIMIT of them, so the
+# memo holds at most 64 * 2^14 int64s (8 MiB) whatever the budget or the
+# number of grids audited.  Larger tables are built on every call.
+_TABLES: OrderedDict = OrderedDict()
+_TABLE_LIMIT = 64
+_TABLES_LOCK = threading.Lock()
+
+
+def _table(make, *shape) -> np.ndarray:
+    """``make(*shape)``, read-only, from the memo when it holds it."""
+    key = (make, *shape)
+    with _TABLES_LOCK:
+        table = _TABLES.get(key)
+        if table is not None:
+            _TABLES.move_to_end(key)
+            return table
+    table = make(*shape)
+    table.flags.writeable = False
+    if table.size <= _BLOCK:
+        with _TABLES_LOCK:
+            _TABLES[key] = table
+            if len(_TABLES) > _TABLE_LIMIT:
+                _TABLES.popitem(last=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -495,7 +555,9 @@ def _plan(row: AxiomRow, swf: SwfKind, bounds: SearchBounds):
     run first, then the budget check on the product of the stream sizes; a
     stream left empty is refused, as its search would be vacuously clean.
     The plan lists each stream as (name, candidates, their values in units,
-    the clauses first bound at its depth).
+    the clauses first bound at its depth).  A population stream's candidates
+    are its shape's table (``_table``) copied into the alphabet's columns,
+    so a shape built once costs one copy per audit from then on.
     """
     fixed = {name: getattr(bounds, f"eff_{name}")() for name in row.thresholds}
     streams = {}

@@ -28,6 +28,7 @@ from uncertain_objectives.axioms import (
     AxiomInstance,
     CheckResult,
     SearchBounds,
+    Stream,
     ViolationWitness,
     addition_instance,
     avoid_repugnant_instance,
@@ -47,6 +48,7 @@ from uncertain_objectives.populations import (
     EMPTY_POPULATION,
     SwfKind,
     World,
+    count_matrix,
     swf_order,
     total_welfare,
 )
@@ -799,3 +801,44 @@ _AUDITS = {
     AxiomId.ADDITION: _audit_addition,
     AxiomId.PRIORITY_COMPENSATION: _audit_priority_compensation,
 }
+
+
+# Reference audit streams
+# ---------------------------------------------------------------------------
+# The audit's population streams as they were built before their rows came
+# from per-shape tables: every call lists the level combinations and count
+# tuples and builds the count matrix over the whole alphabet.  Kept verbatim
+# (under reference names) as an oracle for ``Stream.build()``.
+
+def reference_stream_populations(
+    bounds: SearchBounds, keep=None, groups=None, least: int = 1
+) -> Stream:
+    """Populations of ``groups`` distinct kept levels (default 1..max_groups)
+    and least..max_count people per level, lexicographic: group count, then
+    level combination, then per-group counts (each ascending)."""
+    width, kept = len(bounds.alphabet), bounds.positions(keep)
+    counts = range(least, bounds.max_count + 1)
+    groups = range(1, bounds.max_groups + 1) if groups is None else groups
+
+    def build():
+        return np.concatenate([np.zeros((0, width), np.int64)] + [
+            count_matrix(list(itertools.combinations(kept, k)),
+                         list(itertools.product(counts, repeat=k)), k, width)
+            for k in groups if k <= len(kept)
+        ])
+
+    return Stream(sum(comb(len(kept), k) * len(counts)**k for k in groups), build)
+
+
+def reference_two_tier(bounds: SearchBounds) -> dict:
+    """inequality_aversion's streams: two-tier populations with the lower
+    tier larger (tier levels descending, then counts), then the perfectly
+    equal populations at every level, of every size a two-tier one can
+    have, level-major; the size clause leaves one per level for each."""
+    width, mc, kept = len(bounds.alphabet), bounds.max_count, bounds.positions()
+    tiers = list(itertools.combinations(reversed(kept), 2))
+    counts = list(itertools.combinations(range(1, mc + 1), 2))
+    return {
+        "mixed": Stream(len(tiers) * len(counts), lambda: count_matrix(tiers, counts, 2, width)),
+        "equal": Stream(len(kept), lambda: count_matrix(kept, range(3, 2 * mc), 1, width)),
+    }

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from uncertain_objectives import (
@@ -48,7 +49,7 @@ from uncertain_objectives.errors import (
 )
 from uncertain_objectives.populations import swf_order
 
-from conftest import reference_audit_swf
+from conftest import reference_audit_swf, reference_stream_populations, reference_two_tier
 
 
 def w(name, *groups):
@@ -721,6 +722,27 @@ def _random_bounds(rng, max_count):
     return SearchBounds(**kwargs)
 
 
+def _seeded_audits(rng, count):
+    """``count`` (swf, axiom, bounds) audits, the axioms in turn, each on the
+    first of up to three random grids (``max_count`` 3, 2, 1) whose instance
+    space is at most 4000, or that refuses."""
+    audits = []
+    for case in range(count):
+        axiom = list(AxiomId)[case % len(AxiomId)]
+        swf = rng.choice(
+            [TotalWelfare(), AverageWelfare(), CriticalLevel(rng.choice(_LEVEL_POOL))]
+        )
+        for max_count in (3, 2, 1):
+            bounds = _random_bounds(rng, max_count)
+            try:
+                if _estimate(audit_swf, swf, axiom, bounds) <= 4000:
+                    break
+            except (ValueError, InvalidInstanceError):
+                break
+        audits.append((swf, axiom, bounds))
+    return audits
+
+
 def _some_stream_empty(axiom, bounds):
     """True when one of the audit's component streams yields no candidate."""
     row = axioms.AXIOMS[axiom]
@@ -818,20 +840,8 @@ class TestTileSize:
         return outcomes
 
     def test_seeded_grids(self, monkeypatch):
-        rng = random.Random(2100)
         tally = {"witness": 0, "none": 0, "error": 0}
-        for case in range(300):
-            axiom = list(AxiomId)[case % len(AxiomId)]
-            swf = rng.choice(
-                [TotalWelfare(), AverageWelfare(), CriticalLevel(rng.choice(_LEVEL_POOL))]
-            )
-            for max_count in (3, 2, 1):
-                bounds = _random_bounds(rng, max_count)
-                try:
-                    if _estimate(audit_swf, swf, axiom, bounds) <= 4000:
-                        break
-                except (ValueError, InvalidInstanceError):
-                    break
+        for swf, axiom, bounds in _seeded_audits(random.Random(2100), 300):
             default, *others = self._outcomes(monkeypatch, swf, axiom, bounds)
             assert others == [default] * 3, (axiom, swf, bounds)
             tally["witness" if isinstance(default, dict) else "error" if default else "none"] += 1
@@ -842,3 +852,124 @@ class TestTileSize:
         default, *others = self._outcomes(monkeypatch, CriticalLevel(-1), AxiomId.QUALITY, bounds)
         assert others == [default] * 3
         assert default["note"].startswith("all 3 perfectly equal very-high candidates")
+
+
+_TABLE_POOL = _LEVEL_POOL + [Fraction(1, 10**30), Fraction(-7, 10**25 + 1), Fraction(3, 10**20)]
+
+
+def _table_grid(rng):
+    """A grid for the stream-table checks: up to five levels, huge
+    denominators among them, ``max_groups`` up to 4, and a base whose levels
+    may lie off the grid."""
+    kwargs = {
+        "levels": rng.sample(_TABLE_POOL, rng.randint(1, 5)),
+        "max_count": rng.randint(1, 3),
+        "max_groups": rng.randint(1, 4),
+        "budget": 10**7,
+    }
+    for key in ("very_high", "very_low", "torture_max"):
+        if rng.random() < 0.3:
+            kwargs[key] = rng.choice(_TABLE_POOL)
+    if rng.random() < 0.4:
+        kwargs["base"] = Population(
+            (rng.choice(_TABLE_POOL + [Fraction(7), Fraction(-9)]), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 2))
+        )
+    return SearchBounds(**kwargs)
+
+
+class TestStreamTables:
+    """Population streams copy their rows from memoised per-shape tables."""
+
+    @staticmethod
+    def _streams(row, bounds):
+        fixed = {name: getattr(bounds, f"eff_{name}")() for name in row.thresholds}
+        return row.streams(bounds, **fixed)
+
+    def test_rows_match_the_reference_builders(self, monkeypatch):
+        kept_seen = []
+        positions = SearchBounds.positions
+
+        def recording(bounds, keep=None):
+            kept = positions(bounds, keep)
+            kept_seen.append((len(kept), len(bounds.levels)))
+            return kept
+
+        monkeypatch.setattr(SearchBounds, "positions", recording)
+        rng = random.Random(3300)
+        tally = {"off_grid_base": 0, "object_units": 0, "groups_above_kept": 0}
+        for case in range(200):
+            bounds, start = _table_grid(rng), len(kept_seen)
+            tally["off_grid_base"] += len(bounds.alphabet) > len(bounds.levels)
+            for axiom in AxiomId:
+                row = axioms.AXIOMS[axiom]
+                try:
+                    got = self._streams(row, bounds)
+                except InvalidValueError:
+                    continue  # no level can serve as a default threshold
+                with monkeypatch.context() as patch:
+                    patch.setattr(axioms, "_populations", reference_stream_populations)
+                    want = (reference_two_tier(bounds) if row.streams is axioms._two_tier
+                            else self._streams(row, bounds))
+                assert got.keys() == want.keys()
+                for name, stream in got.items():
+                    if not isinstance(stream, axioms.Stream):
+                        assert stream == want[name]
+                        continue
+                    assert stream.size == want[name].size, (axiom, name, bounds)
+                    rows, expected = stream.build(), want[name].build()
+                    if isinstance(expected, np.ndarray):
+                        assert rows.dtype == expected.dtype == np.int64
+                        assert rows.shape == expected.shape, (axiom, name, bounds)
+                        assert (rows == expected).all(), (axiom, name, bounds)
+                    else:
+                        assert list(rows) == list(expected)
+                try:
+                    plan = axioms._plan(row, TotalWelfare(), bounds)[2]
+                except (BoundsTooLargeError, InvalidInstanceError):
+                    continue
+                units = [v.units for _, _, v, _ in plan if isinstance(v, axioms.Counts)]
+                tally["object_units"] += any(u.dtype == object for u in units)
+            tally["groups_above_kept"] += any(k < bounds.max_groups for k, _ in kept_seen[start:])
+        kept = {k if k < 2 else "all" if k == n else "some" for k, n in kept_seen}
+        assert kept == {0, 1, "some", "all"}, kept
+        assert min(tally.values()) > 10, tally
+
+    def test_outcomes_do_not_depend_on_the_memo(self):
+        cases = _seeded_audits(random.Random(3301), 300)
+        cold = []
+        for case in cases:
+            axioms._TABLES.clear()
+            cold.append(_outcome(audit_swf, *case))
+        axioms._TABLES.clear()
+        warm = [_outcome(audit_swf, *case) for case in cases]
+        backwards = [_outcome(audit_swf, *case) for case in reversed(cases)][::-1]
+        assert warm == cold
+        assert backwards == cold
+        kinds = [
+            "witness" if isinstance(o, dict) else "error" if o else "none" for o in cold
+        ]
+        assert min(kinds.count(k) for k in ("witness", "error", "none")) > 10, kinds
+        assert axioms._TABLES
+        for table in axioms._TABLES.values():
+            with pytest.raises(ValueError):
+                table[...] = 0
+
+    def test_memo_retains_a_bounded_set_of_small_tables(self):
+        axioms._TABLES.clear()
+        crowd = SearchBounds(levels=range(1, 13), max_count=40, very_low=11, budget=10**7)
+        stream = self._streams(axioms.AXIOMS[AxiomId.AVOID_REPUGNANT], crowd)["crowd"]
+        assert stream.size == 88_440
+        rows = stream.build()
+        assert rows.shape == (88_440, 12) and rows.flags.writeable
+        assert audit_swf(AverageWelfare(), AxiomId.AVOID_REPUGNANT, crowd) is None
+        assert all(table.size <= axioms._BLOCK for table in axioms._TABLES.values())
+        shapes = 0
+        for n in range(1, 9):
+            for max_count in range(1, 11):
+                bounds = SearchBounds(levels=range(1, n + 1), max_count=max_count, max_groups=1)
+                assert audit_swf(TotalWelfare(), AxiomId.DOMINANCE, bounds) is None
+                shapes += 1
+        assert shapes > axioms._TABLE_LIMIT
+        assert len(axioms._TABLES) == axioms._TABLE_LIMIT
+        assert all(table.size <= axioms._BLOCK for table in axioms._TABLES.values())
