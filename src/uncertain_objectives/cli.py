@@ -48,6 +48,7 @@ from .rationals import format_rational
 from .scenario import (
     MATRIX_SCHEMA,
     SCENARIO_SCHEMA,
+    dump_json,
     load_json,
     parse_matrix,
     parse_population,
@@ -478,7 +479,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(dump_json(report))
     else:
         print("\n".join(_text_lines(report)))
     if flagged and args.strict:

@@ -43,6 +43,10 @@ def _expect(cond: bool, path: str, message: str):
         raise SchemaError(path, message)
 
 
+# Built once: ``json.loads`` with ``parse_float`` builds a decoder per call.
+_DECODER = json.JSONDecoder(parse_float=as_rational)
+
+
 def load_json(data, path: str = "$"):
     """A JSON document from text or UTF-8 bytes.  A number literal with a
     fraction or an exponent becomes the exact ``Fraction`` its text names,
@@ -51,13 +55,102 @@ def load_json(data, path: str = "$"):
     and nesting too deep to decode raise ``SchemaError``."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
-        return json.loads(text, parse_float=as_rational)
+        return _DECODER.decode(text)
     except UnicodeDecodeError as exc:  # a ValueError too, so caught first
         raise SchemaError(path, f"not UTF-8 text: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer too long
         raise SchemaError(path, f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(path, "JSON nested too deeply to decode") from exc
+
+
+_escape = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    """A non-str key's text, converted as ``json`` converts it."""
+    if k is None or isinstance(k, (int, float)):
+        text: list[str] = []
+        _write(k, text, "", _not_serializable)
+        return text[0]
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _not_serializable(o):
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def dump_json(obj, default=None) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, default=default)``,
+    byte for byte.  Before Python 3.13 ``json`` indents only in its
+    generator-based pure-Python encoder; this writer appends to one list and
+    escapes strings with the same C escaper, about twice as fast.  Tuples
+    are lists, non-str keys convert as ``json`` converts them, and
+    ``default`` maps any other value to one it can write.  Unlike
+    ``json.dumps`` it does not look for reference cycles: a cyclic value
+    raises ``RecursionError``."""
+    out: list[str] = []
+    _write(obj, out, "\n", _not_serializable if default is None else default)
+    return "".join(out)
+
+
+def _write(obj, out: list, newline: str, default) -> None:
+    """Append ``obj``'s text to ``out``; ``newline`` starts each line of its
+    level.  String items are written inline, the most common leaf."""
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        out.append("[" + inner)
+        for v in obj:
+            if isinstance(v, str):
+                out.append(_escape(v))
+            else:
+                _write(v, out, inner, default)
+            out.append(comma)
+        out[-1] = newline + "]"  # the last item's comma
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        out.append("{" + inner)
+        for k, v in sorted(obj.items()):
+            out.append(_escape(k if isinstance(k, str) else _key(k)) + ": ")
+            if isinstance(v, str):
+                out.append(_escape(v))
+            else:
+                _write(v, out, inner, default)
+            out.append(comma)
+        out[-1] = newline + "}"
+    else:
+        _write(default(obj), out, newline, default)
 
 
 def _checked(path: str, make, *args, **kwargs):
@@ -139,7 +232,7 @@ class Scenario:
 
 
 def serialize_scenario(s: Scenario) -> str:
-    return json.dumps(s.to_json(), sort_keys=True, indent=2, default=format_rational) + "\n"
+    return dump_json(s.to_json(), format_rational) + "\n"
 
 
 def _parse_count(value, path: str) -> int:

@@ -41,6 +41,7 @@ from uncertain_objectives.errors import (
 )
 from uncertain_objectives.populations import EMPTY_POPULATION, Population
 from uncertain_objectives.rationals import as_rational, format_rational
+from uncertain_objectives.scenario import dump_json
 
 from conftest import DIGIT_LIMIT, SCENARIOS, needs_digit_limit
 
@@ -268,6 +269,45 @@ class TestRoundTrip:
         s1 = parse_scenario((SCENARIOS / "three_cycle.json").read_text())
         s2 = parse_scenario(serialize_scenario(s1))
         assert s1.digest() == s2.digest()
+
+
+# Strings that need escaping: quotes, backslashes, control, non-ASCII and
+# astral characters, and lone surrogates.
+_JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\u2028é\U0001d11e\ud800'),
+        st.characters(exclude_categories=()),
+    )
+)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+    st.fractions(),
+    _JSON_TEXT,
+)
+# The keys of one dict are of one kind, so sort_keys can compare them.
+_JSON_KEYS = st.sampled_from(
+    [_JSON_TEXT, st.one_of(st.integers(), st.booleans(), st.floats()), st.none()]
+)
+
+
+def _json_trees(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        _JSON_KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.recursive(_JSON_LEAVES, _json_trees, max_leaves=40))
+def test_dump_json_writes_what_json_dumps_writes(tree):
+    expected = json.dumps(tree, sort_keys=True, indent=2, default=format_rational)
+    assert dump_json(tree, format_rational) == expected
 
 
 # One valid structured constraint per axiom: its worlds, its document body

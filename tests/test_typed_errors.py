@@ -22,17 +22,49 @@ def test_no_bare_value_or_runtime_errors_in_src():
     assert bare == []
 
 
-def json_decodes(tree):
-    """Line numbers of the json.load / json.loads calls under ``tree``, and
-    of imports that would call them by another name."""
+SOURCES = sorted(Path(uncertain_objectives.__file__).parent.glob("*.py"))
+
+
+def _name(node):
+    """The last name of a ``Name`` or dotted ``Attribute``, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _constructs_decoder(node):
+    return isinstance(node, ast.Call) and _name(node.func) == "JSONDecoder"
+
+
+def decoder_names(trees):
+    """Names and attributes bound to a ``JSONDecoder`` anywhere in ``trees``."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and _constructs_decoder(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {_name(t) for t in targets}
+    names.discard(None)
+    return names
+
+
+def json_decodes(tree, decoders):
+    """Line numbers of the JSON decoding calls under ``tree``: ``json.load``
+    and ``json.loads``, and ``decode`` or ``raw_decode`` on a ``JSONDecoder``
+    built in place or bound to one of ``decoders``; and of imports that
+    would reach them by another name."""
     lines = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            owner = node.func.value
-            if isinstance(owner, ast.Name) and owner.id == "json" and node.func.attr in ("load", "loads"):
+            owner, attr = node.func.value, node.func.attr
+            if _name(owner) == "json" and attr in ("load", "loads"):
                 lines.add(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and node.module == "json":
-            if any(alias.name in ("load", "loads") for alias in node.names):
+            elif attr in ("decode", "raw_decode") and (
+                _constructs_decoder(owner) or _name(owner) in decoders
+            ):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("json", "json.decoder"):
+            if any(alias.name in ("load", "loads", "JSONDecoder") for alias in node.names):
                 lines.add(node.lineno)
     return lines
 
@@ -40,15 +72,33 @@ def json_decodes(tree):
 def test_json_is_decoded_only_by_load_json():
     # scenario.load_json maps every decoding failure to SchemaError, so every
     # outside document is decoded there.
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    decoders = decoder_names(trees.values())
     decodes, guarded = set(), set()
-    for path in sorted(Path(uncertain_objectives.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        decodes |= {(path.name, line) for line in json_decodes(tree)}
+    for name, tree in trees.items():
+        decodes |= {(name, line) for line in json_decodes(tree, decoders)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("scenario.py", "load_json"):
-                guarded |= {(path.name, line) for line in json_decodes(node)}
+            if isinstance(node, ast.FunctionDef) and (name, node.name) == ("scenario.py", "load_json"):
+                guarded |= {(name, line) for line in json_decodes(node, decoders)}
     assert guarded
     assert decodes == guarded
+
+
+def test_json_is_indented_only_by_dump_json():
+    # scenario.dump_json writes what json.dumps(..., indent=...) writes,
+    # without the stdlib's pure-Python indenting encoder.
+    indented = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and _name(node.func.value) == "json"
+                and node.func.attr in ("dump", "dumps")
+                and any(kw.arg == "indent" for kw in node.keywords)
+            ):
+                indented.append(f"{path.name}:{node.lineno}")
+    assert indented == []
 
 
 def test_typed_errors_keep_their_builtin_bases():
