@@ -13,12 +13,20 @@ of any removed edge.  For every graph containing a cycle the minimum valid
 pattern size is 2, never 1: dropping a single cycle edge leaves the rest of
 the cycle forcing a comparison between its endpoints, which contradicts their
 required incomparability.
+
+Every cycle, and every path between two worlds of one strongly connected
+component, stays inside that component.  So a pattern is valid exactly when
+its part in each cyclic component is valid for that component's own edges,
+and a minimal pattern removes no edge between components: the pattern
+search takes each cyclic component on its own, the minimum sizes add, and
+the minimal patterns are the unions of one minimal pattern per component.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, InvalidPatternError, InvalidValueError, WorldLimitError
 from .ordering import Verdict
@@ -348,9 +356,21 @@ def pattern_is_valid(g: ConstraintGraph, pattern: UncertaintyPattern) -> bool:
     return _kept_closure(g, pattern) is not None
 
 
-# The largest cyclic graph the pattern search takes.  Its Python-int
-# closures have no width limit; this is the supported size.
+# The largest cyclic graph the pattern search takes, counted over the whole
+# graph.  Its Python-int closures have no width limit; this is the
+# supported size.
 MAX_PATTERN_WORLDS = 62
+
+
+class _Component(NamedTuple):
+    """Where one run of the witness search starts: the bitmask ``inside`` of
+    the worlds it searches (-1 for every world), the bit-rows and closure of
+    its edges with none removed, and its edge count."""
+
+    inside: int
+    rows: list[int]
+    reach: list[int]
+    n_edges: int
 
 
 class _WitnessSearch:
@@ -364,15 +384,62 @@ class _WitnessSearch:
     edges 1..i-1 of the witness for its whole subtree, so each set is visited
     at most once and every inclusion-minimal valid set within the bound is
     still reached.
+
+    Every cycle, and every path between two worlds of one strongly connected
+    component, stays inside that component, so no witness holds an edge
+    between components or an edge of another component.  A graph with one
+    cyclic component is searched whole; one with several is searched one
+    component at a time, over the component's internal edges, under the
+    graph's edge indices.  ``checked`` counts the sets checked over every
+    run, so the runs share one budget.
     """
 
     def __init__(self, g: ConstraintGraph):
+        """The search's root, from the closure of every edge: no
+        ``components`` for an acyclic graph, and ``WorldLimitError`` for a
+        cyclic one of more than ``MAX_PATTERN_WORLDS`` worlds, both before
+        any set is checked."""
         idx = {w: i for i, w in enumerate(g.worlds)}
         self.ends = [(idx[e.worse], idx[e.better]) for e in g.edges]
         self.out: list[list[int]] = [[] for _ in g.worlds]
-        for i, (u, _) in enumerate(self.ends):
+        rows = [0] * len(g.worlds)
+        for i, (u, v) in enumerate(self.ends):
             self.out[u].append(i)
-        self.rows = g.bit_rows()
+            rows[u] |= 1 << v
+        self.checked = 0
+        self.components: list[_Component] = []
+        reach = _closure_bits(rows)
+        cyclic = 0
+        for w, row in enumerate(reach):
+            if row >> w & 1:
+                cyclic |= 1 << w
+        if not cyclic:
+            return
+        if len(rows) > MAX_PATTERN_WORLDS:
+            raise WorldLimitError(len(rows), MAX_PATTERN_WORLDS)
+        # A cyclic world's component: the worlds it reaches that reach it.
+        masks = []
+        while cyclic:
+            w = (cyclic & -cyclic).bit_length() - 1
+            mask, m = 0, reach[w] & cyclic
+            while m:
+                low = m & -m
+                m ^= low
+                if reach[low.bit_length() - 1] >> w & 1:
+                    mask |= low
+            masks.append(mask)
+            cyclic ^= mask
+        if len(masks) == 1:
+            self.components.append(_Component(-1, rows, reach, len(g.edges)))
+            return
+        for mask in masks:
+            inside = [mask if mask >> w & 1 else 0 for w in range(len(rows))]
+            self.components.append(_Component(
+                mask,
+                [row & m for row, m in zip(rows, inside)],
+                [row & m for row, m in zip(reach, inside)],
+                sum(mask >> u & mask >> v & 1 for u, v in self.ends),
+            ))
 
     def _row(self, u: int, removed: int) -> int:
         # A bit-row ORs the kept out-edges, so a parallel edge keeps its bit
@@ -434,21 +501,20 @@ class _WitnessSearch:
         path.reverse()
         return path
 
-    def run(self, bound: int, budget: int, shrink: bool) -> list[int]:
-        """Valid removed sets (as edge bitmasks) of fewer than ``bound`` edges.
+    def run(self, part: _Component, bound: int, budget: int, shrink: bool) -> list[int]:
+        """Valid removed sets (as edge bitmasks) of fewer than ``bound`` of
+        ``part``'s edges.
 
         With ``shrink`` the bound falls to each valid set's size as it is
         found (branch and bound for the minimum).  A valid set is recorded
-        and not extended.  At the root an acyclic graph gives ``[0]`` and a
-        cyclic one of more than ``MAX_PATTERN_WORLDS`` worlds raises
-        ``WorldLimitError``, both before the budget counts a check; more than
-        ``budget`` checked sets raise ``BudgetExceededError``.
+        and not extended.  Once ``checked`` passes ``budget`` the search
+        raises ``BudgetExceededError``.
         """
         found: list[int] = []
-        checked = 0
+        inside, rows, reach, _ = part
         # (removed, banned, parent's rows, last removed edge or -1); the
         # removed and banned edge sets are bitmasks over edge indices.
-        stack = [(0, 0, self.rows, -1)]
+        stack = [(0, 0, rows, -1)]
         while stack:
             removed, banned, rows, edge = stack.pop()
             size = removed.bit_count()
@@ -457,15 +523,11 @@ class _WitnessSearch:
             if edge >= 0:
                 u = self.ends[edge][0]
                 rows = rows.copy()
-                rows[u] = self._row(u, removed)
-            targets = _invalidity_targets(_closure_bits(rows), self.ends, removed)
-            if edge < 0:
-                if not targets:
-                    return [0]
-                if len(rows) > MAX_PATTERN_WORLDS:
-                    raise WorldLimitError(len(rows), MAX_PATTERN_WORLDS)
-            checked += 1
-            if checked > budget:
+                rows[u] = self._row(u, removed) & inside
+                reach = _closure_bits(rows)
+            targets = _invalidity_targets(reach, self.ends, removed)
+            self.checked += 1
+            if self.checked > budget:
                 raise BudgetExceededError(
                     f"pattern search checked more than {budget} candidate sets; "
                     + ("raise the budget" if shrink else "lower max_size or raise the budget")
@@ -490,6 +552,10 @@ def _edge_indices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _pattern_order(mask: int) -> tuple:
+    return mask.bit_count(), _edge_indices(mask)
+
+
 def valid_uncertainty_patterns(
     g: ConstraintGraph, max_size: int | None = None, budget: int = 1_000_000
 ) -> list[UncertaintyPattern]:
@@ -503,41 +569,78 @@ def valid_uncertainty_patterns(
 
     The search branches on witnesses (see ``_WitnessSearch``) and records
     each valid set it meets; sets containing an earlier one in that order are
-    dropped as non-minimal.  ``budget`` bounds the candidate sets whose
-    validity the search checks.  Each is a distinct edge subset of size <=
-    max_size, so a budget of sum(C(E, s) for s <= max_size) is never
-    exceeded; more checks raise ``BudgetExceededError``.
+    dropped as non-minimal.  A pattern is valid exactly when its part in
+    each cyclic strongly connected component is valid there, and a minimal
+    one removes no edge between components.  So with k >= 2 components each
+    is searched for its minimal sets of size <= max_size - 2(k - 1), since
+    every other component loses at least 2 edges, and the minimal patterns
+    are the unions of one set per component of total size <= max_size.
+    Once a component has none, or max_size < 2(k - 1), the answer is empty.
+
+    ``budget`` bounds the candidate sets whose validity the search checks,
+    over all components.  Each is an edge subset of size <= max_size within
+    one component, distinct apart from the empty set at each component's
+    root; those k - 1 repeats are fewer than the two-edge subsets spanning
+    two components, which no search checks.  So a budget of sum(C(E, s)
+    for s <= max_size) is never exceeded; more checks raise
+    ``BudgetExceededError``.
     """
     if max_size is None:
         max_size = len(g.edges)
     elif max_size < 0:
         raise InvalidValueError(f"max_size must be at least 0, got {max_size}")
-    found = _WitnessSearch(g).run(max_size + 1, budget, shrink=False)
-    found.sort(key=lambda mask: (mask.bit_count(), _edge_indices(mask)))
-    minimal: list[int] = []
-    for mask in found:
-        if not any(f & mask == f for f in minimal):
-            minimal.append(mask)
-    return [UncertaintyPattern(_edge_indices(mask)) for mask in minimal]
+    search = _WitnessSearch(g)
+    if not search.components:
+        return [UncertaintyPattern(())]
+    cap = max_size - 2 * (len(search.components) - 1)
+    if cap < 0:
+        return []
+    per_component = []
+    for part in search.components:
+        found = search.run(part, cap + 1, budget, shrink=False)
+        found.sort(key=_pattern_order)
+        minimal: list[int] = []
+        for mask in found:
+            if not any(f & mask == f for f in minimal):
+                minimal.append(mask)
+        if not minimal:
+            return []
+        per_component.append(minimal)
+    k = len(per_component)
+    masks = per_component[0]
+    for j, minimal in enumerate(per_component[1:], 2):
+        # The k - j components still to come add at least 2 edges each.
+        room = max_size - 2 * (k - j)
+        masks = [a | b for a in masks for b in minimal if (a | b).bit_count() <= room]
+    if k > 1:
+        masks.sort(key=_pattern_order)
+    return [UncertaintyPattern(_edge_indices(mask)) for mask in masks]
 
 
 def min_uncertainty_size(g: ConstraintGraph, budget: int = 1_000_000) -> int:
     """Size of the smallest valid uncertainty pattern.
 
     0 exactly when the graph is acyclic, returned at the search's root at any
-    size and budget; at least 2 whenever it has a cycle.  Cyclic graphs with
-    more than ``MAX_PATTERN_WORLDS`` worlds raise ``WorldLimitError`` there.
+    size and budget; at least 2 for each cyclic strongly connected
+    component, and the sum of the components' minima, which are searched one
+    at a time (see ``valid_uncertainty_patterns``).  Cyclic graphs with more
+    than ``MAX_PATTERN_WORLDS`` worlds raise ``WorldLimitError`` at the root.
 
     The witness search runs as branch and bound: the best size starts at the
-    edge count, since removing every edge is always valid, and a set is
+    edge count of the graph, or of the component when there are several,
+    since removing every one of those edges is always valid, and a set is
     extended only while one more edge stays below the best size found.
-    ``budget`` bounds the candidate sets checked; sets larger than the
-    minimum may be checked before the best size falls, so unlike
-    ``valid_uncertainty_patterns`` no subset count bounds the checks.  More
-    than ``budget`` checks raise ``BudgetExceededError``.
+    ``budget`` bounds the candidate sets checked over all components; sets
+    larger than the minimum may be checked before the best size falls, so
+    unlike ``valid_uncertainty_patterns`` no subset count bounds the checks.
+    More than ``budget`` checks raise ``BudgetExceededError``.
     """
-    found = _WitnessSearch(g).run(len(g.edges), budget, shrink=True)
-    return min((mask.bit_count() for mask in found), default=len(g.edges))
+    search = _WitnessSearch(g)
+    total = 0
+    for part in search.components:
+        found = search.run(part, part.n_edges, budget, shrink=True)
+        total += min((mask.bit_count() for mask in found), default=part.n_edges)
+    return total
 
 
 def partial_order_from(g: ConstraintGraph, pattern: UncertaintyPattern) -> PartialOrder:

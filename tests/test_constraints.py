@@ -94,6 +94,56 @@ def tournament(n: int) -> ConstraintGraph:
     return ConstraintGraph.from_edges([(u, v, f"C{k + 1}") for k, (u, v) in enumerate(pairs)])
 
 
+def blocks_graph(rng: random.Random, block_sizes, n_forward: int) -> ConstraintGraph:
+    """Blocks of worlds in a hidden order: each block of 2 or more worlds is
+    a directed cycle (a block of 2 is a pair of antiparallel edges), and
+    ``n_forward`` edges point from earlier blocks to later ones, so every
+    such block is its own cyclic strongly connected component.  A block of
+    3 or more may also get a chord, and a block of 2 or more a parallel copy
+    of one of its edges."""
+    names = [f"v{i}" for i in range(sum(block_sizes))]
+    rng.shuffle(names)
+    blocks, pos = [], 0
+    for size in block_sizes:
+        blocks.append(names[pos : pos + size])
+        pos += size
+    pairs = []
+    for b in blocks:
+        if len(b) < 2:
+            continue
+        ring = [(b[i], b[(i + 1) % len(b)]) for i in range(len(b))]
+        if len(b) >= 3 and rng.random() < 0.5:
+            ring.append((b[0], b[2]))
+        if rng.random() < 0.5:
+            ring.append(rng.choice(ring))
+        pairs += ring
+    forward = [
+        (u, v) for i, j in itertools.combinations(range(len(blocks)), 2)
+        for u in blocks[i] for v in blocks[j]
+    ]
+    pairs += rng.sample(forward, min(n_forward, len(forward)))
+    rng.shuffle(pairs)
+    return ConstraintGraph.from_edges(
+        [(u, v, f"E{i}") for i, (u, v) in enumerate(pairs)], worlds=tuple(sorted(names))
+    )
+
+
+# A 3-cycle and a 4-cycle, joined by two forward edges.
+TWO_COMPONENTS = ConstraintGraph.from_edges(
+    [
+        ("a", "b", "C1"), ("b", "c", "C2"), ("c", "a", "C3"),
+        ("x", "y", "D1"), ("y", "z", "D2"), ("z", "w", "D3"), ("w", "x", "D4"),
+        ("a", "x", "F1"), ("c", "z", "F2"),
+    ]
+)
+# Two 3-cycles joined by a forward edge, a 2-cycle of antiparallel edges,
+# and three forward edges into a single world, in mixed order.
+THREE_COMPONENTS = ConstraintGraph.from_edges(
+    [
+        ("v7", "v2"), ("v1", "v5"), ("v6", "v1"), ("v8", "v0"), ("v5", "v6"), ("v4", "v7"),
+        ("v1", "v2"), ("v1", "v3"), ("v4", "v3"), ("v2", "v4"), ("v6", "v3"), ("v0", "v8"),
+    ]
+)
 THREE_CYCLE = cycle_graph(3)
 CHAIN = ConstraintGraph.from_edges([("w1", "w2", "C1"), ("w2", "w3", "C2")])
 
@@ -383,9 +433,14 @@ class TestPatterns:
             (build_cycle(second_theorem_cycle()), 4, 11),
             (build_cycle(second_theorem_cycle()), None, 6),
             (tournament(8), None, 2286),
+            (TWO_COMPONENTS, 4, 18),
+            (TWO_COMPONENTS, None, 11),
+            (THREE_COMPONENTS, 6, 18),
+            (THREE_COMPONENTS, None, 13),
         ],
         ids=["cycle8-patterns", "cycle8-min", "second-theorem-patterns",
-             "second-theorem-min", "tournament8-min"],
+             "second-theorem-min", "tournament8-min", "two-components-patterns",
+             "two-components-min", "three-components-patterns", "three-components-min"],
     )
     def test_smallest_sufficient_budget(self, graph, max_size, budget):
         # Each search checks exactly this many sets, so it finishes under
@@ -398,6 +453,28 @@ class TestPatterns:
         search(budget)
         with pytest.raises(BudgetExceededError):
             search(budget - 1)
+
+    def test_components_that_cannot_all_lose_two_edges_check_nothing(self):
+        # Three cyclic components need at least 6 edges; below 2 * (3 - 1)
+        # the answer is empty before any set is checked.
+        assert valid_uncertainty_patterns(THREE_COMPONENTS, 3, budget=0) == []
+        with pytest.raises(BudgetExceededError):
+            valid_uncertainty_patterns(THREE_COMPONENTS, 4, budget=0)
+        assert min_uncertainty_size(THREE_COMPONENTS) == 6
+
+    def test_several_components_match_reference(self):
+        # Disjoint cycles joined by forward edges, 2-cycles of antiparallel
+        # edges, and chords and parallel edges inside components, against
+        # the full reference at every cap.
+        rng = random.Random(3511)
+        layouts = [[3, 3], [2, 2, 1], [2, 3, 1], [4, 2], [2, 2, 2], [3, 1, 3], [2, 4, 1]]
+        for layout in layouts * 4:
+            g = blocks_graph(rng, layout, rng.randint(0, 4))
+            expected = reference_minimal_patterns(g)
+            for cap in range(len(g.edges) + 1):
+                got = valid_uncertainty_patterns(g, cap)
+                assert got == [p for p in expected if len(p) <= cap]
+            assert min_uncertainty_size(g) == len(expected[0])
 
     def test_tournament8_minimum(self):
         assert min_uncertainty_size(tournament(8)) == 13
