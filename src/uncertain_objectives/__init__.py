@@ -31,7 +31,7 @@ _EXPORTS = {
     "constraints": (
         "ConstraintGraph Edge ImpossibilityCertificate PartialOrder UncertaintyPattern "
         "find_cycle min_uncertainty_size partial_order_from pattern_is_valid "
-        "valid_uncertainty_patterns validate_partial_order"
+        "shortest_cycle valid_uncertainty_patterns validate_partial_order"
     ),
     "decisions": (
         "DecisionOutcome OutcomeKind PartialPolicy RuleConfig decide_margin decide_partial "

@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``analyze``   - cycles, minimal uncertainty patterns, induced partial order
-* ``bound``     - minimax constraint-violation bound for an n-cycle
+* ``bound``     - minimax constraint-violation bound for an n-cycle, or for a
+                  scenario's shortest cycle
 * ``coherence`` - chained path bounds over a belief matrix, optional exact
                   polytope feasibility
 * ``decide``    - margin / quantilized / partial-order decision rules
@@ -34,7 +35,13 @@ from .beliefs import (
     minimax_cycle_bound,
     violation_probabilities,
 )
-from .constraints import find_cycle, partial_order_from, valid_uncertainty_patterns
+from .constraints import (
+    find_cycle,
+    min_uncertainty_size,
+    partial_order_from,
+    shortest_cycle,
+    valid_uncertainty_patterns,
+)
 from .decisions import (
     PartialPolicy,
     RuleConfig,
@@ -87,7 +94,9 @@ def _cmd_analyze(args) -> tuple[dict, bool]:
     graph = scenario.graph()
     certificate = find_cycle(graph)
     patterns = valid_uncertainty_patterns(graph, args.max_pattern_size, budget=args.budget)
-    min_size = min((len(p) for p in patterns), default=None)
+    # Every minimal pattern up to the cap is listed, so the first is the
+    # smallest unless the cap lies below the minimum.
+    min_size = len(patterns[0]) if patterns else min_uncertainty_size(graph, budget=args.budget)
     partial = None
     if patterns:
         po = partial_order_from(graph, patterns[0])
@@ -139,7 +148,7 @@ def _cmd_bound(args) -> tuple[dict, bool]:
         if not args.scenario:
             raise UncertainObjectivesError("bound needs --n or a scenario with a cycle")
         scenario = _load_scenario(args.scenario)
-        certificate = find_cycle(scenario.graph())
+        certificate = shortest_cycle(scenario.graph())
         if certificate is None:
             raise UncertainObjectivesError("scenario graph is acyclic; nothing to bound")
         n, digest = len(certificate), scenario.digest()

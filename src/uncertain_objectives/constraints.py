@@ -20,6 +20,10 @@ its part in each cyclic component is valid for that component's own edges,
 and a minimal pattern removes no edge between components: the pattern
 search takes each cyclic component on its own, the minimum sizes add, and
 the minimal patterns are the unions of one minimal pattern per component.
+
+Every graph walk here (``find_cycle``, ``shortest_cycle``, the pattern
+search's witnesses) reads one edge index built with the graph, and runs one
+breadth-first search over Python-int bit-rows, ``_bfs``.
 """
 
 from __future__ import annotations
@@ -43,20 +47,29 @@ class Edge:
 
 @dataclass(frozen=True)
 class ConstraintGraph:
+    """Worlds and edges, indexed once for every graph walker: each edge's
+    (worse, better) world indices ``ends``, each world's out-edges ``out``."""
+
     worlds: tuple[str, ...]
     edges: tuple[Edge, ...]
+    ends: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    out: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for w in self.worlds:
-            if w in seen:
+        idx: dict[str, int] = {}
+        for i, w in enumerate(self.worlds):
+            if idx.setdefault(w, i) != i:
                 raise InvalidValueError(f"duplicate world id {w!r}")
-            seen.add(w)
-        for e in self.edges:
+        ends, out = [], [[] for _ in self.worlds]
+        for i, e in enumerate(self.edges):
             if e.worse == e.better:
                 raise InvalidValueError(f"self-loop on {e.worse!r} (edge {e.label!r})")
-            if e.worse not in seen or e.better not in seen:
+            if e.worse not in idx or e.better not in idx:
                 raise InvalidValueError(f"edge {e.label!r} references undeclared world")
+            ends.append((idx[e.worse], idx[e.better]))
+            out[ends[-1][0]].append(i)
+        object.__setattr__(self, "ends", tuple(ends))
+        object.__setattr__(self, "out", tuple(map(tuple, out)))
 
     @classmethod
     def from_edges(cls, edges, worlds=None) -> "ConstraintGraph":
@@ -70,11 +83,10 @@ class ConstraintGraph:
 
     def bit_rows(self, skip: frozenset[int] = frozenset()) -> list[int]:
         """Adjacency as per-node successor bitmasks, omitting ``skip`` edges."""
-        idx = {w: i for i, w in enumerate(self.worlds)}
         rows = [0] * len(self.worlds)
-        for i, e in enumerate(self.edges):
+        for i, (u, v) in enumerate(self.ends):
             if i not in skip:
-                rows[idx[e.worse]] |= 1 << idx[e.better]
+                rows[u] |= 1 << v
         return rows
 
     def labels(self, indices) -> tuple[str, ...]:
@@ -93,6 +105,59 @@ def _closure_bits(rows: list[int]) -> list[int]:
                 if r & bit:
                     reach[i] = r | row
     return reach
+
+
+def _out_row(g: ConstraintGraph, u: int, removed: int) -> int:
+    """The bit-row of world u's kept out-edges: those not in the edge bitmask
+    ``removed``.  A parallel edge keeps its bit while one copy is kept."""
+    row = 0
+    for i in g.out[u]:
+        if not removed >> i & 1:
+            row |= 1 << g.ends[i][1]
+    return row
+
+
+def _bfs(rows: list[int], source: int, targets: int, limit: int, blocked: int = 0):
+    """Breadth-first layers over bit-rows from world ``source``, through
+    worlds not in the bitmask ``blocked``, up to the first step into
+    ``targets``: (layers, hit), ``hit`` being the targets that step reaches.
+    None when the frontier empties or no path of ``limit`` edges hits."""
+    layers = [1 << source]
+    seen = 1 << source | blocked
+    while len(layers) <= limit:
+        reached = 0
+        m = layers[-1]
+        while m:
+            low = m & -m
+            m ^= low
+            reached |= rows[low.bit_length() - 1]
+        hit = reached & targets
+        if hit:
+            return layers, hit
+        frontier = reached & ~seen
+        if not frontier:
+            return None
+        seen |= frontier
+        layers.append(frontier)
+    return None
+
+
+def _walk_back(g: ConstraintGraph, rows: list[int], removed: int, layers, hit) -> list[int]:
+    """Edge indices of the path ``_bfs`` found on the ``rows`` of the edges
+    not in ``removed``: back from the lowest world of ``hit``, the lowest
+    world of each layer with a row into the next, by its smallest-index edge."""
+    path = []
+    x = (hit & -hit).bit_length() - 1
+    for layer in reversed(layers):
+        while True:
+            low = layer & -layer
+            layer ^= low
+            w = low.bit_length() - 1
+            if rows[w] >> x & 1:
+                break
+        path.append(next(i for i in g.out[w] if g.ends[i][1] == x and not removed >> i & 1))
+        x = w
+    return path[::-1]
 
 
 @dataclass(frozen=True)
@@ -134,43 +199,46 @@ def find_cycle(g: ConstraintGraph) -> ImpossibilityCertificate | None:
     None implies the graph is acyclic and therefore admits a consistent
     total order.
     """
-    out: dict[str, list[int]] = {w: [] for w in g.worlds}
-    for i, e in enumerate(g.edges):
-        out[e.worse].append(i)
-
-    def reaches(world, target, start, on_path) -> bool:
-        # Edges after ``start`` lead from ``world`` to ``target`` through
-        # worlds off the path.
-        seen, todo = on_path | {world}, [world]
-        while todo:
-            for i in out[todo.pop()]:
-                if i <= start:
-                    continue
-                w = g.edges[i].better
-                if w == target:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return False
-
-    for start, first in enumerate(g.edges):
-        target, head = first.worse, first.better
-        path, on_path = [start], {target, head}
-        if not reaches(head, target, start, on_path):
+    # ``rows`` hold the edges after ``start``: each step drops edge ``start``
+    # from its worse world's row.
+    rows, ends, out = g.bit_rows(), g.ends, g.out
+    n = len(rows)
+    for start, (target, head) in enumerate(ends):
+        rows[target] = _out_row(g, target, (2 << start) - 1)
+        if not _bfs(rows, head, 1 << target, n):
             continue
+        path, on_path = [start], 1 << target | 1 << head
         while head != target:
             usable = [i for i in out[head] if i > start
-                      and (g.edges[i].better == target or g.edges[i].better not in on_path)]
+                      and (ends[i][1] == target or not on_path >> ends[i][1] & 1)]
             # The head is known to close the cycle, so the last usable edge
             # needs no test.
-            step = next((i for i in usable[:-1] if g.edges[i].better == target
-                         or reaches(g.edges[i].better, target, start, on_path)), usable[-1])
+            step = next((i for i in usable[:-1] if ends[i][1] == target
+                         or _bfs(rows, ends[i][1], 1 << target, n, on_path)), usable[-1])
             path.append(step)
-            head = g.edges[step].better
-            on_path.add(head)
+            head = ends[step][1]
+            on_path |= 1 << head
         return ImpossibilityCertificate(tuple(g.edges[j] for j in path))
     return None
+
+
+def shortest_cycle(g: ConstraintGraph) -> ImpossibilityCertificate | None:
+    """A shortest simple directed cycle, or None when the graph is acyclic.
+
+    For each edge u -> v in index order, a breadth-first search from v gives
+    a shortest path back to u; the cycle is kept only when it is strictly
+    shorter than the best so far.  So the kept cycle's first edge is its
+    smallest index: an earlier edge on it would have given a cycle at least
+    as short.  O(E (n + E)) bit-row operations.
+    """
+    rows = g.bit_rows()
+    best = None
+    for i, (u, v) in enumerate(g.ends):
+        # Once a 2-cycle is found the limit is 0, and each search ends at once.
+        found = _bfs(rows, v, 1 << u, len(best) - 2 if best else len(rows))
+        if found:
+            best = [i, *_walk_back(g, rows, 0, *found)]
+    return None if best is None else ImpossibilityCertificate(tuple(g.edges[j] for j in best))
 
 
 # ---------------------------------------------------------------------------
@@ -218,27 +286,22 @@ class PartialOrder:
         """Build a table from a {(a, b): Verdict} mapping.
 
         The diagonal is EQUAL; a missing converse entry is mirrored from the
-        given one; pairs mentioned in neither direction are INCOMPARABLE.
-        Explicitly supplied entries are kept verbatim, so deliberately
-        inconsistent tables can be built for validation tests.
+        given one; pairs mentioned in neither direction are INCOMPARABLE; a
+        pair naming a world outside ``worlds`` raises ``InvalidValueError``.
+        Given entries are kept verbatim, so inconsistent tables can be built.
         """
         worlds = tuple(worlds)
-        idx = {w: i for i, w in enumerate(worlds)}
-        n = len(worlds)
-        grid = [[None] * n for _ in range(n)]
-        for i in range(n):
-            grid[i][i] = Verdict.EQUAL
-        for (a, b), v in pairs.items():
-            grid[idx[a]][idx[b]] = v
-        for (a, b), v in pairs.items():
-            i, j = idx[a], idx[b]
-            if grid[j][i] is None:
-                grid[j][i] = v.flipped()
-        for i in range(n):
-            for j in range(n):
-                if grid[i][j] is None:
-                    grid[i][j] = Verdict.INCOMPARABLE
-        return cls(worlds, tuple(tuple(row) for row in grid))
+        if not {w for pair in pairs for w in pair} <= set(worlds):
+            raise InvalidValueError("pairs name a world outside the world set")
+
+        def verdict(a, b):
+            if (a, b) in pairs:
+                return pairs[a, b]
+            if a == b:
+                return Verdict.EQUAL
+            return pairs[b, a].flipped() if (b, a) in pairs else Verdict.INCOMPARABLE
+
+        return cls(worlds, tuple(tuple(verdict(a, b) for b in worlds) for a in worlds))
 
     @classmethod
     def from_ranking(cls, ranking) -> "PartialOrder":
@@ -345,10 +408,7 @@ def _kept_closure(g: ConstraintGraph, pattern: UncertaintyPattern) -> list[int] 
     if any(i < 0 or i >= len(g.edges) for i in skip):
         raise InvalidValueError("pattern references edges outside the graph")
     reach = _closure_bits(g.bit_rows(skip))
-    idx = {w: i for i, w in enumerate(g.worlds)}
-    ends = [(idx[e.worse], idx[e.better]) for e in g.edges]
-    removed = sum(1 << i for i in skip)
-    return None if _invalidity_targets(reach, ends, removed) else reach
+    return None if _invalidity_targets(reach, g.ends, sum(1 << i for i in skip)) else reach
 
 
 def pattern_is_valid(g: ConstraintGraph, pattern: UncertaintyPattern) -> bool:
@@ -399,20 +459,12 @@ class _WitnessSearch:
         ``components`` for an acyclic graph, and ``WorldLimitError`` for a
         cyclic one of more than ``MAX_PATTERN_WORLDS`` worlds, both before
         any set is checked."""
-        idx = {w: i for i, w in enumerate(g.worlds)}
-        self.ends = [(idx[e.worse], idx[e.better]) for e in g.edges]
-        self.out: list[list[int]] = [[] for _ in g.worlds]
-        rows = [0] * len(g.worlds)
-        for i, (u, v) in enumerate(self.ends):
-            self.out[u].append(i)
-            rows[u] |= 1 << v
+        self.g = g
+        rows = g.bit_rows()
         self.checked = 0
         self.components: list[_Component] = []
         reach = _closure_bits(rows)
-        cyclic = 0
-        for w, row in enumerate(reach):
-            if row >> w & 1:
-                cyclic |= 1 << w
+        cyclic = sum(1 << w for w, row in enumerate(reach) if row >> w & 1)
         if not cyclic:
             return
         if len(rows) > MAX_PATTERN_WORLDS:
@@ -421,14 +473,8 @@ class _WitnessSearch:
         masks = []
         while cyclic:
             w = (cyclic & -cyclic).bit_length() - 1
-            mask, m = 0, reach[w] & cyclic
-            while m:
-                low = m & -m
-                m ^= low
-                if reach[low.bit_length() - 1] >> w & 1:
-                    mask |= low
-            masks.append(mask)
-            cyclic ^= mask
+            masks.append(sum(1 << y for y, row in enumerate(reach) if reach[w] >> y & row >> w & 1))
+            cyclic ^= masks[-1]
         if len(masks) == 1:
             self.components.append(_Component(-1, rows, reach, len(g.edges)))
             return
@@ -438,68 +484,22 @@ class _WitnessSearch:
                 mask,
                 [row & m for row, m in zip(rows, inside)],
                 [row & m for row, m in zip(reach, inside)],
-                sum(mask >> u & mask >> v & 1 for u, v in self.ends),
+                sum(mask >> u & mask >> v & 1 for u, v in g.ends),
             ))
-
-    def _row(self, u: int, removed: int) -> int:
-        # A bit-row ORs the kept out-edges, so a parallel edge keeps its bit
-        # while one copy survives.
-        row = 0
-        for i in self.out[u]:
-            if not removed >> i & 1:
-                row |= 1 << self.ends[i][1]
-        return row
 
     def _witness(self, rows: list[int], removed: int, targets: dict[int, int]) -> list[int]:
         """Edge indices of a shortest witness among the kept edges of an
-        invalid set, given its nonempty ``_invalidity_targets``."""
+        invalid set, given its nonempty ``_invalidity_targets``.  The
+        targets come from the closure, so only the limit, one edge shorter
+        than the best witness so far, stops a search before it hits one."""
         best = None
         for source, hit in targets.items():
-            path = self._shortest_path(rows, removed, source, hit,
-                                       len(best) - 1 if best else len(rows))
-            if path is not None:
-                best = path
+            found = _bfs(rows, source, hit, len(best) - 1 if best else len(rows))
+            if found:
+                best = _walk_back(self.g, rows, removed, *found)
                 if len(best) == 1:
                     break
         return best
-
-    def _shortest_path(self, rows, removed, source, targets, limit) -> list[int] | None:
-        """Edge indices of a shortest kept path of at most ``limit`` edges
-        from ``source`` to a world in ``targets``, found by BFS over bit-rows.
-        The targets come from the closure, so only ``limit`` ends the BFS
-        before it reaches one."""
-        layers = [1 << source]
-        seen = 1 << source
-        while len(layers) <= limit:
-            reached = 0
-            m = layers[-1]
-            while m:
-                low = m & -m
-                m ^= low
-                reached |= rows[low.bit_length() - 1]
-            hit = reached & targets
-            if hit:
-                break
-            frontier = reached & ~seen
-            seen |= frontier
-            layers.append(frontier)
-        else:
-            return None
-        # Walk back through the layers, one kept edge into each world.
-        path = []
-        x = (hit & -hit).bit_length() - 1
-        for layer in reversed(layers):
-            while True:
-                low = layer & -layer
-                layer ^= low
-                w = low.bit_length() - 1
-                if rows[w] >> x & 1:
-                    break
-            path.append(next(i for i in self.out[w]
-                             if self.ends[i][1] == x and not removed >> i & 1))
-            x = w
-        path.reverse()
-        return path
 
     def run(self, part: _Component, bound: int, budget: int, shrink: bool) -> list[int]:
         """Valid removed sets (as edge bitmasks) of fewer than ``bound`` of
@@ -511,6 +511,7 @@ class _WitnessSearch:
         raises ``BudgetExceededError``.
         """
         found: list[int] = []
+        g, ends = self.g, self.g.ends
         inside, rows, reach, _ = part
         # (removed, banned, parent's rows, last removed edge or -1); the
         # removed and banned edge sets are bitmasks over edge indices.
@@ -521,11 +522,11 @@ class _WitnessSearch:
             if size >= bound:
                 continue
             if edge >= 0:
-                u = self.ends[edge][0]
+                u = ends[edge][0]
                 rows = rows.copy()
-                rows[u] = self._row(u, removed) & inside
+                rows[u] = _out_row(g, u, removed) & inside
                 reach = _closure_bits(rows)
-            targets = _invalidity_targets(reach, self.ends, removed)
+            targets = _invalidity_targets(reach, ends, removed)
             self.checked += 1
             if self.checked > budget:
                 raise BudgetExceededError(
@@ -548,12 +549,11 @@ class _WitnessSearch:
         return found
 
 
-def _edge_indices(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _pattern_order(mask: int) -> tuple:
-    return mask.bit_count(), _edge_indices(mask)
+def _in_pattern_order(masks) -> list[tuple[int, tuple[int, ...], int]]:
+    """(size, edge indices, mask) for each edge bitmask, sorted: the pattern
+    order, and each pattern's indices, built once."""
+    return sorted((m.bit_count(), tuple(i for i in range(m.bit_length()) if m >> i & 1), m)
+                  for m in masks)
 
 
 def valid_uncertainty_patterns(
@@ -597,11 +597,11 @@ def valid_uncertainty_patterns(
         return []
     per_component = []
     for part in search.components:
-        found = search.run(part, cap + 1, budget, shrink=False)
-        found.sort(key=_pattern_order)
-        minimal: list[int] = []
-        for mask in found:
+        keys, minimal = [], []
+        for key in _in_pattern_order(search.run(part, cap + 1, budget, shrink=False)):
+            mask = key[2]
             if not any(f & mask == f for f in minimal):
+                keys.append(key)
                 minimal.append(mask)
         if not minimal:
             return []
@@ -613,8 +613,8 @@ def valid_uncertainty_patterns(
         room = max_size - 2 * (k - j)
         masks = [a | b for a in masks for b in minimal if (a | b).bit_count() <= room]
     if k > 1:
-        masks.sort(key=_pattern_order)
-    return [UncertaintyPattern(_edge_indices(mask)) for mask in masks]
+        keys = _in_pattern_order(masks)
+    return [UncertaintyPattern(key[1]) for key in keys]
 
 
 def min_uncertainty_size(g: ConstraintGraph, budget: int = 1_000_000) -> int:

@@ -13,9 +13,11 @@ import pytest
 from uncertain_objectives import beliefs, cli, scenario, simplex
 from uncertain_objectives.beliefs import CycleSpec, MinimaxBound, OrderDistribution
 from uncertain_objectives.cli import build_parser, main
+from uncertain_objectives.constraints import find_cycle
 from uncertain_objectives.rationals import format_rational
 
 from conftest import GOLDEN, SCENARIOS, needs_digit_limit
+from test_constraints import tournament
 
 
 def run_cli(*argv):
@@ -144,6 +146,35 @@ class TestFindings:
             witness = OrderDistribution(f["witness"]["orders"], f["witness"]["p"])
             spec = CycleSpec(f["worlds"])
             assert MinimaxBound(Fraction(f["bound"]), witness, spec).verify()
+
+    def test_bound_from_scenario_takes_a_shortest_cycle(self, tmp_path):
+        # find_cycle's certificate of this tournament has 5 edges; every
+        # cyclic tournament has a 3-cycle, and 1/3 is the stronger bound.
+        graph = tournament(10)
+        assert len(find_cycle(graph)) == 5
+        doc = tmp_path / "tournament.json"
+        doc.write_text(json.dumps({
+            "worlds": {w: [["1", 1]] for w in graph.worlds},
+            "constraints": [{"label": e.label, "from": e.worse, "to": e.better}
+                            for e in graph.edges],
+        }))
+        code, out, _ = run_cli("bound", str(doc))
+        assert code == 0
+        f = json.loads(out)["findings"]
+        assert f["bound"] == "1/3"
+        witness = OrderDistribution(f["witness"]["orders"], f["witness"]["p"])
+        assert MinimaxBound(Fraction(1, 3), witness, CycleSpec(f["worlds"])).verify()
+
+    def test_analyze_reports_the_minimum_below_the_size_cap(self):
+        # No pattern of size 1 is valid, so none is listed, but the
+        # minimum is still found.
+        code, out, _ = run_cli("analyze", str(SCENARIOS / "three_cycle.json"),
+                               "--max-pattern-size", "1")
+        assert code == 0
+        f = json.loads(out)["findings"]
+        assert f["minimal_patterns"] == []
+        assert f["partial_order"] is None
+        assert f["min_uncertainty_size"] == 2
 
     def test_audit_witness_replay_flag(self):
         _, out, _ = run_cli(*GOLDEN_CASES["audit_total_repugnant"])

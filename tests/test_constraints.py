@@ -16,6 +16,7 @@ from uncertain_objectives import (
     min_uncertainty_size,
     partial_order_from,
     pattern_is_valid,
+    shortest_cycle,
     valid_uncertainty_patterns,
     validate_partial_order,
 )
@@ -243,6 +244,52 @@ class TestFindCycle:
         assert seen_cyclic > 100
 
 
+def brute_force_girth(g: ConstraintGraph):
+    """The fewest worlds on a directed cycle, by trying every sequence of
+    distinct worlds; None when there is none."""
+    arcs = {(e.worse, e.better) for e in g.edges}
+    for k in range(2, len(g.worlds) + 1):
+        for seq in itertools.permutations(g.worlds, k):
+            if all((a, b) in arcs for a, b in zip(seq, seq[1:] + seq[:1])):
+                return k
+    return None
+
+
+class TestShortestCycle:
+    def test_length_is_the_girth(self):
+        rng = random.Random(2718)
+        seen_longer = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(2, 6), rng.randint(1, 14))
+            cert = shortest_cycle(g)
+            first = find_cycle(g)
+            assert (cert is None) == (first is None)
+            assert (None if cert is None else len(cert)) == brute_force_girth(g)
+            if cert is not None:
+                indices = [g.edges.index(e) for e in cert.edges]
+                assert indices[0] == min(indices)
+                assert len(set(cert.worlds)) == len(cert)
+                assert len(cert) <= len(first)
+                seen_longer += len(cert) < len(first)
+        assert seen_longer > 0
+
+    def test_tournament_has_a_three_cycle(self):
+        for n in (10, 16):
+            assert len(find_cycle(tournament(n))) > 3
+            assert len(shortest_cycle(tournament(n))) == 3
+
+    def test_two_cycle_among_longer_ones(self):
+        g = ConstraintGraph.from_edges(
+            [("a", "b", "E0"), ("b", "c", "E1"), ("c", "a", "E2"),
+             ("c", "d", "E3"), ("d", "c", "E4")]
+        )
+        assert find_cycle(g).labels == ("E0", "E1", "E2")
+        assert shortest_cycle(g).labels == ("E3", "E4")
+
+    def test_acyclic(self):
+        assert shortest_cycle(CHAIN) is None
+
+
 class TestValidatePartialOrder:
     def test_total_order_table_is_valid(self):
         po = PartialOrder.from_ranking(("a", "b", "c"))
@@ -290,6 +337,10 @@ class TestValidatePartialOrder:
         assert po.verdict("b", "a") is Verdict.GREATER
         assert po.verdict("a", "c") is po.verdict("c", "b") is Verdict.INCOMPARABLE
         assert validate_partial_order(po) == []
+
+    def test_from_pairs_rejects_a_world_outside_the_set(self):
+        with pytest.raises(InvalidValueError, match="outside the world set"):
+            PartialOrder.from_pairs(("a", "b"), {("a", "z"): Verdict.LESS})
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_random_tables_match_reference(self, n):
